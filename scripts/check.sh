@@ -444,9 +444,12 @@ if [ "$ASAN" = 1 ]; then
     # with pool checking live, and Snap* exercises the checkpoint
     # save/restore paths (raw-byte serialization, resume unwinding).
     # Skip* re-proves cycle-skip bit-identity (including the fault-plan
-    # and resume legs) with pool checking live.
+    # and resume legs) with pool checking live. The same checked build
+    # re-derives every warp pick with the reference scan (Sm::pickWarp);
+    # SimPipeline* drives it through barriers, divergence, exits,
+    # multi-word ready masks and both scheduling policies.
     "$ASAN_DIR/tests/gcl_tests" \
-        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:IdleGating*:Snap*:Skip*'
+        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:IdleGating*:Snap*:Skip*:SimPipeline*'
 fi
 
 echo "check: all green"

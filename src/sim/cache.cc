@@ -34,14 +34,17 @@ Mshr::Mshr(unsigned num_entries, unsigned max_merge, MemPools &pools,
         capacity *= 2;
     table_.assign(capacity, Entry{});
     tableMask_ = capacity - 1;
+    tableShift_ = 64 - floorLog2(capacity);
 }
 
 size_t
 Mshr::slotOf(uint64_t line_addr) const
 {
-    // Fibonacci hashing spreads line addresses (which share low zero bits
-    // from line alignment) across the table.
-    return (line_addr * UINT64_C(0x9E3779B97F4A7C15)) & tableMask_;
+    // Fibonacci hashing: the product's high bits mix every bit of the
+    // address. Its low bits would not — a line-aligned address keeps its
+    // zero low bits through the multiply, homing every line at slot 0.
+    return static_cast<size_t>((line_addr * UINT64_C(0x9E3779B97F4A7C15)) >>
+                               tableShift_);
 }
 
 int

@@ -102,6 +102,7 @@ class Mshr
     ReqHandle MemRequest::*link_;  //!< which chain field this level uses
     std::vector<Entry> table_;   //!< power-of-two open-addressed table
     uint64_t tableMask_;
+    unsigned tableShift_;        //!< 64 - log2(table size), for slotOf
     unsigned count_ = 0;
 };
 

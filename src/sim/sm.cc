@@ -48,6 +48,14 @@ Sm::startLaunch(const LaunchContext &launch)
     warpAge_.assign(warps_.size(), 0);
     rrNext_.assign(config_.numSchedulers, 0);
     lastIssued_ = -1;
+    const size_t per_scheduler =
+        (warps_.size() + config_.numSchedulers - 1) / config_.numSchedulers;
+    readyWords_ = static_cast<unsigned>((per_scheduler + 63) / 64);
+    readyMask_.assign(
+        static_cast<size_t>(config_.numSchedulers) * readyWords_ *
+            kIssueClasses,
+        0);
+    readyClass_.assign(warps_.size(), kNotReady);
     spStageFreeAt_ = 0;
     sfuStageFreeAt_ = 0;
 }
@@ -115,6 +123,8 @@ Sm::launchCta(uint32_t linear_id, uint32_t cx, uint32_t cy, uint32_t cz)
 
         warpAge_[static_cast<size_t>(slot) * warpsPerCta_ + w] =
             ageCounter_++;
+        refreshReady(slot * static_cast<int>(warpsPerCta_) +
+                     static_cast<int>(w));
     }
     ++residentCtas_;
 }
@@ -143,28 +153,39 @@ Sm::busy() const
 bool
 Sm::warpReady(const WarpContext &warp, Cycle now) const
 {
+    return warpEligible(warp) &&
+           unitFree(launch_->issueClass[warp.stack.pc()], now);
+}
+
+bool
+Sm::warpEligible(const WarpContext &warp) const
+{
     if (!warp.active || warp.atBarrier || warp.stack.done())
         return false;
 
-    const size_t pc = warp.stack.pc();
-    const uint8_t cls = launch_->issueClass[pc];
+    // Every scoreboard bit is paired with an inflight op, so a warp with
+    // none in flight has a clean scoreboard and nothing to drain.
+    if (warp.inflightOps == 0)
+        return true;
 
     // Exit retires the warp slot; it must drain in-flight writebacks first.
-    if (cls == LaunchContext::IssueExit && warp.inflightOps > 0)
+    const size_t pc = warp.stack.pc();
+    if (launch_->issueClass[pc] == LaunchContext::IssueExit)
         return false;
 
-    // Scoreboard: no RAW or WAW on pending registers. Every scoreboard bit
-    // is paired with an inflight op, so a warp with none in flight has a
-    // clean scoreboard; otherwise AND the precomputed per-pc dependence
-    // mask (sources, guard predicate, destination) word by word.
-    if (warp.inflightOps > 0) {
-        const uint64_t *mask = &launch_->sbMask[pc * launch_->sbWords];
-        for (unsigned w = 0; w < launch_->sbWords; ++w)
-            if (warp.scoreboard[w] & mask[w])
-                return false;
-    }
+    // Scoreboard: no RAW or WAW on pending registers. AND the precomputed
+    // per-pc dependence mask (sources, guard predicate, destination) word
+    // by word.
+    const uint64_t *mask = &launch_->sbMask[pc * launch_->sbWords];
+    for (unsigned w = 0; w < launch_->sbWords; ++w)
+        if (warp.scoreboard[w] & mask[w])
+            return false;
+    return true;
+}
 
-    // Function unit availability.
+bool
+Sm::unitFree(uint8_t cls, Cycle now) const
+{
     switch (cls) {
       case LaunchContext::IssueBarrier:
       case LaunchContext::IssueExit:
@@ -178,8 +199,126 @@ Sm::warpReady(const WarpContext &warp, Cycle now) const
     }
 }
 
+void
+Sm::refreshReady(int slot)
+{
+    // Eligibility reads only the warp's own state (active, barrier,
+    // stack, scoreboard, inflight count), which changes only at CTA
+    // launch, at the warp's own issue (exit included), at its writebacks
+    // and at a barrier release — the call sites of this function.
+    const unsigned nsched = config_.numSchedulers;
+    const unsigned idx = static_cast<unsigned>(slot) / nsched;
+    uint64_t *word =
+        &readyMask_[(static_cast<size_t>(slot) % nsched * readyWords_ +
+                     idx / 64) *
+                    kIssueClasses];
+    const uint64_t bit = uint64_t{1} << (idx % 64);
+    uint8_t &filed = readyClass_[static_cast<size_t>(slot)];
+    if (filed != kNotReady)
+        word[filed] &= ~bit;
+    const WarpContext &warp = warps_[static_cast<size_t>(slot)];
+    filed = warpEligible(warp) ? launch_->issueClass[warp.stack.pc()]
+                               : kNotReady;
+    if (filed != kNotReady)
+        word[filed] |= bit;
+}
+
 int
 Sm::pickWarp(unsigned scheduler, Cycle now)
+{
+#if GCL_POOL_CHECKED
+    // Checked builds re-derive every pick with the reference scan: a
+    // ready bit that missed a refresh event shows up here as a different
+    // slot or LRR pointer, at the cycle it first matters.
+    unsigned ref_next = rrNext_[scheduler];
+    const int ref = pickByScan(scheduler, now, ref_next);
+    const int slot = pickReady(scheduler, now);
+    if (slot != ref || rrNext_[scheduler] != ref_next)
+        gcl_sim_error(SimError::Kind::Invariant, "sm" + std::to_string(id_),
+                      now, "ready-mask pick on scheduler ", scheduler,
+                      " chose slot ", slot, " (lrr next ", rrNext_[scheduler],
+                      "), the reference scan chose ", ref, " (lrr next ",
+                      ref_next, ")");
+    return slot;
+#else
+    return pickReady(scheduler, now);
+#endif
+}
+
+int
+Sm::pickReady(unsigned scheduler, Cycle now)
+{
+    if (readyWords_ == 0)
+        return -1;
+    // Unit availability is read per call, not per cycle: an earlier
+    // scheduler's issue this cycle can fill the LD/ST queue or occupy
+    // the SP/SFU stage. Barrier and exit need no unit.
+    auto open = [&](LaunchContext::IssueClass cls) {
+        return unitFree(cls, now) ? ~uint64_t{0} : uint64_t{0};
+    };
+    const uint64_t memory = open(LaunchContext::IssueMemory);
+    const uint64_t sfu = open(LaunchContext::IssueSfu);
+    const uint64_t sp = open(LaunchContext::IssueSp);
+    const uint64_t *masks =
+        &readyMask_[static_cast<size_t>(scheduler) * readyWords_ *
+                    kIssueClasses];
+    // Ready warps among this scheduler's slots 64w .. 64w + 63.
+    auto ready = [&](unsigned w) {
+        const uint64_t *word = masks + static_cast<size_t>(w) * kIssueClasses;
+        return word[LaunchContext::IssueBarrier] |
+               word[LaunchContext::IssueExit] |
+               (word[LaunchContext::IssueMemory] & memory) |
+               (word[LaunchContext::IssueSfu] & sfu) |
+               (word[LaunchContext::IssueSp] & sp);
+    };
+    const unsigned nsched = config_.numSchedulers;
+
+    if (config_.warpSched == WarpSchedPolicy::GreedyThenOldest) {
+        if (lastIssued_ >= 0 &&
+            static_cast<unsigned>(lastIssued_) % nsched == scheduler) {
+            const unsigned idx = static_cast<unsigned>(lastIssued_) / nsched;
+            if ((ready(idx / 64) >> (idx % 64)) & 1)
+                return lastIssued_;
+        }
+        int best = -1;
+        uint64_t best_age = ~uint64_t{0};
+        for (unsigned w = 0; w < readyWords_; ++w) {
+            for (uint64_t bits = ready(w); bits != 0; bits &= bits - 1) {
+                const unsigned s = scheduler +
+                    (w * 64 + static_cast<unsigned>(std::countr_zero(bits))) *
+                        nsched;
+                if (warpAge_[s] < best_age) {
+                    best_age = warpAge_[s];
+                    best = static_cast<int>(s);
+                }
+            }
+        }
+        return best;
+    }
+
+    // Loose round-robin: the first ready bit at or after the pointer,
+    // wrapping. The start word comes round again last for its bits below
+    // the pointer; those at or after it were already found clear.
+    unsigned &next = rrNext_[scheduler];
+    const unsigned first = next / 64;
+    const uint64_t start = ready(first);
+    uint64_t bits = start & (~uint64_t{0} << (next % 64));
+    unsigned w = first;
+    for (unsigned step = 1; bits == 0; ++step) {
+        if (step > readyWords_)
+            return -1;
+        w = (first + step) % readyWords_;
+        bits = step == readyWords_ ? start : ready(w);
+    }
+    const unsigned idx = w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+    const unsigned count = static_cast<unsigned>(
+        (warps_.size() - scheduler + nsched - 1) / nsched);
+    next = (idx + 1) % count;
+    return static_cast<int>(scheduler + idx * nsched);
+}
+
+int
+Sm::pickByScan(unsigned scheduler, Cycle now, unsigned &rr_next) const
 {
     const unsigned nsched = config_.numSchedulers;
     const unsigned total = static_cast<unsigned>(warps_.size());
@@ -207,16 +346,31 @@ Sm::pickWarp(unsigned scheduler, Cycle now)
     }
 
     // Loose round-robin.
-    unsigned &next = rrNext_[scheduler];
     for (unsigned i = 0; i < count; ++i) {
-        const unsigned idx = (next + i) % count;
+        const unsigned idx = (rr_next + i) % count;
         const unsigned s = scheduler + idx * nsched;
         if (warpReady(warps_[s], now)) {
-            next = (idx + 1) % count;
+            rr_next = (idx + 1) % count;
             return static_cast<int>(s);
         }
     }
     return -1;
+}
+
+void
+Sm::releaseBarrier(CtaContext &cta, int cta_slot)
+{
+    for (unsigned w = 0; w < warpsPerCta_; ++w) {
+        const int slot =
+            cta_slot * static_cast<int>(warpsPerCta_) + static_cast<int>(w);
+        WarpContext &other = warps_[static_cast<size_t>(slot)];
+        if (other.active) {
+            other.atBarrier = false;
+            refreshReady(slot);
+        }
+    }
+    cta.warpsAtBarrier = 0;
+    issueDirty_ = true;
 }
 
 void
@@ -238,16 +392,8 @@ Sm::warpExited(int slot)
 
     // The exit may have been the last warp a barrier was waiting for.
     if (cta.warpsAtBarrier > 0 &&
-        cta.warpsAtBarrier == cta.numWarps - cta.warpsDone) {
-        for (unsigned w = 0; w < warpsPerCta_; ++w) {
-            WarpContext &other =
-                warps_[static_cast<size_t>(warp.ctaSlot) * warpsPerCta_ + w];
-            if (other.active)
-                other.atBarrier = false;
-        }
-        cta.warpsAtBarrier = 0;
-        issueDirty_ = true;
-    }
+        cta.warpsAtBarrier == cta.numWarps - cta.warpsDone)
+        releaseBarrier(cta, warp.ctaSlot);
 }
 
 void
@@ -304,23 +450,13 @@ Sm::issueWarp(int slot, Cycle now)
             warpExited(slot);
         break;
 
-      case StepInfo::Kind::Barrier: {
+      case StepInfo::Kind::Barrier:
         warp.stack.advance();
         warp.atBarrier = true;
         ++cta.warpsAtBarrier;
-        if (cta.warpsAtBarrier == cta.numWarps - cta.warpsDone) {
-            for (unsigned w = 0; w < warpsPerCta_; ++w) {
-                WarpContext &other =
-                    warps_[static_cast<size_t>(warp.ctaSlot) * warpsPerCta_ +
-                           w];
-                if (other.active)
-                    other.atBarrier = false;
-            }
-            cta.warpsAtBarrier = 0;
-            issueDirty_ = true;
-        }
+        if (cta.warpsAtBarrier == cta.numWarps - cta.warpsDone)
+            releaseBarrier(cta, warp.ctaSlot);
         break;
-      }
 
       case StepInfo::Kind::Exit:
         warp.stack.exitLanes(active);
@@ -333,6 +469,9 @@ Sm::issueWarp(int slot, Cycle now)
         warp.stack.advance();
         break;
     }
+    // Whatever the instruction did to this warp — new pc, scoreboard
+    // bits, a barrier wait, an exit — its ready bit follows.
+    refreshReady(slot);
 }
 
 void
@@ -861,6 +1000,7 @@ Sm::writebackCycle(Cycle now)
                       "scoreboard acquire/release imbalance (inflight op "
                       "underflow)");
         --warp.inflightOps;
+        refreshReady(wb.slot);
     }
 }
 

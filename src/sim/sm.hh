@@ -199,7 +199,21 @@ class Sm
     // --- Issue stage ---
     void issueCycle(Cycle now);
     bool warpReady(const WarpContext &warp, Cycle now) const;
+    /** warpReady minus the function-unit test: what the masks hold. */
+    bool warpEligible(const WarpContext &warp) const;
+    /** Can the unit for issue class @p cls take an instruction now? */
+    bool unitFree(uint8_t cls, Cycle now) const;
+    /** Re-file @p slot's ready-mask bit after its warp changed. */
+    void refreshReady(int slot);
     int pickWarp(unsigned scheduler, Cycle now);
+    /** The pick from the ready masks; advances rrNext_ like pickByScan. */
+    int pickReady(unsigned scheduler, Cycle now);
+    /**
+     * The reference pick: warpReady over every slot @p scheduler owns.
+     * Advances @p rr_next in place of rrNext_, so checked builds can run
+     * it beside pickReady and compare both the slots and the pointers.
+     */
+    int pickByScan(unsigned scheduler, Cycle now, unsigned &rr_next) const;
     void issueWarp(int slot, Cycle now);
     /**
      * Attribute @p count of @p scheduler's lost issue slots (crit
@@ -223,6 +237,8 @@ class Sm
 
     // --- CTA / warp lifecycle ---
     void warpExited(int slot);
+    /** Free every live warp of the CTA in @p cta_slot from its barrier. */
+    void releaseBarrier(CtaContext &cta, int cta_slot);
 
     int id_;
     const GpuConfig &config_;
@@ -247,6 +263,23 @@ class Sm
     uint64_t ageCounter_ = 0;
     std::vector<unsigned> rrNext_;    //!< per-scheduler LRR pointer
     int lastIssued_ = -1;             //!< for GTO greediness
+
+    /**
+     * Ready-warp masks, one bitset per (scheduler, issue class): bit
+     * slot / numSchedulers of scheduler slot % numSchedulers is set when
+     * that warp passes warpEligible, filed under the issue class of its
+     * next instruction. refreshReady keeps them current at the events
+     * that can change eligibility, so pickWarp only has to OR the masks
+     * of the classes whose unit is free. Laid out
+     * [(scheduler * readyWords_ + word) * kIssueClasses + class] so one
+     * word's classes share a cache line.
+     */
+    std::vector<uint64_t> readyMask_;
+    unsigned readyWords_ = 0;         //!< mask words per scheduler
+    /** Per slot: the class its ready bit is filed under, or kNotReady. */
+    std::vector<uint8_t> readyClass_;
+    static constexpr unsigned kIssueClasses = LaunchContext::IssueExit + 1;
+    static constexpr uint8_t kNotReady = 0xff;
     /**
      * False when the last issue scan found nothing and no wake event
      * (writeback, barrier release, LD/ST drain, CTA arrival, issue) has

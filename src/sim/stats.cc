@@ -18,7 +18,16 @@ constexpr size_t kInitialBlockSlots = 1024;
 size_t
 blockSlotOf(uint64_t line_addr, size_t mask)
 {
-    // Fibonacci hashing: line addresses share low zero bits.
+    // The product's low bits keep the line alignment's zeros, so lines
+    // home only at multiples of the line size and probe forward in long
+    // clustered runs — the weakness Mshr::slotOf avoids by taking the
+    // high bits. This table keeps the low bits for two reasons. The
+    // high-bit hash buys nothing here: it measured 0.87-1.12x this one's
+    // suite sweep wall (6 same-host pairs, median 1.00), likely because
+    // the per-SM tables reach several MB, where scattered probes miss
+    // the host cache that the clustered runs stream through. And
+    // saveShard writes the slot layout into snapshots, so a new hash
+    // would change every snapshot taken with locality stats in flight.
     return (line_addr * UINT64_C(0x9E3779B97F4A7C15)) & mask;
 }
 
@@ -305,11 +314,27 @@ SimStats::mergeShard(Shard &shard)
 
 void
 SimStats::distanceHistogram(const std::vector<uint32_t> &ctas,
-                            Histogram &hist)
+                            Histogram &hist, std::vector<uint64_t> &counts)
 {
-    for (size_t i = 0; i < ctas.size(); ++i)
-        for (size_t j = i + 1; j < ctas.size(); ++j)
-            hist.add(static_cast<int64_t>(ctas[j]) - ctas[i], 1.0);
+    const size_t k = ctas.size();
+    const size_t span = ctas.back() - ctas.front();
+    if (k * (k - 1) / 2 < span) {
+        for (size_t i = 0; i < k; ++i)
+            for (size_t j = i + 1; j < k; ++j)
+                hist.add(static_cast<int64_t>(ctas[j]) - ctas[i], 1.0);
+        return;
+    }
+    // Every distance lies in [1, span]. The weights are integer-valued,
+    // so one add of a pair count sums exactly what that many adds of 1.0
+    // would.
+    counts.assign(span + 1, 0);
+    for (size_t i = 0; i < k; ++i)
+        for (size_t j = i + 1; j < k; ++j)
+            ++counts[ctas[j] - ctas[i]];
+    for (size_t d = 1; d <= span; ++d)
+        if (counts[d] != 0)
+            hist.add(static_cast<int64_t>(d),
+                     static_cast<double>(counts[d]));
 }
 
 SimStats::PcHists
@@ -437,6 +462,7 @@ SimStats::finalize()
     Histogram &dist_det = set_.hist("cta_distance.det");
     Histogram &dist_nondet = set_.hist("cta_distance.nondet");
     Histogram &reuse = set_.hist("block_reuse");
+    std::vector<uint64_t> distance_counts;
 
     for (BlockSlot &slot : base_.blockTable_) {
         BlockInfo &block = slot.info;
@@ -456,12 +482,13 @@ SimStats::finalize()
                      static_cast<double>(block.accesses));
             set_.inc("blocks.shared_cta_sum",
                      static_cast<double>(block.ctas.size()));
-            distanceHistogram(block.ctas, dist);
+            distanceHistogram(block.ctas, dist, distance_counts);
         }
         if (block.ctasDet.size() >= 2)
-            distanceHistogram(block.ctasDet, dist_det);
+            distanceHistogram(block.ctasDet, dist_det, distance_counts);
         if (block.ctasNondet.size() >= 2)
-            distanceHistogram(block.ctasNondet, dist_nondet);
+            distanceHistogram(block.ctasNondet, dist_nondet,
+                              distance_counts);
     }
     base_.blockTable_.clear();
     base_.blockCount_ = 0;

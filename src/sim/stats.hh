@@ -312,8 +312,14 @@ class SimStats
     static void saveShard(const Shard &shard, snap::SnapWriter &out);
     static void loadShard(Shard &shard, snap::SnapReader &in);
     static void insertCta(std::vector<uint32_t> &ctas, uint32_t cta);
+    /**
+     * Add the pairwise distances of the sorted, distinct @p ctas to
+     * @p hist, counting them in @p counts (reused scratch) first when
+     * that is cheaper than one histogram insert per pair.
+     */
     static void distanceHistogram(const std::vector<uint32_t> &ctas,
-                                  Histogram &hist);
+                                  Histogram &hist,
+                                  std::vector<uint64_t> &counts);
 
     /** Fold @p shard into the base shard and clear it. */
     void mergeShard(Shard &shard);

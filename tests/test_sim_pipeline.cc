@@ -2,15 +2,23 @@
  * @file
  * SM pipeline integration tests: scoreboard dependences, divergence
  * results, barriers as producer/consumer synchronization, per-CTA shared
- * memory isolation, multi-CTA launches, and stat plausibility.
+ * memory isolation, multi-CTA launches, stat plausibility, and the warp
+ * scheduler's ready-warp masks (barriers across schedulers, multi-word
+ * masks, and GTO byte-identity pins).
  */
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "ptx/builder.hh"
 #include "sim/gpu.hh"
+#include "sim/machine.hh"
+#include "workloads/sim_context.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -350,6 +358,150 @@ TEST(SimPipeline, WarpSplitKeepsResultsIdentical)
         return out;
     };
     EXPECT_EQ(run_with(0), run_with(4));
+}
+
+TEST(SimPipeline, BarrierAcrossFourSchedulersUnderLrrAndGto)
+{
+    // Eight warps per CTA on four schedulers: every scheduler owns two
+    // warps of each CTA, so each barrier release wakes warps on all four.
+    // Lane 0 diverges before the first barrier. Warp 7 skips both
+    // barriers and exits after a global round trip, while the other
+    // seven wait at the first one — so that release comes from the exit,
+    // and the second from the last arrival.
+    KernelBuilder b("bar4", 1, 8 * 4);
+    Reg out = b.ldParam(0);
+    Reg tid = b.mov(DT::U32, SpecialReg::TidX);
+    Reg warp = b.shr(DT::U32, tid, 5);
+    Reg lane = b.and_(DT::U32, tid, 31);
+    Reg gtid = b.globalTidX();
+    Label work = b.newLabel();
+    b.braIf(b.setp(CmpOp::Ne, DT::U32, warp, 7), work);
+    {
+        Reg addr = b.elemAddr(out, gtid, 4);
+        Reg v = b.ld(MemSpace::Global, DT::U32, addr);
+        b.st(MemSpace::Global, DT::U32, addr, b.add(DT::U32, v, 1));
+        b.exit();
+    }
+    b.place(work);
+    Label skip = b.newLabel();
+    b.braIf(b.setp(CmpOp::Ne, DT::U32, lane, 0), skip);
+    b.st(MemSpace::Shared, DT::U32,
+         b.shl(DT::U64, b.cvt(DT::U64, DT::U32, warp), 2),
+         b.add(DT::U32, warp, 100));
+    b.place(skip);
+    b.bar();
+    Reg other = b.rem(DT::U32, b.add(DT::U32, warp, 3), 7);
+    Reg got = b.ld(MemSpace::Shared, DT::U32,
+                   b.shl(DT::U64, b.cvt(DT::U64, DT::U32, other), 2));
+    b.bar();
+    b.st(MemSpace::Global, DT::U32, b.elemAddr(out, gtid, 4),
+         b.add(DT::U32, got, lane));
+    Kernel k = b.build();
+
+    for (auto policy : {sim::WarpSchedPolicy::LooseRoundRobin,
+                        sim::WarpSchedPolicy::GreedyThenOldest}) {
+        sim::GpuConfig config;
+        config.numSchedulers = 4;
+        config.warpSched = policy;
+        sim::Gpu gpu(config);
+        constexpr uint32_t kThreads = 4 * 256;
+        const std::vector<uint32_t> zeros(kThreads, 0);
+        const uint64_t d = gpu.deviceMalloc(kThreads * 4);
+        gpu.memcpyToDevice(d, zeros.data(), kThreads * 4);
+        gpu.launch(k, sim::Dim3{4, 1, 1}, sim::Dim3{256, 1, 1}, {d});
+        std::vector<uint32_t> r(kThreads);
+        gpu.memcpyToHost(r.data(), d, kThreads * 4);
+        for (uint32_t i = 0; i < kThreads; ++i) {
+            const uint32_t w = (i % 256) / 32;
+            const uint32_t expect =
+                w == 7 ? 1u : 100u + (w + 3) % 7 + i % 32;
+            ASSERT_EQ(r[i], expect)
+                << "thread " << i << " policy "
+                << static_cast<int>(policy);
+        }
+    }
+}
+
+TEST(SimPipeline, MoreThan64SlotsOnOneScheduler)
+{
+    // 4096 threads per SM on one scheduler: eight resident 512-thread
+    // CTAs per SM fill 128 warp slots, two 64-bit ready-mask words. The
+    // load-use stall and the barrier make warps in both words wait and
+    // wake.
+    KernelBuilder b("wide", 1);
+    Reg out = b.ldParam(0);
+    Reg gtid = b.globalTidX();
+    Reg addr = b.elemAddr(out, gtid, 4);
+    Reg v = b.ld(MemSpace::Global, DT::U32, addr);
+    b.bar();
+    b.st(MemSpace::Global, DT::U32, addr,
+         b.add(DT::U32, b.mul(DT::U32, v, 3), 1));
+    Kernel k = b.build();
+
+    for (auto policy : {sim::WarpSchedPolicy::LooseRoundRobin,
+                        sim::WarpSchedPolicy::GreedyThenOldest}) {
+        sim::GpuConfig config;
+        config.numSms = 2;
+        config.maxThreadsPerSm = 4096;
+        config.numSchedulers = 1;
+        config.warpSched = policy;
+        sim::Gpu gpu(config);
+        constexpr uint32_t kCtas = 16;
+        constexpr uint32_t kThreads = kCtas * 512;
+        std::vector<uint32_t> init(kThreads);
+        for (uint32_t i = 0; i < kThreads; ++i)
+            init[i] = i;
+        const uint64_t d = gpu.deviceMalloc(kThreads * 4);
+        gpu.memcpyToDevice(d, init.data(), kThreads * 4);
+        gpu.launch(k, sim::Dim3{kCtas, 1, 1}, sim::Dim3{512, 1, 1}, {d});
+        std::vector<uint32_t> r(kThreads);
+        gpu.memcpyToHost(r.data(), d, kThreads * 4);
+        for (uint32_t i = 0; i < kThreads; ++i)
+            ASSERT_EQ(r[i], i * 3 + 1)
+                << "thread " << i << " policy "
+                << static_cast<int>(policy);
+    }
+}
+
+std::string
+statsDigest(const std::string &text)
+{
+    uint64_t hash = 1469598103934665603ull;   // FNV-1a
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
+    return buf;
+}
+
+TEST(SimPipeline, GtoStatsPinnedOnModernCore)
+{
+    // Byte-identity pins for the greedy-then-oldest scheduler: FNV-1a of
+    // StatsSet::serialize() on modern-core (four GTO schedulers). The
+    // committed goldens all run C2050, whose scheduler is LRR.
+    const struct
+    {
+        const char *app;
+        const char *digest;
+    } pins[] = {
+        {"bpr", "cdd13a6dbe03969d"},
+        {"gaus", "5aff7c2835d17489"},
+        {"srad", "5efcfb76b37a4511"},
+    };
+    const sim::GpuConfig config = sim::loadMachineFile(
+        std::string(GCL_REPO_CONFIGS_DIR) + "/modern-core.config");
+    ASSERT_EQ(config.warpSched, sim::WarpSchedPolicy::GreedyThenOldest);
+    for (const auto &pin : pins) {
+        workloads::SimContext ctx(workloads::byName(pin.app), config);
+        ctx.run();
+        ASSERT_FALSE(ctx.failed()) << pin.app << ": "
+                                   << ctx.failure().message;
+        EXPECT_TRUE(ctx.verified()) << pin.app;
+        EXPECT_EQ(statsDigest(ctx.stats().serialize()), pin.digest)
+            << pin.app;
+    }
 }
 
 TEST(SimPipeline, DeterministicAcrossRuns)
