@@ -108,7 +108,7 @@ struct AppResult
     // enforces that these never leak into them).
     uint64_t skippedCycles = 0; //!< cycles the clock jumped over
     uint64_t skipEvents = 0;    //!< jumps taken
-    uint64_t dormantCycles = 0; //!< unit-cycles skipped by dormancy
+    uint64_t dormantCycles = 0; //!< unit-cycles asleep, jumps included
 };
 
 /** Observability options shared by every bench binary. */

@@ -72,7 +72,7 @@ struct AppPerf
     uint64_t warpInsts = 0;
     uint64_t skippedCycles = 0;   //!< of simCycles, jumped by event skip
     uint64_t skipEvents = 0;
-    uint64_t dormantCycles = 0;   //!< SM-cycles skipped by dormancy
+    uint64_t dormantCycles = 0;   //!< unit-cycles asleep, jumps included
     double medianSeconds = 0.0;
     std::vector<double> repSeconds; //!< one entry per --repeat run
 };

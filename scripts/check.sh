@@ -114,19 +114,10 @@ diff tests/goldens/crit_report_small.txt "$tmp/crit-top3.txt" \
     || { echo "check: crit_report diverged from the committed golden" >&2
          exit 1; }
 
-# Idle-unit gating (Gpu::tick skipping quiescent partitions and response
-# drains) is a pure host-side optimization: a sweep with the gate forced
-# off must leave byte-identical cache entries. idle_gating is deliberately
-# excluded from the config fingerprint so both runs share cache keys.
-GCL_BENCH_CACHE="$tmp/cache-nogate" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=$SMALL_APPS --fresh --jobs=1 \
-    --sim-config=idle_gating=0 > /dev/null 2> /dev/null
-diff -r "$tmp/cache-j1" "$tmp/cache-nogate" \
-    || { echo "check: idle gating changed simulation results" >&2; exit 1; }
-
-# Event-driven cycle skipping (Gpu jumping the clock over spans every
-# unit certified dead) is likewise a pure host-side optimization: a sweep
-# with the skip forced off must leave byte-identical cache entries.
+# Event-driven cycle skipping (drained and frozen units sleeping, the
+# clock jumping once none is awake) is a pure host-side optimization. With
+# it off every unit ticks every cycle: that sweep is the eager reference,
+# and the default sweep must leave byte-identical cache entries to it.
 # cycle_skipping is deliberately excluded from the config fingerprint so
 # both runs share cache keys.
 GCL_BENCH_CACHE="$tmp/cache-noskip" "$BUILD_DIR/bench/fig1_load_classes" \
@@ -440,16 +431,16 @@ if [ "$ASAN" = 1 ]; then
     # The guard tests unwind SimErrors out of half-advanced device models;
     # ASan verifies nothing in flight leaks across the recovery. Pool*
     # includes the GCL_POOL_CHECKED death tests (stale-handle panics are
-    # compiled in under ASan), IdleGating* re-proves gating bit-identity
-    # with pool checking live, and Snap* exercises the checkpoint
+    # compiled in under ASan), and Snap* exercises the checkpoint
     # save/restore paths (raw-byte serialization, resume unwinding).
-    # Skip* re-proves cycle-skip bit-identity (including the fault-plan
-    # and resume legs) with pool checking live. The same checked build
-    # re-derives every warp pick with the reference scan (Sm::pickWarp);
-    # SimPipeline* drives it through barriers, divergence, exits,
-    # multi-word ready masks and both scheduling policies.
+    # Skip* re-proves cycle-skip bit-identity against the eager reference
+    # (including the fault-plan, zero-latency, hang and resume legs) with
+    # pool checking live. The same checked build re-derives every warp
+    # pick with the reference scan (Sm::pickWarp); SimPipeline* drives it
+    # through barriers, divergence, exits, multi-word ready masks and both
+    # scheduling policies.
     "$ASAN_DIR/tests/gcl_tests" \
-        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:IdleGating*:Snap*:Skip*:SimPipeline*'
+        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:Skip*:SimPipeline*'
 fi
 
 echo "check: all green"

@@ -299,15 +299,6 @@ buildOverrideKeys()
         numericKey("sms_per_l2_cluster", &GpuConfig::smsPerL2Cluster),
         numericKey("nondet_split_requests",
                    &GpuConfig::nondetSplitRequests),
-        {"idle_gating",
-         [](GpuConfig &config, const std::string &v) {
-             if (v == "0")
-                 config.idleGating = false;
-             else if (v == "1")
-                 config.idleGating = true;
-             else
-                 badValue("idle_gating", v, "one of 0, 1");
-         }},
         {"cycle_skipping",
          [](GpuConfig &config, const std::string &v) {
              if (v == "0")
@@ -467,10 +458,8 @@ GpuConfig::describe() const
     if (nondetSplitRequests)
         oss << "WarpSplit  " << nondetSplitRequests
             << " requests per non-deterministic sub-warp\n";
-    if (!idleGating)
-        oss << "IdleGating off (every unit ticks every cycle)\n";
     if (!cycleSkipping)
-        oss << "CycleSkip  off (the clock never jumps over dead spans)\n";
+        oss << "CycleSkip  off (every unit ticks every cycle)\n";
     if (crit)
         oss << "CritProf   issue-slot attribution + latency breakdown\n";
     if (simThreads != 1)
@@ -493,11 +482,10 @@ uint64_t
 GpuConfig::fingerprint() const
 {
     // FNV-1a over the numeric fields; any change invalidates cached runs.
-    // Run-control knobs (max_cycles, watchdog_*, idle_gating,
-    // cycle_skipping, sim_threads)
-    // are deliberately NOT mixed in: they never change the stats of a run
-    // that completes, so tightening a budget must not orphan valid cache
-    // entries. The fault plan IS mixed in — injected backpressure changes
+    // Run-control knobs (max_cycles, watchdog_*) and the host-side
+    // speed knobs (cycle_skipping, sim_threads) are deliberately NOT
+    // mixed in: they never change the stats of a run that completes, so
+    // tightening a budget must not orphan valid cache entries. The fault plan IS mixed in — injected backpressure changes
     // timing.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {

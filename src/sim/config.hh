@@ -200,33 +200,22 @@ struct GpuConfig
     unsigned nondetSplitRequests = 0;
 
     /**
-     * Skip quiescent units in the device tick loop (drained partitions,
-     * an empty interconnect, SMs with no resident work). Gating is a pure
-     * host-side optimization: a skipped unit's cycle would have been a
-     * no-op, so stats and timing are bit-identical either way (verified
-     * by tests/test_gating.cc). The knob exists to prove that claim and
-     * to simplify bisection; it is not part of the config fingerprint for
-     * the same reason the watchdog knobs are not.
-     */
-    bool idleGating = true;
-
-    /**
-     * Event-driven cycle skipping: when every active unit reports that its
-     * next interesting cycle is in the future, the device clock jumps
-     * straight there instead of iterating through the dead span, crediting
-     * the skipped cycles to the same idle counters the per-cycle loop
-     * would have bumped. Like idle_gating this is a pure host-side
-     * optimization — every stats/trace/crit artifact is bit-identical with
-     * the knob on or off at any --sim-threads (tests/test_skip.cc) — so it
-     * is not part of the config fingerprint. Only effective when
-     * idleGating is on (the gating-off loop is the eager reference).
+     * Per-unit sleep and clock jumps: a drained or frozen SM or memory
+     * partition stops ticking until its next event or an outside
+     * stimulus, crediting the slept cycles in bulk to the counters the
+     * per-cycle loop would have bumped, and when no unit is awake the
+     * device clock jumps straight to the next event. A pure host-side
+     * optimization — every stats/trace/crit artifact is bit-identical
+     * with the knob on or off at any --sim-threads (tests/test_skip.cc) —
+     * so it is not part of the config fingerprint. Off, every unit ticks
+     * every cycle: the eager reference.
      */
     bool cycleSkipping = true;
 
     /**
      * Enable the gcl::crit criticality profiler: per-PC issue-slot stall
      * attribution and per-stage memory-latency histograms (see
-     * src/crit/crit.hh). Unlike idle_gating this knob changes the
+     * src/crit/crit.hh). Unlike cycle_skipping this knob changes the
      * *content* of the finalized stats (the crit.* key schema appears),
      * so an enabled run must never share a cache entry with a disabled
      * one — it IS part of the config fingerprint. Simulated timing is
@@ -240,9 +229,9 @@ struct GpuConfig
      * partitions ticking concurrently with a deterministic commit phase).
      * 1 = the serial loop; 0 = auto (hardware threads minus active sweep
      * jobs, resolved at the CLI layer, clamped to at least 1). Like
-     * idle_gating this is a pure host-side knob — results are bit-identical
-     * at every thread count (tests/test_parallel_tick.cc) — so it is not
-     * part of the config fingerprint.
+     * cycle_skipping this is a pure host-side knob — results are
+     * bit-identical at every thread count (tests/test_parallel_tick.cc) —
+     * so it is not part of the config fingerprint.
      */
     unsigned simThreads = 1;
 

@@ -66,16 +66,9 @@ Gpu::Gpu(GpuConfig config)
     smSinks_.resize(config_.numSms);
     partSinks_.resize(config_.numPartitions);
 
-    activeSmMask_.assign((config_.numSms + 63) / 64, 0);
-    activePartMask_.assign((config_.numPartitions + 63) / 64, 0);
-    smIdleFrom_.assign(config_.numSms, 0);
-    activeUnits_.reserve(numUnits());
-    dormantSmMask_.assign((config_.numSms + 63) / 64, 0);
-    dormantFrom_.assign(config_.numSms, 0);
-    dormantWakeAt_.assign(config_.numSms, 0);
-    dormantPartMask_.assign((config_.numPartitions + 63) / 64, 0);
-    dormantPartFrom_.assign(config_.numPartitions, 0);
-    dormantPartWakeAt_.assign(config_.numPartitions, 0);
+    sleep_.resize(numUnits());
+    awakeCount_ = numUnits();
+    awakeUnits_.reserve(numUnits());
 }
 
 unsigned
@@ -234,8 +227,11 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
     const LaunchContext &launch = *dispatch.launch;
 
     auto place = [&](unsigned sm, uint64_t linear) {
-        if (config_.idleGating)
-            activateSm(sm, now);
+        // A placement wakes the SM before launchCta, so the span credit
+        // still sees the state the SM slept in (a clustered dispatch can
+        // also land a CTA on a frozen busy SM with a free slot).
+        if (sleep_[sm].asleep)
+            wakeUnit(sm, now);
         const uint32_t cx = static_cast<uint32_t>(linear % launch.grid.x);
         const uint32_t cy =
             static_cast<uint32_t>((linear / launch.grid.x) % launch.grid.y);
@@ -314,302 +310,103 @@ Gpu::allIdle() const
     return true;
 }
 
-namespace
-{
-
-/** Visit every set bit of a unit bitmask, in unit-id order. */
-template <typename Fn>
 void
-forEachSetBit(const std::vector<uint64_t> &mask, Fn &&fn)
+Gpu::sleepUnit(unsigned unit, Cycle from, Cycle wake_at)
 {
-    for (size_t w = 0; w < mask.size(); ++w) {
-        uint64_t word = mask[w];
-        while (word != 0) {
-            fn(static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word))));
-            word &= word - 1;
-        }
-    }
+    SleepState &state = sleep_[unit];
+    state.asleep = true;
+    state.from = from;
+    state.wakeAt = wake_at;
+    --awakeCount_;
 }
 
-} // namespace
-
 void
-Gpu::activateSm(unsigned sm, Cycle now)
+Gpu::wakeUnit(unsigned unit, Cycle resume)
 {
-    uint64_t &word = activeSmMask_[sm / 64];
-    const uint64_t bit = uint64_t{1} << (sm % 64);
-    if (word & bit) {
-        // Already active — but possibly dormant (a clustered dispatch can
-        // land a CTA on a frozen SM with a free slot). The placement is a
-        // wake event: settle the span so the SM ticks this cycle.
-        if (dormantSmMask_[sm / 64] & bit)
-            wakeSm(sm, now);
+    SleepState &state = sleep_[unit];
+    state.asleep = false;
+    ++awakeCount_;
+    if (resume <= state.from)
         return;
+    // A sleeper's state is frozen, so busy() still tells which loop body
+    // the eager run ticked through the span.
+    const uint64_t span = resume - state.from;
+    dormantCycles_ += span;
+    if (unit >= config_.numSms)
+        partitions_[unit - config_.numSms]->skipCycles(state.from, span);
+    else if (sms_[unit]->busy())
+        sms_[unit]->skipCycles(state.from, span);
+    else
+        sms_[unit]->idleCycles(span);
+}
+
+bool
+Gpu::wakeDue(unsigned unit, Cycle now) const
+{
+    if (sleep_[unit].wakeAt <= now)
+        return true;
+    if (unit >= config_.numSms) {
+        // An arrival the ROP pipeline has room for must be accepted this
+        // exact cycle (the room is frozen while the partition sleeps).
+        const unsigned p = unit - config_.numSms;
+        return icnt_.hasRequest(static_cast<int>(p), now) &&
+               partitions_[p]->canAcceptArrival();
     }
-    // Settle the idle span the eager loop would have ticked one cycle at
-    // a time: [idleFrom, now). This cycle itself runs for real — the SM
-    // is busy from this launchCta on.
-    if (smIdleFrom_[sm] < now)
-        sms_[sm]->idleCycles(now - smIdleFrom_[sm]);
-    word |= bit;
-    ++activeSmCount_;
+    // A deliverable response, or — for a head frozen on FailIcnt — the
+    // request arbitration popped the injection queue below its cap, so
+    // the retry would inject.
+    return icnt_.hasResponse(static_cast<int>(unit), now) ||
+           (sms_[unit]->ldstStalledOnIcnt() &&
+            icnt_.canInject(static_cast<int>(unit)));
 }
 
 void
-Gpu::activatePartsFromIcnt()
+Gpu::wakeAll(Cycle resume)
 {
-    const std::vector<uint64_t> &pushed = icnt_.pushedParts();
-    for (size_t w = 0; w < pushed.size(); ++w) {
-        const uint64_t add = pushed[w] & ~activePartMask_[w];
-        if (add != 0) {
-            activePartMask_[w] |= add;
-            activePartCount_ += static_cast<unsigned>(std::popcount(add));
-        }
-    }
-    icnt_.clearPushedParts();
-}
-
-void
-Gpu::deactivateDrainedUnits(Cycle now)
-{
-    // Dormant units are excluded from both scans: they did not tick, so
-    // their drain state is frozen exactly as it was at span onset (a
-    // dormant SM is busy by construction; a dormant partition either
-    // holds requests or waits on in-flight flits).
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-        while (word != 0) {
-            const unsigned s = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            if (sms_[s]->busy())
-                continue;
-            activeSmMask_[w] &= ~(uint64_t{1} << (s % 64));
-            --activeSmCount_;
-            // The eager loop would idle-tick this SM from the next
-            // cycle on.
-            smIdleFrom_[s] = now + 1;
-        }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w] & ~dormantPartMask_[w];
-        while (word != 0) {
-            const unsigned p = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            // A drained partition stays active while flits are still
-            // flying toward it — they arrive without any further push
-            // notification.
-            if (!partitions_[p]->idle() ||
-                icnt_.pendingToPart(static_cast<int>(p)) != 0)
-                continue;
-            activePartMask_[w] &= ~(uint64_t{1} << (p % 64));
-            --activePartCount_;
-        }
-    }
-}
-
-void
-Gpu::wakeSm(unsigned s, Cycle resume)
-{
-    dormantSmMask_[s / 64] &= ~(uint64_t{1} << (s % 64));
-    if (resume > dormantFrom_[s]) {
-        const uint64_t span = resume - dormantFrom_[s];
-        sms_[s]->skipCycles(dormantFrom_[s], span);
-        dormantCycles_ += span;
-    }
-}
-
-void
-Gpu::wakePart(unsigned p, Cycle resume)
-{
-    dormantPartMask_[p / 64] &= ~(uint64_t{1} << (p % 64));
-    if (resume > dormantPartFrom_[p]) {
-        const uint64_t span = resume - dormantPartFrom_[p];
-        partitions_[p]->skipCycles(dormantPartFrom_[p], span);
-        dormantCycles_ += span;
-    }
-}
-
-void
-Gpu::wakeDueUnits(Cycle now)
-{
-    forEachSetBit(dormantSmMask_, [&](unsigned s) {
-        // Own event ripened, a response is deliverable, or — for a head
-        // frozen on FailIcnt — the request arbitration popped the
-        // injection queue below its cap, so this retry would inject.
-        if (dormantWakeAt_[s] <= now ||
-            icnt_.hasResponse(static_cast<int>(s), now) ||
-            (sms_[s]->ldstStalledOnIcnt() &&
-             icnt_.canInject(static_cast<int>(s))))
-            wakeSm(s, now);
-    });
-    forEachSetBit(dormantPartMask_, [&](unsigned p) {
-        // Own event ripened, or a request the ROP pipeline has room for
-        // is deliverable — the accept must happen this exact cycle.
-        if (dormantPartWakeAt_[p] <= now ||
-            (icnt_.hasRequest(static_cast<int>(p), now) &&
-             partitions_[p]->canAcceptArrival()))
-            wakePart(p, now);
-    });
-}
-
-void
-Gpu::wakeAllDormantUnits(Cycle resume)
-{
-    forEachSetBit(dormantSmMask_,
-                  [&](unsigned s) { wakeSm(s, resume); });
-    forEachSetBit(dormantPartMask_,
-                  [&](unsigned p) { wakePart(p, resume); });
-}
-
-void
-Gpu::updateDormantUnits(Cycle now)
-{
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-        while (word != 0) {
-            const unsigned s = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = sms_[s]->nextEventCycle(now);
-            if (event == now + 1)
-                continue;
-            // A FailIcnt-frozen head whose injection credit already came
-            // back (this cycle's arbitration popped the queue) retries
-            // successfully next cycle — not dormant.
-            if (sms_[s]->ldstStalledOnIcnt() &&
-                icnt_.canInject(static_cast<int>(s)))
-                continue;
-            // min(own event, earliest in-flight response delivery). Later
-            // deliveries (flits still upstream of toSm_) are caught by
-            // wakeDueUnits' per-cycle hasResponse check when they ripen.
-            const Cycle resp = icnt_.respHeadReadyAt(static_cast<int>(s));
-            const Cycle wake = event < resp ? event : resp;
-            if (wake <= now + 1)
-                continue;
-            dormantSmMask_[w] |= uint64_t{1} << (s % 64);
-            dormantFrom_[s] = now + 1;
-            dormantWakeAt_[s] = wake;
-        }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w] & ~dormantPartMask_[w];
-        while (word != 0) {
-            const unsigned p = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = partitions_[p]->nextEventCycle(now);
-            if (event == now + 1)
-                continue;
-            // min(own event, earliest in-flight arrival it has room to
-            // accept). The ROP occupancy is frozen during the span, so
-            // the room check holds for its whole length; arrivals pushed
-            // after the span starts are caught by wakeDueUnits'
-            // per-cycle hasRequest check when they ripen.
-            Cycle wake = event;
-            if (partitions_[p]->canAcceptArrival()) {
-                const Cycle arrival =
-                    icnt_.reqHeadReadyAt(static_cast<int>(p));
-                if (arrival < wake)
-                    wake = arrival;
-            }
-            if (wake <= now + 1)
-                continue;
-            dormantPartMask_[w] |= uint64_t{1} << (p % 64);
-            dormantPartFrom_[p] = now + 1;
-            dormantPartWakeAt_[p] = wake;
-        }
-    }
-}
-
-void
-Gpu::flushIdleCredits(Cycle up_to)
-{
-    for (unsigned s = 0; s < config_.numSms; ++s) {
-        if (activeSmMask_[s / 64] >> (s % 64) & 1)
-            continue;
-        if (smIdleFrom_[s] <= up_to)
-            sms_[s]->idleCycles(up_to - smIdleFrom_[s] + 1);
-        smIdleFrom_[s] = up_to + 1;
-    }
-}
-
-void
-Gpu::buildActiveUnits()
-{
-    activeUnits_.clear();
-    // Dormant SMs are skipped exactly like the serial loop skips them:
-    // their tick would be a frozen no-op, credited in bulk at wake.
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-        while (word != 0) {
-            activeUnits_.push_back(static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word))));
-            word &= word - 1;
-        }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w] & ~dormantPartMask_[w];
-        while (word != 0) {
-            activeUnits_.push_back(config_.numSms + static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word))));
-            word &= word - 1;
-        }
-    }
+    for (unsigned unit = 0; unit < numUnits(); ++unit)
+        if (sleep_[unit].asleep)
+            wakeUnit(unit, resume);
 }
 
 Cycle
-Gpu::skipTarget(Cycle now, Cycle start)
+Gpu::wakeAtFor(unsigned unit, Cycle now) const
 {
-    calendar_.reset(now + 1);
+    // A partition's certificate is already kNever once it is drained.
+    if (unit >= config_.numSms)
+        return partitions_[unit - config_.numSms]->nextEventCycle(now);
+    const Sm &sm = *sms_[unit];
+    // A drained SM sleeps on !busy() alone: issueDirty_ can stay set
+    // after its last exit, and its certificate would then pin now + 1
+    // forever.
+    if (!sm.busy())
+        return kNever;
+    // A FailIcnt-frozen head whose injection credit already came back
+    // (this cycle's arbitration popped the queue) retries next cycle.
+    if (sm.ldstStalledOnIcnt() && icnt_.canInject(static_cast<int>(unit)))
+        return now + 1;
+    return sm.nextEventCycle(now);
+}
 
-    // The crossbar first: its pin check is O(1) (anything waiting for
-    // arbitration moves next cycle) and memory-bound kernels are in that
-    // state nearly every cycle.
-    {
-        const Cycle event = icnt_.nextEventCycle(now);
-        if (event == now + 1)
+Cycle
+Gpu::skipTarget(Cycle now, Cycle start) const
+{
+    // The crossbar first: anything waiting for arbitration moves next
+    // cycle, and memory-bound kernels are in that state nearly every
+    // cycle. Otherwise its earliest in-flight delivery bounds the jump,
+    // which is what wakes a sleeper waiting for a response or arrival.
+    Cycle target = icnt_.nextEventCycle(now);
+    if (target == now + 1)
+        return now + 1;
+    // A sleeping SM can still block the jump: a FailIcnt-frozen head
+    // whose injection credit came back this cycle retries next cycle,
+    // although the freed queue may leave the crossbar empty.
+    for (unsigned s = 0; s < config_.numSms; ++s)
+        if (sms_[s]->ldstStalledOnIcnt() &&
+            icnt_.canInject(static_cast<int>(s)))
             return now + 1;
-        calendar_.offer(event);
-    }
-    // Busy SMs next, with an early bail: a dirty issue scan or an LD/ST
-    // head making progress pins the next cycle, and compute-bound kernels
-    // are in that state nearly every cycle — the common case must cost one
-    // flag test per active SM before anything else is asked. (A head
-    // stalled on a frozen L1 resource does NOT pin: its retries are
-    // bulk-credited by Sm::skipCycles.)
-    for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-        uint64_t word = activeSmMask_[w];
-        while (word != 0) {
-            const unsigned s = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = sms_[s]->nextEventCycle(now);
-            if (event == now + 1)
-                return now + 1;
-            // A FailIcnt-frozen head with its injection credit back
-            // injects next cycle (the icnt scan below cannot see this:
-            // the freed queue may leave the whole crossbar empty).
-            if (sms_[s]->ldstStalledOnIcnt() &&
-                icnt_.canInject(static_cast<int>(s)))
-                return now + 1;
-            calendar_.offer(event);
-        }
-    }
-    for (size_t w = 0; w < activePartMask_.size(); ++w) {
-        uint64_t word = activePartMask_[w];
-        while (word != 0) {
-            const unsigned p = static_cast<unsigned>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word)));
-            word &= word - 1;
-            const Cycle event = partitions_[p]->nextEventCycle(now);
-            if (event == now + 1)
-                return now + 1;
-            calendar_.offer(event);
-        }
-    }
+    // A drained sleeper offers its kNever, never its certificate.
+    for (const SleepState &state : sleep_)
+        target = std::min(target, state.wakeAt);
 
     // Deadlines a jump must not overshoot. Each fires at exactly the
     // cycle the eager loop reaches it, so landing ON the deadline makes
@@ -619,28 +416,16 @@ Gpu::skipTarget(Cycle now, Cycle start)
     // poll is deliberately not clamped — cancellation arrives at
     // wall-clock-arbitrary points, and no artifact depends on where the
     // poll lands.
-    Cycle deadline = config_.maxCycles;
-    if (watchdog_.nextCheckCycle() < deadline)
-        deadline = watchdog_.nextCheckCycle();
-    if (fault_) {
-        const Cycle stop = fault_->plan().nextStopAfter(now);
-        if (stop < deadline)
-            deadline = stop;
-    }
-    if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_)) {
-        const Cycle sample =
-            now + (timelineInterval_ - (now - start) % timelineInterval_);
-        if (sample < deadline)
-            deadline = sample;
-    }
-
-    const Cycle event = calendar_.next();
-    const Cycle target = event < deadline ? event : deadline;
+    target = std::min(target, config_.maxCycles);
+    target = std::min(target, watchdog_.nextCheckCycle());
+    if (fault_)
+        target = std::min(target, fault_->plan().nextStopAfter(now));
+    if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_))
+        target = std::min(target, now + (timelineInterval_ -
+                                         (now - start) % timelineInterval_));
     // Nothing ever ripens and every deadline is disabled: a genuine
     // deadlock with the watchdog off. Spin like the eager loop would.
-    if (target == EventCalendar::kNever)
-        return now + 1;
-    return target;
+    return target == kNever ? now + 1 : target;
 }
 
 void
@@ -873,33 +658,27 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         const SimStats::Hot totals = stats_.hotTotals();
         watchdog_.beginLaunch(start, totals.warpInsts, totals.reqsCompleted);
     }
-    // Active-unit tracking and event-driven skipping run only under idle
-    // gating; the gating-off loop below stays the eager cycle-by-cycle
-    // reference both are proved bit-identical against (tests/test_gating.cc
-    // and tests/test_skip.cc).
-    const bool lean = config_.idleGating;
-    const bool skip_on = lean && config_.cycleSkipping;
-    if (lean) {
-        // Every unit enters a launch drained (the previous launch's exit
-        // condition), so the active masks are already empty; only the
-        // idle-credit clocks need arming.
-        std::fill(smIdleFrom_.begin(), smIdleFrom_.end(), start);
-    }
+    // Per-unit sleep and clock jumps run only with cycle skipping on.
+    // With it off nothing sleeps, and this same loop body is the eager
+    // cycle-by-cycle reference every skipping run is proved bit-identical
+    // against (tests/test_skip.cc). Every unit enters a launch awake: the
+    // previous launch settled all sleepers at its exit.
+    const bool skip_on = config_.cycleSkipping;
     Cycle now = start;
     for (;; ++now) {
         // max_cycles budgets the whole run (the global clock), so a
         // many-launch app cannot dodge the cap launch by launch.
         if (now >= config_.maxCycles) {
-            // Cycle `now` never runs, so dormant spans end at it: after
-            // the settle, every counter matches the eager loop's at the
+            // Cycle `now` never runs, so sleeps end at it: after the
+            // settle, every counter matches the eager loop's at the
             // moment it would throw the identical error.
-            wakeAllDormantUnits(now);
+            wakeAll(now);
             gcl_sim_error(SimError::Kind::Timeout, "gpu", now,
                           "run exceeded its budget of ", config_.maxCycles,
                           " cycles during launch of '", kernel.name(), "'");
         }
         if (fault_ && fault_->stopKernel(now)) {
-            wakeAllDormantUnits(now);
+            wakeAll(now);
             gcl_sim_error(SimError::Kind::FaultInjected, "gpu", now,
                           "fault plan stopped kernel '", kernel.name(),
                           "'");
@@ -909,7 +688,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         // unwind never races a compute phase. ~1k-cycle granularity keeps
         // the poll invisible on the hot path.
         if ((now & 0x3ff) == 0 && guard::cancelRequested()) {
-            wakeAllDormantUnits(now);
+            wakeAll(now);
             gcl_sim_error(SimError::Kind::Canceled, "gpu", now,
                           "run cancelled during launch of '", kernel.name(),
                           "'");
@@ -926,11 +705,9 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                 // its conservation counters, so a nested error degrades
                 // the report instead of replacing it.
                 // The report's per-SM detail must match the eager loop's,
-                // so settle the lazily tracked idle cycles first (through
-                // now - 1: this cycle never ran).
-                if (lean)
-                    flushIdleCredits(now - 1);
-                wakeAllDormantUnits(now);
+                // so settle every sleeper first (through now - 1: this
+                // cycle never ran).
+                wakeAll(now);
                 auto report = std::make_shared<guard::HangReport>();
                 try {
                     *report = buildHangReport(kernel.name(), now);
@@ -955,17 +732,21 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
 
         dispatchCtas(dispatch, now);
 
-        // Wake dormant SMs whose own event ripened or whose response is
-        // deliverable this cycle. The crossbar state read here predates
-        // this cycle's arbitration, which only makes flits deliverable at
-        // now + icnt_latency or later — so with icnt_latency >= 1 the
-        // check is exact; the serial latency-0 same-cycle push is caught
-        // by the drain-phase wake below instead.
-        if (skip_on)
-            wakeDueUnits(now);
-
         if (parallel_) {
             // ---- Deterministic parallel tick: compute, then commit ----
+            // The coordinator wakes the due sleepers and lists the awake
+            // units for the workers. icnt_latency >= 1 here, so nothing
+            // this cycle's arbitration moves is deliverable before next
+            // cycle: the wake checks see the serial loop's inputs.
+            awakeUnits_.clear();
+            for (unsigned unit = 0; unit < numUnits(); ++unit) {
+                if (sleep_[unit].asleep) {
+                    if (!wakeDue(unit, now))
+                        continue;
+                    wakeUnit(unit, now);
+                }
+                awakeUnits_.push_back(unit);
+            }
             // Response-side arbitration runs before the compute phase (an
             // exact hoist — see interconnect.hh); the drain gate is then
             // identical to the value the serial loop computes after the
@@ -973,10 +754,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
             // SM-bound delay queues.
             icnt_.beginCycle(now);
             tickNow_ = now;
-            tickDrainGate_ =
-                !config_.idleGating || icnt_.anyResponsesInFlight();
-            if (lean)
-                buildActiveUnits();
+            tickDrainGate_ = icnt_.anyResponsesInFlight();
             team_->run(&Gpu::tickTask, this);
 
             const int err_pos = firstErrorPos();
@@ -996,186 +774,100 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                 std::rethrow_exception(err);
             }
             icnt_.commitCycle(now);
-            if (lean) {
-                // Inactive and dormant SMs never execute, so their
-                // staged-write buffers are empty; committing only the
-                // awake active ones (in SM-id order, as the mask scan
-                // walks) is the identical write order.
-                for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                    uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                    while (word != 0) {
-                        const unsigned s = static_cast<unsigned>(
-                            w * 64 +
-                            static_cast<size_t>(std::countr_zero(word)));
-                        word &= word - 1;
-                        sms_[s]->commitStagedWrites();
-                    }
-                }
-                activatePartsFromIcnt();
-            } else {
-                for (auto &sm : sms_)
-                    sm->commitStagedWrites();
-            }
-        } else if (lean) {
-            // ---- Serial tick over the active units only ----
-            // An active SM is busy by construction (retired from the mask
-            // the moment a tick drains it), so the busy/idle split of the
-            // eager loop collapses to an unconditional cycle; the skipped
-            // idle SMs' Fig 4 denominators are settled lazily from
-            // smIdleFrom_. Dormant SMs are skipped too: their tick would
-            // be a frozen no-op, credited in bulk at wake.
-            for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                while (word != 0) {
-                    const unsigned s = static_cast<unsigned>(
-                        w * 64 +
-                        static_cast<size_t>(std::countr_zero(word)));
-                    word &= word - 1;
-                    sms_[s]->cycle(now, icnt_);
-                }
-            }
-            icnt_.cycle(now);
-            // Activate pushed partitions before their loop runs: with
-            // icnt_latency 0 a flit pushed this cycle is poppable this
-            // same cycle, so its partition must tick now.
-            activatePartsFromIcnt();
-            forEachSetBit(activePartMask_, [&](unsigned p) {
-                const uint64_t bit = uint64_t{1} << (p % 64);
-                if (dormantPartMask_[p / 64] & bit) {
-                    // Only a latency-0 crossbar can land an acceptable
-                    // arrival in the same cycle it was arbitrated (later
-                    // latencies were caught by wakeDueUnits). The wake
-                    // credits through now - 1; the tick below then
-                    // accepts the flit at its exact arrival cycle.
-                    if (!(icnt_.hasRequest(static_cast<int>(p), now) &&
-                          partitions_[p]->canAcceptArrival()))
-                        return;
-                    wakePart(p, now);
-                }
-                // The eager loop's own gate, kept verbatim: an active but
-                // drained partition whose flit is still in flight ticks
-                // nothing until the flit arrives.
-                if (partitions_[p]->idle() &&
-                    !icnt_.hasRequest(static_cast<int>(p), now))
-                    return;
-                partitions_[p]->cycle(now, icnt_);
-            });
-            if (icnt_.anyResponsesInFlight())
-                forEachSetBit(activeSmMask_, [&](unsigned s) {
-                    const uint64_t bit = uint64_t{1} << (s % 64);
-                    if (dormantSmMask_[s / 64] & bit) {
-                        // Only a latency-0 crossbar can make a response
-                        // deliverable in the same cycle it was pushed
-                        // (later latencies were caught by wakeDueSms).
-                        // The SM's tick this cycle was skipped while
-                        // frozen, so the wake credits through now
-                        // inclusive; the delivery below then un-freezes
-                        // it for next cycle.
-                        if (!icnt_.hasResponse(static_cast<int>(s), now))
-                            return;
-                        wakeSm(s, now + 1);
-                    }
-                    sms_[s]->drainResponses(now, icnt_);
-                });
-            // Dormant SMs never executed this cycle, so their staged
-            // buffers are empty — skip the call, not just the commit.
-            for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                while (word != 0) {
-                    const unsigned s = static_cast<unsigned>(
-                        w * 64 +
-                        static_cast<size_t>(std::countr_zero(word)));
-                    word &= word - 1;
-                    sms_[s]->commitStagedWrites();
-                }
-            }
         } else {
-            for (auto &sm : sms_) {
+            // ---- Serial tick ----
+            // Each sleeper is asked right before its own tick slot. An
+            // SM's wake inputs (its delivery queue, its injection credit)
+            // only change later in the cycle, so this equals asking at
+            // the top of the cycle.
+            for (unsigned s = 0; s < config_.numSms; ++s) {
+                if (sleep_[s].asleep) {
+                    if (!wakeDue(s, now))
+                        continue;
+                    wakeUnit(s, now);
+                }
                 // Idle SMs still tick the Fig 4 denominator but skip the
                 // pipeline walk.
-                if (sm->busy())
-                    sm->cycle(now, icnt_);
+                Sm &sm = *sms_[s];
+                if (sm.busy())
+                    sm.cycle(now, icnt_);
                 else
-                    sm->idleCycle();
+                    sm.idleCycle();
             }
             icnt_.cycle(now);
-            for (unsigned p = 0; p < partitions_.size(); ++p) {
+            for (unsigned p = 0; p < config_.numPartitions; ++p) {
+                // Asked after the arbitration: a latency-0 crossbar
+                // delivers a flit in the cycle it was pushed, and the
+                // partition must accept it at that exact cycle.
+                const unsigned unit = config_.numSms + p;
+                if (sleep_[unit].asleep) {
+                    if (!wakeDue(unit, now))
+                        continue;
+                    wakeUnit(unit, now);
+                }
                 // A drained partition with no arriving flit would run a
-                // no-op cycle; skipping it is invisible to timing and
-                // stats (tests/test_gating.cc proves bit-identity).
-                if (config_.idleGating && partitions_[p]->idle() &&
+                // no-op cycle.
+                MemPartition &part = *partitions_[p];
+                if (part.idle() &&
                     !icnt_.hasRequest(static_cast<int>(p), now))
                     continue;
-                partitions_[p]->cycle(now, icnt_);
+                part.cycle(now, icnt_);
             }
-            if (!config_.idleGating || icnt_.anyResponsesInFlight())
-                for (auto &sm : sms_)
-                    sm->drainResponses(now, icnt_);
-            // End-of-cycle write commit, same protocol as the parallel
-            // tick (and the reason both thread counts agree bit-for-bit).
-            for (auto &sm : sms_)
-                sm->commitStagedWrites();
+            if (icnt_.anyResponsesInFlight())
+                for (unsigned s = 0; s < config_.numSms; ++s) {
+                    if (sleep_[s].asleep) {
+                        // Only a latency-0 crossbar makes a response
+                        // deliverable in the cycle it was pushed. The SM
+                        // skipped this cycle's tick, so its span runs
+                        // through now inclusive; the delivery then
+                        // un-freezes it for next cycle.
+                        if (!icnt_.hasResponse(static_cast<int>(s), now))
+                            continue;
+                        wakeUnit(s, now + 1);
+                    }
+                    sms_[s]->drainResponses(now, icnt_);
+                }
         }
 
-        if (lean)
-            deactivateDrainedUnits(now);
-        if (skip_on)
-            updateDormantUnits(now);
+        // ---- End of cycle: write commit, then the sleep pass ----
+        // Staged writes commit in SM-id order at every thread count (the
+        // reason they agree bit-for-bit); a sleeper never executed this
+        // cycle, so it has nothing staged. The sleep decision reads
+        // end-of-cycle committed state, also the same at every count.
+        for (unsigned unit = 0; unit < numUnits(); ++unit) {
+            if (sleep_[unit].asleep)
+                continue;
+            if (unit < config_.numSms)
+                sms_[unit]->commitStagedWrites();
+            if (!skip_on)
+                continue;
+            const Cycle wake = wakeAtFor(unit, now);
+            if (wake > now + 1)
+                sleepUnit(unit, now + 1, wake);
+        }
 
         if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_) &&
             (now - start) % timelineInterval_ == 0)
             sampleTimeline(now);
 
-        // With the masks maintained, the termination scan is O(1): active
-        // SMs are exactly the busy ones, a non-idle partition is always
-        // active, and an active-but-idle partition implies flits in
-        // flight, which icnt_.idle() already vetoes.
+        // Done means every unit drained, not every unit asleep: under a
+        // dropped fill the SMs sleep at kNever with the crossbar empty,
+        // and that run must still end in the eager loop's Hang. With
+        // skipping on, a drained unit is asleep by now, so the scan only
+        // runs once nothing is awake.
         if (dispatch.next == dispatch.total &&
-            (lean ? activeSmCount_ == 0 && activePartCount_ == 0 &&
-                        icnt_.idle()
-                  : allIdle()))
+            (awakeCount_ == 0 || !skip_on) && allIdle())
             break;
 
-        if (skip_on) {
-            // ---- Event-driven skip (the decision point) ----
-            // Runs on the coordinator from end-of-cycle committed state —
-            // the same state at every sim_threads — after the break check,
-            // so a jump is only taken mid-kernel. target > now + 1 means
-            // every unit certified the span (now, target) dead: ticking
-            // it cycle by cycle would only bump the per-cycle counters
-            // that skipCycles()/flushIdleCredits() credit in bulk.
+        if (awakeCount_ == 0) {
+            // ---- Clock jump: the sleep pass left no unit awake ----
+            // Decided on the coordinator from end-of-cycle committed
+            // state, after the break check, so a jump is only taken
+            // mid-kernel. Every unit credits the span at its own wake;
+            // the crossbar only owes its round-robin pointer advance.
             const Cycle target = skipTarget(now, start);
             if (target > now + 1) {
                 const uint64_t span = target - (now + 1);
-                // Dormant units keep accumulating their own span
-                // (credited at wake); crediting them here too would
-                // double-count.
-                for (size_t w = 0; w < activeSmMask_.size(); ++w) {
-                    uint64_t word = activeSmMask_[w] & ~dormantSmMask_[w];
-                    while (word != 0) {
-                        const unsigned s = static_cast<unsigned>(
-                            w * 64 +
-                            static_cast<size_t>(std::countr_zero(word)));
-                        word &= word - 1;
-                        sms_[s]->skipCycles(now + 1, span);
-                    }
-                }
-                // An awake partition can sit inside a jump span with a
-                // ripe frozen-stalled ROP head (its next event is its
-                // DRAM head's completion); it owes one stall per cycle.
-                for (size_t w = 0; w < activePartMask_.size(); ++w) {
-                    uint64_t word =
-                        activePartMask_[w] & ~dormantPartMask_[w];
-                    while (word != 0) {
-                        const unsigned p = static_cast<unsigned>(
-                            w * 64 +
-                            static_cast<size_t>(std::countr_zero(word)));
-                        word &= word - 1;
-                        partitions_[p]->skipCycles(now + 1, span);
-                    }
-                }
-                // Idle SMs are covered by their pending idle credit; the
-                // crossbar only owes its round-robin pointer advance.
                 icnt_.skipAdvance(span);
                 skippedCycles_ += span;
                 ++skipEvents_;
@@ -1184,8 +876,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         }
     }
 
-    if (lean)
-        flushIdleCredits(now);
+    wakeAll(now + 1);
 
     // Conservation: every data-expecting request the L1s accepted must
     // have completed by the time the device drained.
@@ -1479,21 +1170,13 @@ Gpu::tickTask(void *ctx, unsigned participant)
 void
 Gpu::tickParticipant(unsigned participant)
 {
-    if (config_.idleGating) {
-        // Strided walk over the compact active-unit list the coordinator
-        // built before the phase (workers never touch the masks). The
-        // list interleaves SMs and partitions in unit-id order, spreading
-        // both kinds across the participants.
-        const size_t count = activeUnits_.size();
-        for (size_t i = participant; i < count; i += threads_)
-            unitTick(activeUnits_[i]);
-        return;
-    }
-    // unit % threads interleaves heavy SMs and light partitions across
-    // the participants instead of handing all partitions to one of them.
-    const unsigned units = numUnits();
-    for (unsigned unit = participant; unit < units; unit += threads_)
-        unitTick(unit);
+    // Strided walk over the compact awake-unit list the coordinator built
+    // before the phase (workers never touch the sleep state). The list
+    // interleaves SMs and partitions in unit-id order, spreading heavy
+    // SMs and light partitions across the participants.
+    const size_t count = awakeUnits_.size();
+    for (size_t i = participant; i < count; i += threads_)
+        unitTick(awakeUnits_[i]);
 }
 
 void
@@ -1530,7 +1213,7 @@ Gpu::unitTick(unsigned unit)
         // arrived-flit check) is unit-confined state, and the request-side
         // arbitration that could change hasRequest() only lands flits
         // poppable next cycle — so this decision equals the serial one.
-        if (config_.idleGating && partitions_[p]->idle() &&
+        if (partitions_[p]->idle() &&
             !icnt_.hasRequest(static_cast<int>(p), now))
             return;
         partitions_[p]->cycle(now, icnt_);

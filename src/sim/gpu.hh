@@ -15,7 +15,6 @@
 
 #include "config.hh"
 #include "crit/crit.hh"
-#include "event_calendar.hh"
 #include "exec/tick_team.hh"
 #include "functional.hh"
 #include "guard/fault.hh"
@@ -117,11 +116,11 @@ class Gpu
     uint64_t skipEvents() const { return skipEvents_; }
 
     /**
-     * Unit-cycles (SMs and partitions) not ticked because the unit lay
-     * dormant (busy but frozen: stalled LD/ST or ROP head, or a pure
-     * fill/arrival wait) while the clock advanced for other units.
-     * Credited in bulk at wake, so — like skippedCycles() — a wall-clock
-     * diagnostic that never reaches the stats set.
+     * Unit-cycles (SMs and partitions) not ticked because the unit slept:
+     * drained, frozen (stalled LD/ST or ROP head, or a pure fill/arrival
+     * wait), or inside a clock jump. Credited in bulk at wake, so — like
+     * skippedCycles() — a wall-clock diagnostic that never reaches the
+     * stats set.
      */
     uint64_t dormantCycles() const { return dormantCycles_; }
 
@@ -283,75 +282,66 @@ class Gpu
     void saveSampleState(snap::SnapWriter &out) const;
     void loadSampleState(snap::SnapReader &in);
 
-    // ---- Active-unit tracking (idle gating on) ----
+    // ---- Per-unit sleep (config.cycleSkipping) ----
     //
-    // The per-cycle loop visits only units that can do work: an SM is
-    // active exactly while busy() (activated at launchCta, retired right
-    // after the tick that drained it), a partition from the first flit
-    // pushed toward it until it is drained with nothing in flight.
-    // Inactive SMs owe one idleCycle() per skipped cycle; that debt is
-    // recorded in smIdleFrom_ and settled lazily by flushIdleCredits().
+    // A unit (SM or partition, by unit id) that cannot do anything
+    // observable next cycle stops ticking until its wakeAt:
+    //  - a drained unit (SM !busy(), partition idle()) sleeps at kNever
+    //    until a CTA placement (SM) or an arrival it can accept
+    //    (partition);
+    //  - a stalled unit sleeps until its nextEventCycle certificate, or
+    //    earlier when a response (SM), an injection credit for a
+    //    FailIcnt-frozen head (SM) or an acceptable arrival (partition)
+    //    shows up — checked every cycle against the crossbar.
+    // At wake the unit credits its own span in bulk (wakeUnit). When the
+    // end-of-cycle sleep pass leaves no unit awake, the clock jumps to
+    // the earliest wakeAt, crossbar event or deadline (skipTarget). With
+    // cycle_skipping=0 nothing sleeps: that run is the eager reference.
 
-    /** Mark SM @p sm active, settling its idle-cycle debt up to @p now. */
-    void activateSm(unsigned sm, Cycle now);
+    /** Sleep-state wakeAt of a unit only an outside stimulus can wake. */
+    static constexpr Cycle kNever = ~Cycle{0};
 
-    /** Activate every partition the interconnect pushed a flit toward. */
-    void activatePartsFromIcnt();
+    struct SleepState
+    {
+        bool asleep = false;
+        Cycle from = 0;     //!< first un-ticked cycle
+        Cycle wakeAt = 0;   //!< own wake cycle; kNever = outside only
+    };
 
-    /** Retire units whose tick just drained them (end of cycle @p now). */
-    void deactivateDrainedUnits(Cycle now);
-
-    /**
-     * Credit every inactive SM its owed idle cycles through @p up_to
-     * (inclusive). Runs when the loop exits (before the stats can be
-     * observed by a checkpoint) and before a hang report composes.
-     */
-    void flushIdleCredits(Cycle up_to);
-
-    /** Rebuild the compact unit list the tick team strides over. */
-    void buildActiveUnits();
-
-    // ---- Per-unit dormancy (config.cycleSkipping) ----
-    //
-    // The global jump needs EVERY unit quiescent; one SM issuing a
-    // request each cycle pins the whole clock. Dormancy is the per-unit
-    // form of the same contract: an active SM whose nextEventCycle lies
-    // beyond now + 1 (frozen LD/ST head, or all requests in flight)
-    // stops ticking while the clock advances for the others, and its
-    // frozen per-cycle counters are credited in bulk by Sm::skipCycles
-    // at wake. Wake sources: the SM's own scheduled event
-    // (dormantWakeAt_), a response ripening in the crossbar (checked
-    // each cycle), a CTA placement (activateSm), or the hang/timeout
-    // flush. Partitions get the symmetric treatment: a frozen-stalled
-    // ROP head or a pure maturity/arrival wait sleeps until the
-    // partition's own event (dormantPartWakeAt_) or an acceptable
-    // arrival ripens, with MemPartition::skipCycles crediting the
-    // span's stall counter at wake.
-
-    /** End SM @p s's dormant span; it ticks again from cycle @p resume. */
-    void wakeSm(unsigned s, Cycle resume);
-
-    /** End partition @p p's dormant span; it ticks from @p resume. */
-    void wakePart(unsigned p, Cycle resume);
-
-    /** Wake every dormant unit whose event or arrival/response is due. */
-    void wakeDueUnits(Cycle now);
+    /** Unit @p unit stops ticking from @p from until @p wake_at. */
+    void sleepUnit(unsigned unit, Cycle from, Cycle wake_at);
 
     /**
-     * Settle every dormant unit's span before an error unwinds or a hang
-     * report composes, so the observable stats match the eager loop's.
+     * End unit @p unit's sleep; it ticks again from cycle @p resume.
+     * Credits the span the eager loop would have ticked: a drained SM
+     * with Sm::idleCycles (what idleCycle() adds), a busy SM with
+     * Sm::skipCycles, a partition with MemPartition::skipCycles (a no-op
+     * when it is idle).
      */
-    void wakeAllDormantUnits(Cycle resume);
+    void wakeUnit(unsigned unit, Cycle resume);
 
-    /** Put every frozen active unit to sleep (end of cycle @p now). */
-    void updateDormantUnits(Cycle now);
+    /** True when sleeping unit @p unit must tick in cycle @p now. */
+    bool wakeDue(unsigned unit, Cycle now) const;
 
     /**
-     * The next cycle some unit (or deadline) needs the loop to run, seen
-     * from the end of cycle @p now; now + 1 means no skip. @p start is
-     * the launch's first cycle (anchors the timeline-sample clamp).
+     * Settle every sleeper's span before a timeout, fault-stop or cancel
+     * error unwinds, a hang report composes or the launch retires, so the
+     * observable stats match the eager loop's.
      */
-    Cycle skipTarget(Cycle now, Cycle start);
+    void wakeAll(Cycle resume);
+
+    /**
+     * Where unit @p unit, awake through the end of cycle @p now, would
+     * next need a tick: now + 1 keeps it awake.
+     */
+    Cycle wakeAtFor(unsigned unit, Cycle now) const;
+
+    /**
+     * The next cycle the loop must run once no unit is awake, seen from
+     * the end of cycle @p now; now + 1 means no jump. @p start is the
+     * launch's first cycle (anchors the timeline-sample clamp).
+     */
+    Cycle skipTarget(Cycle now, Cycle start) const;
     guard::HangReport buildHangReport(const std::string &kernel,
                                       Cycle now) const;
 
@@ -436,32 +426,15 @@ class Gpu
     /** SM response-drain errors (a later serial position than the cycle). */
     std::vector<std::exception_ptr> drainErrors_;
 
-    // ---- Active-unit tracking + event-driven skip state ----
+    // ---- Per-unit sleep + clock-jump state ----
 
-    /** Per-decision min-calendar over the units' next-event offers. */
-    EventCalendar calendar_;
-    std::vector<uint64_t> activeSmMask_;     //!< bit s: SM s is busy
-    std::vector<uint64_t> activePartMask_;   //!< bit p: partition p live
-    unsigned activeSmCount_ = 0;
-    unsigned activePartCount_ = 0;
-    /** First cycle of each inactive SM's unsettled idle span. */
-    std::vector<Cycle> smIdleFrom_;
-    /** Compact active unit ids (SMs then partitions) for the tick team. */
-    std::vector<unsigned> activeUnits_;
+    /** Sleep state per unit id: SMs, then partitions. */
+    std::vector<SleepState> sleep_;
+    unsigned awakeCount_ = 0;
+    /** Compact awake unit ids (SMs then partitions) for the tick team. */
+    std::vector<unsigned> awakeUnits_;
     uint64_t skippedCycles_ = 0;
     uint64_t skipEvents_ = 0;
-    /** Bit s: SM s is active but dormant (frozen; not ticked). */
-    std::vector<uint64_t> dormantSmMask_;
-    /** First un-ticked cycle of each dormant SM's span. */
-    std::vector<Cycle> dormantFrom_;
-    /** The SM-local event that ends the span (~0 = external wake only). */
-    std::vector<Cycle> dormantWakeAt_;
-    /** Bit p: partition p is active but dormant (frozen; not ticked). */
-    std::vector<uint64_t> dormantPartMask_;
-    /** First un-ticked cycle of each dormant partition's span. */
-    std::vector<Cycle> dormantPartFrom_;
-    /** Event that ends the partition's span (own event or known arrival). */
-    std::vector<Cycle> dormantPartWakeAt_;
     uint64_t dormantCycles_ = 0;
 
     // ---- Checkpoint / restore state (gcl::snap) ----

@@ -17,8 +17,7 @@ Interconnect::Interconnect(const GpuConfig &config, MemPools &pools)
       toSm_(config.numSms),
       popsThisCycle_(config.numPartitions, 0),
       smUsed_(config.numSms, 0),
-      partUsed_(config.numPartitions, 0),
-      pushedParts_((config.numPartitions + 63) / 64, 0)
+      partUsed_(config.numPartitions, 0)
 {
     // Pre-size the delay rings to their credit-limited worst case so they
     // never regrow mid-run.
@@ -142,8 +141,6 @@ Interconnect::requestArbitration(Cycle now, bool add_back_pops)
             q.pop_front();
             injectCount_.fetch_sub(1, std::memory_order_relaxed);
             toPartCount_.fetch_add(1, std::memory_order_relaxed);
-            pushedParts_[static_cast<size_t>(part) / 64] |=
-                uint64_t{1} << (static_cast<size_t>(part) % 64);
         }
     }
     reqRrSm_ = (reqRrSm_ + 1) % num_sms;

@@ -37,7 +37,6 @@
 #ifndef GCL_SIM_INTERCONNECT_HH
 #define GCL_SIM_INTERCONNECT_HH
 
-#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <vector>
@@ -138,31 +137,6 @@ class Interconnect
     Cycle nextEventCycle(Cycle now) const;
 
     /**
-     * Ready time of SM @p sm's earliest in-flight response, ~0 when none
-     * is in flight. A dormant SM's wake time must not pass this: the
-     * delivery un-freezes the L1 resource its LD/ST head stalled on.
-     */
-    Cycle
-    respHeadReadyAt(int sm) const
-    {
-        const auto &queue = toSm_[static_cast<size_t>(sm)];
-        return queue.empty() ? ~Cycle{0} : queue.headReadyAt();
-    }
-
-    /**
-     * Ready time of partition @p part's earliest in-flight request, ~0
-     * when none is in flight. A dormant partition's wake time must not
-     * pass this when its ROP queue has room: the arrival must be
-     * accepted at exactly this cycle.
-     */
-    Cycle
-    reqHeadReadyAt(int part) const
-    {
-        const auto &queue = toPart_[static_cast<size_t>(part)];
-        return queue.empty() ? ~Cycle{0} : queue.headReadyAt();
-    }
-
-    /**
      * Credit a skipped span of @p count cycles: both round-robin pointers
      * advance once per cycle whether or not any flit moves, so a jump
      * must advance them by the span length to leave arbitration state
@@ -175,26 +149,6 @@ class Interconnect
             (reqRrSm_ + count) % config_.numSms);
         respRrPart_ = static_cast<unsigned>(
             (respRrPart_ + count) % config_.numPartitions);
-    }
-
-    /**
-     * Bitmask words over partitions that received a flit since the last
-     * clearPushedParts() — the Gpu's active-unit tracking re-activates
-     * exactly these. Word w bit b = partition w*64+b.
-     */
-    const std::vector<uint64_t> &pushedParts() const { return pushedParts_; }
-
-    void
-    clearPushedParts()
-    {
-        std::fill(pushedParts_.begin(), pushedParts_.end(), 0);
-    }
-
-    /** In-flight flits bound for partition @p part (active-unit check). */
-    size_t
-    pendingToPart(int part) const
-    {
-        return toPart_[static_cast<size_t>(part)].size();
     }
 
     /**
@@ -231,9 +185,6 @@ class Interconnect
     // cycle loop never allocates.
     std::vector<uint8_t> smUsed_;
     std::vector<uint8_t> partUsed_;
-
-    /** Partitions pushed to since clearPushedParts() (bitmask words). */
-    std::vector<uint64_t> pushedParts_;
 
     // Occupancy counters kept exactly in sync with the queues above so
     // idle()/anyResponsesInFlight() — called every cycle by the GPU loop —

@@ -106,8 +106,8 @@ class MemPartition
 
     /**
      * True when the ROP pipeline can take one more arrival. Frozen while
-     * the partition is dormant (nothing pops the queue), so the Gpu's
-     * wake scan can pair it with Interconnect::hasRequest to detect the
+     * the partition sleeps (nothing pops the queue), so the Gpu's wake
+     * check can pair it with Interconnect::hasRequest to detect the
      * exact cycle an in-flight request must be accepted.
      */
     bool

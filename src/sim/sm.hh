@@ -82,8 +82,7 @@ class Sm
 
     /**
      * Credit @p count idle cycles at once — the lazy form of idleCycle()
-     * used by the active-unit tracking and the event-driven skip, with
-     * identical accounting.
+     * a drained SM's sleep credits at wake, with identical accounting.
      */
     void
     idleCycles(uint64_t count)

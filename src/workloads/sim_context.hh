@@ -179,7 +179,11 @@ class SimContext
     /** Clock jumps the run took (Gpu::skipEvents; 0 on a failed run). */
     uint64_t skipEvents() const { return skipEvents_; }
 
-    /** SM-cycles skipped by dormancy (Gpu::dormantCycles; same caveats). */
+    /**
+     * Unit-cycles (SMs and partitions) not ticked because the unit slept:
+     * drained, frozen, or inside a clock jump (Gpu::dormantCycles; same
+     * caveats).
+     */
     uint64_t dormantCycles() const { return dormantCycles_; }
 
   private:

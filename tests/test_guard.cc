@@ -128,6 +128,8 @@ TEST(ConfigOverride, UnknownKeyIsFatalAndListsVocabulary)
         EXPECT_NE(e.message().find("num_sms"), std::string::npos);
         EXPECT_NE(e.message().find("watchdog_budget"), std::string::npos);
     }
+    // idle_gating is not a key: it fails like any other unknown one.
+    EXPECT_THROW(config.applyOverride("idle_gating", "0"), SimError);
 }
 
 TEST(ConfigOverride, BadValueIsFatal)

@@ -1,11 +1,13 @@
 /**
  * @file
- * Event-driven cycle skipping must be invisible: jumping the clock over
- * spans every unit certified dead (config.cycleSkipping) is a pure
- * host-side optimization, so a run with skipping on must produce stats
- * and trace streams BYTE-identical to the same run ticked cycle by
- * cycle — at every sim_threads, under injected fault pressure, across a
- * checkpoint/resume, and in how it trips the --max-cycles deadline.
+ * Event-driven cycle skipping must be invisible: putting drained and
+ * frozen units to sleep and jumping the clock once none is awake
+ * (config.cycleSkipping) is a pure host-side optimization, so a run with
+ * skipping on must produce stats and trace streams BYTE-identical to the
+ * eager reference, every unit ticked every cycle — at every sim_threads,
+ * under injected fault pressure, with a zero-latency crossbar, across a
+ * checkpoint/resume, and in how it trips the --max-cycles deadline and
+ * the watchdog's hang.
  *
  * This is the bit-identity proof referenced from Gpu::launch and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
@@ -20,7 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "ptx/builder.hh"
 #include "sim/config.hh"
+#include "sim/gpu.hh"
 #include "sim/interconnect.hh"
 #include "sim/mem_request.hh"
 #include "snap/io.hh"
@@ -43,23 +47,18 @@ struct RunArtifacts
 {
     std::string stats;
     std::vector<TraceEvent> trace;
+    bool failed = false;
+    bool verified = false;
     std::string failureKind;
     std::string failureMessage;
+    std::string failureDetail;
 };
 
-/** Run @p app to completion and capture every artifact it produced. */
+/** Run @p app under @p config and capture every artifact it produced. */
 RunArtifacts
-runApp(const std::string &app, bool skipping, unsigned sim_threads = 1,
-       const std::string &fault_plan = "", gcl::sim::Cycle max_cycles = 0,
-       bool crit = false)
+runApp(const std::string &app, bool skipping, GpuConfig config = {})
 {
-    GpuConfig config{};
     config.cycleSkipping = skipping;
-    config.simThreads = sim_threads;
-    config.faultPlan = fault_plan;
-    config.crit = crit;
-    if (max_cycles != 0)
-        config.maxCycles = max_cycles;
     SimContext ctx(byName(app), config);
     RunArtifacts out;
     ctx.enableTrace(0,
@@ -69,15 +68,32 @@ runApp(const std::string &app, bool skipping, unsigned sim_threads = 1,
                     },
                     0);
     ctx.run();
-    if (max_cycles == 0) {
-        EXPECT_FALSE(ctx.failed())
-            << app << ": " << ctx.failure().message;
-        EXPECT_TRUE(ctx.verified()) << app;
-    }
     out.stats = ctx.stats().serialize();
+    out.failed = ctx.failed();
+    out.verified = ctx.verified();
     out.failureKind = ctx.failure().kind;
     out.failureMessage = ctx.failure().message;
+    out.failureDetail = ctx.failure().detail;
     return out;
+}
+
+/** runApp for a run that must complete and pass its CPU check. */
+RunArtifacts
+runClean(const std::string &app, bool skipping, GpuConfig config = {})
+{
+    RunArtifacts out = runApp(app, skipping, config);
+    EXPECT_FALSE(out.failed) << app << ": " << out.failureMessage;
+    EXPECT_TRUE(out.verified) << app;
+    return out;
+}
+
+/** Default config with @p sim_threads tick threads. */
+GpuConfig
+withThreads(unsigned sim_threads)
+{
+    GpuConfig config{};
+    config.simThreads = sim_threads;
+    return config;
 }
 
 void
@@ -98,9 +114,17 @@ expectIdentical(const RunArtifacts &skip, const RunArtifacts &eager,
 TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
 {
     // gaus drains its SMs between launches (long dead spans); bpr adds
-    // atomic traffic through the partitions' ROP path.
-    for (const char *app : {"gaus", "bpr"})
-        expectIdentical(runApp(app, true), runApp(app, false), app);
+    // atomic traffic through the partitions' ROP path. A zero-latency
+    // crossbar delivers a flit in the cycle it was pushed, so a sleeping
+    // partition or SM must wake and take it in that same cycle.
+    GpuConfig zero_latency{};
+    zero_latency.icntLatency = 0;
+    for (const std::string app : {"gaus", "bpr"}) {
+        expectIdentical(runClean(app, true), runClean(app, false), app);
+        expectIdentical(runClean(app, true, zero_latency),
+                        runClean(app, false, zero_latency),
+                        app + " icnt_latency=0");
+    }
 }
 
 TEST(Skip, ArtifactsBitIdenticalAcrossTickThreads)
@@ -108,9 +132,9 @@ TEST(Skip, ArtifactsBitIdenticalAcrossTickThreads)
     // The jump decision runs on the coordinator from end-of-cycle
     // committed state, so the spans it finds must not depend on the
     // tick-thread count — and must still match the eager reference.
-    const RunArtifacts t1 = runApp("gaus", true, 1);
-    const RunArtifacts t4 = runApp("gaus", true, 4);
-    const RunArtifacts eager4 = runApp("gaus", false, 4);
+    const RunArtifacts t1 = runClean("gaus", true, withThreads(1));
+    const RunArtifacts t4 = runClean("gaus", true, withThreads(4));
+    const RunArtifacts eager4 = runClean("gaus", false, withThreads(4));
     expectIdentical(t1, t4, "gaus threads 1 vs 4");
     expectIdentical(t4, eager4, "gaus threads 4, skip vs eager");
 }
@@ -122,19 +146,21 @@ TEST(Skip, ArtifactsBitIdenticalUnderInjectedFaults)
     // next-event certificates license the jumps. Fault windows also
     // disable the frozen-stall contract (MemPartition::ropHeadStall_,
     // Sm::ldstHeadStall_), so this leg proves the conservative fallback.
-    expectIdentical(runApp("gaus", true, 1, "seed=42;auto=3"),
-                    runApp("gaus", false, 1, "seed=42;auto=3"),
-                    "gaus faulted");
+    GpuConfig faulted{};
+    faulted.faultPlan = "seed=42;auto=3";
+    expectIdentical(runClean("gaus", true, faulted),
+                    runClean("gaus", false, faulted), "gaus faulted");
 }
 
 TEST(Skip, CritReportBitIdenticalWithSkippingOnAndOff)
 {
     // The crit profiler charges one issue-slot disposition per SM-cycle;
-    // skipped and dormant spans are credited in bulk, so the exported
+    // slept and jumped spans are credited in bulk, so the exported
     // crit.* schema (which crit_report renders) must not move.
-    expectIdentical(runApp("gaus", true, 1, "", 0, /*crit=*/true),
-                    runApp("gaus", false, 1, "", 0, /*crit=*/true),
-                    "gaus crit");
+    GpuConfig crit{};
+    crit.crit = true;
+    expectIdentical(runClean("gaus", true, crit),
+                    runClean("gaus", false, crit), "gaus crit");
 }
 
 TEST(Skip, ResumeBitIdenticalWithSkippingOn)
@@ -142,7 +168,7 @@ TEST(Skip, ResumeBitIdenticalWithSkippingOn)
     // A checkpoint captured mid-sequence by a skipping run must resume
     // into the same artifacts an uninterrupted eager run produces.
     const std::string path = ::testing::TempDir() + "skip_resume.snap";
-    const RunArtifacts eager = runApp("gaus", false);
+    const RunArtifacts eager = runClean("gaus", false);
     {
         GpuConfig config{};
         config.cycleSkipping = true;
@@ -190,13 +216,76 @@ TEST(Skip, MaxCyclesDeadlineTripsAtTheSameCycle)
     // A jump must never overshoot the --max-cycles deadline: the timeout
     // has to fire at exactly the cycle the eager loop reports, with the
     // same structured failure record.
-    const RunArtifacts skip = runApp("gaus", true, 1, "", 2'000);
-    const RunArtifacts eager = runApp("gaus", false, 1, "", 2'000);
+    GpuConfig budget{};
+    budget.maxCycles = 2'000;
+    const RunArtifacts skip = runApp("gaus", true, budget);
+    const RunArtifacts eager = runApp("gaus", false, budget);
     EXPECT_EQ(skip.failureKind, "timeout");
     EXPECT_EQ(skip.failureKind, eager.failureKind);
     EXPECT_EQ(skip.failureMessage, eager.failureMessage)
         << "skipping moved the timeout cycle";
     EXPECT_EQ(skip.stats, eager.stats);
+
+    // Asleep is not done: with every fill dropped the SMs sleep at
+    // kNever while the crossbar is empty, and the run must still end in
+    // the watchdog's hang at the eager loop's cycle, with the same
+    // HangReport (per-SM crit summaries included).
+    GpuConfig hang{};
+    hang.faultPlan = "dropfill@0+1000000000";
+    hang.watchdogInterval = 1024;
+    hang.watchdogBudget = 100000;
+    hang.crit = true;
+    for (const std::string app : {"gaus", "bpr"}) {
+        const RunArtifacts skip_hang = runApp(app, true, hang);
+        const RunArtifacts eager_hang = runApp(app, false, hang);
+        EXPECT_EQ(skip_hang.failureKind, "hang") << app;
+        EXPECT_EQ(skip_hang.failureKind, eager_hang.failureKind) << app;
+        EXPECT_EQ(skip_hang.failureMessage, eager_hang.failureMessage)
+            << app << ": skipping moved the hang";
+        EXPECT_FALSE(skip_hang.failureDetail.empty())
+            << app << ": HangReport missing";
+        EXPECT_EQ(skip_hang.failureDetail, eager_hang.failureDetail)
+            << app << ": skipping changed the HangReport";
+        // A hung run exports no stats; its trace up to the hang must match.
+        ASSERT_FALSE(skip_hang.trace.empty()) << app;
+        ASSERT_EQ(skip_hang.trace.size(), eager_hang.trace.size()) << app;
+        EXPECT_EQ(std::memcmp(skip_hang.trace.data(), eager_hang.trace.data(),
+                              eager_hang.trace.size() * sizeof(TraceEvent)),
+                  0)
+            << app << ": skipping changed the trace before the hang";
+    }
+}
+
+TEST(Skip, DrainedSmCreditsIdleCyclesNotStageOccupancy)
+{
+    // One warp ends on an SFU op whose stage stays occupied long after
+    // its result is back (initiation 64 > latency 1), so its SM drains
+    // with a stage-free time still ahead and then sleeps while the store
+    // crosses the memory system. The eager loop ticks a drained SM with
+    // idleCycle(), which counts no stage occupancy: the sleep must credit
+    // the same (Sm::idleCycles), not Sm::skipCycles' busy.sfu.
+    using namespace gcl::ptx;
+    KernelBuilder b("sfu_then_store", 1);
+    const Reg out = b.ldParam(0);
+    const Reg tid = b.globalTidX();
+    const Reg root = b.sfu(Opcode::Sqrt, DataType::F32,
+                           b.cvt(DataType::F32, DataType::U32, tid));
+    b.st(MemSpace::Global, DataType::F32, b.elemAddr(out, tid, 4), root);
+    const Kernel kernel = b.build();
+
+    auto run = [&kernel](bool skipping) {
+        GpuConfig config{};
+        config.cycleSkipping = skipping;
+        config.opTiming[static_cast<size_t>(gcl::sim::OpClass::Sfu)] = {1,
+                                                                       64};
+        gcl::sim::Gpu gpu(config);
+        const uint64_t d_out = gpu.deviceMalloc(32 * 4);
+        gpu.launch(kernel, gcl::sim::Dim3{1, 1, 1},
+                   gcl::sim::Dim3{32, 1, 1}, {d_out});
+        gpu.finalizeStats();
+        return gpu.stats().set().serialize();
+    };
+    EXPECT_EQ(run(true), run(false));
 }
 
 TEST(SkipEvent, IcntNextEventPinsAndClampsExactly)
@@ -220,7 +309,7 @@ TEST(SkipEvent, IcntNextEventPinsAndClampsExactly)
 
     icnt.cycle(100); // moves the flit in flight; delivery at 100 + latency
     EXPECT_EQ(icnt.nextEventCycle(100), 100 + config.icntLatency);
-    EXPECT_EQ(icnt.reqHeadReadyAt(1), 100 + config.icntLatency);
+    EXPECT_FALSE(icnt.hasRequest(1, 99 + config.icntLatency));
 
     // Ripe (or past-due) heads clamp to now + 1, never earlier.
     EXPECT_EQ(icnt.nextEventCycle(100 + config.icntLatency),
