@@ -438,9 +438,12 @@ if [ "$ASAN" = 1 ]; then
     # pool checking live. The same checked build re-derives every warp
     # pick with the reference scan (Sm::pickWarp); SimPipeline* drives it
     # through barriers, divergence, exits, multi-word ready masks and both
-    # scheduling policies.
+    # scheduling policies. It also re-derives every crit blocking warp
+    # with the reference scan (Sm::critCharge); Crit* drives that on
+    # c2050 and on modern-core (GTO, four schedulers). Icnt* runs the
+    # crossbar against its reference model.
     "$ASAN_DIR/tests/gcl_tests" \
-        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:Skip*:SimPipeline*'
+        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:Skip*:SimPipeline*:Crit*:Icnt*'
 fi
 
 echo "check: all green"

@@ -69,6 +69,75 @@ zext32(uint64_t v)
     return v & 0xffffffffull;
 }
 
+/** @p v as a register of integer type @p t holds it. */
+uint64_t
+fitInt(DataType t, uint64_t v)
+{
+    switch (t) {
+      case DataType::U32:
+      case DataType::Pred:
+        return zext32(v);
+      case DataType::S32:
+        return sext32(v);
+      default:
+        return v;
+    }
+}
+
+/**
+ * WarpExecutor::aluCompute's integer path for its commonest operations,
+ * run over the lanes of @p exec with the operation and type dispatched
+ * once per instruction instead of once per lane. It computes exactly
+ * what aluCompute would. Returns false, writing nothing, for a float
+ * type or any other operation.
+ */
+bool
+integerLanes(const Instruction &inst, LaneMask exec, uint64_t *dst,
+             const uint64_t *a, const uint64_t *b, const uint64_t *c)
+{
+    const DataType t = inst.type;
+    if (ptx::isFloat(t))
+        return false;
+    const bool is32 = (t == DataType::U32 || t == DataType::S32 ||
+                       t == DataType::Pred);
+    const uint64_t shift_mask = is32 ? 31 : 63;
+    auto run = [&](auto op) {
+        for (LaneMask m = exec; m != 0; m &= m - 1) {
+            const auto lane = static_cast<unsigned>(std::countr_zero(m));
+            const uint64_t x = is32 ? zext32(a[lane]) : a[lane];
+            const uint64_t y = is32 ? zext32(b[lane]) : b[lane];
+            const uint64_t z = is32 ? zext32(c[lane]) : c[lane];
+            dst[lane] = fitInt(t, op(x, y, z));
+        }
+        return true;
+    };
+    switch (inst.op) {
+      case Opcode::Mov:
+        return run([](uint64_t x, uint64_t, uint64_t) { return x; });
+      case Opcode::Add:
+        return run([](uint64_t x, uint64_t y, uint64_t) { return x + y; });
+      case Opcode::Sub:
+        return run([](uint64_t x, uint64_t y, uint64_t) { return x - y; });
+      case Opcode::Mul:
+        return run([](uint64_t x, uint64_t y, uint64_t) { return x * y; });
+      case Opcode::Mad:
+        return run(
+            [](uint64_t x, uint64_t y, uint64_t z) { return x * y + z; });
+      case Opcode::And:
+        return run([](uint64_t x, uint64_t y, uint64_t) { return x & y; });
+      case Opcode::Or:
+        return run([](uint64_t x, uint64_t y, uint64_t) { return x | y; });
+      case Opcode::Xor:
+        return run([](uint64_t x, uint64_t y, uint64_t) { return x ^ y; });
+      case Opcode::Shl:
+        return run([shift_mask](uint64_t x, uint64_t y, uint64_t) {
+            return x << (y & shift_mask);
+        });
+      default:
+        return false;
+    }
+}
+
 } // namespace
 
 uint64_t
@@ -372,130 +441,133 @@ WarpExecutor::atomicApply(ptx::AtomOp op, DataType type, uint64_t old_v,
     return old_v;
 }
 
-StepInfo
+void
 WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
-                   WarpContext &warp, size_t pc, LaneMask active)
+                   WarpContext &warp, size_t pc, LaneMask active,
+                   StepInfo &info)
 {
     const Instruction &inst = launch.kernel->inst(pc);
-    StepInfo info;
+    info.kind = StepInfo::Kind::Nop;
+    info.space = MemSpace::Global;
+    info.isLoad = false;
+    info.isStore = false;
+    info.isAtomic = false;
+    info.accessSize = 0;
+    info.addrs.clear();
+    info.takenMask = 0;
+    info.targetPc = 0;
     const LaneMask exec = guardMask(inst, warp, active);
 
-    auto for_each_lane = [&](auto &&fn) {
-        for (unsigned lane = 0; lane < warpSize_; ++lane)
-            if ((exec >> lane) & 1)
-                fn(lane);
+    // Visits the executing lanes in ascending order, one set bit at a time.
+    auto for_each_lane = [exec](auto &&fn) {
+        for (LaneMask m = exec; m != 0; m &= m - 1)
+            fn(static_cast<unsigned>(std::countr_zero(m)));
     };
 
     /**
-     * A source operand resolved once per instruction instead of
-     * re-dispatched on its kind for every lane. Registers become a base
-     * pointer into the warp's lane-major register file (stable: no
-     * reallocation can happen mid-instruction, and aliasing with the
-     * destination register keeps the exact read-then-write-per-lane
-     * order of the per-lane dispatch it replaces). Warp-uniform
-     * specials (ntid.*, ctaid.*, nctaid.*, warpid) and immediates fold
-     * to a single value; only tid.* and laneid still need the per-lane
-     * call.
+     * A source operand as one row of lane values, resolved once per
+     * instruction so the lane loops below index instead of dispatching
+     * on the operand kind per lane. A register is its row in the warp's
+     * lane-major register file (stable: no reallocation can happen
+     * mid-instruction, and aliasing with the destination register keeps
+     * the exact read-then-write-per-lane order of a per-lane dispatch).
+     * Immediates, warp-uniform specials (ntid.*, ctaid.*, nctaid.*,
+     * warpid) and the per-lane tid.* / laneid fill a scratch row.
      */
-    struct Src
-    {
-        const uint64_t *lanes = nullptr;
-        uint64_t uniform = 0;
-        bool perLaneSpecial = false;
-        SpecialReg sreg{};
-    };
-    auto resolve = [&](const Operand &op) {
-        Src s;
+    constexpr unsigned kLanes = sizeof(LaneMask) * 8;
+    uint64_t scratch[3][kLanes];
+    auto lanesOf = [&](unsigned k) -> const uint64_t * {
+        const Operand &op = inst.srcs[k];
+        uint64_t *row = scratch[k];
         switch (op.kind) {
           case Operand::Kind::Reg:
-            s.lanes = &warp.regs[static_cast<size_t>(op.reg) * warpSize_];
-            break;
+            return &warp.regs[static_cast<size_t>(op.reg) * warpSize_];
           case Operand::Kind::Imm:
-            s.uniform = op.imm;
-            break;
+            std::fill_n(row, kLanes, op.imm);
+            return row;
           case Operand::Kind::Special:
             switch (op.sreg) {
               case SpecialReg::TidX:
               case SpecialReg::TidY:
               case SpecialReg::TidZ:
               case SpecialReg::LaneId:
-                s.perLaneSpecial = true;
-                s.sreg = op.sreg;
-                break;
+                for_each_lane([&](unsigned lane) {
+                    row[lane] = specialValue(launch, cta, warp, lane, op.sreg);
+                });
+                return row;
               default:
-                s.uniform = specialValue(launch, cta, warp, 0, op.sreg);
-                break;
+                std::fill_n(row, kLanes,
+                            specialValue(launch, cta, warp, 0, op.sreg));
+                return row;
             }
-            break;
           case Operand::Kind::None:
             break;
         }
-        return s;
+        static constexpr uint64_t kZeros[kLanes] = {};
+        return kZeros;
     };
-    auto srcVal = [&](const Src &s, unsigned lane) -> uint64_t {
-        if (s.lanes)
-            return s.lanes[lane];
-        if (s.perLaneSpecial)
-            return specialValue(launch, cta, warp, lane, s.sreg);
-        return s.uniform;
-    };
+    uint64_t *const dst =
+        inst.dst == ptx::kNoReg
+            ? nullptr
+            : &warp.regs[static_cast<size_t>(inst.dst) * warpSize_];
 
     switch (inst.op) {
       case Opcode::Nop:
         info.kind = StepInfo::Kind::Alu;
-        return info;
+        return;
 
       case Opcode::Bar:
         info.kind = StepInfo::Kind::Barrier;
-        return info;
+        return;
 
       case Opcode::Exit:
         info.kind = StepInfo::Kind::Exit;
-        return info;
+        return;
 
       case Opcode::Bra:
         info.kind = StepInfo::Kind::Branch;
         info.takenMask = exec;
         info.targetPc = static_cast<size_t>(inst.branchTarget);
-        return info;
+        return;
 
       case Opcode::LdParam:
         info.kind = StepInfo::Kind::Memory;
         info.space = MemSpace::Param;
         info.isLoad = true;
         info.accessSize = 8;
-        for_each_lane([&](unsigned lane) {
+        if (exec != 0) {
             gcl_sim_check(inst.paramIndex < launch.params.size(), "exec",
                           0, "param index out of range at runtime");
-            warp.reg(inst.dst, lane, warpSize_) =
-                launch.params[inst.paramIndex];
-        });
-        return info;
+            const uint64_t value = launch.params[inst.paramIndex];
+            for_each_lane([&](unsigned lane) { dst[lane] = value; });
+        }
+        return;
 
       case Opcode::Ld: {
         info.kind = StepInfo::Kind::Memory;
         info.space = inst.space;
         info.isLoad = true;
         info.accessSize = inst.accessSize;
-        info.addrs.reserve(static_cast<size_t>(std::popcount(exec)));
-        const Src s0 = resolve(inst.srcs[0]);
-        for_each_lane([&](unsigned lane) {
-            const uint64_t addr =
-                srcVal(s0, lane) + static_cast<uint64_t>(inst.memOffset);
-            info.addrs.emplace_back(lane, addr);
-            uint64_t value = 0;
-            if (inst.space == MemSpace::Shared) {
+        const uint64_t *a = lanesOf(0);
+        const auto offset = static_cast<uint64_t>(inst.memOffset);
+        if (inst.space == MemSpace::Shared) {
+            for_each_lane([&](unsigned lane) {
+                const uint64_t addr = a[lane] + offset;
+                info.addrs.emplace_back(lane, addr);
                 gcl_sim_check(cta.shared, "exec", 0,
                               "shared load without shared memory");
-                value = cta.shared->read(addr, inst.accessSize);
-            } else {
-                // Global, local, const and tex all live in the flat
-                // device address space functionally.
-                value = gmem_.read(addr, inst.accessSize);
-            }
-            warp.reg(inst.dst, lane, warpSize_) = value;
-        });
-        return info;
+                dst[lane] = cta.shared->read(addr, inst.accessSize);
+            });
+        } else {
+            // Global, local, const and tex all live in the flat device
+            // address space functionally.
+            for_each_lane([&](unsigned lane) {
+                const uint64_t addr = a[lane] + offset;
+                info.addrs.emplace_back(lane, addr);
+                dst[lane] = gmem_.read(addr, inst.accessSize);
+            });
+        }
+        return;
       }
 
       case Opcode::St: {
@@ -503,13 +575,12 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
         info.space = inst.space;
         info.isStore = true;
         info.accessSize = inst.accessSize;
-        info.addrs.reserve(static_cast<size_t>(std::popcount(exec)));
-        const Src s0 = resolve(inst.srcs[0]);
-        const Src s1 = resolve(inst.srcs[1]);
+        const uint64_t *a = lanesOf(0);
+        const uint64_t *v = lanesOf(1);
+        const auto offset = static_cast<uint64_t>(inst.memOffset);
         for_each_lane([&](unsigned lane) {
-            const uint64_t addr =
-                srcVal(s0, lane) + static_cast<uint64_t>(inst.memOffset);
-            const uint64_t value = srcVal(s1, lane);
+            const uint64_t addr = a[lane] + offset;
+            const uint64_t value = v[lane];
             info.addrs.emplace_back(lane, addr);
             if (inst.space == MemSpace::Shared) {
                 gcl_sim_check(cta.shared, "exec", 0,
@@ -525,7 +596,7 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
                 gmem_.write(addr, value, inst.accessSize);
             }
         });
-        return info;
+        return;
       }
 
       case Opcode::Atom: {
@@ -535,15 +606,14 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
         info.accessSize = inst.accessSize;
         // Lanes apply in lane order, which serializes intra-warp conflicts
         // deterministically.
-        info.addrs.reserve(static_cast<size_t>(std::popcount(exec)));
-        const Src s0 = resolve(inst.srcs[0]);
-        const Src s1 = resolve(inst.srcs[1]);
-        const Src s2 = resolve(inst.srcs[2]);
+        const uint64_t *s0 = lanesOf(0);
+        const uint64_t *s1 = lanesOf(1);
+        const uint64_t *s2 = lanesOf(2);
+        const auto offset = static_cast<uint64_t>(inst.memOffset);
         for_each_lane([&](unsigned lane) {
-            const uint64_t addr =
-                srcVal(s0, lane) + static_cast<uint64_t>(inst.memOffset);
-            const uint64_t a = srcVal(s1, lane);
-            const uint64_t b = srcVal(s2, lane);
+            const uint64_t addr = s0[lane] + offset;
+            const uint64_t a = s1[lane];
+            const uint64_t b = s2[lane];
             info.addrs.emplace_back(lane, addr);
             if (staging_ != nullptr) {
                 // Stage the *operation*, not a precomputed value: the
@@ -554,7 +624,7 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
                 p.addr = addr;
                 p.a = a;
                 p.b = b;
-                p.oldDst = &warp.reg(inst.dst, lane, warpSize_);
+                p.oldDst = &dst[lane];
                 p.size = inst.accessSize;
                 p.isAtomic = true;
                 p.atomOp = inst.atomOp;
@@ -565,62 +635,62 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
                 gmem_.write(addr,
                             atomicApply(inst.atomOp, inst.type, old_v, a, b),
                             inst.accessSize);
-                warp.reg(inst.dst, lane, warpSize_) = old_v;
+                dst[lane] = old_v;
             }
         });
-        return info;
+        return;
       }
 
       case Opcode::Setp: {
         info.kind = StepInfo::Kind::Alu;
-        const Src s0 = resolve(inst.srcs[0]);
-        const Src s1 = resolve(inst.srcs[1]);
+        const uint64_t *a = lanesOf(0);
+        const uint64_t *b = lanesOf(1);
         for_each_lane([&](unsigned lane) {
-            const uint64_t a = srcVal(s0, lane);
-            const uint64_t b = srcVal(s1, lane);
-            warp.reg(inst.dst, lane, warpSize_) =
-                compare(inst.cmp, inst.type, a, b) ? 1 : 0;
+            dst[lane] = compare(inst.cmp, inst.type, a[lane], b[lane]) ? 1 : 0;
         });
-        return info;
+        return;
       }
 
       case Opcode::Selp: {
         info.kind = StepInfo::Kind::Alu;
-        const Src s0 = resolve(inst.srcs[0]);
-        const Src s1 = resolve(inst.srcs[1]);
-        const Src s2 = resolve(inst.srcs[2]);
+        const uint64_t *a = lanesOf(0);
+        const uint64_t *b = lanesOf(1);
+        const uint64_t *p = lanesOf(2);
         for_each_lane([&](unsigned lane) {
-            const uint64_t a = srcVal(s0, lane);
-            const uint64_t b = srcVal(s1, lane);
-            const uint64_t p = srcVal(s2, lane);
-            warp.reg(inst.dst, lane, warpSize_) = p ? a : b;
+            dst[lane] = p[lane] ? a[lane] : b[lane];
         });
-        return info;
+        return;
       }
 
       case Opcode::Cvt: {
         info.kind = StepInfo::Kind::Alu;
-        const Src s0 = resolve(inst.srcs[0]);
+        const uint64_t *a = lanesOf(0);
+        if (!ptx::isFloat(inst.type) && !ptx::isFloat(inst.cvtFrom)) {
+            // Integer to integer, as convert() computes it: read the
+            // source at its width and signedness, then fit the result.
+            for_each_lane([&](unsigned lane) {
+                dst[lane] = fitInt(inst.type, fitInt(inst.cvtFrom, a[lane]));
+            });
+            return;
+        }
         for_each_lane([&](unsigned lane) {
-            warp.reg(inst.dst, lane, warpSize_) =
-                convert(inst.type, inst.cvtFrom, srcVal(s0, lane));
+            dst[lane] = convert(inst.type, inst.cvtFrom, a[lane]);
         });
-        return info;
+        return;
       }
 
       default: {
         // Generic ALU / SFU arithmetic.
         info.kind = inst.isSfu() ? StepInfo::Kind::Sfu : StepInfo::Kind::Alu;
-        const Src s0 = resolve(inst.srcs[0]);
-        const Src s1 = resolve(inst.srcs[1]);
-        const Src s2 = resolve(inst.srcs[2]);
+        const uint64_t *a = lanesOf(0);
+        const uint64_t *b = lanesOf(1);
+        const uint64_t *c = lanesOf(2);
+        if (integerLanes(inst, exec, dst, a, b, c))
+            return;
         for_each_lane([&](unsigned lane) {
-            const uint64_t a = srcVal(s0, lane);
-            const uint64_t b = srcVal(s1, lane);
-            const uint64_t c = srcVal(s2, lane);
-            warp.reg(inst.dst, lane, warpSize_) = aluCompute(inst, a, b, c);
+            dst[lane] = aluCompute(inst, a[lane], b[lane], c[lane]);
         });
-        return info;
+        return;
       }
     }
 }

@@ -98,14 +98,18 @@ class WarpExecutor
     {}
 
     /**
-     * Execute the instruction at @p pc for @p warp.
+     * Execute the instruction at @p pc for @p warp and describe it in
+     * @p info.
      *
      * Register state (and memory, for stores/atomics/loads) is updated
      * in place. The SIMT stack is NOT touched; the caller applies
-     * Branch/Exit/advance using the returned StepInfo.
+     * Branch/Exit/advance using @p info. Every field of @p info is
+     * rewritten; passing the same StepInfo to each call reuses the
+     * capacity of its address list, so a step never allocates.
      */
-    StepInfo step(const LaunchContext &launch, CtaContext &cta,
-                  WarpContext &warp, size_t pc, LaneMask active);
+    void step(const LaunchContext &launch, CtaContext &cta,
+              WarpContext &warp, size_t pc, LaneMask active,
+              StepInfo &info);
 
     /** Value of a special register for the given lane. */
     uint64_t specialValue(const LaunchContext &launch, const CtaContext &cta,

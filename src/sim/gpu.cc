@@ -315,6 +315,9 @@ Gpu::sleepUnit(unsigned unit, Cycle from, Cycle wake_at)
 {
     SleepState &state = sleep_[unit];
     state.asleep = true;
+    state.gate = unit < config_.numSms
+        ? sms_[unit]->ldstStalledOnIcnt()
+        : partitions_[unit - config_.numSms]->canAcceptArrival();
     state.from = from;
     state.wakeAt = wake_at;
     --awakeCount_;
@@ -338,26 +341,6 @@ Gpu::wakeUnit(unsigned unit, Cycle resume)
         sms_[unit]->skipCycles(state.from, span);
     else
         sms_[unit]->idleCycles(span);
-}
-
-bool
-Gpu::wakeDue(unsigned unit, Cycle now) const
-{
-    if (sleep_[unit].wakeAt <= now)
-        return true;
-    if (unit >= config_.numSms) {
-        // An arrival the ROP pipeline has room for must be accepted this
-        // exact cycle (the room is frozen while the partition sleeps).
-        const unsigned p = unit - config_.numSms;
-        return icnt_.hasRequest(static_cast<int>(p), now) &&
-               partitions_[p]->canAcceptArrival();
-    }
-    // A deliverable response, or — for a head frozen on FailIcnt — the
-    // request arbitration popped the injection queue below its cap, so
-    // the retry would inject.
-    return icnt_.hasResponse(static_cast<int>(unit), now) ||
-           (sms_[unit]->ldstStalledOnIcnt() &&
-            icnt_.canInject(static_cast<int>(unit)));
 }
 
 void
@@ -397,12 +380,11 @@ Gpu::skipTarget(Cycle now, Cycle start) const
     Cycle target = icnt_.nextEventCycle(now);
     if (target == now + 1)
         return now + 1;
-    // A sleeping SM can still block the jump: a FailIcnt-frozen head
-    // whose injection credit came back this cycle retries next cycle,
-    // although the freed queue may leave the crossbar empty.
+    // A sleeping SM can still block the jump: a FailIcnt-frozen head (its
+    // gate bit) whose injection credit came back this cycle retries next
+    // cycle, although the freed queue may leave the crossbar empty.
     for (unsigned s = 0; s < config_.numSms; ++s)
-        if (sms_[s]->ldstStalledOnIcnt() &&
-            icnt_.canInject(static_cast<int>(s)))
+        if (sleep_[s].gate && icnt_.canInject(static_cast<int>(s)))
             return now + 1;
     // A drained sleeper offers its kNever, never its certificate.
     for (const SleepState &state : sleep_)
@@ -960,6 +942,7 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
         std::vector<WarpContext> warps;
     };
     std::vector<FfCta> slots;
+    StepInfo info;
 
     for (size_t base = skip; base < ids.size(); base += wave) {
         const size_t count =
@@ -1037,8 +1020,7 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
                         continue;
                     const size_t pc = warp.stack.pc();
                     const LaneMask active = warp.stack.activeMask();
-                    const StepInfo info =
-                        ffExec_->step(launch, cta, warp, pc, active);
+                    ffExec_->step(launch, cta, warp, pc, active, info);
                     progressed = true;
                     ffLaunchWork_ +=
                         static_cast<uint64_t>(std::popcount(active));

@@ -292,7 +292,9 @@ class Gpu
     //  - a stalled unit sleeps until its nextEventCycle certificate, or
     //    earlier when a response (SM), an injection credit for a
     //    FailIcnt-frozen head (SM) or an acceptable arrival (partition)
-    //    shows up — checked every cycle against the crossbar.
+    //    shows up — checked every cycle by reading the crossbar's
+    //    delivery cycles (and, behind the unit's frozen gate bit, its
+    //    injection-queue length) in wakeDue.
     // At wake the unit credits its own span in bulk (wakeUnit). When the
     // end-of-cycle sleep pass leaves no unit awake, the clock jumps to
     // the earliest wakeAt, crossbar event or deadline (skipTarget). With
@@ -304,6 +306,14 @@ class Gpu
     struct SleepState
     {
         bool asleep = false;
+        /**
+         * Frozen at sleepUnit: for an SM, its LD/ST head is stalled on
+         * FailIcnt (an injection credit wakes it); for a partition,
+         * canAcceptArrival() (an arrival wakes it). Both inputs change
+         * only when the unit ticks, and every path that touches a
+         * sleeper wakes it first, so the bit stays exact while asleep.
+         */
+        bool gate = false;
         Cycle from = 0;     //!< first un-ticked cycle
         Cycle wakeAt = 0;   //!< own wake cycle; kNever = outside only
     };
@@ -320,8 +330,26 @@ class Gpu
      */
     void wakeUnit(unsigned unit, Cycle resume);
 
-    /** True when sleeping unit @p unit must tick in cycle @p now. */
-    bool wakeDue(unsigned unit, Cycle now) const;
+    /**
+     * True when sleeping unit @p unit must tick in cycle @p now: its own
+     * wakeAt came, or the crossbar holds what it waits for — a
+     * deliverable response or, behind the gate, an injection credit
+     * (SM); behind the gate, a deliverable arrival (partition). Reads
+     * the sleep state and the crossbar, never the unit itself.
+     */
+    bool
+    wakeDue(unsigned unit, Cycle now) const
+    {
+        const SleepState &state = sleep_[unit];
+        if (state.wakeAt <= now)
+            return true;
+        if (unit >= config_.numSms)
+            return state.gate &&
+                   icnt_.hasRequest(
+                       static_cast<int>(unit - config_.numSms), now);
+        return icnt_.hasResponse(static_cast<int>(unit), now) ||
+               (state.gate && icnt_.canInject(static_cast<int>(unit)));
+    }
 
     /**
      * Settle every sleeper's span before a timeout, fault-stop or cancel

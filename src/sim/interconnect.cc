@@ -16,8 +16,10 @@ Interconnect::Interconnect(const GpuConfig &config, MemPools &pools)
       respQ_(config.numPartitions),
       toSm_(config.numSms),
       popsThisCycle_(config.numPartitions, 0),
-      smUsed_(config.numSms, 0),
-      partUsed_(config.numPartitions, 0)
+      smNextAt_(config.numSms, kNone),
+      partNextAt_(config.numPartitions, kNone),
+      partOpen_(config.numPartitions, 0),
+      smUsed_(config.numSms, 0)
 {
     // Pre-size the delay rings to their credit-limited worst case so they
     // never regrow mid-run.
@@ -26,13 +28,6 @@ Interconnect::Interconnect(const GpuConfig &config, MemPools &pools)
     for (auto &q : toSm_)
         q.reserve(config.numPartitions * config.icntRespQueueDepth +
                   config.icntLatency);
-}
-
-bool
-Interconnect::canInject(int sm) const
-{
-    return injectQ_[static_cast<size_t>(sm)].size() <
-           config_.icntInjectQueueDepth;
 }
 
 void
@@ -49,20 +44,18 @@ Interconnect::inject(ReqHandle req, Cycle now, trace::StageSink *sink)
     injectCount_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool
-Interconnect::hasRequest(int part, Cycle now) const
-{
-    return toPart_[static_cast<size_t>(part)].headReady(now);
-}
-
 ReqHandle
 Interconnect::popRequest(int part, Cycle now)
 {
     gcl_sim_check(hasRequest(part, now), "icnt", now,
                   "popRequest with none ready");
-    ++popsThisCycle_[static_cast<size_t>(part)];
+    const auto p = static_cast<size_t>(part);
+    ++popsThisCycle_[p];
     toPartCount_.fetch_sub(1, std::memory_order_relaxed);
-    return toPart_[static_cast<size_t>(part)].pop();
+    DelayQueue<ReqHandle> &q = toPart_[p];
+    const ReqHandle req = q.pop();
+    partNextAt_[p] = q.empty() ? kNone : q.headReadyAt();
+    return req;
 }
 
 bool
@@ -86,19 +79,17 @@ Interconnect::respond(ReqHandle req, Cycle now, trace::StageSink *sink)
     respQCount_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool
-Interconnect::hasResponse(int sm, Cycle now) const
-{
-    return toSm_[static_cast<size_t>(sm)].headReady(now);
-}
-
 ReqHandle
 Interconnect::popResponse(int sm, Cycle now)
 {
     gcl_sim_check(hasResponse(sm, now), "icnt", now,
                   "popResponse with none ready");
+    const auto s = static_cast<size_t>(sm);
     toSmCount_.fetch_sub(1, std::memory_order_relaxed);
-    return toSm_[static_cast<size_t>(sm)].pop();
+    DelayQueue<ReqHandle> &q = toSm_[s];
+    const ReqHandle req = q.pop();
+    smNextAt_[s] = q.empty() ? kNone : q.headReadyAt();
+    return req;
 }
 
 void
@@ -112,67 +103,80 @@ Interconnect::requestArbitration(Cycle now, bool add_back_pops)
     const unsigned num_sms = config_.numSms;
 
     if (injectCount_.load(std::memory_order_relaxed) != 0) {
-        std::fill(smUsed_.begin(), smUsed_.end(), 0);
-        std::fill(partUsed_.begin(), partUsed_.end(), 0);
-        for (unsigned i = 0; i < num_sms; ++i) {
-            const unsigned sm = (reqRrSm_ + i) % num_sms;
-            auto &q = injectQ_[sm];
-            if (q.empty() || smUsed_[sm])
-                continue;
-            const int part = pools_.reqs.get(q.front()).partition;
-            if (partUsed_[static_cast<size_t>(part)])
-                continue;
-            // Finite partition input buffers: without a credit the flit
-            // stays in the SM's injection queue, which eventually surfaces
-            // at the L1 as a reservation fail by interconnection
-            // (Section VI). When arbitrating after the partitions ran
-            // (commitCycle), add this cycle's pops back: the serial
-            // arbitration point precedes them.
+        // Finite partition input buffers: a partition without a credit
+        // takes nothing, and the flit stays in the SM's injection queue,
+        // which eventually surfaces at the L1 as a reservation fail by
+        // interconnection (Section VI). When arbitrating after the
+        // partitions ran (commitCycle), add this cycle's pops back: the
+        // serial arbitration point precedes them. A partition's occupancy
+        // only changes when it takes a flit, which also closes it, so
+        // marking the credits once per cycle is exact.
+        for (unsigned p = 0; p < config_.numPartitions; ++p) {
             const size_t occupancy =
-                toPart_[static_cast<size_t>(part)].size() +
-                (add_back_pops ? popsThisCycle_[static_cast<size_t>(part)]
-                               : 0);
-            if (occupancy >= config_.partQueueDepth)
-                continue;
-            partUsed_[static_cast<size_t>(part)] = 1;
-            smUsed_[sm] = 1;
-            toPart_[static_cast<size_t>(part)].push(
-                q.front(), now + config_.icntLatency);
-            q.pop_front();
-            injectCount_.fetch_sub(1, std::memory_order_relaxed);
-            toPartCount_.fetch_add(1, std::memory_order_relaxed);
+                toPart_[p].size() + (add_back_pops ? popsThisCycle_[p] : 0);
+            partOpen_[p] = occupancy < config_.partQueueDepth;
+        }
+        // Each SM is visited once, so it sends at most one flit.
+        unsigned sm = reqRrSm_;
+        for (unsigned i = 0; i < num_sms; ++i) {
+            std::deque<ReqHandle> &q = injectQ_[sm];
+            if (!q.empty()) {
+                const auto part = static_cast<size_t>(
+                    pools_.reqs.get(q.front()).partition);
+                if (partOpen_[part]) {
+                    partOpen_[part] = 0;
+                    DelayQueue<ReqHandle> &dst = toPart_[part];
+                    const Cycle ready = now + config_.icntLatency;
+                    if (dst.empty())
+                        partNextAt_[part] = ready;
+                    dst.push(q.front(), ready);
+                    q.pop_front();
+                    injectCount_.fetch_sub(1, std::memory_order_relaxed);
+                    toPartCount_.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+            if (++sm == num_sms)
+                sm = 0;
         }
     }
-    reqRrSm_ = (reqRrSm_ + 1) % num_sms;
+    if (++reqRrSm_ == num_sms)
+        reqRrSm_ = 0;
 }
 
 void
 Interconnect::responseArbitration(Cycle now)
 {
-    // Response side, symmetric, round-robin over partitions.
+    // Response side, symmetric, round-robin over partitions. Each
+    // partition is visited once, so it sends at most one flit; an SM
+    // takes at most one.
     const unsigned num_parts = config_.numPartitions;
 
     if (respQCount_.load(std::memory_order_relaxed) != 0) {
         std::fill(smUsed_.begin(), smUsed_.end(), 0);
-        std::fill(partUsed_.begin(), partUsed_.end(), 0);
+        unsigned part = respRrPart_;
         for (unsigned i = 0; i < num_parts; ++i) {
-            const unsigned part = (respRrPart_ + i) % num_parts;
-            auto &q = respQ_[part];
-            if (q.empty() || partUsed_[part])
-                continue;
-            const int sm = pools_.reqs.get(q.front()).smId;
-            if (smUsed_[static_cast<size_t>(sm)])
-                continue;
-            smUsed_[static_cast<size_t>(sm)] = 1;
-            partUsed_[part] = 1;
-            toSm_[static_cast<size_t>(sm)].push(q.front(),
-                                                now + config_.icntLatency);
-            q.pop_front();
-            respQCount_.fetch_sub(1, std::memory_order_relaxed);
-            toSmCount_.fetch_add(1, std::memory_order_relaxed);
+            std::deque<ReqHandle> &q = respQ_[part];
+            if (!q.empty()) {
+                const auto sm =
+                    static_cast<size_t>(pools_.reqs.get(q.front()).smId);
+                if (!smUsed_[sm]) {
+                    smUsed_[sm] = 1;
+                    DelayQueue<ReqHandle> &dst = toSm_[sm];
+                    const Cycle ready = now + config_.icntLatency;
+                    if (dst.empty())
+                        smNextAt_[sm] = ready;
+                    dst.push(q.front(), ready);
+                    q.pop_front();
+                    respQCount_.fetch_sub(1, std::memory_order_relaxed);
+                    toSmCount_.fetch_add(1, std::memory_order_relaxed);
+                }
+            }
+            if (++part == num_parts)
+                part = 0;
         }
     }
-    respRrPart_ = (respRrPart_ + 1) % num_parts;
+    if (++respRrPart_ == num_parts)
+        respRrPart_ = 0;
 }
 
 void
@@ -226,14 +230,12 @@ Interconnect::nextEventCycle(Cycle now) const
     if (injectCount_.load(std::memory_order_relaxed) != 0 ||
         respQCount_.load(std::memory_order_relaxed) != 0)
         return now + 1;
-    Cycle next = ~Cycle{0};
-    for (const auto &q : toPart_)
-        if (!q.empty() && q.headReadyAt() < next)
-            next = q.headReadyAt();
-    for (const auto &q : toSm_)
-        if (!q.empty() && q.headReadyAt() < next)
-            next = q.headReadyAt();
-    if (next == ~Cycle{0})
+    Cycle next = kNone;
+    for (const Cycle at : partNextAt_)
+        next = std::min(next, at);
+    for (const Cycle at : smNextAt_)
+        next = std::min(next, at);
+    if (next == kNone)
         return next;
     return next <= now ? now + 1 : next;
 }
@@ -251,8 +253,17 @@ Interconnect::save(snap::SnapWriter &out) const
 void
 Interconnect::load(snap::SnapReader &in)
 {
-    reqRrSm_ = in.u32();
-    respRrPart_ = in.u32();
+    // The arbitration walks index the endpoint arrays from these
+    // pointers, so a value past the endpoint count must not get in.
+    const uint32_t req_rr = in.u32();
+    const uint32_t resp_rr = in.u32();
+    if (req_rr >= config_.numSms || resp_rr >= config_.numPartitions)
+        gcl_sim_error(SimError::Kind::Snapshot, "icnt", 0,
+                      "round-robin pointer out of range (request ", req_rr,
+                      " of ", config_.numSms, " SMs, response ", resp_rr,
+                      " of ", config_.numPartitions, " partitions)");
+    reqRrSm_ = req_rr;
+    respRrPart_ = resp_rr;
 }
 
 } // namespace gcl::sim

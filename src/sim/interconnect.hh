@@ -8,11 +8,28 @@
  * flit; transfers take icntLatency cycles. The response side is symmetric
  * with per-partition bounded response queues.
  *
+ * Delivery cycles: besides its delay queues the crossbar keeps each
+ * endpoint's next delivery cycle in a dense array, updated at every push
+ * into and pop from those queues, so the questions asked of every
+ * sleeping unit every cycle are array reads:
+ *
+ *  - smNextAt_: each SM's next delivery cycle (head of toSm_, kNone when
+ *    empty), behind hasResponse();
+ *  - partNextAt_: each partition's next arrival cycle (head of toPart_),
+ *    behind hasRequest().
+ *
+ * nextEventCycle() takes the minimum of the two arrays. Every new push
+ * into or pop from toSm_/toPart_ must update them
+ * (IcntTest.MatchesReferenceModel is the oracle).
+ *
  * Threading (sim_threads > 1): the endpoint queues are strictly
  * per-unit — an SM only touches injectQ_/toSm_ of its own id, a partition
  * only toPart_/respQ_ of its own id — so the compute phase mutates
- * disjoint state. The arbitration that moves flits *between* units runs on
- * the coordinator, split around the compute phase:
+ * disjoint state. Each delivery cycle has the owner of its queue's pops:
+ * an SM worker updates its own SM's entry (popResponse), a partition its
+ * own (popRequest), and the coordinator's arbitration both at pushes. The
+ * arbitration that moves flits *between* units runs on the coordinator,
+ * split around the compute phase:
  *
  *  - beginCycle() runs the response-side arbitration. In a serial tick it
  *    runs after the SMs, but neither SMs nor partitions touch respQ_/toSm_
@@ -65,7 +82,12 @@ class Interconnect
     // ---- Request path (SM side) ----
 
     /** True when SM @p sm has room to inject one more request. */
-    bool canInject(int sm) const;
+    bool
+    canInject(int sm) const
+    {
+        return injectQ_[static_cast<size_t>(sm)].size() <
+               config_.icntInjectQueueDepth;
+    }
 
     /** Queue @p req for transport; stamps tInjected. */
     void inject(ReqHandle req, Cycle now, trace::StageSink *sink = nullptr);
@@ -73,7 +95,11 @@ class Interconnect
     // ---- Request path (partition side) ----
 
     /** True when a request has arrived for partition @p part. */
-    bool hasRequest(int part, Cycle now) const;
+    bool
+    hasRequest(int part, Cycle now) const
+    {
+        return partNextAt_[static_cast<size_t>(part)] <= now;
+    }
 
     /** Pop the next arrived request for partition @p part. */
     ReqHandle popRequest(int part, Cycle now);
@@ -88,7 +114,13 @@ class Interconnect
 
     // ---- Response path (SM side) ----
 
-    bool hasResponse(int sm, Cycle now) const;
+    /** True when a response is deliverable to SM @p sm. */
+    bool
+    hasResponse(int sm, Cycle now) const
+    {
+        return smNextAt_[static_cast<size_t>(sm)] <= now;
+    }
+
     ReqHandle popResponse(int sm, Cycle now);
 
     /** Advance arbitration serially: request side, then response side. */
@@ -130,7 +162,8 @@ class Interconnect
      * The next cycle > @p now at which ticking the crossbar could move a
      * flit, or ~0 when it is empty. Anything waiting for arbitration
      * (injection or response queues) can move next cycle; otherwise the
-     * earliest in-flight delivery is the event. The round-robin pointers
+     * earliest in-flight delivery (the minimum of smNextAt_ and
+     * partNextAt_) is the event. The round-robin pointers
      * also advance every cycle, but skipAdvance() replays them exactly,
      * so they do not pin the event.
      */
@@ -159,10 +192,18 @@ class Interconnect
      */
     void save(snap::SnapWriter &out) const;
 
-    /** Restore state captured by save(). */
+    /**
+     * Restore state captured by save().
+     *
+     * @throws SimError{Kind::Snapshot} when a round-robin pointer is not
+     *         below its endpoint count.
+     */
     void load(snap::SnapReader &in);
 
   private:
+    /** smNextAt_/partNextAt_ value of an empty delivery queue. */
+    static constexpr Cycle kNone = ~Cycle{0};
+
     void requestArbitration(Cycle now, bool add_back_pops);
     void responseArbitration(Cycle now);
 
@@ -181,10 +222,16 @@ class Interconnect
      */
     std::vector<uint8_t> popsThisCycle_;
 
+    // Delivery cycles (see the file comment), exactly in sync with the
+    // delay queues above.
+    std::vector<Cycle> smNextAt_;            //!< per SM: toSm_ head ready
+    std::vector<Cycle> partNextAt_;          //!< per partition: toPart_ head
+
     // Per-cycle arbitration scratch, sized once in the constructor so the
-    // cycle loop never allocates.
+    // cycle loop never allocates: the partitions still open to a request
+    // this cycle, and the SMs that already took a response.
+    std::vector<uint8_t> partOpen_;
     std::vector<uint8_t> smUsed_;
-    std::vector<uint8_t> partUsed_;
 
     // Occupancy counters kept exactly in sync with the queues above so
     // idle()/anyResponsesInFlight() — called every cycle by the GPU loop —

@@ -46,6 +46,8 @@ Sm::startLaunch(const LaunchContext &launch)
     warps_.clear();
     warps_.resize(static_cast<size_t>(maxResidentCtas_) * warpsPerCta_);
     warpAge_.assign(warps_.size(), 0);
+    ageLink_.assign(warps_.size(), AgeLink{});
+    ageList_.assign(config_.numSchedulers, AgeList{});
     rrNext_.assign(config_.numSchedulers, 0);
     lastIssued_ = -1;
     const size_t per_scheduler =
@@ -121,10 +123,12 @@ Sm::launchCta(uint32_t linear_id, uint32_t cx, uint32_t cy, uint32_t cz)
                 mask |= LaneMask{1} << lane;
         warp.stack.reset(mask, launch_->kernel->size());
 
-        warpAge_[static_cast<size_t>(slot) * warpsPerCta_ + w] =
-            ageCounter_++;
-        refreshReady(slot * static_cast<int>(warpsPerCta_) +
-                     static_cast<int>(w));
+        const int warp_slot =
+            slot * static_cast<int>(warpsPerCta_) + static_cast<int>(w);
+        warpAge_[static_cast<size_t>(warp_slot)] = ageCounter_++;
+        if (crit)
+            ageAppend(warp_slot);
+        refreshReady(warp_slot);
     }
     ++residentCtas_;
 }
@@ -378,6 +382,8 @@ Sm::warpExited(int slot)
 {
     WarpContext &warp = warps_[static_cast<size_t>(slot)];
     warp.active = false;
+    if (crit)
+        ageUnlink(slot);
     CtaContext &cta = ctas_[static_cast<size_t>(warp.ctaSlot)];
     ++cta.warpsDone;
 
@@ -405,12 +411,19 @@ Sm::issueWarp(int slot, Cycle now)
     const Instruction &inst = launch_->kernel->inst(pc);
     const LaneMask active = warp.stack.activeMask();
 
-    const StepInfo info = executor_.step(*launch_, cta, warp, pc, active);
+    StepInfo &info = stepInfo_;
+    executor_.step(*launch_, cta, warp, pc, active, info);
 
     ++stats_.hot.warpInsts;
     stats_.hot.threadInsts += static_cast<uint64_t>(std::popcount(active));
     lastIssued_ = slot;
     warpAge_[static_cast<size_t>(slot)] = ageCounter_++;
+    if (crit &&
+        ageList_[static_cast<unsigned>(slot) % config_.numSchedulers].tail !=
+            slot) {
+        ageUnlink(slot);
+        ageAppend(slot);
+    }
 
     switch (info.kind) {
       case StepInfo::Kind::Alu:
@@ -520,15 +533,42 @@ Sm::issueCycle(Cycle now)
 }
 
 void
-Sm::critCharge(unsigned scheduler, Cycle now, uint64_t count)
+Sm::ageAppend(int slot)
 {
-    using crit::StallReason;
+    AgeList &list =
+        ageList_[static_cast<unsigned>(slot) % config_.numSchedulers];
+    AgeLink &link = ageLink_[static_cast<size_t>(slot)];
+    link.prev = list.tail;
+    link.next = -1;
+    if (list.tail >= 0)
+        ageLink_[static_cast<size_t>(list.tail)].next = slot;
+    else
+        list.head = slot;
+    list.tail = slot;
+}
+
+void
+Sm::ageUnlink(int slot)
+{
+    AgeList &list =
+        ageList_[static_cast<unsigned>(slot) % config_.numSchedulers];
+    AgeLink &link = ageLink_[static_cast<size_t>(slot)];
+    if (link.prev >= 0)
+        ageLink_[static_cast<size_t>(link.prev)].next = link.next;
+    else
+        list.head = link.next;
+    if (link.next >= 0)
+        ageLink_[static_cast<size_t>(link.next)].prev = link.prev;
+    else
+        list.tail = link.prev;
+    link = AgeLink{};
+}
+
+int
+Sm::blockingByScan(unsigned scheduler) const
+{
     const unsigned nsched = config_.numSchedulers;
     const unsigned total = static_cast<unsigned>(warps_.size());
-
-    // The blocking warp: the oldest active warp this scheduler owns (the
-    // one it is most overdue to issue). DESIGN.md "Stall taxonomy" spells
-    // out the attribution rules below.
     int blocking = -1;
     uint64_t best_age = ~uint64_t{0};
     for (unsigned s = scheduler; s < total; s += nsched) {
@@ -537,6 +577,28 @@ Sm::critCharge(unsigned scheduler, Cycle now, uint64_t count)
             blocking = static_cast<int>(s);
         }
     }
+    return blocking;
+}
+
+void
+Sm::critCharge(unsigned scheduler, Cycle now, uint64_t count)
+{
+    using crit::StallReason;
+
+    // The blocking warp: the oldest active warp this scheduler owns (the
+    // one it is most overdue to issue), the head of its age list.
+    // DESIGN.md "Stall taxonomy" spells out the attribution rules below.
+    const int blocking = ageList_[scheduler].head;
+#if GCL_POOL_CHECKED
+    // Checked builds re-derive it with the reference scan: a missed list
+    // update shows up here at the first charge it would skew.
+    const int ref = blockingByScan(scheduler);
+    if (blocking != ref)
+        gcl_sim_error(SimError::Kind::Invariant, "sm" + std::to_string(id_),
+                      now, "age list names slot ", blocking,
+                      " as scheduler ", scheduler,
+                      "'s blocking warp, the reference scan names ", ref);
+#endif
     if (blocking < 0) {
         // Nothing live on this scheduler: either the SM still has CTAs
         // (their warps all sit on other schedulers or already retired)

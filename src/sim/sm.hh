@@ -127,9 +127,10 @@ class Sm
 
     /**
      * True when the LD/ST head's frozen failure is FailIcnt — the one
-     * stall an L1 fill cannot clear. The Gpu pairs this with
-     * Interconnect::canInject to detect the injection-credit event that
-     * un-freezes the head (a queue pop by the request arbitration).
+     * stall an L1 fill cannot clear. The Gpu freezes it into a sleeping
+     * SM's gate bit and pairs that with Interconnect::canInject to
+     * detect the injection-credit event that un-freezes the head (a
+     * queue pop by the request arbitration).
      */
     bool
     ldstStalledOnIcnt() const
@@ -222,6 +223,17 @@ class Sm
      * one evaluation at the span's first cycle covers every cycle of it.
      */
     void critCharge(unsigned scheduler, Cycle now, uint64_t count = 1);
+    /**
+     * The reference blocking warp: the oldest active slot @p scheduler
+     * owns, by a scan over its slots (checked builds compare it against
+     * the age list's head).
+     */
+    int blockingByScan(unsigned scheduler) const;
+
+    /** Append @p slot at the young end of its scheduler's age list. */
+    void ageAppend(int slot);
+    /** Remove @p slot from its scheduler's age list. */
+    void ageUnlink(int slot);
 
     // --- LD/ST unit ---
     void ldstCycle(Cycle now, Interconnect &icnt);
@@ -245,6 +257,8 @@ class Sm
     SimStats::Shard &stats_;    //!< this SM's private counter shard
     MemPools &pools_;
     WarpExecutor executor_;
+    /** issueWarp's step result, reused so a step never allocates. */
+    StepInfo stepInfo_;
     Cache l1_;
 
     /** This cycle's deferred global stores/atomics (enableWriteStaging). */
@@ -260,6 +274,27 @@ class Sm
     std::vector<WarpContext> warps_;
     std::vector<uint64_t> warpAge_;   //!< issue-order age for GTO
     uint64_t ageCounter_ = 0;
+
+    /**
+     * With the crit profiler on, each scheduler's active warps as a
+     * doubly linked list in warpAge_ order, oldest at the head: a warp is
+     * appended at launchCta, moved to the tail at issueWarp (both assign
+     * the newest age) and unlinked at warpExited. The head is
+     * critCharge's blocking warp; the issue path never touches the list
+     * when the profiler is off. -1 ends a list.
+     */
+    struct AgeLink
+    {
+        int prev = -1;
+        int next = -1;
+    };
+    struct AgeList
+    {
+        int head = -1;
+        int tail = -1;
+    };
+    std::vector<AgeLink> ageLink_;    //!< per slot
+    std::vector<AgeList> ageList_;    //!< per scheduler
     std::vector<unsigned> rrNext_;    //!< per-scheduler LRR pointer
     int lastIssued_ = -1;             //!< for GTO greediness
 

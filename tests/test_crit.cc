@@ -27,8 +27,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/config.hh"
+#include "sim/machine.hh"
 #include "util/stats.hh"
 #include "workloads/sim_context.hh"
 #include "workloads/workload.hh"
@@ -43,9 +46,9 @@ using gcl::workloads::byName;
 
 /** Run @p app to completion and return its finalized stats. */
 StatsSet
-runStats(const std::string &app, bool crit, unsigned sim_threads = 1)
+runStats(const std::string &app, bool crit, unsigned sim_threads = 1,
+         GpuConfig config = {})
 {
-    GpuConfig config{};
     config.crit = crit;
     config.simThreads = sim_threads;
     SimContext ctx(byName(app), config);
@@ -76,8 +79,20 @@ const char *const kReasons[] = {
 
 TEST(Crit, AccountingIdentityHoldsExactly)
 {
-    for (const char *app : {"gaus", "bpr"}) {
-        const StatsSet stats = runStats(app, true);
+    // gaus and bpr on the default machine, plus gaus on modern-core (GTO,
+    // four schedulers per SM), whose age lists see greedy re-issues and
+    // interleaved schedulers; checked builds compare every blocking warp
+    // against the reference scan along the way.
+    const GpuConfig modern = gcl::sim::loadMachineFile(
+        std::string(GCL_REPO_CONFIGS_DIR) + "/modern-core.config");
+    const std::vector<std::pair<std::string, GpuConfig>> runs = {
+        {"gaus", GpuConfig{}},
+        {"bpr", GpuConfig{}},
+        {"gaus", modern},
+    };
+    for (const auto &[app_name, machine] : runs) {
+        const std::string app = app_name + " on " + machine.machineName;
+        const StatsSet stats = runStats(app_name, true, 1, machine);
         ASSERT_TRUE(stats.has("crit.issue_width")) << app;
         const double width = stats.get("crit.issue_width");
         ASSERT_GT(width, 0) << app;

@@ -1,14 +1,22 @@
 /**
  * @file
  * DRAM channel and interconnect unit tests: FCFS latency/bandwidth,
- * bounded queues, crossbar arbitration and ordering.
+ * bounded queues, crossbar arbitration and ordering, and a reference
+ * model of the crossbar checked cycle by cycle under random traffic.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "guard/sim_error.hh"
 #include "sim/dram.hh"
 #include "sim/interconnect.hh"
+#include "snap/io.hh"
 
 namespace
 {
@@ -216,6 +224,287 @@ TEST_F(IcntTest, RoundRobinIsFairUnderContention)
     }
     EXPECT_GT(delivered[0], 3);
     EXPECT_GT(delivered[1], 3);
+}
+
+TEST_F(IcntTest, LoadRejectsOutOfRangeRoundRobinPointers)
+{
+    // The arbitration walks index the endpoint arrays from the restored
+    // pointers, so load() must refuse a pointer at or past its endpoint
+    // count (4 SMs, 2 partitions here) with a structured error.
+    const auto config = testConfig();
+    auto load = [&](uint32_t req_rr, uint32_t resp_rr) {
+        gcl::snap::SnapWriter out;
+        out.u32(req_rr);
+        out.u32(resp_rr);
+        gcl::snap::SnapReader in(out.buffer().data(), out.size());
+        Interconnect icnt(config, pools);
+        icnt.load(in);
+    };
+    EXPECT_NO_THROW(load(3, 1));
+    const std::vector<std::pair<uint32_t, uint32_t>> bad = {
+        {4, 0}, {0, 2}, {0xffffffffu, 0}};
+    for (const auto &[req_rr, resp_rr] : bad) {
+        try {
+            load(req_rr, resp_rr);
+            FAIL() << "pointers " << req_rr << ", " << resp_rr
+                   << " were accepted";
+        } catch (const gcl::SimError &e) {
+            EXPECT_EQ(e.kind(), gcl::SimError::Kind::Snapshot);
+            EXPECT_EQ(e.component(), "icnt");
+        }
+    }
+}
+
+/**
+ * The crossbar as documented, written from scratch: plain FIFOs with
+ * ready cycles and the two round-robin rules. Request side: SMs are
+ * visited once each from the pointer; an SM's head moves when its
+ * partition has taken nothing yet this cycle and holds fewer than
+ * partQueueDepth in-flight flits. Response side: partitions are visited
+ * once each from the pointer; a head moves when its SM has taken nothing
+ * yet this cycle. Both pointers advance by one every cycle.
+ */
+class CrossbarModel
+{
+  public:
+    struct Flit
+    {
+        ReqHandle req;
+        int dest;        //!< partition (request side) or SM (response)
+        Cycle readyAt;   //!< meaningful once in flight
+    };
+
+    explicit CrossbarModel(const GpuConfig &config)
+        : config(config), inject(config.numSms), toPart(config.numPartitions),
+          respQ(config.numPartitions), toSm(config.numSms)
+    {}
+
+    bool
+    canInject(unsigned sm) const
+    {
+        return inject[sm].size() < config.icntInjectQueueDepth;
+    }
+
+    bool
+    canRespond(unsigned part) const
+    {
+        return respQ[part].size() < config.icntRespQueueDepth;
+    }
+
+    static bool
+    ready(const std::deque<Flit> &q, Cycle now)
+    {
+        return !q.empty() && q.front().readyAt <= now;
+    }
+
+    void
+    cycle(Cycle now)
+    {
+        std::vector<bool> part_taken(config.numPartitions, false);
+        for (unsigned i = 0; i < config.numSms; ++i) {
+            const unsigned sm = (reqRr + i) % config.numSms;
+            if (inject[sm].empty())
+                continue;
+            Flit flit = inject[sm].front();
+            const auto part = static_cast<unsigned>(flit.dest);
+            if (part_taken[part] ||
+                toPart[part].size() >= config.partQueueDepth)
+                continue;
+            part_taken[part] = true;
+            flit.readyAt = now + config.icntLatency;
+            toPart[part].push_back(flit);
+            inject[sm].pop_front();
+        }
+        reqRr = (reqRr + 1) % config.numSms;
+
+        std::vector<bool> sm_taken(config.numSms, false);
+        for (unsigned i = 0; i < config.numPartitions; ++i) {
+            const unsigned part = (respRr + i) % config.numPartitions;
+            if (respQ[part].empty())
+                continue;
+            Flit flit = respQ[part].front();
+            const auto sm = static_cast<unsigned>(flit.dest);
+            if (sm_taken[sm])
+                continue;
+            sm_taken[sm] = true;
+            flit.readyAt = now + config.icntLatency;
+            toSm[sm].push_back(flit);
+            respQ[part].pop_front();
+        }
+        respRr = (respRr + 1) % config.numPartitions;
+    }
+
+    Cycle
+    nextEventCycle(Cycle now) const
+    {
+        for (const auto &q : inject)
+            if (!q.empty())
+                return now + 1;
+        for (const auto &q : respQ)
+            if (!q.empty())
+                return now + 1;
+        Cycle next = ~Cycle{0};
+        for (const auto *side : {&toPart, &toSm})
+            for (const auto &q : *side)
+                if (!q.empty())
+                    next = std::min(next, q.front().readyAt);
+        if (next == ~Cycle{0})
+            return next;
+        return std::max(next, now + 1);
+    }
+
+    void
+    skip(uint64_t span)
+    {
+        reqRr = static_cast<unsigned>((reqRr + span) % config.numSms);
+        respRr =
+            static_cast<unsigned>((respRr + span) % config.numPartitions);
+    }
+
+    GpuConfig config;
+    std::vector<std::deque<Flit>> inject;   //!< per SM
+    std::vector<std::deque<Flit>> toPart;   //!< per partition, in flight
+    std::vector<std::deque<Flit>> respQ;    //!< per partition
+    std::vector<std::deque<Flit>> toSm;     //!< per SM, in flight
+    unsigned reqRr = 0;
+    unsigned respRr = 0;
+};
+
+TEST_F(IcntTest, MatchesReferenceModel)
+{
+    // Seeded random traffic through cycle() on a small crossbar with
+    // shallow queues, so credits, head-of-line blocking and same-cycle
+    // contention all happen. The cycle follows the Gpu's order: SMs
+    // inject, the crossbar arbitrates, partitions pop arrivals and
+    // respond, SMs pop responses. Every cycle the crossbar must agree
+    // with the model on canInject, canRespond, hasRequest, hasResponse,
+    // nextEventCycle and every popped handle. Quiet phases let the
+    // network drain, and the clock jumps to nextEventCycle there, as
+    // the Gpu's clock jump does.
+    for (const unsigned latency : {0u, 3u}) {
+        for (unsigned depths = 0; depths < 8; ++depths) {
+            GpuConfig config;
+            config.numSms = 3;
+            config.numPartitions = 2;
+            config.icntLatency = latency;
+            config.icntInjectQueueDepth = 1 + (depths & 1);
+            config.partQueueDepth = 1 + ((depths >> 1) & 1);
+            config.icntRespQueueDepth = 1 + ((depths >> 2) & 1);
+            const std::string label = "latency " + std::to_string(latency) +
+                                      ", depths " + std::to_string(depths);
+
+            Interconnect icnt(config, pools);
+            CrossbarModel model(config);
+            std::mt19937_64 rng(0x1c47 + latency * 8 + depths);
+            auto chance = [&](unsigned percent) {
+                return rng() % 100 < percent;
+            };
+            uint64_t moved = 0;
+            uint64_t jumps = 0;
+
+            for (Cycle now = 1; now < 3000; ++now) {
+                // 60 busy cycles, then 40 quiet ones with no new traffic
+                // and every endpoint draining.
+                const bool busy = now % 100 < 60;
+                for (unsigned sm = 0; sm < config.numSms; ++sm) {
+                    ASSERT_EQ(icnt.canInject(static_cast<int>(sm)),
+                              model.canInject(sm))
+                        << label << ", cycle " << now << ", sm " << sm;
+                    if (busy && model.canInject(sm) && chance(70)) {
+                        const int part =
+                            static_cast<int>(rng() % config.numPartitions);
+                        const ReqHandle req =
+                            makeReq(static_cast<int>(sm), part);
+                        icnt.inject(req, now);
+                        model.inject[sm].push_back({req, part, 0});
+                    }
+                }
+
+                icnt.cycle(now);
+                model.cycle(now);
+
+                for (unsigned part = 0; part < config.numPartitions;
+                     ++part) {
+                    const bool has = CrossbarModel::ready(model.toPart[part],
+                                                          now);
+                    ASSERT_EQ(icnt.hasRequest(static_cast<int>(part), now),
+                              has)
+                        << label << ", cycle " << now << ", part " << part;
+                    // A busy partition stalls half the time, which backs
+                    // the request side up to its credits.
+                    if (has && (!busy || chance(50))) {
+                        const ReqHandle req =
+                            icnt.popRequest(static_cast<int>(part), now);
+                        ASSERT_EQ(req, model.toPart[part].front().req)
+                            << label << ", cycle " << now;
+                        model.toPart[part].pop_front();
+                        pools.reqs.free(req);
+                        ++moved;
+                    }
+                    ASSERT_EQ(icnt.canRespond(static_cast<int>(part)),
+                              model.canRespond(part))
+                        << label << ", cycle " << now << ", part " << part;
+                    if (busy && model.canRespond(part) && chance(60)) {
+                        const int sm =
+                            static_cast<int>(rng() % config.numSms);
+                        const ReqHandle req =
+                            makeReq(sm, static_cast<int>(part));
+                        icnt.respond(req, now);
+                        model.respQ[part].push_back({req, sm, 0});
+                    }
+                }
+
+                for (unsigned sm = 0; sm < config.numSms; ++sm) {
+                    const bool has = CrossbarModel::ready(model.toSm[sm],
+                                                          now);
+                    ASSERT_EQ(icnt.hasResponse(static_cast<int>(sm), now),
+                              has)
+                        << label << ", cycle " << now << ", sm " << sm;
+                    // An SM drains every deliverable response, as
+                    // Sm::drainResponses does.
+                    while (CrossbarModel::ready(model.toSm[sm], now)) {
+                        ASSERT_TRUE(
+                            icnt.hasResponse(static_cast<int>(sm), now));
+                        const ReqHandle req =
+                            icnt.popResponse(static_cast<int>(sm), now);
+                        ASSERT_EQ(req, model.toSm[sm].front().req)
+                            << label << ", cycle " << now;
+                        model.toSm[sm].pop_front();
+                        pools.reqs.free(req);
+                        ++moved;
+                    }
+                    ASSERT_FALSE(icnt.hasResponse(static_cast<int>(sm), now))
+                        << label << ", cycle " << now << ", sm " << sm;
+                }
+
+                const Cycle next = model.nextEventCycle(now);
+                ASSERT_EQ(icnt.nextEventCycle(now), next)
+                    << label << ", cycle " << now;
+                // Quiet phase: nothing enters, so the clock may jump to
+                // the next event (within the phase), with the pointers
+                // credited for the jumped span.
+                const Cycle phase_end = now - now % 100 + 100;
+                if (!busy && next > now + 1) {
+                    const Cycle target = std::min(next, phase_end);
+                    if (target > now + 1) {
+                        icnt.skipAdvance(target - (now + 1));
+                        model.skip(target - (now + 1));
+                        now = target - 1;
+                        ++jumps;
+                    }
+                }
+            }
+            EXPECT_GT(moved, 1000u) << label;
+            EXPECT_GT(jumps, 0u) << label;
+            // Free what is still in flight so the pool does not fill up
+            // across configs.
+            for (auto *side : {&model.inject, &model.toPart, &model.respQ,
+                               &model.toSm})
+                for (auto &q : *side)
+                    for (const auto &flit : q)
+                        pools.reqs.free(flit.req);
+        }
+    }
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hh"
@@ -96,22 +97,35 @@ expectIdentical(const RunOutput &threaded, const RunOutput &serial,
 
 TEST(ParallelTick, StatsAndTraceBitIdenticalAcrossThreadCounts)
 {
-    const GpuConfig config{};
-    for (const auto &app : kSmallApps) {
-        const RunOutput serial = runOnce(app, config, 1, /*traced=*/true);
-        EXPECT_TRUE(serial.verified) << app;
-        EXPECT_FALSE(serial.failed) << app;
-        EXPECT_FALSE(serial.stats.empty()) << app;
+    // The default machine, and a backed-up crossbar whose one-deep queues
+    // keep partition credits binding: there the threaded request
+    // arbitration, which runs after the partitions popped and adds those
+    // pops back (Interconnect::commitCycle), decides who injects.
+    GpuConfig backed_up{};
+    backed_up.icntInjectQueueDepth = 1;
+    backed_up.partQueueDepth = 1;
+    backed_up.icntRespQueueDepth = 1;
+    const std::pair<std::string, GpuConfig> configs[] = {
+        {"default", GpuConfig{}}, {"backed-up crossbar", backed_up}};
+    for (const auto &[name, config] : configs) {
+        for (const auto &app : kSmallApps) {
+            const std::string label = app + " (" + name + ")";
+            const RunOutput serial =
+                runOnce(app, config, 1, /*traced=*/true);
+            EXPECT_TRUE(serial.verified) << label;
+            EXPECT_FALSE(serial.failed) << label;
+            EXPECT_FALSE(serial.stats.empty()) << label;
 #ifndef GCL_TRACE_DISABLED
-        // With emission compiled out the trace is legitimately empty; the
-        // identity comparisons below still hold (empty == empty).
-        EXPECT_FALSE(serial.trace.empty()) << app;
+            // With emission compiled out the trace is legitimately empty;
+            // the identity comparisons below still hold (empty == empty).
+            EXPECT_FALSE(serial.trace.empty()) << label;
 #endif
-        for (unsigned threads : kThreadCounts) {
-            const RunOutput threaded =
-                runOnce(app, config, threads, /*traced=*/true);
-            expectIdentical(threaded, serial,
-                            app + " @t=" + std::to_string(threads));
+            for (unsigned threads : kThreadCounts) {
+                const RunOutput threaded =
+                    runOnce(app, config, threads, /*traced=*/true);
+                expectIdentical(threaded, serial,
+                                label + " @t=" + std::to_string(threads));
+            }
         }
     }
 }

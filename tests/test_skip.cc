@@ -116,14 +116,26 @@ TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
     // gaus drains its SMs between launches (long dead spans); bpr adds
     // atomic traffic through the partitions' ROP path. A zero-latency
     // crossbar delivers a flit in the cycle it was pushed, so a sleeping
-    // partition or SM must wake and take it in that same cycle.
+    // partition or SM must wake and take it in that same cycle. A
+    // backed-up crossbar (every queue one deep) freezes LD/ST heads on
+    // FailIcnt: sleeping SMs then wake through their gate bit when an
+    // injection credit returns, and a jump must wait for a credit that
+    // came back while every unit slept (the FailIcnt block of
+    // Gpu::skipTarget).
     GpuConfig zero_latency{};
     zero_latency.icntLatency = 0;
+    GpuConfig backed_up{};
+    backed_up.icntInjectQueueDepth = 1;
+    backed_up.partQueueDepth = 1;
+    backed_up.icntRespQueueDepth = 1;
     for (const std::string app : {"gaus", "bpr"}) {
         expectIdentical(runClean(app, true), runClean(app, false), app);
         expectIdentical(runClean(app, true, zero_latency),
                         runClean(app, false, zero_latency),
                         app + " icnt_latency=0");
+        expectIdentical(runClean(app, true, backed_up),
+                        runClean(app, false, backed_up),
+                        app + " one-deep crossbar queues");
     }
 }
 
