@@ -42,10 +42,10 @@ constexpr unsigned kDatasetVersion = 5;
  * required to match on load. Bump whenever the header or body layout
  * changes so stale entries become clean misses instead of parse errors.
  *   v2: header gained this schema field ("gclbench <schema> <verified>").
- *   v3: the deterministic-tick write protocol (global stores/atomics
- *       committed at end of cycle, at every sim_threads count) shifted
- *       functional timing, so v2 stats are stale even though the config
- *       fingerprint did not change.
+ *   v3: the end-of-cycle global write commit (stores/atomics applied at
+ *       end of cycle in SM-id order) shifted functional timing, so v2
+ *       stats are stale even though the config fingerprint did not
+ *       change.
  *   v4: the machine-description frontend changed what the fingerprint
  *       covers (machine name, per-opcode-class timing, DRAM row model),
  *       so v3 keys can alias configs the old hash never distinguished.
@@ -574,12 +574,6 @@ appConfig(const std::string &name, const sim::GpuConfig &base)
     // cache entries and never alias a crit-off sweep's.
     if (g_options.crit)
         config.crit = true;
-    // Tick threads never affect results (and are excluded from the
-    // fingerprint), so applying them after the overrides cannot split the
-    // cache; an explicit --sim-config sim_threads=N still wins when the
-    // flag/env is absent.
-    if (g_options.simThreads >= 0)
-        config.simThreads = static_cast<unsigned>(g_options.simThreads);
     if (!g_options.faultPlan.empty() && g_faultPlan.appliesTo(name))
         config.faultPlan = g_options.faultPlan;
     // Sampling changes stats content (sample.* keys) and is fingerprinted
@@ -604,15 +598,6 @@ unsigned
 effectiveJobs()
 {
     return exec::resolveJobs(g_options.jobs, "GCL_BENCH_JOBS", 1);
-}
-
-unsigned
-effectiveSimThreads()
-{
-    // Auto (0) was resolved to a concrete count in initBench().
-    return g_options.simThreads < 0
-               ? 1
-               : static_cast<unsigned>(g_options.simThreads);
 }
 
 void
@@ -654,12 +639,6 @@ initBench(int argc, char **argv)
                 gcl_fatal("--jobs=", v, " is not a job count");
             g_options.jobs = n == 0 ? exec::hardwareThreads()
                                     : static_cast<unsigned>(n);
-        } else if (const char *v = value(arg, "--sim-threads")) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v, &end, 10);
-            if (end == v || *end != '\0')
-                gcl_fatal("--sim-threads=", v, " is not a thread count");
-            g_options.simThreads = static_cast<int>(n);
         } else if (const char *v = value(arg, "--max-cycles")) {
             char *end = nullptr;
             const unsigned long long n = std::strtoull(v, &end, 10);
@@ -730,13 +709,6 @@ initBench(int argc, char **argv)
                 "concurrently (0 = #cores;\n"
                 "                           default GCL_BENCH_JOBS, "
                 "else 1)\n"
-                "  --sim-threads=N          tick threads inside each "
-                "simulation; results\n"
-                "                           are bit-identical at any N "
-                "(0 = #cores minus\n"
-                "                           sweep jobs, min 1; default "
-                "GCL_SIM_THREADS,\n"
-                "                           else 1)\n"
                 "  --machine=NAME|PATH      machine description: a "
                 "configs/ zoo name\n"
                 "                           (e.g. c2050, hbm-sectored) or "
@@ -812,16 +784,6 @@ initBench(int argc, char **argv)
             g_options.maxCycles = n;
         }
     }
-    if (g_options.simThreads < 0) {
-        if (const char *env = std::getenv("GCL_SIM_THREADS")) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(env, &end, 10);
-            if (end == env || *end != '\0')
-                gcl_fatal("GCL_SIM_THREADS=", env,
-                          " is not a thread count");
-            g_options.simThreads = static_cast<int>(n);
-        }
-    }
     if (g_options.machine.empty())
         if (const char *env = std::getenv("GCL_MACHINE"))
             g_options.machine = env;
@@ -834,22 +796,6 @@ initBench(int argc, char **argv)
     if (g_options.sample.empty())
         if (const char *env = std::getenv("GCL_SAMPLE"))
             g_options.sample = env;
-
-    // Resolve --sim-threads=0 ("auto") once, here, so every run and the
-    // header report the same concrete count: the hardware threads left
-    // over after the sweep's own jobs, never below one tick thread.
-    if (g_options.simThreads == 0) {
-        const unsigned hw = exec::hardwareThreads();
-        const unsigned jobs = effectiveJobs();
-        if (hw > jobs) {
-            g_options.simThreads = static_cast<int>(hw - jobs);
-        } else {
-            gcl_warn("--sim-threads=0: ", jobs, " sweep job(s) already ",
-                     "cover the ", hw, " hardware thread(s); clamping to ",
-                     "1 tick thread per simulation");
-            g_options.simThreads = 1;
-        }
-    }
 
     // Resolve the machine description once, eagerly: a typo'd name or
     // unparseable file is a usage error at startup. The source *path*
@@ -1130,10 +1076,6 @@ printHeader(const std::string &title, const sim::GpuConfig &config)
     if (!g_options.simConfig.empty())
         std::printf("sim-config overrides: %s\n",
                     g_options.simConfig.c_str());
-    if (effectiveSimThreads() != 1)
-        std::printf("sim-threads: %u per run (deterministic tick), "
-                    "jobs: %u\n",
-                    effectiveSimThreads(), effectiveJobs());
     if (!g_options.faultPlan.empty())
         std::printf("fault plan: %s\n", g_options.faultPlan.c_str());
     std::printf("\n");

@@ -24,10 +24,6 @@
  *   --jobs=N                  simulate up to N applications concurrently
  *                             (0 = one per hardware thread; default
  *                             GCL_BENCH_JOBS, else 1)
- *   --sim-threads=N           tick threads *inside* each simulation
- *                             (deterministic; 0 = hardware threads minus
- *                             sweep jobs, clamped >= 1; default
- *                             GCL_SIM_THREADS, else 1)
  *   --crit                    enable the gcl::crit criticality profiler
  *                             (per-PC stall attribution + latency
  *                             decomposition folded into the stats)
@@ -63,15 +59,12 @@
  * manifest + per-run summary tell the user what `--resume` will pick up.
  * A second signal kills the process immediately.
  *
- * Two parallelism axes compose multiplicatively. --jobs spreads the sweep
- * *across* applications: each run is a thread-confined
- * workloads::SimContext scheduled on a gcl::exec pool, results land in
- * canonical (Table I) order, and per-run trace sinks are merged into one
- * well-formed Chrome trace — so every artifact is bit-identical to a
- * --jobs=1 sweep. --sim-threads additionally parallelizes the cycle loop
- * *within* each simulation (the Gpu's deterministic two-phase tick); it
- * changes wall-clock only, never results, so cache entries, stats, traces
- * and figures are byte-identical at any thread count.
+ * --jobs spreads the sweep *across* applications: each run is a
+ * thread-confined workloads::SimContext scheduled on a gcl::exec pool,
+ * results land in canonical (Table I) order, and per-run trace sinks are
+ * merged into one well-formed Chrome trace — so every artifact is
+ * bit-identical to a --jobs=1 sweep. Each simulation's cycle loop runs on
+ * the one thread that owns its SimContext.
  */
 
 #ifndef GCL_BENCH_COMMON_RUNNER_HH
@@ -121,7 +114,6 @@ struct Options
     bool fresh = false;            //!< bypass the run cache
     std::vector<std::string> apps; //!< runSuite() filter (empty = all)
     unsigned jobs = 0;             //!< --jobs value (0 = unset/env/serial)
-    int simThreads = -1;           //!< --sim-threads (-1 = unset/env/serial)
     uint64_t maxCycles = 0;        //!< per-run cycle budget (0 = default)
     std::string machine;           //!< --machine spec (name or path)
     std::string simConfig;         //!< key=value config overrides
@@ -161,14 +153,6 @@ std::vector<AppResult> runSuite(const sim::GpuConfig &config);
 
 /** The job count runSuite() will use: --jobs, else GCL_BENCH_JOBS, else 1. */
 unsigned effectiveJobs();
-
-/**
- * The per-simulation tick-thread count every run gets: --sim-threads, else
- * GCL_SIM_THREADS, else 1. A request of 0 ("auto") was already resolved by
- * initBench() to hardware threads minus the sweep's job count, clamped to
- * at least 1 (with a warning when the clamp engages).
- */
-unsigned effectiveSimThreads();
 
 /**
  * The base configuration every bench starts from: the machine resolved by

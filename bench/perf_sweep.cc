@@ -45,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/scheduler.hh"
 #include "sim/config.hh"
 #include "sim/sample.hh"
 #include "util/logging.hh"
@@ -104,8 +103,7 @@ peakRssKb()
 
 void
 writeJson(const std::string &path, const std::string &label,
-          const std::vector<AppPerf> &apps, unsigned repeat,
-          unsigned sim_threads)
+          const std::vector<AppPerf> &apps, unsigned repeat)
 {
     uint64_t total_cycles = 0, total_insts = 0;
     double total_seconds = 0.0;
@@ -130,7 +128,6 @@ writeJson(const std::string &path, const std::string &label,
     out << "  \"bench\": \"perf_sweep\",\n";
     out << "  \"label\": \"" << label << "\",\n";
     out << "  \"repeat\": " << repeat << ",\n";
-    out << "  \"sim_threads\": " << sim_threads << ",\n";
     out << "  \"per_app\": [\n";
     for (size_t i = 0; i < apps.size(); ++i) {
         const AppPerf &app = apps[i];
@@ -173,7 +170,6 @@ main(int argc, char **argv)
     unsigned repeat = 3;
     std::string out_path = "BENCH_perf.json";
     std::string label = "perf_sweep";
-    int sim_threads = -1;  // -1 = unset: GCL_SIM_THREADS, else 1
     bool crit = false;     // time with the criticality profiler enabled
     std::string sim_config; // K=V,... config overrides (A/B timing runs)
     std::string sample;     // sampled-simulation spec (empty = off)
@@ -201,12 +197,6 @@ main(int argc, char **argv)
             out_path = v;
         } else if (const char *v = value(arg, "--label")) {
             label = v;
-        } else if (const char *v = value(arg, "--sim-threads")) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v, &end, 10);
-            if (end == v || *end != '\0')
-                gcl_fatal("--sim-threads=", v, " is not a thread count");
-            sim_threads = static_cast<int>(n);
         } else if (std::strcmp(arg, "--crit") == 0) {
             crit = true;
         } else if (const char *v = value(arg, "--sim-config")) {
@@ -219,15 +209,10 @@ main(int argc, char **argv)
                    std::strcmp(arg, "-h") == 0) {
             std::printf("usage: %s [--apps=a,b,c] [--repeat=N] "
                         "[--out=FILE] [--label=STR]\n"
-                        "          [--sim-threads=N] [--sim-config=K=V,...] "
-                        "[--crit]\n"
+                        "          [--sim-config=K=V,...] [--crit]\n"
                         "Times fresh simulations of the pinned app subset "
                         "and writes a\nBENCH_perf.json throughput snapshot "
                         "(compare with tools/perf_diff).\n"
-                        "--sim-threads parallelizes the tick loop inside "
-                        "each run;\nresults stay bit-identical (0 = all "
-                        "hardware threads;\ndefault GCL_SIM_THREADS, "
-                        "else 1).\n"
                         "--crit times the run with the criticality "
                         "profiler enabled,\nto measure its overhead "
                         "against a plain snapshot.\n"
@@ -252,23 +237,6 @@ main(int argc, char **argv)
             gcl_fatal("--apps: unknown application '", name,
                       "' (known: ", gcl::workloads::knownNames(), ")");
 
-    if (sim_threads < 0) {
-        if (const char *env = std::getenv("GCL_SIM_THREADS")) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(env, &end, 10);
-            if (end == env || *end != '\0')
-                gcl_fatal("GCL_SIM_THREADS=", env,
-                          " is not a thread count");
-            sim_threads = static_cast<int>(n);
-        } else {
-            sim_threads = 1;
-        }
-    }
-    // This bench runs apps one at a time (no sweep jobs to subtract), so
-    // auto simply takes the whole machine.
-    if (sim_threads == 0)
-        sim_threads = static_cast<int>(gcl::exec::hardwareThreads());
-
     GpuConfig config{};
     if (!sim_config.empty()) {
         try {
@@ -277,7 +245,6 @@ main(int argc, char **argv)
             gcl_fatal("--sim-config: ", error.message());
         }
     }
-    config.simThreads = static_cast<unsigned>(sim_threads);
     config.crit = crit;
     if (!sample.empty()) {
         try {
@@ -300,9 +267,6 @@ main(int argc, char **argv)
     results.reserve(apps.size());
 
     std::printf("== perf_sweep: simulator throughput ==\n");
-    if (config.simThreads != 1)
-        std::printf("sim-threads: %u (deterministic tick)\n",
-                    config.simThreads);
     if (crit)
         std::printf("crit profiler: enabled (overhead measurement)\n");
     if (!sample.empty())
@@ -392,7 +356,7 @@ main(int argc, char **argv)
                 static_cast<double>(total_cycles) / total_seconds);
     std::printf("peak RSS: %ld KB\n", peakRssKb());
 
-    writeJson(out_path, label, results, repeat, config.simThreads);
+    writeJson(out_path, label, results, repeat);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

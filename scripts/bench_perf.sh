@@ -5,7 +5,6 @@
 # bench/baselines/BENCH_perf_baseline.json with tools/perf_diff.
 #
 # Usage: scripts/bench_perf.sh [--out=FILE] [--repeat=N] [--no-diff]
-#                              [--sim-threads=N]
 #        BUILD_DIR=out scripts/bench_perf.sh
 #
 # The snapshot label is the short HEAD hash, with "+dirty" appended when
@@ -28,12 +27,10 @@ cd "$(dirname "$0")/.."
 OUT=BENCH_perf.json
 REPEAT=3
 DIFF=1
-SIM_THREADS=
 for arg in "$@"; do
     case "$arg" in
       --out=*) OUT=${arg#--out=} ;;
       --repeat=*) REPEAT=${arg#--repeat=} ;;
-      --sim-threads=*) SIM_THREADS=${arg#--sim-threads=} ;;
       --no-diff) DIFF=0 ;;
       *) echo "bench_perf.sh: unknown argument '$arg'" >&2; exit 2 ;;
     esac
@@ -48,9 +45,8 @@ cmake --build "$BUILD_DIR" -j"$JOBS" --target perf_sweep perf_diff
 LABEL=$(git rev-parse --short HEAD 2> /dev/null || echo local)
 git diff --quiet HEAD 2> /dev/null || LABEL="$LABEL+dirty"
 
-SWEEP_ARGS=(--repeat="$REPEAT" --out="$OUT" --label="$LABEL")
-[ -n "$SIM_THREADS" ] && SWEEP_ARGS+=(--sim-threads="$SIM_THREADS")
-"$BUILD_DIR/bench/perf_sweep" "${SWEEP_ARGS[@]}"
+"$BUILD_DIR/bench/perf_sweep" --repeat="$REPEAT" --out="$OUT" \
+    --label="$LABEL"
 
 BASELINE=bench/baselines/BENCH_perf_baseline.json
 if [ "$DIFF" = 1 ] && [ -f "$BASELINE" ]; then

@@ -74,40 +74,19 @@ GCL_BENCH_CACHE="$tmp/cache-j3t" "$BUILD_DIR/bench/fig1_load_classes" \
 "$BUILD_DIR/tools/trace_check" \
     --trace="$tmp/trace-par.json" --stats="$tmp/stats-par.json"
 
-# Intra-run parallel-tick determinism: a --sim-threads=4 fresh sweep must
-# leave byte-identical cache entries to --sim-threads=1 (mirroring the
-# jobs=1-vs-3 stage above — sim_threads is likewise excluded from the
-# config fingerprint, so both runs share cache keys).
-GCL_BENCH_CACHE="$tmp/cache-t1" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=$SMALL_APPS --fresh --sim-threads=1 > /dev/null 2> /dev/null
-GCL_BENCH_CACHE="$tmp/cache-t4" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=$SMALL_APPS --fresh --sim-threads=4 > /dev/null 2> /dev/null
-diff -r "$tmp/cache-t1" "$tmp/cache-t4" \
-    || { echo "check: parallel tick diverged from serial" >&2; exit 1; }
-
 # Criticality profiler (gcl::crit): a crit-enabled sweep must export
 # stats whose per-SM issue-slot accounting is exact (trace_check
-# re-verifies issued + stalls == cycles * issue_width from the JSON), its
-# cache entries and reports must be byte-identical across tick-thread
-# counts, and crit_report over the three small apps must match the
-# committed golden. The profiler-off path needs no stage of its own:
+# re-verifies issued + stalls == cycles * issue_width from the JSON), and
+# crit_report over the three small apps must match the committed golden.
+# The profiler-off path needs no stage of its own:
 # crit defaults to off, so every other stage in this script (including
 # the perf-delta gate below) already runs and measures the disabled
 # simulator.
 GCL_BENCH_CACHE="$tmp/cache-crit1" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=$SMALL_APPS --fresh --crit --sim-threads=1 \
+    --apps=$SMALL_APPS --fresh --crit \
     --stats-json="$tmp/stats-crit.json" \
     --crit-out="$tmp/crit-report.txt" > /dev/null 2> /dev/null
 "$BUILD_DIR/tools/trace_check" --stats="$tmp/stats-crit.json"
-GCL_BENCH_CACHE="$tmp/cache-crit4" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=$SMALL_APPS --fresh --crit --sim-threads=4 \
-    --crit-out="$tmp/crit-report-t4.txt" > /dev/null 2> /dev/null
-diff -r "$tmp/cache-crit1" "$tmp/cache-crit4" \
-    || { echo "check: crit profiling diverged across tick threads" >&2
-         exit 1; }
-cmp "$tmp/crit-report.txt" "$tmp/crit-report-t4.txt" \
-    || { echo "check: crit report differs across tick threads" >&2
-         exit 1; }
 "$BUILD_DIR/tools/crit_report" --stats="$tmp/stats-crit.json" --top-n=3 \
     > "$tmp/crit-top3.txt" 2> /dev/null
 diff tests/goldens/crit_report_small.txt "$tmp/crit-top3.txt" \
@@ -291,7 +270,7 @@ cmp "$tmp/stats-snap-ref.json" "$tmp/stats-snap9.json" \
 
 # Sampled simulation (--sample, src/sim/sample.hh): functional
 # fast-forward outside detailed windows, whole-run stats extrapolated
-# from the windows. Three gates:
+# from the windows. Two gates:
 #
 # (a) Accuracy: on the anchor configuration (sssp, a long-running graph
 #     app, dram_latency=800, one detailed launch window) the
@@ -338,20 +317,7 @@ grep -q '"sample\.' "$tmp/stats-sample-full.json" \
 grep -q '"sample.est.cycles"' "$tmp/stats-sample-k9.json" \
     || { echo "check: sampled run missing sample.est.cycles" >&2; exit 1; }
 #
-# (b) Determinism: a sampled run's cache entries — including the shared
-#     functional-prefix snapshot it writes — must be byte-identical
-#     across tick-thread counts, like every other artifact.
-GCL_BENCH_CACHE="$tmp/cache-samp-t1" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=gaus --fresh --sample=every:4 --sim-threads=1 \
-    > /dev/null 2> /dev/null
-GCL_BENCH_CACHE="$tmp/cache-samp-t4" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=gaus --fresh --sample=every:4 --sim-threads=4 \
-    > /dev/null 2> /dev/null
-diff -r "$tmp/cache-samp-t1" "$tmp/cache-samp-t4" \
-    || { echo "check: sampled run diverged across tick threads" >&2
-         exit 1; }
-#
-# (c) Speedup: on the anchor app, whole-run fast-forward (ctas:0:0,
+# (b) Speedup: on the anchor app, whole-run fast-forward (ctas:0:0,
 #     functional fidelity only) must be >= 10x the full run, and the
 #     accuracy-bearing window above (kernels:9, the run that passed the
 #     5% gate) must be >= 5x with its prefix warm-started — both
@@ -377,19 +343,15 @@ diff -r "$tmp/cache-samp-t1" "$tmp/cache-samp-t4" \
     || { echo "check: windowed sampling missed its 5x contract" >&2
          exit 1; }
 
-# Perf trajectory: run the pinned-subset throughput sweep serially and
-# with the parallel tick, report both, and print the serial delta against
-# the committed baseline (the baseline is a sim_threads=1 snapshot;
-# perf_sweep times median-of-3 repetitions).
+# Perf trajectory: run the pinned-subset throughput sweep, report it, and
+# print its delta against the committed baseline (perf_sweep times
+# median-of-3 repetitions).
 # Informational by default (hosts differ; so does their load); --perf
 # makes a >10% regression fatal so a perf-focused PR can gate on it.
 "$BUILD_DIR/bench/perf_sweep" --repeat=3 --out="$tmp/perf.json" \
-    --label=check --sim-threads=1 > /dev/null
-"$BUILD_DIR/bench/perf_sweep" --repeat=3 --out="$tmp/perf-t4.json" \
-    --label=check-t4 --sim-threads=4 > /dev/null
-serial_cps=$("$BUILD_DIR/tools/perf_diff" --print-total "$tmp/perf.json")
-par_cps=$("$BUILD_DIR/tools/perf_diff" --print-total "$tmp/perf-t4.json")
-echo "check: total cycles/sec: $serial_cps serial, $par_cps at sim-threads=4"
+    --label=check > /dev/null
+total_cps=$("$BUILD_DIR/tools/perf_diff" --print-total "$tmp/perf.json")
+echo "check: total cycles/sec: $total_cps"
 if [ "$PERF" = 1 ]; then
     "$BUILD_DIR/tools/perf_diff" \
         bench/baselines/BENCH_perf_baseline.json "$tmp/perf.json"
@@ -408,20 +370,19 @@ if [ "$TSAN" = 1 ]; then
     # unmissable even through pipelines that would swallow TSan's own
     # exit code 66.
     export TSAN_OPTIONS="halt_on_error=1:abort_on_error=1"
-    # Skip* covers the event-skip jump decision running on the
-    # coordinator against worker-committed state at sim-threads=4.
-    "$TSAN_DIR/tests/gcl_tests" \
-        --gtest_filter='Exec*:ParallelSweep*:ParallelTick*:Skip*'
-    # A threaded bench sweep end to end under TSan: the parallel tick with
-    # tracing, the exact configuration the determinism stages diff above
-    # (cycle skipping is on by default, so the jump path runs here too).
+    # The only threads are the sweep's: the exec pool and the runs it
+    # schedules side by side.
+    "$TSAN_DIR/tests/gcl_tests" --gtest_filter='Exec*:ParallelSweep*'
+    # A parallel bench sweep end to end under TSan, traced: per-run trace
+    # sinks filled on the pool's threads and merged on the main one.
     GCL_BENCH_CACHE="$tmp/cache-tsan" "$TSAN_DIR/bench/fig1_load_classes" \
-        --apps=$SMALL_APPS --fresh --sim-threads=4 > /dev/null
-    # The sampled path under TSan as well: functional fast-forward and
-    # warm replay interleave with the parallel tick inside the windows.
+        --apps=$SMALL_APPS --fresh --jobs=3 \
+        --trace-out="$tmp/trace-tsan.json" > /dev/null
+    # The sampled path in a parallel sweep: functional fast-forward and
+    # warm replay, one run per thread.
     GCL_BENCH_CACHE="$tmp/cache-tsan-sample" \
         "$TSAN_DIR/bench/fig1_load_classes" \
-        --apps=gaus --fresh --sample=every:4 --sim-threads=4 > /dev/null
+        --apps=$SMALL_APPS --fresh --jobs=3 --sample=every:4 > /dev/null
 fi
 
 if [ "$ASAN" = 1 ]; then

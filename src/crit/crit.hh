@@ -25,10 +25,9 @@
  *    went.
  *
  * Contracts (mirroring SimStats::Shard — see stats.hh):
- *  - One SmCrit shard per SM, written only by the thread ticking that SM;
+ *  - One SmCrit shard per SM, written only by that SM's tick;
  *    CritStats::finalize merges shards in creation (SM-id) order into
- *    keyed, commutative StatsSet entries, so output is byte-identical at
- *    any --sim-threads.
+ *    keyed, commutative StatsSet entries.
  *  - Near-zero cost when disabled: every hook sits behind a null-pointer
  *    check on Sm::crit (the tracing idiom); the perf_diff gate in
  *    scripts/check.sh keeps the disabled path inside the regression
@@ -239,9 +238,8 @@ class CritStats
     unsigned issueWidth() const { return issueWidth_; }
 
     /**
-     * Merge all shards (in creation order — every fold is a commutative
-     * keyed add, so the result is thread-count independent) and emit the
-     * crit.* key schema into @p set. Idempotent. @p kernel_names indexes
+     * Merge all shards (in creation order; every fold is a commutative
+     * keyed add) and emit the crit.* key schema into @p set. Idempotent. @p kernel_names indexes
      * kernel ids into human-readable names (SimStats::kernelNames()).
      */
     void finalize(const std::vector<std::string> &kernel_names,

@@ -9,8 +9,7 @@
  *
  * All output is deterministic: inputs are deterministic merged stats and
  * every sort has a total order, so reports are byte-identical across
- * --sim-threads and --jobs (scripts/check.sh diffs them against a
- * committed golden).
+ * --jobs (scripts/check.sh diffs them against a committed golden).
  */
 
 #ifndef GCL_CRIT_REPORT_HH

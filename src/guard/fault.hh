@@ -42,7 +42,6 @@
 #ifndef GCL_GUARD_FAULT_HH
 #define GCL_GUARD_FAULT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -136,9 +135,7 @@ class FaultPlan
 /**
  * Per-run fault oracle consulted from the device's hot paths. Owns the
  * plan plus per-kind injection counters. Whether a fault fires is a pure
- * function of the cycle, so concurrent units under the parallel tick get
- * identical answers; the counters are relaxed atomics because they are
- * bumped from unit tasks and only totalled after the run.
+ * function of the cycle.
  */
 class FaultInjector
 {
@@ -157,8 +154,7 @@ class FaultInjector
     uint64_t
     injected(FaultKind kind) const
     {
-        return counts_[static_cast<size_t>(kind)].load(
-            std::memory_order_relaxed);
+        return counts_[static_cast<size_t>(kind)];
     }
 
     /**
@@ -169,8 +165,7 @@ class FaultInjector
     void
     setInjected(FaultKind kind, uint64_t count)
     {
-        counts_[static_cast<size_t>(kind)].store(count,
-                                                 std::memory_order_relaxed);
+        counts_[static_cast<size_t>(kind)] = count;
     }
 
   private:
@@ -179,8 +174,7 @@ class FaultInjector
     {
         for (const auto &w : plan_.windows()) {
             if (w.kind == kind && w.contains(now)) {
-                counts_[static_cast<size_t>(kind)].fetch_add(
-                    1, std::memory_order_relaxed);
+                ++counts_[static_cast<size_t>(kind)];
                 return true;
             }
         }
@@ -188,8 +182,7 @@ class FaultInjector
     }
 
     FaultPlan plan_;
-    std::atomic<uint64_t> counts_[static_cast<size_t>(FaultKind::NumKinds)] =
-        {};
+    uint64_t counts_[static_cast<size_t>(FaultKind::NumKinds)] = {};
 };
 
 } // namespace gcl::guard

@@ -33,7 +33,7 @@ coalesce(const std::vector<std::pair<unsigned, uint64_t>> &addrs,
 
 std::vector<uint64_t>
 coalesce(const std::vector<std::pair<unsigned, uint64_t>> &addrs,
-         unsigned access_size, unsigned line_bytes, trace::StageSink *sink,
+         unsigned access_size, unsigned line_bytes, trace::TraceSink *sink,
          Cycle now, uint32_t pc, int sm_id, bool non_det)
 {
     std::vector<uint64_t> lines = coalesce(addrs, access_size, line_bytes);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "config.hh"
-#include "trace/stage_sink.hh"
 #include "trace/trace.hh"
 
 namespace gcl::sim
@@ -41,7 +40,7 @@ coalesce(const std::vector<std::pair<unsigned, uint64_t>> &addrs,
  */
 std::vector<uint64_t>
 coalesce(const std::vector<std::pair<unsigned, uint64_t>> &addrs,
-         unsigned access_size, unsigned line_bytes, trace::StageSink *sink,
+         unsigned access_size, unsigned line_bytes, trace::TraceSink *sink,
          Cycle now, uint32_t pc, int sm_id, bool non_det);
 
 } // namespace gcl::sim

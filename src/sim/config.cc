@@ -308,7 +308,6 @@ buildOverrideKeys()
              else
                  badValue("cycle_skipping", v, "one of 0, 1");
          }},
-        numericKey("sim_threads", &GpuConfig::simThreads),
         {"crit",
          [](GpuConfig &config, const std::string &v) {
              if (v == "0")
@@ -462,11 +461,6 @@ GpuConfig::describe() const
         oss << "CycleSkip  off (every unit ticks every cycle)\n";
     if (crit)
         oss << "CritProf   issue-slot attribution + latency breakdown\n";
-    if (simThreads != 1)
-        oss << "SimThreads "
-            << (simThreads == 0 ? std::string("auto")
-                                : std::to_string(simThreads))
-            << " (deterministic parallel tick)\n";
     if (watchdogInterval)
         oss << "Watchdog   check every " << watchdogInterval
             << " cycles, stall budget " << watchdogBudget << "\n";
@@ -483,10 +477,10 @@ GpuConfig::fingerprint() const
 {
     // FNV-1a over the numeric fields; any change invalidates cached runs.
     // Run-control knobs (max_cycles, watchdog_*) and the host-side
-    // speed knobs (cycle_skipping, sim_threads) are deliberately NOT
-    // mixed in: they never change the stats of a run that completes, so
-    // tightening a budget must not orphan valid cache entries. The fault plan IS mixed in — injected backpressure changes
-    // timing.
+    // speed knob (cycle_skipping) are deliberately NOT mixed in: they
+    // never change the stats of a run that completes, so tightening a
+    // budget must not orphan valid cache entries. The fault plan IS mixed
+    // in — injected backpressure changes timing.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {
         h ^= v;

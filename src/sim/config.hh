@@ -206,9 +206,9 @@ struct GpuConfig
      * per-cycle loop would have bumped, and when no unit is awake the
      * device clock jumps straight to the next event. A pure host-side
      * optimization — every stats/trace/crit artifact is bit-identical
-     * with the knob on or off at any --sim-threads (tests/test_skip.cc) —
-     * so it is not part of the config fingerprint. Off, every unit ticks
-     * every cycle: the eager reference.
+     * with the knob on or off (tests/test_skip.cc) — so it is not part
+     * of the config fingerprint. Off, every unit ticks every cycle: the
+     * eager reference.
      */
     bool cycleSkipping = true;
 
@@ -223,17 +223,6 @@ struct GpuConfig
      * stats stay byte-identical).
      */
     bool crit = false;
-
-    /**
-     * Worker threads for the intra-run parallel tick (SMs and memory
-     * partitions ticking concurrently with a deterministic commit phase).
-     * 1 = the serial loop; 0 = auto (hardware threads minus active sweep
-     * jobs, resolved at the CLI layer, clamped to at least 1). Like
-     * cycle_skipping this is a pure host-side knob — results are
-     * bit-identical at every thread count (tests/test_parallel_tick.cc) —
-     * so it is not part of the config fingerprint.
-     */
-    unsigned simThreads = 1;
 
     // --- Run control / robustness (gcl::guard) ---
     /**

@@ -24,7 +24,6 @@
 
 #include "config.hh"
 #include "mem_request.hh"
-#include "trace/stage_sink.hh"
 #include "trace/trace.hh"
 
 namespace gcl::snap
@@ -69,7 +68,7 @@ class DramChannel
     uint64_t serviced() const { return serviced_; }
 
     /** Event sink + owning partition id, installed by the partition. */
-    trace::StageSink *traceSink = nullptr;
+    trace::TraceSink *traceSink = nullptr;
     int16_t traceUnit = -1;
 
     /**

@@ -7,17 +7,18 @@
  * incurs (StepInfo). See DESIGN.md decision 1: timing-directed functional
  * execution.
  *
- * Deterministic ticking (sim_threads): when a staging buffer is attached
+ * End-of-cycle global write commit: when a staging buffer is attached
  * (setStaging), global-memory mutations — stores and atomics — are not
  * applied at issue but captured as PendingAccess records; the Gpu applies
  * them at the end of the cycle in SM-id order (commitStaged). Loads read
- * the pre-cycle memory image, which is frozen during the compute phase, so
- * concurrent SMs see one consistent snapshot regardless of thread count.
- * Atomics are staged as *operations* (op, operands, destination register),
- * not precomputed values: the read-modify-write runs at commit against
- * committed memory, so same-cycle atomics from different SMs serialize in
- * SM-id/lane order and never lose updates. Shared-memory and register
- * traffic stays immediate — it is SM-private.
+ * the pre-cycle memory image, so every SM sees the same memory within a
+ * cycle. Atomics are staged as *operations* (op, operands, destination
+ * register), not precomputed values: the read-modify-write runs at commit
+ * against committed memory, so same-cycle atomics from different SMs
+ * serialize in SM-id/lane order and never lose updates. Shared-memory and
+ * register traffic stays immediate — it is SM-private. This rule is part
+ * of the simulated behaviour behind every cached result; changing it is a
+ * cache-schema decision (tests/test_functional.cc pins it).
  */
 
 #ifndef GCL_SIM_FUNCTIONAL_HH

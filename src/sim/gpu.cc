@@ -32,13 +32,12 @@ Gpu::Gpu(GpuConfig config)
                                             gmem_, stats_, pools_));
         sms_.back()->partitionMap = &Gpu::mapPartition;
         sms_.back()->fault = fault_.get();
-        // One crit shard per SM, created in SM-id order so the finalize
-        // merge order is thread-count independent (like SimStats shards).
+        // One crit shard per SM, created in SM-id order, the order
+        // finalize merges them in (like SimStats shards).
         if (crit_)
             sms_.back()->crit = &crit_->newShard();
-        // Global stores/atomics commit at end of cycle at EVERY thread
-        // count — the uniform write protocol is what makes sim_threads=N
-        // bit-identical to sim_threads=1 (see functional.hh).
+        // Global stores/atomics commit at end of cycle in SM-id order
+        // (the end-of-cycle write rule; see functional.hh).
         sms_.back()->enableWriteStaging();
     }
     partitions_.reserve(config_.numPartitions);
@@ -48,27 +47,8 @@ Gpu::Gpu(GpuConfig config)
         partitions_.back()->fault = fault_.get();
     }
 
-    unsigned threads = config_.simThreads == 0 ? 1 : config_.simThreads;
-    threads = std::min(threads, numUnits());
-    if (threads > 1 && config_.icntLatency == 0) {
-        gcl_warn("sim_threads ", config_.simThreads,
-                 " requires icnt_latency >= 1; running serial");
-        threads = 1;
-    }
-    threads_ = std::max(1u, threads);
-    parallel_ = threads_ > 1;
-    if (parallel_) {
-        pools_.reqs.setConcurrent(true);
-        pools_.ops.setConcurrent(true);
-        unitErrors_.resize(numUnits());
-        drainErrors_.resize(config_.numSms);
-    }
-    smSinks_.resize(config_.numSms);
-    partSinks_.resize(config_.numPartitions);
-
     sleep_.resize(numUnits());
     awakeCount_ = numUnits();
-    awakeUnits_.reserve(numUnits());
 }
 
 unsigned
@@ -82,20 +62,10 @@ Gpu::attachTrace(trace::TraceSink *sink, Cycle timeline_interval)
 {
     traceSink_ = sink;
     timelineInterval_ = sink ? timeline_interval : 0;
-    for (unsigned s = 0; s < config_.numSms; ++s) {
-        if (sink)
-            smSinks_[s].attach(sink, static_cast<int16_t>(s), parallel_);
-        else
-            smSinks_[s].detach();
-        sms_[s]->traceSink = sink ? &smSinks_[s] : nullptr;
-    }
-    for (unsigned p = 0; p < config_.numPartitions; ++p) {
-        if (sink)
-            partSinks_[p].attach(sink, static_cast<int16_t>(p), parallel_);
-        else
-            partSinks_[p].detach();
-        partitions_[p]->setTrace(sink ? &partSinks_[p] : nullptr);
-    }
+    for (auto &sm : sms_)
+        sm->traceSink = sink;
+    for (auto &part : partitions_)
+        part->setTrace(sink);
 }
 
 void
@@ -625,9 +595,6 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     GCL_DEBUG("gpu", "launch '", kernel.name(), "': ", grid.count(),
               " CTAs x ", cta.count(), " threads");
 
-    if (parallel_ && !team_)
-        team_ = std::make_unique<exec::TickTeam>(threads_);
-
     // Thread-instructions the timed session will issue — the work unit
     // the extrapolation uses to price fast-forwarded launches.
     const uint64_t workBefore =
@@ -666,9 +633,9 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                           "'");
         }
         // Cooperative cancellation (SIGINT/SIGTERM via the bench runner):
-        // polled between cycles, where the tick team is quiescent, so the
-        // unwind never races a compute phase. ~1k-cycle granularity keeps
-        // the poll invisible on the hot path.
+        // polled between cycles, so the unwind never leaves a cycle half
+        // ticked. ~1k-cycle granularity keeps the poll invisible on the
+        // hot path.
         if ((now & 0x3ff) == 0 && guard::cancelRequested()) {
             wakeAll(now);
             gcl_sim_error(SimError::Kind::Canceled, "gpu", now,
@@ -714,108 +681,62 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
 
         dispatchCtas(dispatch, now);
 
-        if (parallel_) {
-            // ---- Deterministic parallel tick: compute, then commit ----
-            // The coordinator wakes the due sleepers and lists the awake
-            // units for the workers. icnt_latency >= 1 here, so nothing
-            // this cycle's arbitration moves is deliverable before next
-            // cycle: the wake checks see the serial loop's inputs.
-            awakeUnits_.clear();
-            for (unsigned unit = 0; unit < numUnits(); ++unit) {
-                if (sleep_[unit].asleep) {
-                    if (!wakeDue(unit, now))
-                        continue;
-                    wakeUnit(unit, now);
-                }
-                awakeUnits_.push_back(unit);
+        // ---- Tick ----
+        // Each sleeper is asked right before its own tick slot. An SM's
+        // wake inputs (its delivery queue, its injection credit) only
+        // change later in the cycle, so this equals asking at the top of
+        // the cycle.
+        for (unsigned s = 0; s < config_.numSms; ++s) {
+            if (sleep_[s].asleep) {
+                if (!wakeDue(s, now))
+                    continue;
+                wakeUnit(s, now);
             }
-            // Response-side arbitration runs before the compute phase (an
-            // exact hoist — see interconnect.hh); the drain gate is then
-            // identical to the value the serial loop computes after the
-            // partitions, because only that arbitration touches the
-            // SM-bound delay queues.
-            icnt_.beginCycle(now);
-            tickNow_ = now;
-            tickDrainGate_ = icnt_.anyResponsesInFlight();
-            team_->run(&Gpu::tickTask, this);
-
-            const int err_pos = firstErrorPos();
-            commitTrace(err_pos);
-            if (err_pos >= 0) {
-                // Mirror a serial mid-cycle throw: the request-side
-                // arbitration and this cycle's staged writes never happen.
-                const unsigned units = numUnits();
-                std::exception_ptr err =
-                    err_pos < static_cast<int>(units)
-                        ? unitErrors_[static_cast<size_t>(err_pos)]
-                        : drainErrors_[static_cast<size_t>(err_pos) - units];
-                for (auto &e : unitErrors_)
-                    e = nullptr;
-                for (auto &e : drainErrors_)
-                    e = nullptr;
-                std::rethrow_exception(err);
+            // Idle SMs still tick the Fig 4 denominator but skip the pipeline
+            // walk.
+            Sm &sm = *sms_[s];
+            if (sm.busy())
+                sm.cycle(now, icnt_);
+            else
+                sm.idleCycle();
+        }
+        icnt_.cycle(now);
+        for (unsigned p = 0; p < config_.numPartitions; ++p) {
+            // Asked after the arbitration: a latency-0 crossbar delivers a
+            // flit in the cycle it was pushed, and the partition must
+            // accept it at that exact cycle.
+            const unsigned unit = config_.numSms + p;
+            if (sleep_[unit].asleep) {
+                if (!wakeDue(unit, now))
+                    continue;
+                wakeUnit(unit, now);
             }
-            icnt_.commitCycle(now);
-        } else {
-            // ---- Serial tick ----
-            // Each sleeper is asked right before its own tick slot. An
-            // SM's wake inputs (its delivery queue, its injection credit)
-            // only change later in the cycle, so this equals asking at
-            // the top of the cycle.
+            // A drained partition with no arriving flit would run a no-op
+            // cycle.
+            MemPartition &part = *partitions_[p];
+            if (part.idle() && !icnt_.hasRequest(static_cast<int>(p), now))
+                continue;
+            part.cycle(now, icnt_);
+        }
+        if (icnt_.anyResponsesInFlight())
             for (unsigned s = 0; s < config_.numSms; ++s) {
                 if (sleep_[s].asleep) {
-                    if (!wakeDue(s, now))
+                    // Only a latency-0 crossbar makes a response
+                    // deliverable in the cycle it was pushed. The SM
+                    // skipped this cycle's tick, so its span runs through
+                    // now inclusive; the delivery then un-freezes it for
+                    // next cycle.
+                    if (!icnt_.hasResponse(static_cast<int>(s), now))
                         continue;
-                    wakeUnit(s, now);
+                    wakeUnit(s, now + 1);
                 }
-                // Idle SMs still tick the Fig 4 denominator but skip the
-                // pipeline walk.
-                Sm &sm = *sms_[s];
-                if (sm.busy())
-                    sm.cycle(now, icnt_);
-                else
-                    sm.idleCycle();
+                sms_[s]->drainResponses(now, icnt_);
             }
-            icnt_.cycle(now);
-            for (unsigned p = 0; p < config_.numPartitions; ++p) {
-                // Asked after the arbitration: a latency-0 crossbar
-                // delivers a flit in the cycle it was pushed, and the
-                // partition must accept it at that exact cycle.
-                const unsigned unit = config_.numSms + p;
-                if (sleep_[unit].asleep) {
-                    if (!wakeDue(unit, now))
-                        continue;
-                    wakeUnit(unit, now);
-                }
-                // A drained partition with no arriving flit would run a
-                // no-op cycle.
-                MemPartition &part = *partitions_[p];
-                if (part.idle() &&
-                    !icnt_.hasRequest(static_cast<int>(p), now))
-                    continue;
-                part.cycle(now, icnt_);
-            }
-            if (icnt_.anyResponsesInFlight())
-                for (unsigned s = 0; s < config_.numSms; ++s) {
-                    if (sleep_[s].asleep) {
-                        // Only a latency-0 crossbar makes a response
-                        // deliverable in the cycle it was pushed. The SM
-                        // skipped this cycle's tick, so its span runs
-                        // through now inclusive; the delivery then
-                        // un-freezes it for next cycle.
-                        if (!icnt_.hasResponse(static_cast<int>(s), now))
-                            continue;
-                        wakeUnit(s, now + 1);
-                    }
-                    sms_[s]->drainResponses(now, icnt_);
-                }
-        }
 
         // ---- End of cycle: write commit, then the sleep pass ----
-        // Staged writes commit in SM-id order at every thread count (the
-        // reason they agree bit-for-bit); a sleeper never executed this
-        // cycle, so it has nothing staged. The sleep decision reads
-        // end-of-cycle committed state, also the same at every count.
+        // Staged writes commit in SM-id order; a sleeper never executed
+        // this cycle, so it has nothing staged. The sleep decision reads
+        // end-of-cycle committed state.
         for (unsigned unit = 0; unit < numUnits(); ++unit) {
             if (sleep_[unit].asleep)
                 continue;
@@ -843,10 +764,10 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
 
         if (awakeCount_ == 0) {
             // ---- Clock jump: the sleep pass left no unit awake ----
-            // Decided on the coordinator from end-of-cycle committed
-            // state, after the break check, so a jump is only taken
-            // mid-kernel. Every unit credits the span at its own wake;
-            // the crossbar only owes its round-robin pointer advance.
+            // Decided from end-of-cycle committed state, after the break
+            // check, so a jump is only taken mid-kernel. Every unit
+            // credits the span at its own wake; the crossbar only owes its
+            // round-robin pointer advance.
             const Cycle target = skipTarget(now, start);
             if (target > now + 1) {
                 const uint64_t span = target - (now + 1);
@@ -919,8 +840,8 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
     if (ids.size() <= skip)
         return;
     // The executor applies memory effects immediately (no write staging):
-    // fast-forward is always serial on the calling thread, so the retire
-    // order below IS the canonical order at every --sim-threads.
+    // fast-forward retires one instruction at a time, so the retire order
+    // below IS the canonical order.
     if (!ffExec_)
         ffExec_ = std::make_unique<WarpExecutor>(gmem_, config_.warpSize);
     const unsigned warps_per_cta = launch.warpsPerCta(config_.warpSize);
@@ -934,8 +855,8 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
     // machine's resident wave would — a CTA-at-a-time order would let
     // data-dependent host loops (relaxation sweeps reading results back)
     // converge in fewer kernel launches than a detailed run, skewing the
-    // extrapolation. Still strictly serial on the calling thread:
-    // deterministic and byte-reproducible at any --sim-threads.
+    // extrapolation. Still one instruction at a time on the calling
+    // thread: deterministic and byte-reproducible.
     struct FfCta
     {
         CtaContext cta;
@@ -1141,140 +1062,6 @@ Gpu::beginDetailedWork(uint64_t ff_in_launch)
         return;    // no functional prefix to share
     ffCaptureCtaIndex_ = ff_in_launch;
     ffPrefixHook_();
-}
-
-void
-Gpu::tickTask(void *ctx, unsigned participant)
-{
-    static_cast<Gpu *>(ctx)->tickParticipant(participant);
-}
-
-void
-Gpu::tickParticipant(unsigned participant)
-{
-    // Strided walk over the compact awake-unit list the coordinator built
-    // before the phase (workers never touch the sleep state). The list
-    // interleaves SMs and partitions in unit-id order, spreading heavy
-    // SMs and light partitions across the participants.
-    const size_t count = awakeUnits_.size();
-    for (size_t i = participant; i < count; i += threads_)
-        unitTick(awakeUnits_[i]);
-}
-
-void
-Gpu::unitTick(unsigned unit)
-{
-    const Cycle now = tickNow_;
-    if (unit < config_.numSms) {
-        Sm &sm = *sms_[unit];
-        try {
-            if (sm.busy())
-                sm.cycle(now, icnt_);
-            else
-                sm.idleCycle();
-        } catch (...) {
-            unitErrors_[unit] = std::current_exception();
-            return;
-        }
-        if (!tickDrainGate_)
-            return;
-        // Response-drain events sit after every unit's cycle events in the
-        // serial emission order; stage them in their own segment.
-        if (sm.traceSink)
-            sm.traceSink->beginSegment(trace::StageSink::kSegDrain);
-        try {
-            sm.drainResponses(now, icnt_);
-        } catch (...) {
-            drainErrors_[unit] = std::current_exception();
-        }
-        return;
-    }
-    const unsigned p = unit - config_.numSms;
-    try {
-        // The partition's own idle gate: every input (its queues, its
-        // arrived-flit check) is unit-confined state, and the request-side
-        // arbitration that could change hasRequest() only lands flits
-        // poppable next cycle — so this decision equals the serial one.
-        if (partitions_[p]->idle() &&
-            !icnt_.hasRequest(static_cast<int>(p), now))
-            return;
-        partitions_[p]->cycle(now, icnt_);
-    } catch (...) {
-        unitErrors_[unit] = std::current_exception();
-    }
-}
-
-int
-Gpu::firstErrorPos() const
-{
-    if (!parallel_)
-        return -1;
-    const unsigned units = numUnits();
-    for (unsigned u = 0; u < units; ++u)
-        if (unitErrors_[u])
-            return static_cast<int>(u);
-    for (unsigned s = 0; s < config_.numSms; ++s)
-        if (drainErrors_[s])
-            return static_cast<int>(units + s);
-    return -1;
-}
-
-void
-Gpu::commitTrace(int err_pos)
-{
-    if (!GCL_TRACE_ACTIVE(traceSink_))
-        return;
-
-    // 1. Draw real ids in SM-id order — the order a serial tick allocates
-    //    them — and patch the live pool objects that carry provisional
-    //    ids. Only partitions never allocate: every request they see is at
-    //    least icnt_latency cycles old and was patched at issue.
-    for (auto &sink : smSinks_) {
-        auto &records = sink.records();
-        sink.prepareRealIds();
-        for (size_t i = 0; i < records.size(); ++i) {
-            const trace::StageSink::IdRecord &rec = records[i];
-            const uint64_t real = traceSink_->newId();
-            sink.setReal(i, real);
-            // The object may have been freed (and the slot reused) since
-            // the id was handed out; only patch while the field still
-            // holds this exact provisional value.
-            if (rec.kind == trace::StageSink::kIdReq) {
-                MemRequest &r = pools_.reqs.getRaw(rec.handle);
-                if (r.id == rec.prov)
-                    r.id = real;
-            } else {
-                WarpMemOp &o = pools_.ops.getRaw(rec.handle);
-                if (o.id == rec.prov)
-                    o.id = real;
-            }
-        }
-    }
-
-    // 2. Forward staged events in the serial within-cycle order: SM cycle
-    //    segments, partition events, SM drain segments. A unit error
-    //    truncates the stream exactly where a serial tick would have
-    //    stopped emitting (err_pos is a serial position; the erroring
-    //    unit's own buffer already ends at its throw point).
-    const int units = static_cast<int>(numUnits());
-    const int limit = err_pos < 0 ? units + static_cast<int>(config_.numSms)
-                                  : err_pos;
-    for (int s = 0; s < static_cast<int>(config_.numSms); ++s)
-        if (s <= limit)
-            smSinks_[static_cast<size_t>(s)].forward(
-                trace::StageSink::kSegCycle);
-    for (int p = 0; p < static_cast<int>(config_.numPartitions); ++p)
-        if (static_cast<int>(config_.numSms) + p <= limit)
-            partSinks_[static_cast<size_t>(p)].forward(0);
-    for (int s = 0; s < static_cast<int>(config_.numSms); ++s)
-        if (units + s <= limit)
-            smSinks_[static_cast<size_t>(s)].forward(
-                trace::StageSink::kSegDrain);
-
-    for (auto &sink : smSinks_)
-        sink.clearCycle();
-    for (auto &sink : partSinks_)
-        sink.clearCycle();
 }
 
 guard::HangReport
@@ -1726,8 +1513,7 @@ Gpu::finalizeStats()
         }
     }
     // Fold the crit shards first: per-SM shards merge in creation order
-    // into keyed adds, so the crit.* schema is byte-identical at any
-    // sim_threads (the same contract SimStats::finalize honors).
+    // into keyed adds (the same contract SimStats::finalize honors).
     if (crit_)
         crit_->finalize(stats_.kernelNames(), stats_.set());
     stats_.finalize();

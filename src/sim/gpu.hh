@@ -8,14 +8,12 @@
 #ifndef GCL_SIM_GPU_HH
 #define GCL_SIM_GPU_HH
 
-#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "config.hh"
 #include "crit/crit.hh"
-#include "exec/tick_team.hh"
 #include "functional.hh"
 #include "guard/fault.hh"
 #include "guard/watchdog.hh"
@@ -25,7 +23,7 @@
 #include "sample.hh"
 #include "sm.hh"
 #include "stats.hh"
-#include "trace/stage_sink.hh"
+#include "trace/trace.hh"
 #include "warp.hh"
 
 namespace gcl::snap
@@ -98,9 +96,6 @@ class Gpu
     /** Default line-address to memory-partition mapping. */
     static int mapPartition(uint64_t line_addr, int sm_id,
                             const GpuConfig &config);
-
-    /** Worker threads the tick loop actually uses (after clamping). */
-    unsigned effectiveSimThreads() const { return threads_; }
 
     // ---- Event-driven cycle skipping (config.cycleSkipping) ----
 
@@ -373,28 +368,8 @@ class Gpu
     guard::HangReport buildHangReport(const std::string &kernel,
                                       Cycle now) const;
 
-    // ---- Deterministic parallel tick (sim_threads > 1) ----
-
     /** Total tickable units: numSms SMs then numPartitions partitions. */
     unsigned numUnits() const;
-
-    /** TickTeam entry: tick every unit mapped to @p participant. */
-    static void tickTask(void *ctx, unsigned participant);
-    void tickParticipant(unsigned participant);
-
-    /** Compute-phase body for one unit; exceptions land in unitErrors_. */
-    void unitTick(unsigned unit);
-
-    /** Commit staged trace events/ids; no-op when untraced. */
-    void commitTrace(int err_pos);
-
-    /**
-     * Serial position of the lowest-positioned captured unit error, or -1.
-     * Positions order errors the way a serial tick would have hit them:
-     * SM i's cycle = i, partition p = numSms + p, SM i's response drain =
-     * numSms + numPartitions + i.
-     */
-    int firstErrorPos() const;
 
     GpuConfig config_;
     GlobalMemory gmem_;
@@ -429,38 +404,11 @@ class Gpu
      */
     std::unique_ptr<crit::CritStats> crit_;
 
-    /**
-     * Effective tick-thread count: config_.simThreads clamped to the unit
-     * count, forced to 1 when icnt_latency is 0 (the commit-phase request
-     * arbitration assumes its pushes only become poppable next cycle).
-     */
-    unsigned threads_ = 1;
-    bool parallel_ = false;    //!< threads_ > 1
-
-    /** Persistent worker team, created at the first parallel launch. */
-    std::unique_ptr<exec::TickTeam> team_;
-
-    /** Per-unit trace staging (attachTrace); SMs then partitions. */
-    std::vector<trace::StageSink> smSinks_;
-    std::vector<trace::StageSink> partSinks_;
-
-    // Compute-phase inputs, published to the workers by TickTeam::run's
-    // release/acquire handshake.
-    Cycle tickNow_ = 0;
-    bool tickDrainGate_ = false;
-
-    /** Compute-phase unit errors, written at disjoint indices. */
-    std::vector<std::exception_ptr> unitErrors_;
-    /** SM response-drain errors (a later serial position than the cycle). */
-    std::vector<std::exception_ptr> drainErrors_;
-
     // ---- Per-unit sleep + clock-jump state ----
 
     /** Sleep state per unit id: SMs, then partitions. */
     std::vector<SleepState> sleep_;
     unsigned awakeCount_ = 0;
-    /** Compact awake unit ids (SMs then partitions) for the tick team. */
-    std::vector<unsigned> awakeUnits_;
     uint64_t skippedCycles_ = 0;
     uint64_t skipEvents_ = 0;
     uint64_t dormantCycles_ = 0;

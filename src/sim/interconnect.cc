@@ -15,7 +15,6 @@ Interconnect::Interconnect(const GpuConfig &config, MemPools &pools)
       toPart_(config.numPartitions),
       respQ_(config.numPartitions),
       toSm_(config.numSms),
-      popsThisCycle_(config.numPartitions, 0),
       smNextAt_(config.numSms, kNone),
       partNextAt_(config.numPartitions, kNone),
       partOpen_(config.numPartitions, 0),
@@ -31,7 +30,7 @@ Interconnect::Interconnect(const GpuConfig &config, MemPools &pools)
 }
 
 void
-Interconnect::inject(ReqHandle req, Cycle now, trace::StageSink *sink)
+Interconnect::inject(ReqHandle req, Cycle now, trace::TraceSink *sink)
 {
     MemRequest &r = pools_.reqs.get(req);
     gcl_sim_check(canInject(r.smId), "icnt", now,
@@ -41,7 +40,7 @@ Interconnect::inject(ReqHandle req, Cycle now, trace::StageSink *sink)
               r.lineAddr, tracePc(r),
               static_cast<int16_t>(r.smId), traceFlags(r));
     injectQ_[static_cast<size_t>(r.smId)].push_back(req);
-    injectCount_.fetch_add(1, std::memory_order_relaxed);
+    ++injectCount_;
 }
 
 ReqHandle
@@ -50,8 +49,7 @@ Interconnect::popRequest(int part, Cycle now)
     gcl_sim_check(hasRequest(part, now), "icnt", now,
                   "popRequest with none ready");
     const auto p = static_cast<size_t>(part);
-    ++popsThisCycle_[p];
-    toPartCount_.fetch_sub(1, std::memory_order_relaxed);
+    --toPartCount_;
     DelayQueue<ReqHandle> &q = toPart_[p];
     const ReqHandle req = q.pop();
     partNextAt_[p] = q.empty() ? kNone : q.headReadyAt();
@@ -66,7 +64,7 @@ Interconnect::canRespond(int part) const
 }
 
 void
-Interconnect::respond(ReqHandle req, Cycle now, trace::StageSink *sink)
+Interconnect::respond(ReqHandle req, Cycle now, trace::TraceSink *sink)
 {
     MemRequest &r = pools_.reqs.get(req);
     gcl_sim_check(canRespond(r.partition), "icnt", now,
@@ -76,7 +74,7 @@ Interconnect::respond(ReqHandle req, Cycle now, trace::StageSink *sink)
               r.lineAddr, tracePc(r),
               static_cast<int16_t>(r.partition), traceFlags(r));
     respQ_[static_cast<size_t>(r.partition)].push_back(req);
-    respQCount_.fetch_add(1, std::memory_order_relaxed);
+    ++respQCount_;
 }
 
 ReqHandle
@@ -85,7 +83,7 @@ Interconnect::popResponse(int sm, Cycle now)
     gcl_sim_check(hasResponse(sm, now), "icnt", now,
                   "popResponse with none ready");
     const auto s = static_cast<size_t>(sm);
-    toSmCount_.fetch_sub(1, std::memory_order_relaxed);
+    --toSmCount_;
     DelayQueue<ReqHandle> &q = toSm_[s];
     const ReqHandle req = q.pop();
     smNextAt_[s] = q.empty() ? kNone : q.headReadyAt();
@@ -93,7 +91,7 @@ Interconnect::popResponse(int sm, Cycle now)
 }
 
 void
-Interconnect::requestArbitration(Cycle now, bool add_back_pops)
+Interconnect::requestArbitration(Cycle now)
 {
     // Request side: every partition accepts at most one flit, every SM
     // transmits at most one flit, round-robin over SMs for fairness.
@@ -102,20 +100,15 @@ Interconnect::requestArbitration(Cycle now, bool add_back_pops)
     // executed and matched nothing.
     const unsigned num_sms = config_.numSms;
 
-    if (injectCount_.load(std::memory_order_relaxed) != 0) {
+    if (injectCount_ != 0) {
         // Finite partition input buffers: a partition without a credit
         // takes nothing, and the flit stays in the SM's injection queue,
         // which eventually surfaces at the L1 as a reservation fail by
-        // interconnection (Section VI). When arbitrating after the
-        // partitions ran (commitCycle), add this cycle's pops back: the
-        // serial arbitration point precedes them. A partition's occupancy
-        // only changes when it takes a flit, which also closes it, so
-        // marking the credits once per cycle is exact.
-        for (unsigned p = 0; p < config_.numPartitions; ++p) {
-            const size_t occupancy =
-                toPart_[p].size() + (add_back_pops ? popsThisCycle_[p] : 0);
-            partOpen_[p] = occupancy < config_.partQueueDepth;
-        }
+        // interconnection (Section VI). A partition's occupancy only
+        // changes when it takes a flit, which also closes it, so marking
+        // the credits once per cycle is exact.
+        for (unsigned p = 0; p < config_.numPartitions; ++p)
+            partOpen_[p] = toPart_[p].size() < config_.partQueueDepth;
         // Each SM is visited once, so it sends at most one flit.
         unsigned sm = reqRrSm_;
         for (unsigned i = 0; i < num_sms; ++i) {
@@ -131,8 +124,8 @@ Interconnect::requestArbitration(Cycle now, bool add_back_pops)
                         partNextAt_[part] = ready;
                     dst.push(q.front(), ready);
                     q.pop_front();
-                    injectCount_.fetch_sub(1, std::memory_order_relaxed);
-                    toPartCount_.fetch_add(1, std::memory_order_relaxed);
+                    --injectCount_;
+                    ++toPartCount_;
                 }
             }
             if (++sm == num_sms)
@@ -151,7 +144,7 @@ Interconnect::responseArbitration(Cycle now)
     // takes at most one.
     const unsigned num_parts = config_.numPartitions;
 
-    if (respQCount_.load(std::memory_order_relaxed) != 0) {
+    if (respQCount_ != 0) {
         std::fill(smUsed_.begin(), smUsed_.end(), 0);
         unsigned part = respRrPart_;
         for (unsigned i = 0; i < num_parts; ++i) {
@@ -167,8 +160,8 @@ Interconnect::responseArbitration(Cycle now)
                         smNextAt_[sm] = ready;
                     dst.push(q.front(), ready);
                     q.pop_front();
-                    respQCount_.fetch_sub(1, std::memory_order_relaxed);
-                    toSmCount_.fetch_add(1, std::memory_order_relaxed);
+                    --respQCount_;
+                    ++toSmCount_;
                 }
             }
             if (++part == num_parts)
@@ -182,22 +175,8 @@ Interconnect::responseArbitration(Cycle now)
 void
 Interconnect::cycle(Cycle now)
 {
-    std::fill(popsThisCycle_.begin(), popsThisCycle_.end(), 0);
-    requestArbitration(now, /*add_back_pops=*/false);
+    requestArbitration(now);
     responseArbitration(now);
-}
-
-void
-Interconnect::beginCycle(Cycle now)
-{
-    std::fill(popsThisCycle_.begin(), popsThisCycle_.end(), 0);
-    responseArbitration(now);
-}
-
-void
-Interconnect::commitCycle(Cycle now)
-{
-    requestArbitration(now, /*add_back_pops=*/true);
 }
 
 size_t
@@ -227,8 +206,7 @@ Interconnect::nextEventCycle(Cycle now) const
 {
     // Waiting arbitration can move a flit next cycle; otherwise the
     // earliest in-flight delivery (to either side) is the event.
-    if (injectCount_.load(std::memory_order_relaxed) != 0 ||
-        respQCount_.load(std::memory_order_relaxed) != 0)
+    if (injectCount_ != 0 || respQCount_ != 0)
         return now + 1;
     Cycle next = kNone;
     for (const Cycle at : partNextAt_)

@@ -22,46 +22,19 @@
  * into or pop from toSm_/toPart_ must update them
  * (IcntTest.MatchesReferenceModel is the oracle).
  *
- * Threading (sim_threads > 1): the endpoint queues are strictly
- * per-unit — an SM only touches injectQ_/toSm_ of its own id, a partition
- * only toPart_/respQ_ of its own id — so the compute phase mutates
- * disjoint state. Each delivery cycle has the owner of its queue's pops:
- * an SM worker updates its own SM's entry (popResponse), a partition its
- * own (popRequest), and the coordinator's arbitration both at pushes. The
- * arbitration that moves flits *between* units runs on the coordinator,
- * split around the compute phase:
- *
- *  - beginCycle() runs the response-side arbitration. In a serial tick it
- *    runs after the SMs, but neither SMs nor partitions touch respQ_/toSm_
- *    mid-cycle (responses enter respQ_ only in *earlier* cycles and leave
- *    toSm_ only via this cycle's drain, which sees entries icnt_latency
- *    cycles old), so hoisting it before the compute phase is exact.
- *  - commitCycle() runs the request-side arbitration after the compute
- *    phase, when this cycle's injections exist — the position a serial
- *    tick gives it. One correction: serially it runs *before* partitions
- *    pop their head request, so the credit check adds back this cycle's
- *    pops (popsThisCycle_) to see the same toPart_ occupancy.
- *
- * The legacy cycle() (request then response arbitration, between SMs and
- * partitions) remains the serial path; both orderings are cycle-exact to
- * it, which is what makes sim_threads a pure wall-clock knob.
- *
  * Trace events are emitted through the calling unit's sink (inject() from
- * the SM, respond() from the partition) so staged event order matches the
- * serial emission order.
+ * the SM, respond() from the partition).
  */
 
 #ifndef GCL_SIM_INTERCONNECT_HH
 #define GCL_SIM_INTERCONNECT_HH
 
-#include <atomic>
 #include <deque>
 #include <vector>
 
 #include "config.hh"
 #include "delay_queue.hh"
 #include "mem_request.hh"
-#include "trace/stage_sink.hh"
 #include "trace/trace.hh"
 
 namespace gcl::snap
@@ -90,7 +63,7 @@ class Interconnect
     }
 
     /** Queue @p req for transport; stamps tInjected. */
-    void inject(ReqHandle req, Cycle now, trace::StageSink *sink = nullptr);
+    void inject(ReqHandle req, Cycle now, trace::TraceSink *sink = nullptr);
 
     // ---- Request path (partition side) ----
 
@@ -110,7 +83,7 @@ class Interconnect
     bool canRespond(int part) const;
 
     /** Queue @p req's response for transport; stamps tRespDepart. */
-    void respond(ReqHandle req, Cycle now, trace::StageSink *sink = nullptr);
+    void respond(ReqHandle req, Cycle now, trace::TraceSink *sink = nullptr);
 
     // ---- Response path (SM side) ----
 
@@ -123,23 +96,15 @@ class Interconnect
 
     ReqHandle popResponse(int sm, Cycle now);
 
-    /** Advance arbitration serially: request side, then response side. */
+    /** Advance arbitration: request side, then response side. */
     void cycle(Cycle now);
-
-    /** Parallel tick, pre-compute half: response-side arbitration. */
-    void beginCycle(Cycle now);
-
-    /** Parallel tick, commit half: request-side arbitration. */
-    void commitCycle(Cycle now);
 
     /** All queues drained (used by the GPU's termination check). O(1). */
     bool
     idle() const
     {
-        return injectCount_.load(std::memory_order_relaxed) == 0 &&
-               toPartCount_.load(std::memory_order_relaxed) == 0 &&
-               respQCount_.load(std::memory_order_relaxed) == 0 &&
-               toSmCount_.load(std::memory_order_relaxed) == 0;
+        return injectCount_ == 0 && toPartCount_ == 0 && respQCount_ == 0 &&
+               toSmCount_ == 0;
     }
 
     /** Requests anywhere in the request network (timeline sampling). */
@@ -152,11 +117,7 @@ class Interconnect
      * True when any SM-bound response is in flight or deliverable — the
      * gate for the GPU's per-cycle response drain loop. O(1).
      */
-    bool
-    anyResponsesInFlight() const
-    {
-        return toSmCount_.load(std::memory_order_relaxed) != 0;
-    }
+    bool anyResponsesInFlight() const { return toSmCount_ != 0; }
 
     /**
      * The next cycle > @p now at which ticking the crossbar could move a
@@ -204,7 +165,7 @@ class Interconnect
     /** smNextAt_/partNextAt_ value of an empty delivery queue. */
     static constexpr Cycle kNone = ~Cycle{0};
 
-    void requestArbitration(Cycle now, bool add_back_pops);
+    void requestArbitration(Cycle now);
     void responseArbitration(Cycle now);
 
     const GpuConfig &config_;
@@ -214,13 +175,6 @@ class Interconnect
     std::vector<DelayQueue<ReqHandle>> toPart_;    //!< per partition
     std::vector<std::deque<ReqHandle>> respQ_;     //!< per partition
     std::vector<DelayQueue<ReqHandle>> toSm_;      //!< per SM
-
-    /**
-     * Requests each partition popped this cycle; commitCycle() adds them
-     * back so the credit check sees the occupancy the serial arbitration
-     * (which runs before the partitions) would have seen.
-     */
-    std::vector<uint8_t> popsThisCycle_;
 
     // Delivery cycles (see the file comment), exactly in sync with the
     // delay queues above.
@@ -235,16 +189,11 @@ class Interconnect
 
     // Occupancy counters kept exactly in sync with the queues above so
     // idle()/anyResponsesInFlight() — called every cycle by the GPU loop —
-    // are O(1) instead of O(units). Relaxed atomics: under the parallel
-    // tick, inject()/popResponse() run on SM workers while
-    // respond()/popRequest() run on the partition pass, so the updates
-    // race on the cache line; the totals stay deterministic because
-    // increments commute, and every read happens in a serial phase after
-    // the tick barrier's release/acquire edge.
-    std::atomic<size_t> injectCount_{0}; //!< total across injectQ_
-    std::atomic<size_t> toPartCount_{0}; //!< total across toPart_
-    std::atomic<size_t> respQCount_{0};  //!< total across respQ_
-    std::atomic<size_t> toSmCount_{0};   //!< total across toSm_
+    // are O(1) instead of O(units).
+    size_t injectCount_ = 0; //!< total across injectQ_
+    size_t toPartCount_ = 0; //!< total across toPart_
+    size_t respQCount_ = 0;  //!< total across respQ_
+    size_t toSmCount_ = 0;   //!< total across toSm_
 
     unsigned reqRrSm_ = 0;     //!< round-robin pointer, request side
     unsigned respRrPart_ = 0;  //!< round-robin pointer, response side

@@ -18,7 +18,7 @@ MemPartition::MemPartition(int id, const GpuConfig &config, SimStats &stats,
 }
 
 void
-MemPartition::setTrace(trace::StageSink *sink)
+MemPartition::setTrace(trace::TraceSink *sink)
 {
     traceSink_ = sink;
     dram_.traceSink = sink;
@@ -44,8 +44,7 @@ MemPartition::serviceHead(Cycle now)
         // without a fetch) and forwards one burst to DRAM. No response is
         // generated either way.
         if (l2_.writeProbe(req.lineAddr)) {
-            // Folded into the stats set at finalize; a string-map insert
-            // here would race under the parallel tick.
+            // Folded into the stats set at finalize.
             ++stats_.hot.l2WriteAbsorbed;
             ropQ_.pop();
             pools_.reqs.free(req_handle);

@@ -126,7 +126,7 @@ class MemPartition
     void warmL2(uint64_t line_addr) { l2_.warm(line_addr); }
 
     /** Install the event sink on the partition and its DRAM channel. */
-    void setTrace(trace::StageSink *sink);
+    void setTrace(trace::TraceSink *sink);
 
     // ---- Timeline sampling (gcl::trace) ----
     size_t ropQueued() const { return ropQ_.size(); }
@@ -150,7 +150,7 @@ class MemPartition
     void load(snap::SnapReader &in);
 
   private:
-    trace::StageSink *traceSink_ = nullptr;
+    trace::TraceSink *traceSink_ = nullptr;
     /** Try to service the head of the ROP queue; false on a stall. */
     bool serviceHead(Cycle now);
 

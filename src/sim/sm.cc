@@ -737,11 +737,9 @@ Sm::startMemOp(int slot, size_t pc, const Instruction &inst,
 
         if (GCL_TRACE_ACTIVE(traceSink) && op.numRequests != 0) {
             for (uint32_t i = 0; i < op.numRequests; ++i)
-                pools_.reqs.get(op.requests[i]).id = traceSink->newId(
-                    op.requests[i], trace::StageSink::kIdReq);
+                pools_.reqs.get(op.requests[i]).id = traceSink->newId();
             if (op.isGlobalLoad) {
-                op.id =
-                    traceSink->newId(op_handle, trace::StageSink::kIdOp);
+                op.id = traceSink->newId();
                 traceSink->emit(trace::EventKind::OpIssue, now, op.id,
                                 static_cast<uint64_t>(slot),
                                 static_cast<uint32_t>(pc),

@@ -157,9 +157,8 @@ class Sm
 
     /**
      * Defer this SM's global stores/atomics to commitStagedWrites() (the
-     * deterministic-tick write protocol; see functional.hh). The Gpu
-     * enables this on every SM it owns, at every thread count, so results
-     * are identical whatever sim_threads is.
+     * end-of-cycle write rule; see functional.hh). The Gpu enables this on
+     * every SM it owns.
      */
     void enableWriteStaging() { executor_.setStaging(&stagedWrites_); }
 
@@ -379,11 +378,8 @@ class Sm
     /** Partition mapping hook installed by the Gpu. */
     PartitionMap partitionMap = nullptr;
 
-    /**
-     * Per-SM staging sink (gcl::trace), installed by the Gpu; null when
-     * untraced. Passthrough at sim_threads == 1, buffered otherwise.
-     */
-    trace::StageSink *traceSink = nullptr;
+    /** Event sink (gcl::trace), installed by the Gpu; null = untraced. */
+    trace::TraceSink *traceSink = nullptr;
 
     /** Fault oracle (gcl::guard), installed by the Gpu; null = no faults. */
     guard::FaultInjector *fault = nullptr;

@@ -369,7 +369,7 @@ SimStats::finalize()
 
     // Fold every unit shard into the base in unit-creation order (SMs,
     // then partitions — see Gpu's constructor). Each merge is a
-    // commutative keyed fold, so the result is thread-count independent.
+    // commutative keyed fold.
     for (Shard &shard : shards_)
         mergeShard(shard);
 

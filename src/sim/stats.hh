@@ -18,16 +18,13 @@
  * accumulated double is integer-valued, so order of accumulation and
  * iteration cannot change the serialized output.
  *
- * Sharding (sim_threads): every accumulation path above lives in a Shard.
- * Each SM and each memory partition owns one shard (newShard()), so
- * compute-phase workers never write a byte another unit reads. Shards are
- * merged into the base shard at finalize() in unit-id order; because every
- * merge is a commutative fold into a keyed structure (plain adds, unique
- * per-key buckets, unordered CTA sets sorted at the end), the merged state
- * — and therefore the serialized output — is identical for any thread
- * count, including the thread-count-1 case, which uses the same per-unit
- * shards. Direct SimStats methods (tests, launch-level bookkeeping)
- * accumulate into the base shard.
+ * Sharding: every accumulation path above lives in a Shard. Each SM and
+ * each memory partition owns one shard (newShard()), so a unit's tick
+ * never writes a byte another unit reads. Shards are merged into the base
+ * shard at finalize() in unit-id order; every merge is a commutative fold
+ * into a keyed structure (plain adds, unique per-key buckets, unordered
+ * CTA sets sorted at the end). Direct SimStats methods (tests,
+ * launch-level bookkeeping) accumulate into the base shard.
  *
  * Scalar key map after finalize() (all monotonically accumulated):
  *   cycles, launches, ctas_launched, threads_per_cta
@@ -180,10 +177,9 @@ class SimStats
 
   public:
     /**
-     * One unit's private accumulation state. A compute-phase worker only
-     * ever touches its own unit's shard (plus, for the per-partition
-     * l2.queries/hits vectors, its own disjoint index in the owner), so
-     * no hot-path counter is ever shared between threads.
+     * One unit's private accumulation state. A unit's tick only ever
+     * touches its own shard (plus, for the per-partition l2.queries/hits
+     * vectors, its own disjoint index in the owner).
      */
     class Shard
     {
@@ -260,7 +256,7 @@ class SimStats
     const StatsSet &set() const { return set_; }
 
     // Direct accumulation API (base shard): launch-level bookkeeping and
-    // unit tests. Compute-phase code goes through its unit's Shard.
+    // unit tests. A unit's tick goes through its own Shard.
     void l1AccessCycle(AccessOutcome outcome) { base_.l1AccessCycle(outcome); }
     void
     l1Access(bool non_det, bool miss, uint64_t line_addr, uint32_t cta)

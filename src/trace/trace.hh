@@ -205,8 +205,6 @@ class TraceSink
  * Usage: GCL_TRACE(sink_ptr, EventKind::ReqInject, now, req->id, ...);
  */
 #ifndef GCL_TRACE_DISABLED
-// `auto *` so the macro accepts both TraceSink and the per-unit StageSink
-// wrapper (stage_sink.hh) — both expose enabled() and emit().
 #define GCL_TRACE(sink, ...) \
     do { \
         auto *gcl_trace_sink_ = (sink); \

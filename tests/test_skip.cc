@@ -4,10 +4,9 @@
  * frozen units to sleep and jumping the clock once none is awake
  * (config.cycleSkipping) is a pure host-side optimization, so a run with
  * skipping on must produce stats and trace streams BYTE-identical to the
- * eager reference, every unit ticked every cycle — at every sim_threads,
- * under injected fault pressure, with a zero-latency crossbar, across a
- * checkpoint/resume, and in how it trips the --max-cycles deadline and
- * the watchdog's hang.
+ * eager reference, every unit ticked every cycle — under injected fault
+ * pressure, with a zero-latency crossbar, across a checkpoint/resume, and
+ * in how it trips the --max-cycles deadline and the watchdog's hang.
  *
  * This is the bit-identity proof referenced from Gpu::launch and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
@@ -87,15 +86,6 @@ runClean(const std::string &app, bool skipping, GpuConfig config = {})
     return out;
 }
 
-/** Default config with @p sim_threads tick threads. */
-GpuConfig
-withThreads(unsigned sim_threads)
-{
-    GpuConfig config{};
-    config.simThreads = sim_threads;
-    return config;
-}
-
 void
 expectIdentical(const RunArtifacts &skip, const RunArtifacts &eager,
                 const std::string &label)
@@ -137,18 +127,6 @@ TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
                         runClean(app, false, backed_up),
                         app + " one-deep crossbar queues");
     }
-}
-
-TEST(Skip, ArtifactsBitIdenticalAcrossTickThreads)
-{
-    // The jump decision runs on the coordinator from end-of-cycle
-    // committed state, so the spans it finds must not depend on the
-    // tick-thread count — and must still match the eager reference.
-    const RunArtifacts t1 = runClean("gaus", true, withThreads(1));
-    const RunArtifacts t4 = runClean("gaus", true, withThreads(4));
-    const RunArtifacts eager4 = runClean("gaus", false, withThreads(4));
-    expectIdentical(t1, t4, "gaus threads 1 vs 4");
-    expectIdentical(t4, eager4, "gaus threads 4, skip vs eager");
 }
 
 TEST(Skip, ArtifactsBitIdenticalUnderInjectedFaults)

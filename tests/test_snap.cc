@@ -9,8 +9,8 @@
  *    handle sequence, SimtStack entries survive save/load;
  *  - whole runs: a run killed at kernel boundary k and resumed from its
  *    checkpoint finishes with byte-identical stats to the uninterrupted
- *    run — at any sim-thread count, across thread counts, under a
- *    surviving fault plan, and for the trace event stream.
+ *    run — plain, under a surviving fault plan, and for the trace event
+ *    stream.
  */
 
 #include <gtest/gtest.h>
@@ -285,8 +285,7 @@ referenceStats(const std::string &app, const GpuConfig &config)
 /** Kill @p app at kernel boundary @p k, then resume; return final stats. */
 StatsSet
 killAndResume(const std::string &app, const GpuConfig &config, uint64_t k,
-              const std::string &path,
-              const GpuConfig *resume_config = nullptr)
+              const std::string &path)
 {
     {
         SnapOptions stop;
@@ -302,7 +301,7 @@ killAndResume(const std::string &app, const GpuConfig &config, uint64_t k,
     SnapOptions resume;
     resume.checkpointPath = path;
     resume.resumeFrom = path;
-    SimContext ctx(byName(app), resume_config ? *resume_config : config);
+    SimContext ctx(byName(app), config);
     ctx.setSnapOptions(resume);
     ctx.run();
     EXPECT_FALSE(ctx.failed())
@@ -318,28 +317,6 @@ TEST(SnapResume, ByteIdenticalSingleThread)
     const StatsSet ref = referenceStats("gaus", config);
     const StatsSet res = killAndResume("gaus", config, 2,
                                        tempPath("resume_t1.snap"));
-    EXPECT_EQ(res.serialize(), ref.serialize());
-}
-
-TEST(SnapResume, ByteIdenticalParallelTick)
-{
-    const GpuConfig config = configWith("sim_threads=4");
-    const StatsSet ref = referenceStats("gaus", config);
-    const StatsSet res = killAndResume("gaus", config, 2,
-                                       tempPath("resume_t4.snap"));
-    EXPECT_EQ(res.serialize(), ref.serialize());
-}
-
-TEST(SnapResume, ByteIdenticalAcrossThreadCounts)
-{
-    // Capture under the parallel tick, restore under the serial one: the
-    // snapshot must not encode anything thread-count dependent.
-    const StatsSet ref = referenceStats("gaus", configWith(""));
-    const GpuConfig save_config = configWith("sim_threads=4");
-    const GpuConfig load_config = configWith("sim_threads=1");
-    const StatsSet res =
-        killAndResume("gaus", save_config, 2, tempPath("resume_x.snap"),
-                      &load_config);
     EXPECT_EQ(res.serialize(), ref.serialize());
 }
 
