@@ -49,8 +49,11 @@ constexpr unsigned kDatasetVersion = 5;
  *   v4: the machine-description frontend changed what the fingerprint
  *       covers (machine name, per-opcode-class timing, DRAM row model),
  *       so v3 keys can alias configs the old hash never distinguished.
+ *   v5: the SM issues as soon as a busy SP/SFU stage frees under a ready
+ *       warp (it used to wait for an unrelated event), which moves the
+ *       stats of apps that queue on a stage, e.g. bpr and mriq on C2050.
  */
-constexpr unsigned kCacheSchemaVersion = 4;
+constexpr unsigned kCacheSchemaVersion = 5;
 
 std::filesystem::path
 cacheDir()

@@ -5,7 +5,7 @@
  * Every bench binary regenerates its figure from the same 15-application
  * simulation sweep. Since one sweep costs the better part of a minute, the
  * runner memoizes finished runs on disk keyed by (application, dataset
- * version, config fingerprint); `for b in build/bench/*; do $b; done`
+ * version, config fingerprint); running every binary in build/bench
  * therefore simulates each configuration once and replays it everywhere
  * else. Set GCL_BENCH_FRESH=1 to ignore the cache, GCL_BENCH_CACHE to move
  * it (default: ./bench_results).

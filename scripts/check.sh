@@ -105,6 +105,23 @@ GCL_BENCH_CACHE="$tmp/cache-noskip" "$BUILD_DIR/bench/fig1_load_classes" \
 diff -r "$tmp/cache-j1" "$tmp/cache-noskip" \
     || { echo "check: cycle skipping changed simulation results" >&2
          exit 1; }
+# The same identity on a machine whose op classes keep their first stage
+# busy longer than their latency: a ready warp then waits on a stage-free
+# edge that no writeback marks, and the tight watchdog turns a missed
+# edge into a hang instead of a long spin.
+LONG_INIT=op_int_alu=1:2,op_sfu=16:64,watchdog_budget=200000
+for leg in skip noskip; do
+    config=$LONG_INIT
+    [ "$leg" = noskip ] && config=$LONG_INIT,cycle_skipping=0
+    GCL_BENCH_CACHE="$tmp/cache-init-$leg" \
+        "$BUILD_DIR/bench/fig1_load_classes" \
+        --apps=$SMALL_APPS,mriq --fresh \
+        --sim-config="$config" > /dev/null 2> /dev/null \
+        || { echo "check: long-initiation sweep ($leg) failed" >&2; exit 1; }
+done
+diff -r "$tmp/cache-init-skip" "$tmp/cache-init-noskip" \
+    || { echo "check: cycle skipping changed long-initiation results" >&2
+         exit 1; }
 
 # ...and it must actually pay: on a memory-stressed configuration (DRAM
 # latency stretched to 800 cycles, crit profiler on — the EXPERIMENTS.md

@@ -35,7 +35,7 @@ Kernel::disassemble() const
         << ", params=" << numParams_
         << ", smem=" << sharedMemBytes_ << "B)\n";
     for (size_t pc = 0; pc < insts_.size(); ++pc) {
-        char buf[16];
+        char buf[24];
         std::snprintf(buf, sizeof(buf), "%4zu: ", pc);
         oss << buf << insts_[pc].toString() << '\n';
     }

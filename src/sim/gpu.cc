@@ -191,17 +191,51 @@ Gpu::mapPartition(uint64_t line_addr, int sm_id, const GpuConfig &config)
                             config.numPartitions);
 }
 
+int
+Gpu::nextCtaSm(const DispatchState &dispatch) const
+{
+    if (dispatch.next == dispatch.total)
+        return -1;
+    // Clustered dispatch packs neighboring CTAs onto the same SM in
+    // batches, and a windowed launch (sampled simulation) pins each
+    // listed id to the SM its id would get from this policy's first
+    // dispatch wave in a full run — the window must see the warmed L1 of
+    // the RIGHT SM, and cross-launch L1 reuse must land where the full
+    // run leaves it. Both are strict (head-of-line): the designated SM
+    // must have room before the next CTA can be placed.
+    if (dispatch.ctaList || config_.ctaSched == CtaSchedPolicy::Clustered) {
+        const uint64_t linear = dispatch.ctaList
+            ? (*dispatch.ctaList)[dispatch.next]
+            : dispatch.next;
+        const unsigned sm = static_cast<unsigned>(
+            config_.ctaSched == CtaSchedPolicy::Clustered
+                ? (linear / config_.ctaClusterSize) % config_.numSms
+                : linear % config_.numSms);
+        return sms_[sm]->canTakeCta() ? static_cast<int>(sm) : -1;
+    }
+    // Baseline round-robin: each new CTA goes to the next SM with a free
+    // slot (Section X.B describes this as today's hardware policy).
+    for (unsigned i = 0; i < config_.numSms; ++i) {
+        const unsigned sm = (dispatch.rrSm + i) % config_.numSms;
+        if (sms_[sm]->canTakeCta())
+            return static_cast<int>(sm);
+    }
+    return -1;
+}
+
 void
 Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
 {
     const LaunchContext &launch = *dispatch.launch;
-
-    auto place = [&](unsigned sm, uint64_t linear) {
+    for (int sm = nextCtaSm(dispatch); sm >= 0; sm = nextCtaSm(dispatch)) {
+        const uint64_t linear = dispatch.ctaList
+            ? (*dispatch.ctaList)[dispatch.next]
+            : dispatch.next;
         // A placement wakes the SM before launchCta, so the span credit
         // still sees the state the SM slept in (a clustered dispatch can
         // also land a CTA on a frozen busy SM with a free slot).
         if (sleep_[sm].asleep)
-            wakeUnit(sm, now);
+            wakeUnit(static_cast<unsigned>(sm), now);
         const uint32_t cx = static_cast<uint32_t>(linear % launch.grid.x);
         const uint32_t cy =
             static_cast<uint32_t>((linear / launch.grid.x) % launch.grid.y);
@@ -209,60 +243,9 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
             static_cast<uint32_t>(linear / (uint64_t{launch.grid.x} *
                                             launch.grid.y));
         sms_[sm]->launchCta(static_cast<uint32_t>(linear), cx, cy, cz);
-    };
-
-    // Sampled simulation: a windowed launch dispatches the linear ids of
-    // the detailed window, each pinned (strict, head-of-line) to the SM
-    // its id would get from this policy's first dispatch wave in a full
-    // run — the window must see the warmed L1 of the RIGHT SM, and
-    // cross-launch L1 reuse must land where the full run leaves it.
-    if (dispatch.ctaList) {
-        while (dispatch.next < dispatch.total) {
-            const uint64_t linear = (*dispatch.ctaList)[dispatch.next];
-            const unsigned sm = static_cast<unsigned>(
-                config_.ctaSched == CtaSchedPolicy::Clustered
-                    ? (linear / config_.ctaClusterSize) % config_.numSms
-                    : linear % config_.numSms);
-            if (!sms_[sm]->canTakeCta())
-                break;
-            place(sm, linear);
-            ++dispatch.next;
-        }
-        return;
-    }
-    auto linearOf = [&](uint64_t position) { return position; };
-
-    if (config_.ctaSched == CtaSchedPolicy::Clustered) {
-        // Neighboring CTAs are packed onto the same SM in batches. The
-        // assignment is strict (head-of-line): the designated SM must have
-        // room before the next CTA can be placed.
-        while (dispatch.next < dispatch.total) {
-            const unsigned sm = static_cast<unsigned>(
-                (dispatch.next / config_.ctaClusterSize) % config_.numSms);
-            if (!sms_[sm]->canTakeCta())
-                break;
-            place(sm, linearOf(dispatch.next));
-            ++dispatch.next;
-        }
-        return;
-    }
-
-    // Baseline round-robin: each new CTA goes to the next SM with a free
-    // slot (Section X.B describes this as today's hardware policy).
-    while (dispatch.next < dispatch.total) {
-        bool placed = false;
-        for (unsigned i = 0; i < config_.numSms; ++i) {
-            const unsigned sm = (dispatch.rrSm + i) % config_.numSms;
-            if (sms_[sm]->canTakeCta()) {
-                place(sm, linearOf(dispatch.next));
-                ++dispatch.next;
-                dispatch.rrSm = (sm + 1) % config_.numSms;
-                placed = true;
-                break;
-            }
-        }
-        if (!placed)
-            break;
+        ++dispatch.next;
+        // Only the round-robin policy reads the pointer.
+        dispatch.rrSm = (static_cast<unsigned>(sm) + 1) % config_.numSms;
     }
 }
 
@@ -324,15 +307,10 @@ Gpu::wakeAll(Cycle resume)
 Cycle
 Gpu::wakeAtFor(unsigned unit, Cycle now) const
 {
-    // A partition's certificate is already kNever once it is drained.
+    // A unit's certificate is already kNever once it is drained.
     if (unit >= config_.numSms)
         return partitions_[unit - config_.numSms]->nextEventCycle(now);
     const Sm &sm = *sms_[unit];
-    // A drained SM sleeps on !busy() alone: issueDirty_ can stay set
-    // after its last exit, and its certificate would then pin now + 1
-    // forever.
-    if (!sm.busy())
-        return kNever;
     // A FailIcnt-frozen head whose injection credit already came back
     // (this cycle's arbitration popped the queue) retries next cycle.
     if (sm.ldstStalledOnIcnt() && icnt_.canInject(static_cast<int>(unit)))
@@ -341,7 +319,7 @@ Gpu::wakeAtFor(unsigned unit, Cycle now) const
 }
 
 Cycle
-Gpu::skipTarget(Cycle now, Cycle start) const
+Gpu::skipTarget(Cycle now, Cycle start, const DispatchState &dispatch) const
 {
     // The crossbar first: anything waiting for arbitration moves next
     // cycle, and memory-bound kernels are in that state nearly every
@@ -350,13 +328,17 @@ Gpu::skipTarget(Cycle now, Cycle start) const
     Cycle target = icnt_.nextEventCycle(now);
     if (target == now + 1)
         return now + 1;
+    // A CTA that fits now is placed next cycle: this cycle's warp exit
+    // freed its slot, whether or not it left its SM drained.
+    if (nextCtaSm(dispatch) >= 0)
+        return now + 1;
     // A sleeping SM can still block the jump: a FailIcnt-frozen head (its
     // gate bit) whose injection credit came back this cycle retries next
     // cycle, although the freed queue may leave the crossbar empty.
     for (unsigned s = 0; s < config_.numSms; ++s)
         if (sleep_[s].gate && icnt_.canInject(static_cast<int>(s)))
             return now + 1;
-    // A drained sleeper offers its kNever, never its certificate.
+    // A drained sleeper's wakeAt is kNever.
     for (const SleepState &state : sleep_)
         target = std::min(target, state.wakeAt);
 
@@ -768,7 +750,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
             // check, so a jump is only taken mid-kernel. Every unit
             // credits the span at its own wake; the crossbar only owes its
             // round-robin pointer advance.
-            const Cycle target = skipTarget(now, start);
+            const Cycle target = skipTarget(now, start, dispatch);
             if (target > now + 1) {
                 const uint64_t span = target - (now + 1);
                 icnt_.skipAdvance(span);

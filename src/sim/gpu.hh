@@ -228,6 +228,11 @@ class Gpu
         const std::vector<uint64_t> *ctaList = nullptr;
     };
 
+    /**
+     * The SM dispatchCtas would place the next waiting CTA on right now,
+     * or -1 when no CTA waits or the policy's SM for it has no room.
+     */
+    int nextCtaSm(const DispatchState &dispatch) const;
     void dispatchCtas(DispatchState &dispatch, Cycle now);
     bool allIdle() const;
     void sampleTimeline(Cycle now) const;
@@ -295,8 +300,11 @@ class Gpu
     // the earliest wakeAt, crossbar event or deadline (skipTarget). With
     // cycle_skipping=0 nothing sleeps: that run is the eager reference.
 
-    /** Sleep-state wakeAt of a unit only an outside stimulus can wake. */
-    static constexpr Cycle kNever = ~Cycle{0};
+    /**
+     * Sleep-state wakeAt of a unit only an outside stimulus can wake: the
+     * certificate a drained SM or partition reports.
+     */
+    static constexpr Cycle kNever = Sm::kNoEvent;
 
     struct SleepState
     {
@@ -362,9 +370,11 @@ class Gpu
     /**
      * The next cycle the loop must run once no unit is awake, seen from
      * the end of cycle @p now; now + 1 means no jump. @p start is the
-     * launch's first cycle (anchors the timeline-sample clamp).
+     * launch's first cycle (anchors the timeline-sample clamp); a CTA
+     * @p dispatch can place blocks the jump.
      */
-    Cycle skipTarget(Cycle now, Cycle start) const;
+    Cycle skipTarget(Cycle now, Cycle start,
+                     const DispatchState &dispatch) const;
     guard::HangReport buildHangReport(const std::string &kernel,
                                       Cycle now) const;
 

@@ -83,7 +83,6 @@ Sm::launchCta(uint32_t linear_id, uint32_t cx, uint32_t cy, uint32_t cz)
     }
     gcl_sim_check(slot >= 0, "sm" + std::to_string(id_), 0,
                   "no free CTA slot");
-    issueDirty_ = true;
     GCL_DEBUG("sm", "sm", id_, ": cta ", linear_id, " -> slot ", slot);
 
     CtaContext &cta = ctas_[static_cast<size_t>(slot)];
@@ -158,7 +157,7 @@ bool
 Sm::warpReady(const WarpContext &warp, Cycle now) const
 {
     return warpEligible(warp) &&
-           unitFree(launch_->issueClass[warp.stack.pc()], now);
+           unitFreeAt(launch_->issueClass[warp.stack.pc()]) <= now;
 }
 
 bool
@@ -187,20 +186,46 @@ Sm::warpEligible(const WarpContext &warp) const
     return true;
 }
 
-bool
-Sm::unitFree(uint8_t cls, Cycle now) const
+Cycle
+Sm::unitFreeAt(uint8_t cls) const
 {
     switch (cls) {
       case LaunchContext::IssueBarrier:
       case LaunchContext::IssueExit:
-        return true;
+        return 0;
       case LaunchContext::IssueMemory:
-        return ldstQ_.size() < config_.ldstQueueDepth;
+        return ldstQ_.size() < config_.ldstQueueDepth ? 0 : kNoEvent;
       case LaunchContext::IssueSfu:
-        return now >= sfuStageFreeAt_;
+        return sfuStageFreeAt_;
       default:
-        return now >= spStageFreeAt_;
+        return spStageFreeAt_;
     }
+}
+
+Cycle
+Sm::nextEventCycle(Cycle now) const
+{
+    // A queued LD/ST head retries every cycle — but when the last retry
+    // failed on a frozen resource (ldstHeadStall_), the retry outcome and
+    // its stat deltas are constant until a fill or an injection credit
+    // arrives, both outside events; skipCycles credits the retries in
+    // bulk, so the head does not pin the clock.
+    if (!ldstQ_.empty() && ldstHeadStall_ == kNoStall)
+        return now + 1;
+    // A class with a ready warp filed under it on any scheduler issues
+    // once its unit frees. A writeback or hit return is the other kind of
+    // event: it can make a warp ready. pendingOps_ only advance when a
+    // response arrives, and its delivery is the interconnect's event.
+    Cycle next = kNoEvent;
+    for (size_t i = 0; i < readyMask_.size(); ++i)
+        if (readyMask_[i] != 0)
+            next = std::min(next, unitFreeAt(static_cast<uint8_t>(
+                                      i % kIssueClasses)));
+    if (!wbHeap_.empty())
+        next = std::min(next, wbHeap_.top().time);
+    if (!hitReturnQ_.empty())
+        next = std::min(next, hitReturnQ_.headReadyAt());
+    return next <= now ? now + 1 : next;
 }
 
 void
@@ -258,7 +283,7 @@ Sm::pickReady(unsigned scheduler, Cycle now)
     // scheduler's issue this cycle can fill the LD/ST queue or occupy
     // the SP/SFU stage. Barrier and exit need no unit.
     auto open = [&](LaunchContext::IssueClass cls) {
-        return unitFree(cls, now) ? ~uint64_t{0} : uint64_t{0};
+        return unitFreeAt(cls) <= now ? ~uint64_t{0} : uint64_t{0};
     };
     const uint64_t memory = open(LaunchContext::IssueMemory);
     const uint64_t sfu = open(LaunchContext::IssueSfu);
@@ -374,7 +399,6 @@ Sm::releaseBarrier(CtaContext &cta, int cta_slot)
         }
     }
     cta.warpsAtBarrier = 0;
-    issueDirty_ = true;
 }
 
 void
@@ -490,46 +514,22 @@ Sm::issueWarp(int slot, Cycle now)
 void
 Sm::issueCycle(Cycle now)
 {
-    if (crit) {
-        // Attribution path: every slot of every cycle must be issued or
-        // charged, including cycles the short-circuit below skips. The
-        // simulation stays bit-identical because pickWarp mutates
-        // scheduler state only when it returns a warp, and it is invoked
-        // exactly when the baseline would invoke it (scan == issueDirty_;
-        // a skipped scan is by construction one that would find nothing).
+    // Every scheduler picks every ticked cycle. With the crit profiler on,
+    // each slot is issued or charged; the charging is read-only, and
+    // pickWarp mutates scheduler state only when it returns a warp, so
+    // the profiler never perturbs the simulation.
+    if (crit)
         ++crit->cycles;
-        const bool scan = issueDirty_;
-        bool issued = false;
-        for (unsigned sched = 0; sched < config_.numSchedulers; ++sched) {
-            const int slot = scan ? pickWarp(sched, now) : -1;
-            if (slot >= 0) {
-                issueWarp(slot, now);
-                issued = true;
-                ++crit->issued;
-            } else {
-                critCharge(sched, now);
-            }
-        }
-        if (scan)
-            issueDirty_ = issued;
-        return;
-    }
-
-    // Event-driven short-circuit: when the last scan found nothing
-    // issuable and no state that could wake a warp has changed since
-    // (writeback, barrier release, LD/ST drain, CTA arrival, or another
-    // issue), the scan would find nothing again.
-    if (!issueDirty_)
-        return;
-    bool issued = false;
     for (unsigned sched = 0; sched < config_.numSchedulers; ++sched) {
         const int slot = pickWarp(sched, now);
         if (slot >= 0) {
             issueWarp(slot, now);
-            issued = true;
+            if (crit)
+                ++crit->issued;
+        } else if (crit) {
+            critCharge(sched, now);
         }
     }
-    issueDirty_ = issued;
 }
 
 void
@@ -581,7 +581,8 @@ Sm::blockingByScan(unsigned scheduler) const
 }
 
 void
-Sm::critCharge(unsigned scheduler, Cycle now, uint64_t count)
+Sm::critCharge(unsigned scheduler, [[maybe_unused]] Cycle now,
+                uint64_t count)
 {
     using crit::StallReason;
 
@@ -609,15 +610,10 @@ Sm::critCharge(unsigned scheduler, Cycle now, uint64_t count)
         return;
     }
 
+    // The scheduler just found no ready warp (or, from skipCycles, the
+    // span starts at a cycle where none could issue), so the blocking
+    // warp is not ready: the walk below names why.
     const WarpContext &warp = warps_[static_cast<size_t>(blocking)];
-    if (warpReady(warp, now)) {
-        // Ready but skipped: only reachable on short-circuited cycles,
-        // where a warp waiting on a pure time edge (a busy SP/SFU stage)
-        // ripens with no wake event. The model defers it to the next
-        // wake, so the lost slots are structural.
-        crit->charge(StallReason::Pipeline, count);
-        return;
-    }
     if (warp.atBarrier) {
         crit->charge(StallReason::Barrier, count);
         return;
@@ -892,7 +888,6 @@ Sm::ldstCycle(Cycle now, Interconnect &icnt)
         // On-chip scratchpad: one stage cycle, fixed latency.
         op.tFirstAccept = op.tLastAccept = now;
         ldstQ_.pop_front();
-        issueDirty_ = true;
         if (op.dst != ptx::kNoReg)
             scheduleWriteback(now + config_.sharedMemLatency, op.warpSlot,
                               op.dst);
@@ -1017,7 +1012,6 @@ Sm::ldstCycle(Cycle now, Interconnect &icnt)
 
     if (op.allIssued()) {
         ldstQ_.pop_front();
-        issueDirty_ = true;
         if (op.outstanding > 0)
             pendingOps_.push_back(op_handle);
         else
@@ -1051,7 +1045,6 @@ Sm::writebackCycle(Cycle now)
     while (!wbHeap_.empty() && wbHeap_.top().time <= now) {
         const Writeback wb = wbHeap_.top();
         wbHeap_.pop();
-        issueDirty_ = true;
         WarpContext &warp = warps_[static_cast<size_t>(wb.slot)];
         gcl_sim_check(warp.active, "sm" + std::to_string(id_), now,
                       "writeback to a retired warp slot");
@@ -1089,11 +1082,11 @@ void
 Sm::skipCycles(Cycle first, uint64_t count)
 {
     // Everything cycle() would have done over the dead span [first,
-    // first + count), cycle by cycle: no writeback ripens, the issue scan
-    // is short-circuited (issueDirty_ is false or skipping would not have
-    // happened), no hit return is due, and the LD/ST queue is either
-    // empty or its head is a deterministically stalled retry — so only
-    // the per-cycle counters move.
+    // first + count), cycle by cycle: no writeback ripens, no scheduler
+    // finds a ready warp (no class with one filed under it has its unit
+    // free before the span ends), no hit return is due, and the LD/ST
+    // queue is either empty or its head is a deterministically stalled
+    // retry — so only the per-cycle counters move.
     stats_.hot.smCycles += count;
     if (first < spStageFreeAt_)
         stats_.hot.busySp +=
@@ -1118,10 +1111,10 @@ Sm::skipCycles(Cycle first, uint64_t count)
     }
     if (crit) {
         // The per-scheduler attribution is constant across the span (the
-        // blocking warp, its scoreboard and the queues are all frozen;
-        // an SP/SFU stage-free edge inside the span flips warpReady but
-        // both sides charge Pipeline), so evaluating it once at the
-        // span's first cycle and multiplying is exact.
+        // blocking warp, its scoreboard and the queues are all frozen, and
+        // a stage-free edge inside the span can only be one no ready warp
+        // waits on), so evaluating it once at the span's first cycle and
+        // multiplying is exact.
         crit->cycles += count;
         for (unsigned sched = 0; sched < config_.numSchedulers; ++sched)
             critCharge(sched, first, count);
@@ -1220,7 +1213,6 @@ Sm::save(snap::SnapWriter &out) const
     gcl_sim_check(!busy(), "sm" + std::to_string(id_), 0,
                   "checkpoint with resident CTAs or in-flight work");
     out.u64(ageCounter_);
-    out.u8(issueDirty_ ? 1 : 0);
     out.u8(critLastL1Outcome_);
     out.u64(spStageFreeAt_);
     out.u64(sfuStageFreeAt_);
@@ -1231,7 +1223,6 @@ void
 Sm::load(snap::SnapReader &in)
 {
     ageCounter_ = in.u64();
-    issueDirty_ = in.u8() != 0;
     critLastL1Outcome_ = in.u8();
     spStageFreeAt_ = in.u64();
     sfuStageFreeAt_ = in.u64();

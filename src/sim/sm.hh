@@ -93,34 +93,16 @@ class Sm
     }
 
     /**
-     * The next cycle > @p now at which this (busy) SM's tick could do
-     * anything observable, or kNoEvent when only an external stimulus (a
-     * fill from the interconnect, a CTA arrival) can wake it. The
-     * contract event-driven skipping rests on: for every cycle t in
-     * (now, nextEventCycle), cycle(t, icnt) would mutate nothing but the
-     * per-cycle counters skipCycles() credits in bulk.
+     * The next cycle > @p now at which this SM's tick could do anything
+     * observable, or kNoEvent when only an external stimulus (a fill from
+     * the interconnect, a CTA arrival) can wake it — always the case for
+     * a drained SM. The contract event-driven skipping rests on: for
+     * every cycle t in (now, nextEventCycle), cycle(t, icnt) would mutate
+     * nothing but the per-cycle counters skipCycles() credits in bulk.
+     * Read from the ready-warp masks, so it is now + 1 exactly when a
+     * scheduler could issue at now + 1 (or the LD/ST head is live).
      */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        // A dirty issue scan can issue next cycle. A queued LD/ST head
-        // retries every cycle too — but when the last retry failed on a
-        // frozen L1 resource (ldstHeadStall_), the retry outcome and its
-        // stat deltas are constant until a fill arrives, and fills ride
-        // interconnect/partition events; skipCycles credits the retries
-        // in bulk, so the head does not pin the clock.
-        if (issueDirty_ ||
-            (!ldstQ_.empty() && ldstHeadStall_ == kNoStall))
-            return now + 1;
-        Cycle next = kNoEvent;
-        if (!wbHeap_.empty())
-            next = wbHeap_.top().time;
-        if (!hitReturnQ_.empty() && hitReturnQ_.headReadyAt() < next)
-            next = hitReturnQ_.headReadyAt();
-        // pendingOps_ only advance when a response arrives; the response's
-        // delivery is the interconnect's event, not this SM's.
-        return next <= now ? now + 1 : next;
-    }
+    Cycle nextEventCycle(Cycle now) const;
 
     /** nextEventCycle's "wake me only from outside" sentinel. */
     static constexpr Cycle kNoEvent = ~Cycle{0};
@@ -184,10 +166,9 @@ class Sm
 
     /**
      * Serialize the SM state that survives a kernel launch: the GTO age
-     * counter, the issue-scan dirty flag, the crit bookkeeping byte, the
-     * function-unit busy-until markers and the L1 tag array. Only legal
-     * when !busy() — CTA slots, LD/ST queues and writebacks must all be
-     * drained (kernel boundary).
+     * counter, the crit bookkeeping byte, the function-unit busy-until
+     * markers and the L1 tag array. Only legal when !busy() — CTA slots,
+     * LD/ST queues and writebacks must all be drained (kernel boundary).
      */
     void save(snap::SnapWriter &out) const;
 
@@ -200,8 +181,14 @@ class Sm
     bool warpReady(const WarpContext &warp, Cycle now) const;
     /** warpReady minus the function-unit test: what the masks hold. */
     bool warpEligible(const WarpContext &warp) const;
-    /** Can the unit for issue class @p cls take an instruction now? */
-    bool unitFree(uint8_t cls, Cycle now) const;
+    /**
+     * The first cycle the unit for issue class @p cls can take an
+     * instruction, as far as this SM's own state tells: 0 for barrier and
+     * exit (no unit), the stage-free cycle for SP and SFU, and for memory
+     * 0 while the LD/ST queue has room, else kNoEvent (it drains only
+     * through its head).
+     */
+    Cycle unitFreeAt(uint8_t cls) const;
     /** Re-file @p slot's ready-mask bit after its warp changed. */
     void refreshReady(int slot);
     int pickWarp(unsigned scheduler, Cycle now);
@@ -220,6 +207,7 @@ class Sm
      * provably constant across a dead span (no wake event means the
      * blocking warp, its scoreboard and the queues are all frozen), so
      * one evaluation at the span's first cycle covers every cycle of it.
+     * @p now only stamps a checked build's invariant error.
      */
     void critCharge(unsigned scheduler, Cycle now, uint64_t count = 1);
     /**
@@ -303,7 +291,8 @@ class Sm
      * that warp passes warpEligible, filed under the issue class of its
      * next instruction. refreshReady keeps them current at the events
      * that can change eligibility, so pickWarp only has to OR the masks
-     * of the classes whose unit is free. Laid out
+     * of the classes whose unit is free. They are the SM's only
+     * issue-readiness state: nextEventCycle reads them too. Laid out
      * [(scheduler * readyWords_ + word) * kIssueClasses + class] so one
      * word's classes share a cache line.
      */
@@ -313,12 +302,6 @@ class Sm
     std::vector<uint8_t> readyClass_;
     static constexpr unsigned kIssueClasses = LaunchContext::IssueExit + 1;
     static constexpr uint8_t kNotReady = 0xff;
-    /**
-     * False when the last issue scan found nothing and no wake event
-     * (writeback, barrier release, LD/ST drain, CTA arrival, issue) has
-     * happened since — the scan can be skipped.
-     */
-    bool issueDirty_ = true;
 
     /** Warp memory ops; front occupies the LD/ST first stage. */
     std::deque<OpHandle> ldstQ_;

@@ -39,8 +39,13 @@
 namespace gcl::snap
 {
 
-/** Bump on any incompatible change to a section's field sequence. */
-constexpr uint32_t kSchemaVersion = 1;
+/**
+ * Bump on any incompatible change to a section's field sequence.
+ *   v2: the SM section lost its issue-scan flag byte; the SM now takes
+ *       issue readiness from its ready-warp masks alone, so a v1
+ *       boundary state must not resume under the new issue rule.
+ */
+constexpr uint32_t kSchemaVersion = 2;
 
 /** File magic; the trailing '1' is cosmetic, kSchemaVersion governs. */
 constexpr char kMagic[8] = {'G', 'C', 'L', 'S', 'N', 'A', 'P', '1'};

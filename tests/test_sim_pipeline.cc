@@ -4,7 +4,7 @@
  * results, barriers as producer/consumer synchronization, per-CTA shared
  * memory isolation, multi-CTA launches, stat plausibility, and the warp
  * scheduler's ready-warp masks (barriers across schedulers, multi-word
- * masks, and GTO byte-identity pins).
+ * masks, an SFU issue-rate timing oracle, and GTO byte-identity pins).
  */
 
 #include <gtest/gtest.h>
@@ -463,6 +463,58 @@ TEST(SimPipeline, MoreThan64SlotsOnOneScheduler)
     }
 }
 
+TEST(SimPipeline, SfuIssueRateMeasuresBackInitiation)
+{
+    // One SM, one scheduler, one CTA of W warps; each warp issues N
+    // independent sqrt.f32 and stores the last. The SFU stage takes one
+    // op per initiation interval I, so eight more sqrt per warp must add
+    // exactly W * 8 * I cycles, whatever the latency: also when the stage
+    // stays busy long after the result is back (1:64), and with cycle
+    // skipping on or off. The expected value is analytic and shares no
+    // code with the simulator's event certificates.
+    auto build = [](unsigned n) {
+        KernelBuilder b("sfu_rate", 1);
+        const Reg out = b.ldParam(0);
+        const Reg tid = b.globalTidX();
+        const Reg addr = b.elemAddr(out, tid, 4);
+        const Reg x = b.cvt(DT::F32, DT::U32, tid);
+        Reg root = x;
+        for (unsigned i = 0; i < n; ++i)
+            root = b.sfu(Opcode::Sqrt, DT::F32, x);
+        b.st(MemSpace::Global, DT::F32, addr, root);
+        return b.build();
+    };
+    const Kernel eight = build(8);
+    const Kernel sixteen = build(16);
+
+    const sim::FuTiming timings[] = {{16, 4}, {20, 8}, {1, 64}, {6, 1}};
+    for (const sim::FuTiming timing : timings) {
+        for (const unsigned warps : {1u, 4u, 8u}) {
+            for (const bool skipping : {true, false}) {
+                auto cycles = [&](const Kernel &kernel) {
+                    sim::GpuConfig config;
+                    config.numSms = 1;
+                    config.numSchedulers = 1;
+                    config.cycleSkipping = skipping;
+                    config.watchdogBudget = 100'000;
+                    config.opTiming[static_cast<size_t>(sim::OpClass::Sfu)] =
+                        timing;
+                    sim::Gpu gpu(config);
+                    const uint64_t d = gpu.deviceMalloc(warps * 32 * 4);
+                    gpu.launch(kernel, sim::Dim3{1, 1, 1},
+                               sim::Dim3{warps * 32, 1, 1}, {d});
+                    return gpu.lastLaunchCycles();
+                };
+                EXPECT_EQ(cycles(sixteen) - cycles(eight),
+                          uint64_t{warps} * 8 * timing.initiation)
+                    << "sfu " << timing.latency << ":" << timing.initiation
+                    << ", " << warps << " warps, skipping "
+                    << (skipping ? "on" : "off");
+            }
+        }
+    }
+}
+
 std::string
 statsDigest(const std::string &text)
 {
@@ -486,9 +538,9 @@ TEST(SimPipeline, GtoStatsPinnedOnModernCore)
         const char *app;
         const char *digest;
     } pins[] = {
-        {"bpr", "cdd13a6dbe03969d"},
-        {"gaus", "5aff7c2835d17489"},
-        {"srad", "5efcfb76b37a4511"},
+        {"bpr", "8fb0db36e377fd97"},
+        {"gaus", "66fa3b1c24d0d104"},
+        {"srad", "fafea5231aee2e75"},
     };
     const sim::GpuConfig config = sim::loadMachineFile(
         std::string(GCL_REPO_CONFIGS_DIR) + "/modern-core.config");
