@@ -52,8 +52,12 @@ constexpr unsigned kDatasetVersion = 5;
  *   v5: the SM issues as soon as a busy SP/SFU stage frees under a ready
  *       warp (it used to wait for an unrelated event), which moves the
  *       stats of apps that queue on a stage, e.g. bpr and mriq on C2050.
+ *   v6: every unit adds into one stats sink, so each op's fractional
+ *       mean gap_icnt_l2 joins one device-wide sum in completion order
+ *       instead of per-SM sums merged in SM order; the last bits of
+ *       some pc.*.gap_icnt_l2 weights round differently.
  */
-constexpr unsigned kCacheSchemaVersion = 5;
+constexpr unsigned kCacheSchemaVersion = 6;
 
 std::filesystem::path
 cacheDir()

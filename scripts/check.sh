@@ -419,9 +419,11 @@ if [ "$ASAN" = 1 ]; then
     # scheduling policies. It also re-derives every crit blocking warp
     # with the reference scan (Sm::critCharge); Crit* drives that on
     # c2050 and on modern-core (GTO, four schedulers). Icnt* runs the
-    # crossbar against its reference model.
+    # crossbar against its reference model. SimStats* runs the stats
+    # sink's accumulation, block-table growth and snapshot load,
+    # including the malformed-table rejections.
     "$ASAN_DIR/tests/gcl_tests" \
-        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:Skip*:SimPipeline*:Crit*:Icnt*'
+        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:Skip*:SimPipeline*:Crit*:Icnt*:SimStats*'
 fi
 
 echo "check: all green"

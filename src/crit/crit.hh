@@ -24,14 +24,12 @@
  *    completes, so each load's turnaround decomposes into where the time
  *    went.
  *
- * Contracts (mirroring SimStats::Shard — see stats.hh):
+ * Contracts:
  *  - One SmCrit shard per SM, written only by that SM's tick;
  *    CritStats::finalize merges shards in creation (SM-id) order into
  *    keyed, commutative StatsSet entries.
  *  - Near-zero cost when disabled: every hook sits behind a null-pointer
- *    check on Sm::crit (the tracing idiom); the perf_diff gate in
- *    scripts/check.sh keeps the disabled path inside the regression
- *    budget.
+ *    check on Sm::crit (the tracing idiom).
  */
 
 #ifndef GCL_CRIT_CRIT_HH

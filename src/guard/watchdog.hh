@@ -149,13 +149,6 @@ class Watchdog
     }
 
     /**
-     * True when onCycle(now, ...) would actually run a check. Lets a
-     * caller whose progress counters are expensive to total (the parallel
-     * tick sums per-unit stat shards) skip gathering them off-interval.
-     */
-    bool due(uint64_t now) const { return now >= nextCheck_; }
-
-    /**
      * Absolute cycle of the next scheduled progress check (~0 when
      * disabled). A clock jump must never overshoot this: the event-driven
      * skip clamps its target here so the sequence of check cycles — and

@@ -33,7 +33,7 @@ Gpu::Gpu(GpuConfig config)
         sms_.back()->partitionMap = &Gpu::mapPartition;
         sms_.back()->fault = fault_.get();
         // One crit shard per SM, created in SM-id order, the order
-        // finalize merges them in (like SimStats shards).
+        // finalize reads them in.
         if (crit_)
             sms_.back()->crit = &crit_->newShard();
         // Global stores/atomics commit at end of cycle in SM-id order
@@ -579,16 +579,13 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
 
     // Thread-instructions the timed session will issue — the work unit
     // the extrapolation uses to price fast-forwarded launches.
-    const uint64_t workBefore =
-        samplePlan_.active() ? stats_.hotTotals().threadInsts : 0;
+    const uint64_t workBefore = stats_.hot.threadInsts;
 
     // Cycle 0 is reserved as the "unset timestamp" sentinel; the clock is
     // global and monotonic across launches.
     const Cycle start = clock_ + 1;
-    {
-        const SimStats::Hot totals = stats_.hotTotals();
-        watchdog_.beginLaunch(start, totals.warpInsts, totals.reqsCompleted);
-    }
+    watchdog_.beginLaunch(start, stats_.hot.warpInsts,
+                          stats_.hot.reqsCompleted);
     // Per-unit sleep and clock jumps run only with cycle skipping on.
     // With it off nothing sleeps, and this same loop body is the eager
     // cycle-by-cycle reference every skipping run is proved bit-identical
@@ -624,41 +621,35 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                           "run cancelled during launch of '", kernel.name(),
                           "'");
         }
-        // Progress counters now live in per-unit shards, so totalling them
-        // is O(units); the due() gate keeps that off the per-cycle path.
-        if (watchdog_.due(now)) {
-            const SimStats::Hot totals = stats_.hotTotals();
-            if (watchdog_.onCycle(now, totals.warpInsts,
-                                  totals.reqsCompleted)) {
-                // Double-fault guard: composing the per-unit detail walks
-                // hung data structures, which may themselves trip an
-                // invariant. The hang must still surface with at least
-                // its conservation counters, so a nested error degrades
-                // the report instead of replacing it.
-                // The report's per-SM detail must match the eager loop's,
-                // so settle every sleeper first (through now - 1: this
-                // cycle never ran).
-                wakeAll(now);
-                auto report = std::make_shared<guard::HangReport>();
-                try {
-                    *report = buildHangReport(kernel.name(), now);
-                } catch (const SimError &nested) {
-                    report->kernel = kernel.name();
-                    report->cycle = now;
-                    report->lastProgressCycle =
-                        watchdog_.lastProgressCycle();
-                    report->stallCycles = now - report->lastProgressCycle;
-                    report->compositionError = nested.message();
-                }
-                // Final timeline sample so a Chrome-trace export shows the
-                // queue occupancies of the hung window.
-                if (GCL_TRACE_ACTIVE(traceSink_))
-                    sampleTimeline(now);
-                SimError error(SimError::Kind::Hang, "gpu", now,
-                               report->summary());
-                error.hangReport = std::move(report);
-                throw error;
+        if (watchdog_.onCycle(now, stats_.hot.warpInsts,
+                              stats_.hot.reqsCompleted)) {
+            // Double-fault guard: composing the per-unit detail walks
+            // hung data structures, which may themselves trip an
+            // invariant. The hang must still surface with at least
+            // its conservation counters, so a nested error degrades
+            // the report instead of replacing it.
+            // The report's per-SM detail must match the eager loop's,
+            // so settle every sleeper first (through now - 1: this
+            // cycle never ran).
+            wakeAll(now);
+            auto report = std::make_shared<guard::HangReport>();
+            try {
+                *report = buildHangReport(kernel.name(), now);
+            } catch (const SimError &nested) {
+                report->kernel = kernel.name();
+                report->cycle = now;
+                report->lastProgressCycle = watchdog_.lastProgressCycle();
+                report->stallCycles = now - report->lastProgressCycle;
+                report->compositionError = nested.message();
             }
+            // Final timeline sample so a Chrome-trace export shows the
+            // queue occupancies of the hung window.
+            if (GCL_TRACE_ACTIVE(traceSink_))
+                sampleTimeline(now);
+            SimError error(SimError::Kind::Hang, "gpu", now,
+                           report->summary());
+            error.hangReport = std::move(report);
+            throw error;
         }
 
         dispatchCtas(dispatch, now);
@@ -765,14 +756,11 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
 
     // Conservation: every data-expecting request the L1s accepted must
     // have completed by the time the device drained.
-    {
-        const SimStats::Hot totals = stats_.hotTotals();
-        gcl_sim_check(totals.reqsIssued == totals.reqsCompleted, "gpu",
-                      now, totals.reqsIssued, " requests issued but ",
-                      totals.reqsCompleted,
-                      " completed at the end of launch of '", kernel.name(),
-                      "'");
-    }
+    gcl_sim_check(stats_.hot.reqsIssued == stats_.hot.reqsCompleted, "gpu",
+                  now, stats_.hot.reqsIssued, " requests issued but ",
+                  stats_.hot.reqsCompleted,
+                  " completed at the end of launch of '", kernel.name(),
+                  "'");
 
     clock_ = now;
     lastLaunchCycles_ = now - start + 1;
@@ -785,8 +773,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     if (samplePlan_.active()) {
         const uint64_t det =
             windowed ? detailedList.size() : grid.count();
-        const uint64_t detWork =
-            stats_.hotTotals().threadInsts - workBefore;
+        const uint64_t detWork = stats_.hot.threadInsts - workBefore;
         if (!ffTail.empty())
             fastForwardCtas(launch, ffTail, 0);
         sampleBook_.push_back({launchIndex, grid.count(), det,
@@ -1054,10 +1041,9 @@ Gpu::buildHangReport(const std::string &kernel, Cycle now) const
     report.cycle = now;
     report.lastProgressCycle = watchdog_.lastProgressCycle();
     report.stallCycles = now - report.lastProgressCycle;
-    const SimStats::Hot totals = stats_.hotTotals();
-    report.instsIssued = totals.warpInsts;
-    report.reqsIssued = totals.reqsIssued;
-    report.reqsCompleted = totals.reqsCompleted;
+    report.instsIssued = stats_.hot.warpInsts;
+    report.reqsIssued = stats_.hot.reqsIssued;
+    report.reqsCompleted = stats_.hot.reqsCompleted;
     report.icntReqQueued = icnt_.reqQueued();
     report.icntRespQueued = icnt_.respQueued();
     report.sms.reserve(sms_.size());
@@ -1495,7 +1481,7 @@ Gpu::finalizeStats()
         }
     }
     // Fold the crit shards first: per-SM shards merge in creation order
-    // into keyed adds (the same contract SimStats::finalize honors).
+    // into keyed adds.
     if (crit_)
         crit_->finalize(stats_.kernelNames(), stats_.set());
     stats_.finalize();

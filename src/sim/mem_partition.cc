@@ -9,7 +9,7 @@ namespace gcl::sim
 
 MemPartition::MemPartition(int id, const GpuConfig &config, SimStats &stats,
                            MemPools &pools)
-    : id_(id), config_(config), stats_(stats.newShard()), pools_(pools),
+    : id_(id), config_(config), stats_(stats), pools_(pools),
       l2_("l2p" + std::to_string(id), config.l2, pools,
           &MemRequest::nextWaitingL2),
       dram_(config, pools)

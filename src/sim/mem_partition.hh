@@ -156,7 +156,7 @@ class MemPartition
 
     int id_;
     const GpuConfig &config_;
-    SimStats::Shard &stats_;    //!< this partition's private counter shard
+    SimStats &stats_;           //!< the device's one stats sink
     MemPools &pools_;
 
     DelayQueue<ReqHandle> ropQ_;

@@ -17,8 +17,7 @@ using ptx::Opcode;
 
 Sm::Sm(int id, const GpuConfig &config, GlobalMemory &gmem, SimStats &stats,
        MemPools &pools)
-    : id_(id), config_(config), simStats_(stats),
-      stats_(stats.newShard()), pools_(pools),
+    : id_(id), config_(config), stats_(stats), pools_(pools),
       executor_(gmem, config.warpSize),
       l1_("l1s" + std::to_string(id), config.l1, pools)
 {
@@ -31,7 +30,7 @@ Sm::startLaunch(const LaunchContext &launch)
                   "sm" + std::to_string(id_), 0,
                   "startLaunch on a busy SM");
     launch_ = &launch;
-    kernelId_ = simStats_.kernelId(launch.kernel->name());
+    kernelId_ = stats_.kernelId(launch.kernel->name());
     warpsPerCta_ = launch.warpsPerCta(config_.warpSize);
 
     const unsigned max_warps = config_.maxThreadsPerSm / config_.warpSize;

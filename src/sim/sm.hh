@@ -68,7 +68,7 @@ class Sm
 
     /**
      * Tick the Fig 4 denominator for an idle cycle (the Gpu skips the
-     * pipeline walk but the cycle still counts, in this SM's shard).
+     * pipeline walk but the cycle still counts).
      * With the crit profiler on, the cycle's issue slots are all lost to
      * IdleNoCta so the accounting identity keeps holding on skipped SMs.
      */
@@ -240,8 +240,7 @@ class Sm
 
     int id_;
     const GpuConfig &config_;
-    SimStats &simStats_;        //!< root object (kernel interning only)
-    SimStats::Shard &stats_;    //!< this SM's private counter shard
+    SimStats &stats_;           //!< the device's one stats sink
     MemPools &pools_;
     WarpExecutor executor_;
     /** issueWarp's step result, reused so a step never allocates. */

@@ -4,6 +4,7 @@
 
 #include "guard/sim_error.hh"
 #include "snap/io.hh"
+#include "util/bitutil.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
@@ -15,6 +16,17 @@ namespace
 /** Initial block-table capacity; power of two. */
 constexpr size_t kInitialBlockSlots = 1024;
 
+/**
+ * The most blocks a table of @p slots may hold: 70%, so probe runs stay
+ * short and a probe always finds a free slot. floor(0.7 * slots),
+ * computed without overflow.
+ */
+uint64_t
+blocksHeldBy(uint64_t slots)
+{
+    return slots / 10 * 7 + slots % 10 * 7 / 10;
+}
+
 size_t
 blockSlotOf(uint64_t line_addr, size_t mask)
 {
@@ -24,10 +36,11 @@ blockSlotOf(uint64_t line_addr, size_t mask)
     // high bits. This table keeps the low bits for two reasons. The
     // high-bit hash buys nothing here: it measured 0.87-1.12x this one's
     // suite sweep wall (6 same-host pairs, median 1.00), likely because
-    // the per-SM tables reach several MB, where scattered probes miss
-    // the host cache that the clustered runs stream through. And
-    // saveShard writes the slot layout into snapshots, so a new hash
-    // would change every snapshot taken with locality stats in flight.
+    // the tables (one per SM when it was measured) reach several MB,
+    // where scattered probes miss the host cache that the clustered runs
+    // stream through. And save() writes the slot layout into snapshots,
+    // so a new hash would change every snapshot taken with locality
+    // stats in flight.
     return (line_addr * UINT64_C(0x9E3779B97F4A7C15)) & mask;
 }
 
@@ -37,54 +50,8 @@ SimStats::SimStats(const GpuConfig &config)
     : config_(config),
       l2Queries_(config.numPartitions, 0),
       l2Hits_(config.numPartitions, 0),
-      base_(*this),
-      hot(base_.hot)
+      blockTable_(kInitialBlockSlots)
 {
-    base_.blockTable_.resize(kInitialBlockSlots);
-}
-
-void
-SimStats::Hot::add(const Hot &o)
-{
-    warpInsts += o.warpInsts;
-    threadInsts += o.threadInsts;
-    smCycles += o.smCycles;
-    reqsIssued += o.reqsIssued;
-    reqsCompleted += o.reqsCompleted;
-    busySp += o.busySp;
-    busySfu += o.busySfu;
-    busyLdst += o.busyLdst;
-    for (int i = 0; i < 6; ++i)
-        l1Outcome[i] += o.l1Outcome[i];
-    for (int i = 0; i < 2; ++i) {
-        l1Access[i] += o.l1Access[i];
-        l1Miss[i] += o.l1Miss[i];
-        l2Access[i] += o.l2Access[i];
-        l2Miss[i] += o.l2Miss[i];
-    }
-    partStalls += o.partStalls;
-    sloadWarps += o.sloadWarps;
-    sstoreWarps += o.sstoreWarps;
-    gstoreWarps += o.gstoreWarps;
-    atomWarps += o.atomWarps;
-    l2Atomics += o.l2Atomics;
-    l2WriteAbsorbed += o.l2WriteAbsorbed;
-}
-
-SimStats::Shard &
-SimStats::newShard()
-{
-    shards_.push_back(Shard(*this));
-    return shards_.back();
-}
-
-SimStats::Hot
-SimStats::hotTotals() const
-{
-    Hot total = base_.hot;
-    for (const Shard &shard : shards_)
-        total.add(shard.hot);
-    return total;
 }
 
 void
@@ -100,7 +67,7 @@ SimStats::insertCta(std::vector<uint32_t> &ctas, uint32_t cta)
 }
 
 void
-SimStats::Shard::growBlockTable()
+SimStats::growBlockTable()
 {
     std::vector<BlockSlot> old = std::move(blockTable_);
     blockTable_.assign(old.size() * 2, BlockSlot{});
@@ -116,10 +83,8 @@ SimStats::Shard::growBlockTable()
 }
 
 SimStats::BlockInfo &
-SimStats::Shard::blockFor(uint64_t line_addr)
+SimStats::blockFor(uint64_t line_addr)
 {
-    if (blockTable_.empty())
-        blockTable_.resize(kInitialBlockSlots);
     const size_t mask = blockTable_.size() - 1;
     size_t at = blockSlotOf(line_addr, mask);
     while (blockTable_[at].info.accesses != 0) {
@@ -127,9 +92,9 @@ SimStats::Shard::blockFor(uint64_t line_addr)
             return blockTable_[at].info;
         at = (at + 1) & mask;
     }
-    // New block: grow at ~70% load before inserting so probe runs stay
-    // short, then claim the (possibly relocated) slot.
-    if ((blockCount_ + 1) * 10 > blockTable_.size() * 7) {
+    // New block: grow before inserting past the load bound, then claim
+    // the (possibly relocated) slot.
+    if (blockCount_ + 1 > blocksHeldBy(blockTable_.size())) {
         growBlockTable();
         const size_t grown_mask = blockTable_.size() - 1;
         at = blockSlotOf(line_addr, grown_mask);
@@ -142,8 +107,7 @@ SimStats::Shard::blockFor(uint64_t line_addr)
 }
 
 void
-SimStats::Shard::l1Access(bool non_det, bool miss, uint64_t line_addr,
-                          uint32_t cta)
+SimStats::l1Access(bool non_det, bool miss, uint64_t line_addr, uint32_t cta)
 {
     ++hot.l1Access[non_det];
     if (miss)
@@ -168,11 +132,10 @@ SimStats::kernelId(const std::string &name)
 }
 
 void
-SimStats::Shard::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
+SimStats::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
 {
     const bool nd = op.nonDet;
     const uint32_t nreq = op.numRequests;
-    const GpuConfig &config = owner_->config_;
 
     // Fig 2 aggregates.
     ClassAgg &agg = cls_[nd];
@@ -189,13 +152,13 @@ SimStats::Shard::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
     double unloaded = 0.0;
     switch (op.deepest) {
       case ServiceLevel::L1:
-        unloaded = config.l1HitLatency;
+        unloaded = config_.l1HitLatency;
         break;
       case ServiceLevel::L2:
-        unloaded = config.unloadedL2Latency();
+        unloaded = config_.unloadedL2Latency();
         break;
       case ServiceLevel::Dram:
-        unloaded = config.unloadedDramLatency();
+        unloaded = config_.unloadedDramLatency();
         break;
     }
     const double wasted_mem =
@@ -235,6 +198,8 @@ SimStats::Shard::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
     // Gap at icnt-L2: extra queueing between L1 acceptance and the start of
     // L2 service, accumulated per request as each completed (see
     // Sm::completeRequest) and averaged over the op's missed requests.
+    // The mean need not be an integer, so this is the one sum whose
+    // rounding depends on the order ops complete in.
     double gap_icnt_l2 = op.gapIcntL2Sum;
     if (op.missedReqs)
         gap_icnt_l2 /= op.missedReqs;
@@ -243,73 +208,6 @@ SimStats::Shard::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
     // Gap at L2-icnt: spread between the first and the last returned data.
     bucket->gapL2Icnt +=
         op.tFirstData ? static_cast<double>(op.tDone - op.tFirstData) : 0.0;
-}
-
-void
-SimStats::mergeShard(Shard &shard)
-{
-    base_.hot.add(shard.hot);
-    shard.hot = Hot{};
-
-    for (int nd = 0; nd < 2; ++nd) {
-        ClassAgg &dst = base_.cls_[nd];
-        const ClassAgg &src = shard.cls_[nd];
-        dst.warps += src.warps;
-        dst.reqs += src.reqs;
-        dst.active += src.active;
-        dst.turnSum += src.turnSum;
-        dst.unloaded += src.unloaded;
-        dst.rsrvPrev += src.rsrvPrev;
-        dst.rsrvCur += src.rsrvCur;
-        dst.mem += src.mem;
-        shard.cls_[nd] = ClassAgg{};
-    }
-
-    // Per-pc dense slots: bucket-wise adds into the base's slot. The
-    // nonDet bit is a static property of the pc, identical in every shard.
-    for (uint32_t kernel = 0; kernel < shard.pcDense_.size(); ++kernel) {
-        auto &src_slots = shard.pcDense_[kernel];
-        if (kernel >= base_.pcDense_.size())
-            base_.pcDense_.resize(kernel + 1);
-        auto &dst_slots = base_.pcDense_[kernel];
-        if (src_slots.size() > dst_slots.size())
-            dst_slots.resize(src_slots.size());
-        for (uint32_t pc = 0; pc < src_slots.size(); ++pc) {
-            const PcSlot &src = src_slots[pc];
-            if (!src.used)
-                continue;
-            PcSlot &dst = dst_slots[pc];
-            dst.used = true;
-            dst.nonDet = src.nonDet;
-            for (uint32_t n = 0; n <= WarpMemOp::kMaxRequests; ++n)
-                if (src.byReqs[n].cnt != 0)
-                    dst.byReqs[n].add(src.byReqs[n]);
-        }
-    }
-    shard.pcDense_.clear();
-
-    for (const auto &[key, src] : shard.pcAggs_) {
-        PcAgg &dst = base_.pcAggs_[key];
-        dst.nonDet = src.nonDet;
-        for (const auto &[nreq, bucket] : src.byReqs)
-            dst.byReqs[nreq].add(bucket);
-    }
-    shard.pcAggs_.clear();
-
-    for (BlockSlot &slot : shard.blockTable_) {
-        if (slot.info.accesses == 0)
-            continue;
-        BlockInfo &dst = base_.blockFor(slot.lineAddr);
-        dst.accesses += slot.info.accesses;
-        for (uint32_t cta : slot.info.ctas)
-            insertCta(dst.ctas, cta);
-        for (uint32_t cta : slot.info.ctasDet)
-            insertCta(dst.ctasDet, cta);
-        for (uint32_t cta : slot.info.ctasNondet)
-            insertCta(dst.ctasNondet, cta);
-    }
-    shard.blockTable_.clear();
-    shard.blockCount_ = 0;
 }
 
 void
@@ -367,12 +265,6 @@ SimStats::finalize()
         return;
     finalized_ = true;
 
-    // Fold every unit shard into the base in unit-creation order (SMs,
-    // then partitions — see Gpu's constructor). Each merge is a
-    // commutative keyed fold.
-    for (Shard &shard : shards_)
-        mergeShard(shard);
-
     // --- Hot counters ---
     set_.inc("warp_insts", static_cast<double>(hot.warpInsts));
     set_.inc("thread_insts", static_cast<double>(hot.threadInsts));
@@ -411,7 +303,7 @@ SimStats::finalize()
         set_.inc(std::string("l2.miss") + sfx,
                  static_cast<double>(hot.l2Miss[nd]));
 
-        const ClassAgg &agg = base_.cls_[nd];
+        const ClassAgg &agg = cls_[nd];
         set_.inc(std::string("gload.warps") + sfx,
                  static_cast<double>(agg.warps));
         set_.inc(std::string("gload.reqs") + sfx,
@@ -435,8 +327,8 @@ SimStats::finalize()
     }
 
     // --- Per-pc aggregates (Figs 6 and 7) ---
-    for (uint32_t kernel = 0; kernel < base_.pcDense_.size(); ++kernel) {
-        const auto &slots = base_.pcDense_[kernel];
+    for (uint32_t kernel = 0; kernel < pcDense_.size(); ++kernel) {
+        const auto &slots = pcDense_[kernel];
         for (uint32_t pc_idx = 0; pc_idx < slots.size(); ++pc_idx) {
             const PcSlot &slot = slots[pc_idx];
             if (!slot.used)
@@ -447,15 +339,15 @@ SimStats::finalize()
                     addPcBucket(hists, nreq, slot.byReqs[nreq]);
         }
     }
-    base_.pcDense_.clear();
-    for (const auto &[key, pc] : base_.pcAggs_) {
+    pcDense_.clear();
+    for (const auto &[key, pc] : pcAggs_) {
         const auto kernel = static_cast<uint32_t>(key >> 32);
         const auto pc_idx = static_cast<uint32_t>(key);
         const PcHists hists = pcHists(kernel, pc_idx, pc.nonDet);
         for (const auto &[nreq, bucket] : pc.byReqs)
             addPcBucket(hists, nreq, bucket);
     }
-    base_.pcAggs_.clear();
+    pcAggs_.clear();
 
     // --- Inter-CTA locality (Figs 10, 11, 12) ---
     Histogram &dist = set_.hist("cta_distance");
@@ -464,7 +356,7 @@ SimStats::finalize()
     Histogram &reuse = set_.hist("block_reuse");
     std::vector<uint64_t> distance_counts;
 
-    for (BlockSlot &slot : base_.blockTable_) {
+    for (BlockSlot &slot : blockTable_) {
         BlockInfo &block = slot.info;
         if (block.accesses == 0)
             continue;
@@ -490,12 +382,15 @@ SimStats::finalize()
             distanceHistogram(block.ctasNondet, dist_nondet,
                               distance_counts);
     }
-    base_.blockTable_.clear();
-    base_.blockCount_ = 0;
+    blockTable_.clear();
+    blockCount_ = 0;
 }
 
 namespace
 {
+
+/** Bytes an occupied block slot takes in a snapshot, at the least. */
+constexpr uint64_t kMinBlockSlotBytes = 6 * sizeof(uint64_t);
 
 void
 saveCtas(const std::vector<uint32_t> &ctas, snap::SnapWriter &out)
@@ -511,7 +406,12 @@ saveCtas(const std::vector<uint32_t> &ctas, snap::SnapWriter &out)
 void
 loadCtas(std::vector<uint32_t> &ctas, snap::SnapReader &in)
 {
-    ctas.resize(in.u64());
+    const uint64_t n = in.u64();
+    if (n > in.remaining() / sizeof(uint32_t))
+        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                      "snapshot CTA list of ", n,
+                      " entries overruns its section");
+    ctas.resize(n);
     for (uint32_t &cta : ctas)
         cta = in.u32();
 }
@@ -519,35 +419,46 @@ loadCtas(std::vector<uint32_t> &ctas, snap::SnapReader &in)
 } // namespace
 
 void
-SimStats::saveShard(const Shard &shard, snap::SnapWriter &out)
+SimStats::save(snap::SnapWriter &out) const
 {
-    const Hot &h = shard.hot;
-    out.u64(h.warpInsts);
-    out.u64(h.threadInsts);
-    out.u64(h.smCycles);
-    out.u64(h.reqsIssued);
-    out.u64(h.reqsCompleted);
-    out.u64(h.busySp);
-    out.u64(h.busySfu);
-    out.u64(h.busyLdst);
+    gcl_sim_check(!finalized_, "stats", 0,
+                  "checkpoint after finalize()");
+    out.str(set_.serialize());
+    out.u64(l2Queries_.size());
+    for (uint64_t q : l2Queries_)
+        out.u64(q);
+    for (uint64_t h : l2Hits_)
+        out.u64(h);
+    out.u64(kernelNames_.size());
+    for (const std::string &name : kernelNames_)
+        out.str(name);
+
+    out.u64(hot.warpInsts);
+    out.u64(hot.threadInsts);
+    out.u64(hot.smCycles);
+    out.u64(hot.reqsIssued);
+    out.u64(hot.reqsCompleted);
+    out.u64(hot.busySp);
+    out.u64(hot.busySfu);
+    out.u64(hot.busyLdst);
     for (int i = 0; i < 6; ++i)
-        out.u64(h.l1Outcome[i]);
+        out.u64(hot.l1Outcome[i]);
     for (int i = 0; i < 2; ++i) {
-        out.u64(h.l1Access[i]);
-        out.u64(h.l1Miss[i]);
-        out.u64(h.l2Access[i]);
-        out.u64(h.l2Miss[i]);
+        out.u64(hot.l1Access[i]);
+        out.u64(hot.l1Miss[i]);
+        out.u64(hot.l2Access[i]);
+        out.u64(hot.l2Miss[i]);
     }
-    out.u64(h.partStalls);
-    out.u64(h.sloadWarps);
-    out.u64(h.sstoreWarps);
-    out.u64(h.gstoreWarps);
-    out.u64(h.atomWarps);
-    out.u64(h.l2Atomics);
-    out.u64(h.l2WriteAbsorbed);
+    out.u64(hot.partStalls);
+    out.u64(hot.sloadWarps);
+    out.u64(hot.sstoreWarps);
+    out.u64(hot.gstoreWarps);
+    out.u64(hot.atomWarps);
+    out.u64(hot.l2Atomics);
+    out.u64(hot.l2WriteAbsorbed);
 
     for (int nd = 0; nd < 2; ++nd) {
-        const ClassAgg &agg = shard.cls_[nd];
+        const ClassAgg &agg = cls_[nd];
         out.u64(agg.warps);
         out.u64(agg.reqs);
         out.u64(agg.active);
@@ -559,8 +470,8 @@ SimStats::saveShard(const Shard &shard, snap::SnapWriter &out)
     }
 
     // Dense per-pc slots: used slots only, with their nonzero buckets.
-    out.u64(shard.pcDense_.size());
-    for (const auto &slots : shard.pcDense_) {
+    out.u64(pcDense_.size());
+    for (const auto &slots : pcDense_) {
         out.u64(slots.size());
         uint64_t used = 0;
         for (const PcSlot &slot : slots)
@@ -592,13 +503,13 @@ SimStats::saveShard(const Shard &shard, snap::SnapWriter &out)
 
     // Spilled per-pc aggregates, in sorted-key order.
     std::vector<uint64_t> pc_keys;
-    pc_keys.reserve(shard.pcAggs_.size());
-    for (const auto &[key, agg] : shard.pcAggs_)
+    pc_keys.reserve(pcAggs_.size());
+    for (const auto &[key, agg] : pcAggs_)
         pc_keys.push_back(key);
     std::sort(pc_keys.begin(), pc_keys.end());
     out.u64(pc_keys.size());
     for (uint64_t key : pc_keys) {
-        const PcAgg &agg = shard.pcAggs_.at(key);
+        const PcAgg &agg = pcAggs_.at(key);
         out.u64(key);
         out.u8(agg.nonDet ? 1 : 0);
         std::vector<uint32_t> reqs;
@@ -619,11 +530,12 @@ SimStats::saveShard(const Shard &shard, snap::SnapWriter &out)
     }
 
     // Block table: exact capacity and slot layout (the open addressing is
-    // history-dependent, so the restored table must match bit for bit).
-    out.u64(shard.blockTable_.size());
-    out.u64(shard.blockCount_);
-    for (uint64_t at = 0; at < shard.blockTable_.size(); ++at) {
-        const BlockSlot &slot = shard.blockTable_[at];
+    // history-dependent, so the restored table must match bit for bit),
+    // occupied slots in ascending order.
+    out.u64(blockTable_.size());
+    out.u64(blockCount_);
+    for (uint64_t at = 0; at < blockTable_.size(); ++at) {
+        const BlockSlot &slot = blockTable_[at];
         if (slot.info.accesses == 0)
             continue;
         out.u64(at);
@@ -633,128 +545,6 @@ SimStats::saveShard(const Shard &shard, snap::SnapWriter &out)
         saveCtas(slot.info.ctasDet, out);
         saveCtas(slot.info.ctasNondet, out);
     }
-}
-
-void
-SimStats::loadShard(Shard &shard, snap::SnapReader &in)
-{
-    Hot &h = shard.hot;
-    h.warpInsts = in.u64();
-    h.threadInsts = in.u64();
-    h.smCycles = in.u64();
-    h.reqsIssued = in.u64();
-    h.reqsCompleted = in.u64();
-    h.busySp = in.u64();
-    h.busySfu = in.u64();
-    h.busyLdst = in.u64();
-    for (int i = 0; i < 6; ++i)
-        h.l1Outcome[i] = in.u64();
-    for (int i = 0; i < 2; ++i) {
-        h.l1Access[i] = in.u64();
-        h.l1Miss[i] = in.u64();
-        h.l2Access[i] = in.u64();
-        h.l2Miss[i] = in.u64();
-    }
-    h.partStalls = in.u64();
-    h.sloadWarps = in.u64();
-    h.sstoreWarps = in.u64();
-    h.gstoreWarps = in.u64();
-    h.atomWarps = in.u64();
-    h.l2Atomics = in.u64();
-    h.l2WriteAbsorbed = in.u64();
-
-    for (int nd = 0; nd < 2; ++nd) {
-        ClassAgg &agg = shard.cls_[nd];
-        agg.warps = in.u64();
-        agg.reqs = in.u64();
-        agg.active = in.u64();
-        agg.turnSum = in.f64();
-        agg.unloaded = in.f64();
-        agg.rsrvPrev = in.f64();
-        agg.rsrvCur = in.f64();
-        agg.mem = in.f64();
-    }
-
-    shard.pcDense_.clear();
-    shard.pcDense_.resize(in.u64());
-    for (auto &slots : shard.pcDense_) {
-        slots.clear();
-        slots.resize(in.u64());
-        const uint64_t used = in.u64();
-        for (uint64_t i = 0; i < used; ++i) {
-            const uint32_t pc = in.u32();
-            gcl_sim_check(pc < slots.size(), "stats", 0,
-                          "snapshot pc slot out of range");
-            PcSlot &slot = slots[pc];
-            slot.used = true;
-            slot.nonDet = in.u8() != 0;
-            const uint32_t nonzero = in.u32();
-            for (uint32_t b = 0; b < nonzero; ++b) {
-                const uint32_t nreq = in.u32();
-                gcl_sim_check(nreq <= WarpMemOp::kMaxRequests, "stats", 0,
-                              "snapshot pc bucket out of range");
-                PcBucket &bucket = slot.byReqs[nreq];
-                bucket.cnt = in.u64();
-                bucket.turn = in.f64();
-                bucket.gapL1d = in.f64();
-                bucket.gapIcntL2 = in.f64();
-                bucket.gapL2Icnt = in.f64();
-            }
-        }
-    }
-
-    shard.pcAggs_.clear();
-    const uint64_t naggs = in.u64();
-    for (uint64_t i = 0; i < naggs; ++i) {
-        const uint64_t key = in.u64();
-        PcAgg &agg = shard.pcAggs_[key];
-        agg.nonDet = in.u8() != 0;
-        const uint64_t nbuckets = in.u64();
-        for (uint64_t b = 0; b < nbuckets; ++b) {
-            const uint32_t nreq = in.u32();
-            PcBucket &bucket = agg.byReqs[nreq];
-            bucket.cnt = in.u64();
-            bucket.turn = in.f64();
-            bucket.gapL1d = in.f64();
-            bucket.gapIcntL2 = in.f64();
-            bucket.gapL2Icnt = in.f64();
-        }
-    }
-
-    const uint64_t capacity = in.u64();
-    shard.blockTable_.assign(capacity, BlockSlot{});
-    shard.blockCount_ = in.u64();
-    for (uint64_t i = 0; i < shard.blockCount_; ++i) {
-        const uint64_t at = in.u64();
-        gcl_sim_check(at < capacity, "stats", 0,
-                      "snapshot block slot out of range");
-        BlockSlot &slot = shard.blockTable_[at];
-        slot.lineAddr = in.u64();
-        slot.info.accesses = in.u64();
-        loadCtas(slot.info.ctas, in);
-        loadCtas(slot.info.ctasDet, in);
-        loadCtas(slot.info.ctasNondet, in);
-    }
-}
-
-void
-SimStats::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(!finalized_, "stats", 0,
-                  "checkpoint after finalize()");
-    out.str(set_.serialize());
-    out.u64(l2Queries_.size());
-    for (uint64_t q : l2Queries_)
-        out.u64(q);
-    for (uint64_t h : l2Hits_)
-        out.u64(h);
-    out.u64(kernelNames_.size());
-    for (const std::string &name : kernelNames_)
-        out.str(name);
-    out.u64(shards_.size());
-    saveShard(base_, out);
-    for (const Shard &shard : shards_)
-        saveShard(shard, out);
 }
 
 void
@@ -777,13 +567,146 @@ SimStats::load(snap::SnapReader &in)
         kernelNames_[id] = in.str();
         kernelIds_.emplace(kernelNames_[id], id);
     }
-    const uint64_t nshards = in.u64();
-    gcl_sim_check(nshards == shards_.size(), "stats", 0,
-                  "snapshot shard count mismatch (have ", shards_.size(),
-                  ", snapshot has ", nshards, ")");
-    loadShard(base_, in);
-    for (Shard &shard : shards_)
-        loadShard(shard, in);
+
+    hot.warpInsts = in.u64();
+    hot.threadInsts = in.u64();
+    hot.smCycles = in.u64();
+    hot.reqsIssued = in.u64();
+    hot.reqsCompleted = in.u64();
+    hot.busySp = in.u64();
+    hot.busySfu = in.u64();
+    hot.busyLdst = in.u64();
+    for (int i = 0; i < 6; ++i)
+        hot.l1Outcome[i] = in.u64();
+    for (int i = 0; i < 2; ++i) {
+        hot.l1Access[i] = in.u64();
+        hot.l1Miss[i] = in.u64();
+        hot.l2Access[i] = in.u64();
+        hot.l2Miss[i] = in.u64();
+    }
+    hot.partStalls = in.u64();
+    hot.sloadWarps = in.u64();
+    hot.sstoreWarps = in.u64();
+    hot.gstoreWarps = in.u64();
+    hot.atomWarps = in.u64();
+    hot.l2Atomics = in.u64();
+    hot.l2WriteAbsorbed = in.u64();
+
+    for (int nd = 0; nd < 2; ++nd) {
+        ClassAgg &agg = cls_[nd];
+        agg.warps = in.u64();
+        agg.reqs = in.u64();
+        agg.active = in.u64();
+        agg.turnSum = in.f64();
+        agg.unloaded = in.f64();
+        agg.rsrvPrev = in.f64();
+        agg.rsrvCur = in.f64();
+        agg.mem = in.f64();
+    }
+
+    // gloadDone grows the dense arrays to one per interned kernel and
+    // kDensePcLimit pcs at most.
+    const uint64_t nkernels = in.u64();
+    if (nkernels > kernelNames_.size())
+        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                      "snapshot has per-pc slots for ", nkernels,
+                      " kernels but names only ", kernelNames_.size());
+    pcDense_.assign(nkernels, {});
+    for (auto &slots : pcDense_) {
+        const uint64_t npcs = in.u64();
+        if (npcs > kDensePcLimit)
+            gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                          "snapshot dense pc table of ", npcs,
+                          " slots exceeds ", kDensePcLimit);
+        slots.resize(npcs);
+        const uint64_t used = in.u64();
+        for (uint64_t i = 0; i < used; ++i) {
+            const uint32_t pc = in.u32();
+            if (pc >= slots.size())
+                gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                              "snapshot pc slot ", pc, " out of range");
+            PcSlot &slot = slots[pc];
+            slot.used = true;
+            slot.nonDet = in.u8() != 0;
+            const uint32_t nonzero = in.u32();
+            for (uint32_t b = 0; b < nonzero; ++b) {
+                const uint32_t nreq = in.u32();
+                if (nreq > WarpMemOp::kMaxRequests)
+                    gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                                  "snapshot pc bucket ", nreq,
+                                  " out of range");
+                PcBucket &bucket = slot.byReqs[nreq];
+                bucket.cnt = in.u64();
+                bucket.turn = in.f64();
+                bucket.gapL1d = in.f64();
+                bucket.gapIcntL2 = in.f64();
+                bucket.gapL2Icnt = in.f64();
+            }
+        }
+    }
+
+    pcAggs_.clear();
+    const uint64_t naggs = in.u64();
+    for (uint64_t i = 0; i < naggs; ++i) {
+        const uint64_t key = in.u64();
+        PcAgg &agg = pcAggs_[key];
+        agg.nonDet = in.u8() != 0;
+        const uint64_t nbuckets = in.u64();
+        for (uint64_t b = 0; b < nbuckets; ++b) {
+            const uint32_t nreq = in.u32();
+            PcBucket &bucket = agg.byReqs[nreq];
+            bucket.cnt = in.u64();
+            bucket.turn = in.f64();
+            bucket.gapL1d = in.f64();
+            bucket.gapIcntL2 = in.f64();
+            bucket.gapL2Icnt = in.f64();
+        }
+    }
+
+    // The block table is restored slot for slot, so refuse, before
+    // allocating it, any layout blockFor cannot have grown. With a
+    // capacity that is not a power of two the mask misses slots, and past
+    // the load bound the table may be full: either way a probe can find
+    // no free slot and spin forever inside one cycle. A capacity larger
+    // than its count grows to, or a count the bytes left cannot hold,
+    // would only make the allocation absurd.
+    const uint64_t capacity = in.u64();
+    const uint64_t count = in.u64();
+    if (!isPowerOf2(capacity) || capacity < kInitialBlockSlots)
+        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                      "snapshot block table capacity ", capacity,
+                      " is not a power of two of at least ",
+                      kInitialBlockSlots);
+    if (count > blocksHeldBy(capacity))
+        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                      "snapshot block table of ", capacity,
+                      " slots cannot hold ", count,
+                      " blocks under the 70% load bound");
+    if (capacity > kInitialBlockSlots && count <= blocksHeldBy(capacity / 2))
+        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                      "snapshot block table of ", capacity,
+                      " slots is larger than ", count, " blocks grow to");
+    if (count > in.remaining() / kMinBlockSlotBytes)
+        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                      "snapshot block table of ", count,
+                      " blocks overruns its section");
+    blockTable_.assign(capacity, BlockSlot{});
+    blockCount_ = count;
+    uint64_t next = 0;    // save() writes occupied slots in ascending order
+    for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t at = in.u64();
+        if (at < next || at >= capacity)
+            gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
+                          "snapshot block slot ", at,
+                          " out of range or out of order");
+        next = at + 1;
+        BlockSlot &slot = blockTable_[at];
+        slot.lineAddr = in.u64();
+        slot.info.accesses = in.u64();
+        loadCtas(slot.info.ctas, in);
+        loadCtas(slot.info.ctasDet, in);
+        loadCtas(slot.info.ctasNondet, in);
+    }
 }
 
 } // namespace gcl::sim

@@ -13,18 +13,16 @@
  *    address (insert/find only — it is swept once at finalize);
  *  - the per-block CTA lists stay unsorted during the run and are sorted
  *    once at finalize, before the distance histograms are computed.
- * All of this is observationally identical to the straightforward
- * map-based bookkeeping: every finalize key is distinct and every
- * accumulated double is integer-valued, so order of accumulation and
- * iteration cannot change the serialized output.
  *
- * Sharding: every accumulation path above lives in a Shard. Each SM and
- * each memory partition owns one shard (newShard()), so a unit's tick
- * never writes a byte another unit reads. Shards are merged into the base
- * shard at finalize() in unit-id order; every merge is a commutative fold
- * into a keyed structure (plain adds, unique per-key buckets, unordered
- * CTA sets sorted at the end). Direct SimStats methods (tests,
- * launch-level bookkeeping) accumulate into the base shard.
+ * Every SM and memory partition adds into this one object, in the order
+ * events happen. The result is observationally identical to the
+ * straightforward map-based bookkeeping: every finalize key is distinct,
+ * and every accumulated double but one is integer-valued, so the order of
+ * accumulation and iteration cannot change it. The exception is the
+ * per-pc gap_icnt_l2 sum: each op adds its mean gap (an integer sum
+ * divided by its missed-request count), so the rounding of that sum
+ * depends on the order ops complete in. It stays deterministic because
+ * completion order is.
  *
  * Scalar key map after finalize() (all monotonically accumulated):
  *   cycles, launches, ctas_launched, threads_per_cta
@@ -53,7 +51,6 @@
 #define GCL_SIM_STATS_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -107,10 +104,45 @@ class SimStats
         uint64_t atomWarps = 0;
         uint64_t l2Atomics = 0;
         uint64_t l2WriteAbsorbed = 0;
-
-        /** Commutative fold (shard merge). */
-        void add(const Hot &o);
     };
+
+    /** The hot counters every SM and partition bumps directly. */
+    Hot hot;
+
+    /** One L1 access attempt this cycle had this outcome (Fig 3). */
+    void
+    l1AccessCycle(AccessOutcome outcome)
+    {
+        ++hot.l1Outcome[static_cast<int>(outcome)];
+    }
+
+    /** Bulk form: @p count attempts with @p outcome (cycle skipping). */
+    void
+    l1AccessCycle(AccessOutcome outcome, uint64_t count)
+    {
+        hot.l1Outcome[static_cast<int>(outcome)] += count;
+    }
+
+    /** An accepted L1 data access for a global load (Figs 8, 10, 11). */
+    void l1Access(bool non_det, bool miss, uint64_t line_addr, uint32_t cta);
+
+    /** An L2 read query from L1 (Fig 8, Table III). */
+    void
+    l2Access(int partition, bool non_det, bool miss)
+    {
+        ++hot.l2Access[non_det];
+        if (miss)
+            ++hot.l2Miss[non_det];
+        ++l2Queries_[static_cast<size_t>(partition)];
+        if (!miss)
+            ++l2Hits_[static_cast<size_t>(partition)];
+    }
+
+    /** A cycle the partition head request could not be serviced. */
+    void partitionStall() { ++hot.partStalls; }
+
+    /** A completed warp-level global-load op (Figs 2, 5, 6, 7). */
+    void gloadDone(const WarpMemOp &op, uint32_t kernel_id);
 
   private:
     struct ClassAgg
@@ -132,16 +164,6 @@ class SimStats
         double gapL1d = 0;
         double gapIcntL2 = 0;
         double gapL2Icnt = 0;
-
-        void
-        add(const PcBucket &o)
-        {
-            cnt += o.cnt;
-            turn += o.turn;
-            gapL1d += o.gapL1d;
-            gapIcntL2 += o.gapIcntL2;
-            gapL2Icnt += o.gapL2Icnt;
-        }
     };
 
     /** Dense per-pc aggregate: one bucket per possible request count. */
@@ -176,104 +198,9 @@ class SimStats
     };
 
   public:
-    /**
-     * One unit's private accumulation state. A unit's tick only ever
-     * touches its own shard (plus, for the per-partition l2.queries/hits
-     * vectors, its own disjoint index in the owner).
-     */
-    class Shard
-    {
-      public:
-        Hot hot;
-
-        /** One L1 access attempt this cycle had this outcome (Fig 3). */
-        void
-        l1AccessCycle(AccessOutcome outcome)
-        {
-            ++hot.l1Outcome[static_cast<int>(outcome)];
-        }
-
-        /** Bulk form: @p count attempts with @p outcome (cycle skipping). */
-        void
-        l1AccessCycle(AccessOutcome outcome, uint64_t count)
-        {
-            hot.l1Outcome[static_cast<int>(outcome)] += count;
-        }
-
-        /** An accepted L1 data access for a global load (Figs 8, 10, 11). */
-        void l1Access(bool non_det, bool miss, uint64_t line_addr,
-                      uint32_t cta);
-
-        /** An L2 read query from L1 (Fig 8, Table III). */
-        void
-        l2Access(int partition, bool non_det, bool miss)
-        {
-            ++hot.l2Access[non_det];
-            if (miss)
-                ++hot.l2Miss[non_det];
-            ++owner_->l2Queries_[static_cast<size_t>(partition)];
-            if (!miss)
-                ++owner_->l2Hits_[static_cast<size_t>(partition)];
-        }
-
-        /** A cycle the partition head request could not be serviced. */
-        void partitionStall() { ++hot.partStalls; }
-
-        /** A completed warp-level global-load op (Figs 2, 5, 6, 7). */
-        void gloadDone(const WarpMemOp &op, uint32_t kernel_id);
-
-      private:
-        friend class SimStats;
-
-        explicit Shard(SimStats &owner) : owner_(&owner) {}
-
-        /** Find-or-insert into the open-addressed block table. */
-        BlockInfo &blockFor(uint64_t line_addr);
-        void growBlockTable();
-
-        SimStats *owner_;
-        ClassAgg cls_[2];
-        /** Dense per-kernel, per-pc aggregates (grown on demand). */
-        std::vector<std::vector<PcSlot>> pcDense_;
-        /** Spill for pcs past kDensePcLimit; keyed (kernel<<32) | pc. */
-        std::unordered_map<uint64_t, PcAgg> pcAggs_;
-        /** Open-addressed power-of-two table of per-line block info. */
-        std::vector<BlockSlot> blockTable_;
-        size_t blockCount_ = 0;
-    };
-
-    /**
-     * Create a per-unit shard. Stable reference for the stats' lifetime;
-     * merged (in creation order) into the base shard at finalize().
-     */
-    Shard &newShard();
-
-    /** Sum of all hot counters: base shard + every unit shard. */
-    Hot hotTotals() const;
-
     /** Cold, string-keyed stats (launch-level bookkeeping + final output). */
     StatsSet &set() { return set_; }
     const StatsSet &set() const { return set_; }
-
-    // Direct accumulation API (base shard): launch-level bookkeeping and
-    // unit tests. A unit's tick goes through its own Shard.
-    void l1AccessCycle(AccessOutcome outcome) { base_.l1AccessCycle(outcome); }
-    void
-    l1Access(bool non_det, bool miss, uint64_t line_addr, uint32_t cta)
-    {
-        base_.l1Access(non_det, miss, line_addr, cta);
-    }
-    void
-    l2Access(int partition, bool non_det, bool miss)
-    {
-        base_.l2Access(partition, non_det, miss);
-    }
-    void partitionStall() { base_.partitionStall(); }
-    void
-    gloadDone(const WarpMemOp &op, uint32_t kernel_id)
-    {
-        base_.gloadDone(op, kernel_id);
-    }
 
     /** Intern a kernel name; the id keys the per-pc aggregates. */
     uint32_t kernelId(const std::string &name);
@@ -290,23 +217,29 @@ class SimStats
     /**
      * Serialize everything finalize() will later consume: the StatsSet
      * (launch-level keys), the per-partition L2 query vectors, the kernel
-     * name table, and every shard's raw accumulation state (hot counters,
-     * class aggregates, per-pc buckets, block table — exact slot layout
-     * so the restored table is bit-identical). Unordered maps are written
-     * in sorted-key order. Only legal before finalize().
+     * name table, and the raw accumulation state (hot counters, class
+     * aggregates, per-pc buckets, block table — exact slot layout so the
+     * restored table is bit-identical). Unordered maps are written in
+     * sorted-key order. Only legal before finalize().
      */
     void save(snap::SnapWriter &out) const;
 
     /**
-     * Restore state captured by save(). The shard count must match (the
-     * restoring Gpu is built from the same config). Only legal before any
-     * accumulation, on a freshly constructed SimStats.
+     * Restore state captured by save(). Only legal before any
+     * accumulation, on a freshly constructed SimStats. Raises
+     * SimError{Snapshot}, before allocating, on a table save() cannot
+     * have written: a block table whose capacity does not match its
+     * count under the growth rule or whose slots are out of range or
+     * order, per-pc tables past their bounds, or a length that overruns
+     * the bytes left.
      */
     void load(snap::SnapReader &in);
 
   private:
-    static void saveShard(const Shard &shard, snap::SnapWriter &out);
-    static void loadShard(Shard &shard, snap::SnapReader &in);
+    /** Find-or-insert into the open-addressed block table. */
+    BlockInfo &blockFor(uint64_t line_addr);
+    void growBlockTable();
+
     static void insertCta(std::vector<uint32_t> &ctas, uint32_t cta);
     /**
      * Add the pairwise distances of the sorted, distinct @p ctas to
@@ -316,9 +249,6 @@ class SimStats
     static void distanceHistogram(const std::vector<uint32_t> &ctas,
                                   Histogram &hist,
                                   std::vector<uint64_t> &counts);
-
-    /** Fold @p shard into the base shard and clear it. */
-    void mergeShard(Shard &shard);
 
     /** The five output histograms of one pc (finalize helper). */
     struct PcHists
@@ -336,14 +266,15 @@ class SimStats
     std::vector<uint64_t> l2Hits_;
     std::vector<std::string> kernelNames_;
     std::unordered_map<std::string, uint32_t> kernelIds_;
-    Shard base_;
-    /** Per-unit shards; deque so newShard() never moves existing ones. */
-    std::deque<Shard> shards_;
+    ClassAgg cls_[2];
+    /** Dense per-kernel, per-pc aggregates (grown on demand). */
+    std::vector<std::vector<PcSlot>> pcDense_;
+    /** Spill for pcs past kDensePcLimit; keyed (kernel<<32) | pc. */
+    std::unordered_map<uint64_t, PcAgg> pcAggs_;
+    /** Open-addressed power-of-two table of per-line block info. */
+    std::vector<BlockSlot> blockTable_;
+    size_t blockCount_ = 0;
     bool finalized_ = false;
-
-  public:
-    /** The base shard's hot counters (direct-API and test access). */
-    Hot &hot;
 };
 
 } // namespace gcl::sim

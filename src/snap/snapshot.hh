@@ -44,8 +44,11 @@ namespace gcl::snap
  *   v2: the SM section lost its issue-scan flag byte; the SM now takes
  *       issue readiness from its ready-warp masks alone, so a v1
  *       boundary state must not resume under the new issue rule.
+ *   v3: the stats section holds one accumulation state instead of a
+ *       shard count and one state per unit (base, then every SM and
+ *       partition).
  */
-constexpr uint32_t kSchemaVersion = 2;
+constexpr uint32_t kSchemaVersion = 3;
 
 /** File magic; the trailing '1' is cosmetic, kSchemaVersion governs. */
 constexpr char kMagic[8] = {'G', 'C', 'L', 'S', 'N', 'A', 'P', '1'};

@@ -266,20 +266,28 @@ SimContext::snapshotOnFailure(const SimError &error)
         return;  // stop_after_kernels already flushed this boundary
     // Double-fault guard: a failing snapshot write must not displace the
     // primary failure record — both outcomes land in the detail text.
+    std::string &detail = failure_.detail;
+    const auto start_line = [&detail, hung] {
+        if (!detail.empty())
+            detail += '\n';
+        detail += hung ? "hang snapshot" : "checkpoint";
+    };
     try {
         lastSnapshot_->writeFile(path);
         ++checkpointsWritten_;
-        failure_.detail +=
-            (failure_.detail.empty() ? "" : "\n") +
-            std::string(hung ? "hang snapshot (kernel boundary "
-                             : "checkpoint (kernel boundary ") +
-            std::to_string(lastSnapshot_->kernelIndex) + ", cycle " +
-            std::to_string(lastSnapshot_->cycle) + ") written to " + path;
+        start_line();
+        detail += " (kernel boundary ";
+        detail += std::to_string(lastSnapshot_->kernelIndex);
+        detail += ", cycle ";
+        detail += std::to_string(lastSnapshot_->cycle);
+        detail += ") written to ";
+        detail += path;
     } catch (const SimError &write_error) {
-        failure_.detail +=
-            (failure_.detail.empty() ? "" : "\n") +
-            std::string(hung ? "hang snapshot" : "checkpoint") +
-            " write to " + path + " failed: " + write_error.message();
+        start_line();
+        detail += " write to ";
+        detail += path;
+        detail += " failed: ";
+        detail += write_error.message();
     }
 }
 

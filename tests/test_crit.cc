@@ -17,9 +17,9 @@
  *    crit off, no crit.* key may appear and the stats must be
  *    byte-identical to the seed behavior.
  *
- *  - Determinism: per-SM shards merge in creation order, like SimStats
- *    shards. scripts/check.sh diffs crit_report output against a
- *    committed golden.
+ *  - Determinism: per-SM shards merge in creation (SM-id) order.
+ *    scripts/check.sh diffs crit_report output against a committed
+ *    golden.
  */
 
 #include <gtest/gtest.h>

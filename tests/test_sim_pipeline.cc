@@ -540,7 +540,7 @@ TEST(SimPipeline, GtoStatsPinnedOnModernCore)
     } pins[] = {
         {"bpr", "8fb0db36e377fd97"},
         {"gaus", "66fa3b1c24d0d104"},
-        {"srad", "fafea5231aee2e75"},
+        {"srad", "2ff493c004dcab76"},
     };
     const sim::GpuConfig config = sim::loadMachineFile(
         std::string(GCL_REPO_CONFIGS_DIR) + "/modern-core.config");
