@@ -266,45 +266,14 @@ cachePath(const std::string &name, const sim::GpuConfig &config)
     return cacheDir() / buf;
 }
 
-/** Any gcl::snap flag set — runs record host calls and boundaries. */
-bool
-snapping()
-{
-    return g_options.checkpointEvery != 0 || g_options.resume ||
-           g_options.hangSnapshot || g_options.checkpointStopAfter != 0;
-}
-
-std::filesystem::path
-snapDir()
-{
-    if (!g_options.checkpointOut.empty())
-        return g_options.checkpointOut;
-    return cacheDir() / "snap";
-}
-
-/**
- * One app's checkpoint file. Keyed like the run cache — dataset version
- * and config fingerprint in the name — so a snapshot from a stale dataset
- * or a different machine is simply never found: --resume falls back to a
- * fresh run instead of tripping the fingerprint check at load time.
- */
-std::filesystem::path
-snapPath(const std::string &name, const sim::GpuConfig &config)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s.v%u.%016llx.snap", name.c_str(),
-                  kDatasetVersion,
-                  static_cast<unsigned long long>(config.fingerprint()));
-    return snapDir() / buf;
-}
-
 /**
  * Shared functional fast-forward prefix for sampled runs, keyed by the
  * machine-independent functional fingerprint: every machine of a sweep
  * maps to the same file, which is the whole point of the warm start. The
- * dataset version rides in the name for the same staleness reason as
- * snapPath. Atomic snapshot writes make concurrent sweep jobs racing on
- * the key publish complete identical files — last writer wins.
+ * dataset version rides in the name, as in cachePath, so a prefix of a
+ * stale dataset is simply never found. Atomic snapshot writes make
+ * concurrent sweep jobs racing on the key publish complete identical
+ * files — last writer wins.
  */
 std::filesystem::path
 ffPrefixPath(const std::string &name, const sim::GpuConfig &config)
@@ -314,49 +283,29 @@ ffPrefixPath(const std::string &name, const sim::GpuConfig &config)
                   kDatasetVersion,
                   static_cast<unsigned long long>(
                       config.functionalFingerprint()));
-    return snapDir() / buf;
-}
-
-workloads::SnapOptions
-makeSnapOptions(const std::string &name, const sim::GpuConfig &config)
-{
-    workloads::SnapOptions snap;
-    snap.checkpointEvery = g_options.checkpointEvery;
-    snap.hangSnapshot = g_options.hangSnapshot;
-    snap.stopAfterKernels = g_options.checkpointStopAfter;
-    const std::filesystem::path path = snapPath(name, config);
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-    snap.checkpointPath = path.string();
-    if (g_options.resume && std::filesystem::exists(path, ec))
-        snap.resumeFrom = snap.checkpointPath;
-    snap.meta.emplace_back("dataset_version",
-                           std::to_string(kDatasetVersion));
-    return snap;
+    return cacheDir() / "snap" / buf;
 }
 
 /**
- * After a clean finish the checkpoint has served its purpose; removing it
- * keeps a later --resume sweep from warm-starting finished apps off
- * by-then-stale files.
+ * Point a sampled run at its shared functional prefix (a no-op for an
+ * unsampled run): the first run of a sweep captures it, every later run
+ * (any machine) warm-starts from it. Serial and parallel sweeps both call
+ * this, so they write and read the same files.
  */
 void
-finishSnapRun(const AppResult &result, const std::string &name,
-              const sim::GpuConfig &config)
+usePrefix(workloads::SimContext &ctx, const sim::GpuConfig &config)
 {
-    if (!snapping())
+    if (config.sample.empty())
         return;
-    // Stderr only: the stats/trace artifacts of a resumed run must stay
-    // byte-identical to the uninterrupted run's.
-    if (result.resumed || result.checkpoints != 0)
-        std::fprintf(stderr,
-                     "[bench] %s: %s%" PRIu64 " checkpoint(s) written\n",
-                     name.c_str(), result.resumed ? "resumed, " : "",
-                     result.checkpoints);
-    if (result.failure.failed)
-        return;
+    const std::filesystem::path path =
+        ffPrefixPath(ctx.workload().name, config);
     std::error_code ec;
-    std::filesystem::remove(snapPath(name, config), ec);
+    std::filesystem::create_directories(path.parent_path(), ec);
+    workloads::SnapOptions snap;
+    snap.ffPrefixPath = path.string();
+    snap.meta.emplace_back("dataset_version",
+                           std::to_string(kDatasetVersion));
+    ctx.setSnapOptions(std::move(snap));
 }
 
 /**
@@ -443,8 +392,6 @@ simulate(workloads::SimContext &ctx)
     result.verified = ctx.verified();
     result.stats = ctx.stats();
     result.failure = ctx.failure();
-    result.checkpoints = ctx.checkpointsWritten();
-    result.resumed = ctx.resumed();
     result.skippedCycles = ctx.skippedCycles();
     result.skipEvents = ctx.skipEvents();
     result.dormantCycles = ctx.dormantCycles();
@@ -484,82 +431,41 @@ noteFailure(const AppResult &result)
         g_failures.emplace_back(result.name, result.failure);
 }
 
-/** One word describing how a sweep run ended (summary + manifest). */
+/** One word describing how a sweep run ended (the cancel summary). */
 const char *
-runStatus(const AppResult &result, const sim::GpuConfig &config)
+runStatus(const AppResult &result)
 {
     if (result.skipped)
         return "skipped";
-    if (!result.failure.failed)
-        return "completed";
-    std::error_code ec;
-    if (snapping() &&
-        std::filesystem::exists(snapPath(result.name, config), ec))
-        return "checkpointed";
-    return "failed";
+    return result.failure.failed ? "failed" : "completed";
 }
 
 /**
- * After a cancelled or checkpointing sweep: print the per-run outcome
- * summary and atomically publish a resume manifest next to the snapshots,
- * so a human (or the resume leg of a crash-recovery script) can see at a
- * glance what `--resume` will pick up.
+ * After a cancelled sweep: print the per-run outcome summary, so the user
+ * sees at a glance which runs finished, failed or never started.
  */
 void
-summarizeSweep(const std::vector<AppResult> &results,
-               const std::vector<sim::GpuConfig> &configs)
+summarizeSweep(const std::vector<AppResult> &results)
 {
-    const bool cancelled = guard::cancelRequested();
-    if (!cancelled && !snapping())
+    if (!guard::cancelRequested())
         return;
 
-    size_t completed = 0, checkpointed = 0, skipped = 0, failed = 0;
-    std::ostringstream manifest;
-    manifest << "{\n\"runs\": [";
-    for (size_t i = 0; i < results.size(); ++i) {
-        const char *status = runStatus(results[i], configs[i]);
-        if (std::strcmp(status, "completed") == 0)
-            ++completed;
-        else if (std::strcmp(status, "checkpointed") == 0)
-            ++checkpointed;
-        else if (std::strcmp(status, "skipped") == 0)
+    size_t completed = 0, skipped = 0, failed = 0;
+    for (const AppResult &result : results) {
+        if (result.skipped)
             ++skipped;
-        else
+        else if (result.failure.failed)
             ++failed;
-        manifest << (i ? ",\n" : "\n") << "{\"app\": "
-                 << trace::jsonQuote(results[i].name) << ", \"status\": \""
-                 << status << "\"";
-        if (std::strcmp(status, "checkpointed") == 0)
-            manifest << ", \"snapshot\": "
-                     << trace::jsonQuote(
-                            snapPath(results[i].name, configs[i]).string());
-        manifest << "}";
+        else
+            ++completed;
     }
-    manifest << "\n]\n}\n";
-
-    if (snapping()) {
-        const std::string path = (snapDir() / "resume_manifest.json").string();
-        std::error_code ec;
-        std::filesystem::create_directories(snapDir(), ec);
-        publishArtifact("resume manifest", path, manifest.str());
-        if (cancelled || checkpointed != 0)
-            std::fprintf(stderr, "[bench] resume manifest: %s\n",
-                         path.c_str());
-    }
-
-    if (cancelled) {
-        std::fprintf(stderr,
-                     "[bench] sweep cancelled: %zu completed, "
-                     "%zu checkpointed, %zu failed, %zu skipped\n",
-                     completed, checkpointed, failed, skipped);
-        for (size_t i = 0; i < results.size(); ++i)
-            std::fprintf(stderr, "[bench]   %s: %s\n",
-                         results[i].name.c_str(),
-                         runStatus(results[i], configs[i]));
-        if (checkpointed != 0)
-            std::fprintf(stderr, "[bench] rerun with --resume to continue "
-                                 "from the checkpoints\n");
-    }
+    std::fprintf(stderr,
+                 "[bench] sweep cancelled: %zu completed, %zu failed, "
+                 "%zu skipped\n",
+                 completed, failed, skipped);
+    for (const AppResult &result : results)
+        std::fprintf(stderr, "[bench]   %s: %s\n", result.name.c_str(),
+                     runStatus(result));
 }
 
 /**
@@ -669,26 +575,6 @@ initBench(int argc, char **argv)
         } else if (const char *v = value(arg, "--crit-out")) {
             g_options.critOut = v;
             g_options.crit = true;
-        } else if (const char *v = value(arg, "--checkpoint-every")) {
-            char *end = nullptr;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0' || n == 0)
-                gcl_fatal("--checkpoint-every=", v,
-                          " is not a kernel count");
-            g_options.checkpointEvery = n;
-        } else if (const char *v = value(arg, "--checkpoint-out")) {
-            g_options.checkpointOut = v;
-        } else if (std::strcmp(arg, "--resume") == 0) {
-            g_options.resume = true;
-        } else if (std::strcmp(arg, "--hang-snapshot") == 0) {
-            g_options.hangSnapshot = true;
-        } else if (const char *v = value(arg, "--checkpoint-stop-after")) {
-            char *end = nullptr;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0' || n == 0)
-                gcl_fatal("--checkpoint-stop-after=", v,
-                          " is not a kernel count");
-            g_options.checkpointStopAfter = n;
         } else if (const char *v = value(arg, "--sample")) {
             g_options.sample = v;
         } else if (const char *v = value(arg, "--ff-warm")) {
@@ -747,21 +633,6 @@ initBench(int argc, char **argv)
                 "--crit);\n"
                 "                           FILE.collapsed gets "
                 "flamegraph stacks\n"
-                "  --checkpoint-every=N     write a resumable checkpoint "
-                "after every N-th\n"
-                "                           kernel boundary (gcl::snap)\n"
-                "  --checkpoint-out=DIR     snapshot directory (default: "
-                "<cache>/snap)\n"
-                "  --resume                 warm-start runs from their "
-                "checkpoint files\n"
-                "                           when present (crash recovery)\n"
-                "  --hang-snapshot          on a watchdog hang, dump the "
-                "last kernel\n"
-                "                           boundary to <checkpoint>.hang\n"
-                "  --checkpoint-stop-after=K  stop each run after kernel "
-                "boundary K,\n"
-                "                           leaving a checkpoint "
-                "(resume tests)\n"
                 "  --sample=SPEC            sampled simulation "
                 "(= GCL_SAMPLE): fast-forward\n"
                 "                           outside the detailed windows "
@@ -848,9 +719,8 @@ initBench(int argc, char **argv)
 
     // Ctrl-C / kill: request a cooperative stop. The cycle loop polls the
     // flag, so every in-flight run unwinds with a structured "canceled"
-    // failure record — and, when checkpointing, flushes its freshest
-    // kernel boundary for --resume. SA_RESETHAND keeps the second signal
-    // lethal: a stuck bench can still be killed the old-fashioned way.
+    // failure record. SA_RESETHAND keeps the second signal lethal: a
+    // stuck bench can still be killed the old-fashioned way.
     struct sigaction sa = {};
     sa.sa_handler = [](int) { guard::requestCancel(); };
     sa.sa_flags = SA_RESETHAND;
@@ -916,31 +786,11 @@ runApp(const std::string &name, const sim::GpuConfig &config)
         ctx.enableTrace(g_options.timelineInterval,
                         g_export->writer->drain(), traceIdBase(pid));
     }
-    {
-        workloads::SnapOptions snap;
-        if (snapping())
-            snap = makeSnapOptions(name, run_config);
-        if (!run_config.sample.empty()) {
-            // Sampled runs read/write the shared functional prefix
-            // automatically: first run of a sweep captures it, every
-            // later run (any machine) warm-starts from it.
-            const std::filesystem::path path =
-                ffPrefixPath(name, run_config);
-            std::error_code ec;
-            std::filesystem::create_directories(path.parent_path(), ec);
-            snap.ffPrefixPath = path.string();
-            if (!snapping())
-                snap.meta.emplace_back("dataset_version",
-                                       std::to_string(kDatasetVersion));
-        }
-        if (snap.active() || !snap.ffPrefixPath.empty())
-            ctx.setSnapOptions(std::move(snap));
-    }
+    usePrefix(ctx, run_config);
     result = simulate(ctx);
 
     noteFailure(result);
     storeCached(path, result);
-    finishSnapRun(result, name, run_config);
     recordResult(result, run_config);
     return result;
 }
@@ -959,11 +809,6 @@ runSuite(const sim::GpuConfig &config)
         selected.push_back(&workload);
     }
 
-    std::vector<sim::GpuConfig> configs;
-    configs.reserve(selected.size());
-    for (const auto *workload : selected)
-        configs.push_back(appConfig(workload->name, config));
-
     const unsigned jobs = effectiveJobs();
     if (jobs <= 1 || selected.size() <= 1) {
         // Serial path: the historical loop, byte for byte.
@@ -979,13 +824,17 @@ runSuite(const sim::GpuConfig &config)
                          workload->name.c_str());
             results.push_back(runApp(workload->name, config));
         }
-        summarizeSweep(results, configs);
+        summarizeSweep(results);
         return results;
     }
 
     // Parallel path. Result slots are pre-sized so every job writes only
     // its own element and the output order is canonical regardless of
     // completion order.
+    std::vector<sim::GpuConfig> configs;
+    configs.reserve(selected.size());
+    for (const auto *workload : selected)
+        configs.push_back(appConfig(workload->name, config));
     std::vector<AppResult> results(selected.size());
 
     // 1) Satisfy what we can from the cache (cheap, so done inline).
@@ -1032,9 +881,7 @@ runSuite(const sim::GpuConfig &config)
             job.ctx->enableTrace(g_options.timelineInterval,
                                  job.fragment->drain(), traceIdBase(pid));
         }
-        if (snapping())
-            job.ctx->setSnapOptions(makeSnapOptions(selected[i]->name,
-                                                    configs[i]));
+        usePrefix(*job.ctx, configs[i]);
         pending.push_back(std::move(job));
     }
 
@@ -1063,12 +910,10 @@ runSuite(const sim::GpuConfig &config)
         noteFailure(results[job.slot]);
         storeCached(cachePath(results[job.slot].name, configs[job.slot]),
                     results[job.slot]);
-        finishSnapRun(results[job.slot], results[job.slot].name,
-                      configs[job.slot]);
     }
     for (size_t i = 0; i < results.size(); ++i)
         recordResult(results[i], configs[i]);
-    summarizeSweep(results, configs);
+    summarizeSweep(results);
     return results;
 }
 

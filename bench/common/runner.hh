@@ -31,33 +31,24 @@
  *   --crit-out=FILE           write the per-app crit report (implies
  *                             --crit); FILE.collapsed additionally gets
  *                             collapsed-stack lines for flamegraph tools
- *   --checkpoint-every=N      gcl::snap — write a resumable checkpoint of
- *                             every run after each N-th kernel boundary
- *   --checkpoint-out=DIR      snapshot directory (default: <cache>/snap)
- *   --resume                  warm-start each run from its checkpoint
- *                             file when one exists (crash recovery)
- *   --hang-snapshot           on a watchdog hang, dump the last kernel
- *                             boundary next to the failure record
- *   --checkpoint-stop-after=K deterministically stop each run after
- *                             kernel boundary K, leaving a checkpoint
- *                             (resume-test / golden-snapshot generator)
  *   --sample=SPEC             sampled simulation (= GCL_SAMPLE): fast-
  *                             forward outside the spec's detailed windows
  *                             and extrapolate whole-run stats (grammar in
  *                             src/sim/sample.hh). Sampled runs get their
  *                             own cache entries, and share one functional
- *                             fast-forward prefix snapshot across a
- *                             --machine sweep (warm-start)
+ *                             fast-forward prefix snapshot (in
+ *                             <cache>/snap) across a --machine sweep
+ *                             (warm-start), serial or --jobs alike
  *   --ff-warm=0|1             warm L1/L2 tags from the fast-forwarded
  *                             address stream before each detailed window
  *                             (default 1; 0 = cold windows)
  * Tracing always simulates fresh: a cached stats file has no events.
  *
  * SIGINT/SIGTERM request a cooperative stop: in-flight runs unwind with a
- * structured "canceled" failure record (flushing their freshest boundary
- * when checkpointing is on), queued sweep runs are skipped, and a resume
- * manifest + per-run summary tell the user what `--resume` will pick up.
- * A second signal kills the process immediately.
+ * structured "canceled" failure record, queued sweep runs are skipped
+ * with a "skipped" record, and a per-run summary tells the user which
+ * runs completed, failed or never started. A second signal kills the
+ * process immediately.
  *
  * --jobs spreads the sweep *across* applications: each run is a
  * thread-confined workloads::SimContext scheduled on a gcl::exec pool,
@@ -91,9 +82,7 @@ struct AppResult
     StatsSet stats;          //!< finalized simulator stats
     SimFailure failure;      //!< structured failure record (failed=false
                              //!< on a clean run)
-    uint64_t checkpoints = 0; //!< snapshot files this run wrote
-    bool resumed = false;     //!< warm-started from a checkpoint file
-    bool skipped = false;     //!< never simulated (sweep cancelled first)
+    bool skipped = false;    //!< never simulated (sweep cancelled first)
 
     // Event-driven skip accounting (host-side wall-clock diagnostics;
     // deliberately NOT part of stats — the exported artifacts are
@@ -121,11 +110,6 @@ struct Options
     bool crit = false;             //!< enable the criticality profiler
     unsigned critTopN = 10;        //!< critical-load table depth
     std::string critOut;           //!< crit report path (implies crit)
-    uint64_t checkpointEvery = 0;  //!< checkpoint period (kernel boundaries)
-    std::string checkpointOut;     //!< snapshot dir (empty = <cache>/snap)
-    bool resume = false;           //!< warm-start from existing checkpoints
-    bool hangSnapshot = false;     //!< snapshot the last boundary on a hang
-    uint64_t checkpointStopAfter = 0; //!< stop+checkpoint after boundary K
     std::string sample;            //!< sampled-simulation spec (empty = off)
     int ffWarm = -1;               //!< --ff-warm (-1 = config default)
 };

@@ -225,65 +225,20 @@ GCL_BENCH_CACHE="$tmp/cache-hang" "$BUILD_DIR/bench/fig1_load_classes" \
 grep -q '"hang"' "$tmp/stats-hang.json" \
     || { echo "check: livelock not reported as a hang" >&2; exit 1; }
 
-# Checkpoint/restore (gcl::snap): a gaus run stopped at kernel boundary 2
-# (the deterministic stand-in for a crash) must leave a valid checkpoint,
-# and resuming it must produce byte-identical stats artifacts and cache
-# entries to the uninterrupted reference run.
-GCL_BENCH_CACHE="$tmp/cache-snap-ref" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=gaus --fresh --stats-json="$tmp/stats-snap-ref.json" \
-    > /dev/null 2> /dev/null
-status=0
-GCL_BENCH_CACHE="$tmp/cache-snap" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=gaus --fresh --checkpoint-every=1 --checkpoint-stop-after=2 \
-    > /dev/null 2> /dev/null || status=$?
-[ "$status" = 3 ] \
-    || { echo "check: stopped snap run exited $status, want 3" >&2; exit 1; }
-"$BUILD_DIR/tools/snap_dump" --describe "$tmp/cache-snap/snap/"gaus.*.snap \
-    | grep -q 'app: *gaus' \
-    || { echo "check: snap_dump rejected the checkpoint" >&2; exit 1; }
-grep -q '"status": "checkpointed"' "$tmp/cache-snap/snap/resume_manifest.json" \
-    || { echo "check: resume manifest missing the checkpointed run" >&2
-         exit 1; }
-GCL_BENCH_CACHE="$tmp/cache-snap" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=gaus --fresh --resume --stats-json="$tmp/stats-snap-res.json" \
-    > /dev/null 2> /dev/null
-cmp "$tmp/stats-snap-ref.json" "$tmp/stats-snap-res.json" \
-    || { echo "check: resumed run diverged from uninterrupted" >&2; exit 1; }
-diff "$tmp/cache-snap-ref/gaus".*.stats "$tmp/cache-snap/gaus".*.stats \
-    || { echo "check: resumed cache entry diverged" >&2; exit 1; }
-ls "$tmp/cache-snap/snap/"gaus.*.snap > /dev/null 2>&1 \
-    && { echo "check: checkpoint not removed after clean resume" >&2
-         exit 1; }
-
-# The same recovery against a real kill -9 mid-run: wait for the first
-# checkpoint, kill the process hard, resume. (If gaus happens to finish
-# before the signal lands, the resume leg simply runs fresh — the
-# byte-compare holds either way.)
-GCL_BENCH_CACHE="$tmp/cache-snap9" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=gaus --fresh --checkpoint-every=1 \
-    > /dev/null 2> /dev/null & snap_pid=$!
-for _ in $(seq 1 500); do
-    ls "$tmp/cache-snap9/snap/"gaus.*.snap > /dev/null 2>&1 && break
-    kill -0 "$snap_pid" 2> /dev/null || break
-    sleep 0.01
+# Sampled sweeps share one functional fast-forward prefix per app
+# (<cache>/snap/<app>.v<N>.ff.<key>.snap), in parallel as in serial: a
+# cold --sample=every:4 sweep at --jobs=3 must leave the same cache
+# entries and the same prefix files as one at --jobs=1, and a second,
+# warm --jobs=3 sweep into the same directory, whose runs start from
+# those files, must leave every byte as it was.
+for leg in j1 j3 j3; do
+    GCL_BENCH_CACHE="$tmp/cache-ff-$leg" "$BUILD_DIR/bench/fig1_load_classes" \
+        --apps=$SMALL_APPS --fresh --jobs="${leg#j}" --sample=every:4 \
+        > /dev/null 2> /dev/null
 done
-kill -9 "$snap_pid" 2> /dev/null || true
-wait "$snap_pid" 2> /dev/null || true
-GCL_BENCH_CACHE="$tmp/cache-snap9" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=gaus --fresh --resume --stats-json="$tmp/stats-snap9.json" \
-    > /dev/null 2> /dev/null
-cmp "$tmp/stats-snap-ref.json" "$tmp/stats-snap9.json" \
-    || { echo "check: kill -9 resume diverged from uninterrupted" >&2
+diff -r "$tmp/cache-ff-j1" "$tmp/cache-ff-j3" \
+    || { echo "check: sampled parallel sweep diverged from serial" >&2
          exit 1; }
-
-# The committed golden (tiny machine, gaus, boundary 1) must stay
-# readable by snap_dump: header intact, CRC green, self-diff clean.
-"$BUILD_DIR/tools/snap_dump" --describe tests/goldens/snap_tiny_gaus.snap \
-    | grep -q 'machine: *tiny' \
-    || { echo "check: golden snapshot unreadable" >&2; exit 1; }
-"$BUILD_DIR/tools/snap_dump" --diff tests/goldens/snap_tiny_gaus.snap \
-    tests/goldens/snap_tiny_gaus.snap > /dev/null \
-    || { echo "check: golden snapshot self-diff failed" >&2; exit 1; }
 
 # Sampled simulation (--sample, src/sim/sample.hh): functional
 # fast-forward outside detailed windows, whole-run stats extrapolated
@@ -409,21 +364,22 @@ if [ "$ASAN" = 1 ]; then
     # The guard tests unwind SimErrors out of half-advanced device models;
     # ASan verifies nothing in flight leaks across the recovery. Pool*
     # includes the GCL_POOL_CHECKED death tests (stale-handle panics are
-    # compiled in under ASan), and Snap* exercises the checkpoint
-    # save/restore paths (raw-byte serialization, resume unwinding).
-    # Skip* re-proves cycle-skip bit-identity against the eager reference
-    # (including the fault-plan, zero-latency, hang and resume legs) with
-    # pool checking live. The same checked build re-derives every warp
+    # compiled in under ASan). Snap* covers the snapshot container (wire
+    # primitives, CRC, truncation); SampleWarmStart* runs the raw-byte
+    # reading that is left: the functional prefix's page restore and
+    # host-log replay, and the malformed-prefix rejections. Skip*
+    # re-proves cycle-skip bit-identity against the eager reference
+    # (including the fault-plan, zero-latency and hang legs) with pool
+    # checking live. The same checked build re-derives every warp
     # pick with the reference scan (Sm::pickWarp); SimPipeline* drives it
     # through barriers, divergence, exits, multi-word ready masks and both
     # scheduling policies. It also re-derives every crit blocking warp
     # with the reference scan (Sm::critCharge); Crit* drives that on
     # c2050 and on modern-core (GTO, four schedulers). Icnt* runs the
     # crossbar against its reference model. SimStats* runs the stats
-    # sink's accumulation, block-table growth and snapshot load,
-    # including the malformed-table rejections.
+    # sink's accumulation and block-table growth.
     "$ASAN_DIR/tests/gcl_tests" \
-        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:Skip*:SimPipeline*:Crit*:Icnt*:SimStats*'
+        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:SampleWarmStart*:Skip*:SimPipeline*:Crit*:Icnt*:SimStats*'
 fi
 
 echo "check: all green"

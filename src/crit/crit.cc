@@ -4,9 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "guard/sim_error.hh"
-#include "snap/io.hh"
-
 namespace gcl::crit
 {
 
@@ -272,95 +269,6 @@ CritStats::finalize(const std::vector<std::string> &kernel_names,
                              static_cast<double>(pc.stageLog2[s][b]));
         }
     }
-}
-
-void
-SmCrit::save(snap::SnapWriter &out) const
-{
-    out.u64(cycles);
-    out.u64(issued);
-    for (unsigned r = 0; r < kNumReasons; ++r)
-        out.u64(stall[r]);
-    for (unsigned c = 0; c < kNumClasses; ++c)
-        out.u64(dhzByClass[c]);
-
-    std::vector<uint64_t> keys;
-    keys.reserve(pcs_.size());
-    for (const auto &[key, pc] : pcs_)
-        keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    out.u64(keys.size());
-    for (uint64_t key : keys) {
-        const PcCrit &pc = pcs_.at(key);
-        out.u64(key);
-        out.u8(pc.loadClass);
-        out.u64(pc.stallSlots);
-        for (unsigned r = 0; r < kNumReasons; ++r)
-            out.u64(pc.stallByReason[r]);
-        out.u64(pc.turnCnt);
-        out.f64(pc.turnSum);
-        for (unsigned b = 0; b < kLog2Buckets; ++b)
-            out.u64(pc.turnLog2[b]);
-        for (unsigned s = 0; s < kNumStages; ++s) {
-            out.u64(pc.stageCnt[s]);
-            out.f64(pc.stageSum[s]);
-            for (unsigned b = 0; b < kLog2Buckets; ++b)
-                out.u64(pc.stageLog2[s][b]);
-        }
-    }
-}
-
-void
-SmCrit::load(snap::SnapReader &in)
-{
-    cycles = in.u64();
-    issued = in.u64();
-    for (unsigned r = 0; r < kNumReasons; ++r)
-        stall[r] = in.u64();
-    for (unsigned c = 0; c < kNumClasses; ++c)
-        dhzByClass[c] = in.u64();
-
-    pcs_.clear();
-    const uint64_t npcs = in.u64();
-    for (uint64_t i = 0; i < npcs; ++i) {
-        const uint64_t key = in.u64();
-        PcCrit &pc = pcs_[key];
-        pc.loadClass = in.u8();
-        pc.stallSlots = in.u64();
-        for (unsigned r = 0; r < kNumReasons; ++r)
-            pc.stallByReason[r] = in.u64();
-        pc.turnCnt = in.u64();
-        pc.turnSum = in.f64();
-        for (unsigned b = 0; b < kLog2Buckets; ++b)
-            pc.turnLog2[b] = in.u64();
-        for (unsigned s = 0; s < kNumStages; ++s) {
-            pc.stageCnt[s] = in.u64();
-            pc.stageSum[s] = in.f64();
-            for (unsigned b = 0; b < kLog2Buckets; ++b)
-                pc.stageLog2[s][b] = in.u64();
-        }
-    }
-}
-
-void
-CritStats::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(!finalized_, "crit", 0, "checkpoint after finalize()");
-    out.u64(shards_.size());
-    for (const SmCrit &shard : shards_)
-        shard.save(out);
-}
-
-void
-CritStats::load(snap::SnapReader &in)
-{
-    gcl_sim_check(!finalized_, "crit", 0, "restore after finalize()");
-    const uint64_t nshards = in.u64();
-    gcl_sim_check(nshards == shards_.size(), "crit", 0,
-                  "snapshot shard count mismatch (have ", shards_.size(),
-                  ", snapshot has ", nshards, ")");
-    for (SmCrit &shard : shards_)
-        shard.load(in);
 }
 
 } // namespace gcl::crit

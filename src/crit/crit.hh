@@ -44,12 +44,6 @@
 
 #include "util/stats.hh"
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::crit
 {
 
@@ -199,12 +193,6 @@ class SmCrit
     /** Additive merge of @p other into this shard (finalize only). */
     void merge(const SmCrit &other);
 
-    /** Serialize counters and the per-PC map (sorted-key order). */
-    void save(snap::SnapWriter &out) const;
-
-    /** Restore state captured by save(). */
-    void load(snap::SnapReader &in);
-
   private:
     std::unordered_map<uint64_t, PcCrit> pcs_;
 };
@@ -242,18 +230,6 @@ class CritStats
      */
     void finalize(const std::vector<std::string> &kernel_names,
                   StatsSet &set);
-
-    /**
-     * Serialize every shard's raw accumulation state, in creation order.
-     * Only legal before finalize().
-     */
-    void save(snap::SnapWriter &out) const;
-
-    /**
-     * Restore state captured by save(). The shard count must match; only
-     * legal before finalize() on freshly created shards.
-     */
-    void load(snap::SnapReader &in);
 
   private:
     unsigned issueWidth_;

@@ -6,9 +6,8 @@
  * in-flight device cycle loop polls it (cheaply, once per ~1k cycles)
  * and raises SimError{Kind::Canceled} between cycles, never mid-cycle,
  * so a cancelled run unwinds through the normal recoverable-error path:
- * its SimContext records a structured failure, writes the last boundary
- * checkpoint if checkpointing is on, and sibling sweep runs keep
- * draining.
+ * its SimContext records a structured failure and sibling sweep runs
+ * keep draining.
  *
  * The flag is a lock-free std::atomic<bool>, which makes requestCancel()
  * safe to call from a signal handler and cancelRequested() safe to poll

@@ -157,17 +157,6 @@ class FaultInjector
         return counts_[static_cast<size_t>(kind)];
     }
 
-    /**
-     * Overwrite one kind's counter (checkpoint restore: the plan itself
-     * is a pure function of the spec, so the counters are the injector's
-     * only serialized state).
-     */
-    void
-    setInjected(FaultKind kind, uint64_t count)
-    {
-        counts_[static_cast<size_t>(kind)] = count;
-    }
-
   private:
     bool
     hit(FaultKind kind, uint64_t now)

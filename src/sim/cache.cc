@@ -1,7 +1,6 @@
 #include "cache.hh"
 
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
 #include "util/bitutil.hh"
 #include "util/logging.hh"
 
@@ -303,38 +302,6 @@ Cache::isHit(uint64_t line_addr) const
         if (set_base[way].tag == tag && set_base[way].valid)
             return true;
     return false;
-}
-
-void
-Cache::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(mshr_.size() == 0, name_, 0,
-                  "checkpoint with ", mshr_.size(), " MSHR entries in flight");
-    gcl_sim_check(reservedLines() == 0, name_, 0,
-                  "checkpoint with reserved lines");
-    out.u64(lruClock_);
-    out.u64(lines_.size());
-    for (const Line &line : lines_) {
-        out.u64(line.tag);
-        out.u8(line.valid ? 1 : 0);
-        out.u64(line.lru);
-    }
-}
-
-void
-Cache::load(snap::SnapReader &in)
-{
-    lruClock_ = in.u64();
-    const uint64_t count = in.u64();
-    gcl_sim_check(count == lines_.size(), name_, 0,
-                  "snapshot tag array has ", count, " lines, cache has ",
-                  lines_.size());
-    for (Line &line : lines_) {
-        line.tag = in.u64();
-        line.valid = in.u8() != 0;
-        line.reserved = false;
-        line.lru = in.u64();
-    }
 }
 
 } // namespace gcl::sim

@@ -34,12 +34,6 @@
 #include "config.hh"
 #include "mem_request.hh"
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
 
@@ -170,17 +164,6 @@ class Cache
 
     /** Lines currently reserved for in-flight fills (timeline sampling). */
     size_t reservedLines() const;
-
-    /**
-     * Serialize the persistent tag-array state (tags, valid bits, LRU
-     * stamps and clock). Only legal at a kernel boundary, where the MSHR
-     * is empty and no line is reserved — transient state never crosses a
-     * checkpoint.
-     */
-    void save(snap::SnapWriter &out) const;
-
-    /** Restore state captured by save() into a same-geometry cache. */
-    void load(snap::SnapReader &in);
 
   private:
     struct Line

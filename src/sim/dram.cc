@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
@@ -53,28 +52,6 @@ DramChannel::pop()
     queue_.pop_front();
     ++serviced_;
     return req;
-}
-
-void
-DramChannel::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(queue_.empty(), "dram", 0,
-                  "checkpoint with ", queue_.size(), " queued requests");
-    out.u64(channelFreeAt_);
-    out.u64(serviced_);
-    out.u64(openRow_.size());
-    for (uint64_t row : openRow_)
-        out.u64(row);
-}
-
-void
-DramChannel::load(snap::SnapReader &in)
-{
-    channelFreeAt_ = in.u64();
-    serviced_ = in.u64();
-    openRow_.resize(in.u64());
-    for (uint64_t &row : openRow_)
-        row = in.u64();
 }
 
 } // namespace gcl::sim

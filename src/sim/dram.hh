@@ -26,12 +26,6 @@
 #include "mem_request.hh"
 #include "trace/trace.hh"
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
 
@@ -70,16 +64,6 @@ class DramChannel
     /** Event sink + owning partition id, installed by the partition. */
     trace::TraceSink *traceSink = nullptr;
     int16_t traceUnit = -1;
-
-    /**
-     * Serialize the channel's persistent timing state: the absolute
-     * channel-free cycle, the service counter and the per-bank open rows.
-     * Only legal with an empty queue (kernel boundary).
-     */
-    void save(snap::SnapWriter &out) const;
-
-    /** Restore state captured by save(). */
-    void load(snap::SnapReader &in);
 
   private:
     struct Entry

@@ -381,44 +381,23 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                       kernel.numParams());
 
     if (resume_) {
-        if (ffResume_) {
-            // A functional prefix snapshot was captured at the ENTRY of
-            // launch resumeTarget_, after its fast-forward prefix but
-            // before any timed work. Launches before the target were
-            // fully fast-forwarded; skip them outright (global memory is
-            // restored wholesale). At the target, restore and fall
-            // through to simulate — applyRestore leaves ffSkipCtas_ for
-            // this launch's fast-forward loop to consume.
-            if (kernelsDone_ < resumeTarget_) {
-                ++kernelsDone_;
-                GCL_DEBUG("gpu", "ff-resume: skipping fast-forwarded "
-                          "launch ", kernelsDone_, " ('", kernel.name(),
-                          "')");
-                return;
-            }
-            applyRestore();
-        } else if (resumeTarget_ == 0) {
-            // Boundary 0 was captured at first-launch entry: the host
-            // setup just re-ran for real (deterministically), and the
-            // restore now overwrites it with the identical recorded
-            // state. This launch then simulates for real.
-            applyRestore();
-        } else {
-            // This launch completed before the checkpoint; skip the
-            // simulation entirely. The capture point of boundary k is
-            // the end of the k-th launch, so the restore lands exactly
-            // where the original run took the snapshot.
+        // The functional prefix was captured at the ENTRY of launch
+        // resumeTarget_, after its fast-forward prefix but before any
+        // timed work. Launches before the target were fully
+        // fast-forwarded; skip them outright (global memory is restored
+        // wholesale). At the target, restore and fall through to
+        // simulate — applyRestore leaves ffSkipCtas_ for this launch's
+        // fast-forward loop to consume.
+        if (kernelsDone_ < resumeTarget_) {
             ++kernelsDone_;
-            GCL_DEBUG("gpu", "resume: skipping completed launch ",
+            GCL_DEBUG("gpu", "ff-resume: skipping fast-forwarded launch ",
                       kernelsDone_, " ('", kernel.name(), "')");
-            if (kernelsDone_ == resumeTarget_)
-                applyRestore();
             return;
         }
+        applyRestore();
     }
 
-    // Boundary 0: the pristine device before the first launch, so even a
-    // first-kernel hang has a snapshot to attach.
+    // Boundary 0: the pristine device before the first launch.
     if (boundaryHook_ && !firstBoundaryFired_) {
         firstBoundaryFired_ = true;
         boundaryHook_(kernelsDone_);
@@ -541,6 +520,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                                        ffLaunchWork_});
                 GCL_DEBUG("gpu", "launch '", kernel.name(),
                           "': fast-forwarded all ", total, " CTAs");
+                lastLaunchCycles_ = 0;
                 ++kernelsDone_;
                 if (boundaryHook_)
                     boundaryHook_(kernelsDone_);
@@ -782,8 +762,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     }
 
     // Kernel boundary: the device is fully drained (the conservation
-    // check above) — the one point where a checkpoint captures the exact
-    // mid-run state.
+    // check above).
     ++kernelsDone_;
     if (boundaryHook_)
         boundaryHook_(kernelsDone_);
@@ -1055,37 +1034,6 @@ Gpu::buildHangReport(const std::string &kernel, Cycle now) const
     return report;
 }
 
-namespace
-{
-
-void
-writePoolImage(const PoolImage &image, snap::SnapWriter &out)
-{
-    out.u32(image.slotCount);
-    out.u64(image.freeList.size());
-    for (uint32_t slot : image.freeList)
-        out.u32(slot);
-    out.u64(image.generations.size());
-    for (uint32_t gen : image.generations)
-        out.u32(gen);
-}
-
-PoolImage
-readPoolImage(snap::SnapReader &in)
-{
-    PoolImage image;
-    image.slotCount = in.u32();
-    image.freeList.resize(in.u64());
-    for (uint32_t &slot : image.freeList)
-        slot = in.u32();
-    image.generations.resize(in.u64());
-    for (uint32_t &gen : image.generations)
-        gen = in.u32();
-    return image;
-}
-
-} // namespace
-
 void
 Gpu::saveHostLog(snap::SnapWriter &out) const
 {
@@ -1104,7 +1052,7 @@ Gpu::loadHostLog(snap::SnapReader &in)
 {
     hostLog_.clear();
     hostLogCursor_ = 0;
-    const uint64_t count = in.u64();
+    const uint64_t count = in.count(1 + 2 * sizeof(uint64_t));
     hostLog_.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
         HostLogEntry entry;
@@ -1112,49 +1060,11 @@ Gpu::loadHostLog(snap::SnapReader &in)
         entry.addr = in.u64();
         entry.size = in.u64();
         if (entry.op == 1) {
-            entry.data.resize(entry.size);
-            std::memcpy(entry.data.data(), in.rawRead(entry.size),
-                        entry.size);
+            const uint8_t *payload = in.rawRead(entry.size);
+            entry.data.assign(payload, payload + entry.size);
         }
         hostLog_.push_back(std::move(entry));
     }
-}
-
-void
-Gpu::save(snap::Snapshot &snapshot) const
-{
-    {
-        snap::SnapWriter &out = snapshot.section("gpu");
-        out.u64(clock_);
-        out.u64(lastLaunchCycles_);
-        out.u64(kernelsDone_);
-    }
-    gmem_.save(snapshot.section("gmem"));
-    saveHostLog(snapshot.section("hostlog"));
-    {
-        snap::SnapWriter &out = snapshot.section("pools");
-        writePoolImage(pools_.reqs.saveImage(), out);
-        writePoolImage(pools_.ops.saveImage(), out);
-    }
-    icnt_.save(snapshot.section("icnt"));
-    for (unsigned s = 0; s < config_.numSms; ++s)
-        sms_[s]->save(snapshot.section("sm" + std::to_string(s)));
-    for (unsigned p = 0; p < config_.numPartitions; ++p)
-        partitions_[p]->save(
-            snapshot.section("part" + std::to_string(p)));
-    stats_.save(snapshot.section("stats"));
-    if (crit_)
-        crit_->save(snapshot.section("crit"));
-    if (fault_) {
-        snap::SnapWriter &out = snapshot.section("fault");
-        for (unsigned k = 0;
-             k < static_cast<unsigned>(guard::FaultKind::NumKinds); ++k)
-            out.u64(fault_->injected(static_cast<guard::FaultKind>(k)));
-    }
-    // Sampling + checkpointing compose: a crash-resume of a sampled run
-    // needs the extrapolation book and the pending warm ring back.
-    if (samplePlan_.active())
-        saveSampleState(snapshot.section("sample"));
 }
 
 void
@@ -1196,7 +1106,7 @@ Gpu::loadSampleState(snap::SnapReader &in)
 {
     timedWorkDone_ = in.u8() != 0;
     sampleBook_.clear();
-    const uint64_t launches = in.u64();
+    const uint64_t launches = in.count(8 * sizeof(uint64_t));
     sampleBook_.reserve(launches);
     for (uint64_t i = 0; i < launches; ++i) {
         SampleLaunch entry;
@@ -1212,7 +1122,8 @@ Gpu::loadSampleState(snap::SnapReader &in)
     }
     warmRing_.clear();
     warmHead_ = 0;
-    const uint64_t entries = in.u64();
+    const uint64_t entries =
+        in.count(sizeof(uint64_t) + sizeof(uint32_t) + 1);
     warmRing_.reserve(entries);
     for (uint64_t i = 0; i < entries; ++i) {
         WarmEntry entry;
@@ -1242,30 +1153,16 @@ Gpu::beginResume(std::shared_ptr<const snap::Snapshot> snapshot)
 {
     gcl_assert(clock_ == 0 && kernelsDone_ == 0,
                "beginResume on a device that already ran");
-    // A functional prefix snapshot (saveFunctional) holds no timing state,
-    // so it is keyed by the machine-independent functional fingerprint —
-    // cross-machine reuse across a --machine sweep is the point. No
-    // machine-name check for the same reason.
-    const bool functional = snapshot->has("ffstate");
-    if (functional) {
-        if (snapshot->configFingerprint != config_.functionalFingerprint())
-            gcl_sim_error(SimError::Kind::Snapshot, "gpu", 0,
-                          "functional-prefix fingerprint mismatch: "
-                          "snapshot has ",
-                          snap::hexFingerprint(snapshot->configFingerprint),
-                          ", this run's functional config is ",
-                          snap::hexFingerprint(
-                              config_.functionalFingerprint()));
-    } else if (snapshot->configFingerprint != config_.fingerprint()) {
+    // The prefix holds no timing state, so it is keyed by the
+    // machine-independent functional fingerprint — cross-machine reuse
+    // across a --machine sweep is the point. No machine-name check for the
+    // same reason.
+    if (snapshot->configFingerprint != config_.functionalFingerprint())
         gcl_sim_error(SimError::Kind::Snapshot, "gpu", 0,
-                      "snapshot config fingerprint mismatch: snapshot has ",
+                      "functional-prefix fingerprint mismatch: snapshot has ",
                       snap::hexFingerprint(snapshot->configFingerprint),
-                      " ('", snapshot->machineName,
-                      "'), this run's config is ",
-                      snap::hexFingerprint(config_.fingerprint()), " ('",
-                      config_.machineName, "')");
-    }
-    ffResume_ = functional;
+                      ", this run's functional config is ",
+                      snap::hexFingerprint(config_.functionalFingerprint()));
     try {
         snap::SnapReader in = snapshot->reader("hostlog");
         loadHostLog(in);
@@ -1290,104 +1187,39 @@ Gpu::applyRestore()
                       " recorded host calls replayed at the restore "
                       "point — the snapshot was taken from a different "
                       "host program or dataset");
-    if (ffResume_) {
-        // Functional-only prefix: restore global memory and the sampling
-        // bookkeeping; every timing structure is still pristine (clock 0,
-        // empty caches) because the prefix never ticked — that is what
-        // makes the snapshot shareable across machines.
-        try {
-            {
-                snap::SnapReader in = snapshot.reader("ffstate");
-                kernelsDone_ = in.u64();
-                ffSkipCtas_ = in.u64();
-                ffLaunchWork_ = in.u64();
-            }
-            {
-                snap::SnapReader in = snapshot.reader("gmem");
-                gmem_.load(in);
-            }
-            {
-                snap::SnapReader in = snapshot.reader("sample");
-                loadSampleState(in);
-            }
-        } catch (const snap::SnapIoError &error) {
-            gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
-                          "malformed functional snapshot section: ",
-                          error.what());
-        }
-        gcl_sim_check(kernelsDone_ == resumeTarget_, "gpu", clock_,
-                      "functional snapshot kernel index ", resumeTarget_,
-                      " does not match its own state ", kernelsDone_);
-        resume_ = false;
-        ffResume_ = false;
-        firstBoundaryFired_ = true;
-        resumeSnap_.reset();
-        GCL_DEBUG("gpu", "restored functional prefix at launch ",
-                  kernelsDone_, " + ", ffSkipCtas_, " CTAs");
-        return;
-    }
+    // Restore global memory and the sampling bookkeeping; every timing
+    // structure is still pristine (clock 0, empty caches) because the
+    // prefix never ticked — that is what makes the snapshot shareable
+    // across machines.
     try {
         {
-            snap::SnapReader in = snapshot.reader("gpu");
-            clock_ = in.u64();
-            lastLaunchCycles_ = in.u64();
+            snap::SnapReader in = snapshot.reader("ffstate");
             kernelsDone_ = in.u64();
+            ffSkipCtas_ = in.u64();
+            ffLaunchWork_ = in.u64();
         }
         {
             snap::SnapReader in = snapshot.reader("gmem");
             gmem_.load(in);
         }
         {
-            snap::SnapReader in = snapshot.reader("pools");
-            pools_.reqs.loadImage(readPoolImage(in));
-            pools_.ops.loadImage(readPoolImage(in));
-        }
-        {
-            snap::SnapReader in = snapshot.reader("icnt");
-            icnt_.load(in);
-        }
-        for (unsigned s = 0; s < config_.numSms; ++s) {
-            snap::SnapReader in =
-                snapshot.reader("sm" + std::to_string(s));
-            sms_[s]->load(in);
-        }
-        for (unsigned p = 0; p < config_.numPartitions; ++p) {
-            snap::SnapReader in =
-                snapshot.reader("part" + std::to_string(p));
-            partitions_[p]->load(in);
-        }
-        {
-            snap::SnapReader in = snapshot.reader("stats");
-            stats_.load(in);
-        }
-        if (crit_) {
-            snap::SnapReader in = snapshot.reader("crit");
-            crit_->load(in);
-        }
-        if (fault_) {
-            snap::SnapReader in = snapshot.reader("fault");
-            for (unsigned k = 0;
-                 k < static_cast<unsigned>(guard::FaultKind::NumKinds);
-                 ++k)
-                fault_->setInjected(static_cast<guard::FaultKind>(k),
-                                    in.u64());
-        }
-        if (samplePlan_.active() && snapshot.has("sample")) {
             snap::SnapReader in = snapshot.reader("sample");
             loadSampleState(in);
         }
     } catch (const snap::SnapIoError &error) {
         gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
-                      "malformed snapshot section: ", error.what());
+                      "malformed functional snapshot section: ",
+                      error.what());
     }
-    gcl_sim_check(kernelsDone_ == resumeTarget_, "gpu", clock_,
-                  "snapshot kernel index ", resumeTarget_,
-                  " does not match its own device state ", kernelsDone_);
+    if (kernelsDone_ != resumeTarget_)
+        gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
+                      "functional snapshot kernel index ", resumeTarget_,
+                      " does not match its own state ", kernelsDone_);
     resume_ = false;
     firstBoundaryFired_ = true;
     resumeSnap_.reset();
-    GCL_DEBUG("gpu", "restored snapshot at kernel boundary ",
-              kernelsDone_, ", cycle ", clock_);
+    GCL_DEBUG("gpu", "restored functional prefix at launch ", kernelsDone_,
+              " + ", ffSkipCtas_, " CTAs");
 }
 
 void

@@ -76,7 +76,10 @@ class Gpu
     GlobalMemory &memory() { return gmem_; }
     SimStats &stats() { return stats_; }
 
-    /** Cycles consumed by the most recent launch. */
+    /**
+     * Cycles consumed by the most recent launch; 0 when it was fully
+     * fast-forwarded (sampled simulation).
+     */
     Cycle lastLaunchCycles() const { return lastLaunchCycles_; }
 
     /** Fold locality maps into the stats set; call once, after all launches. */
@@ -119,59 +122,36 @@ class Gpu
      */
     uint64_t dormantCycles() const { return dormantCycles_; }
 
-    // ---- Checkpoint / restore (gcl::snap) ----
+    // ---- Kernel boundaries ----
 
-    /** Global monotonic cycle count (the value stamped into snapshots). */
+    /** Global monotonic cycle count across launches. */
     Cycle clock() const { return clock_; }
 
-    /** Kernel launches completed so far (the snapshot boundary index). */
+    /** Kernel launches completed so far (the boundary index). */
     uint64_t kernelsDone() const { return kernelsDone_; }
 
     /**
      * Install a kernel-boundary callback. It fires with k = 0 at the
      * first launch's entry (before any simulation) and with k = n after
-     * the n-th launch retires — the two points where the device is fully
-     * drained and a checkpoint is exact. Not fired while a resume is
-     * skipping already-completed launches.
+     * the n-th launch retires, fast-forwarded launches of a sampled run
+     * included — the points where the device is fully drained. A run
+     * warm-started from a functional prefix (beginResume) fires neither
+     * boundary 0 nor the boundaries of the launches the prefix covers.
      */
     void setBoundaryHook(std::function<void(uint64_t)> hook)
     {
         boundaryHook_ = std::move(hook);
     }
 
+    // ---- Sampled simulation (config.sample; src/sim/sample.hh) ----
+
     /**
-     * Record every deviceMalloc and memcpyToHost from now on, so a later
-     * checkpoint can replay the host program's device-visible inputs
-     * deterministically. Must be enabled before the first host API call
-     * of a run that intends to checkpoint.
+     * Record every deviceMalloc and memcpyToHost from now on, so a
+     * functional prefix snapshot (saveFunctional) can replay the host
+     * program's device-visible inputs deterministically. Must be enabled
+     * before the first host API call of the run.
      */
     void enableHostLog() { hostLogEnabled_ = true; }
-
-    /**
-     * Arm a restore from @p snapshot. The caller then re-runs the host
-     * program from the start: launches that completed before the
-     * checkpoint are skipped, memcpyToHost is served from the recorded
-     * host log, and deviceMalloc is replayed with address verification.
-     * The full device state is restored at the checkpoint's capture
-     * point, after which simulation continues normally and every output
-     * is byte-identical to the uninterrupted run.
-     *
-     * @throws SimError{Kind::Snapshot} on a config-fingerprint mismatch
-     *         or a malformed snapshot.
-     */
-    void beginResume(std::shared_ptr<const snap::Snapshot> snapshot);
-
-    /** True between beginResume() and the restore point. */
-    bool resuming() const { return resume_; }
-
-    /**
-     * Serialize the full persistent device state into @p snapshot. Only
-     * legal at a kernel boundary (every unit drained, pools empty);
-     * violations raise SimError{Kind::Invariant}.
-     */
-    void save(snap::Snapshot &snapshot) const;
-
-    // ---- Sampled simulation (config.sample; src/sim/sample.hh) ----
 
     /**
      * Install the warm-start capture hook. It fires at most once per run:
@@ -191,12 +171,26 @@ class Gpu
 
     /**
      * Serialize the functional-only prefix state (see setFfPrefixHook):
-     * global memory, the host log, and the sampling bookkeeping. Restored
-     * through the regular beginResume() path, which detects a functional
-     * snapshot by its "ffstate" section and checks
-     * functionalFingerprint() instead of fingerprint().
+     * global memory, the host log, and the sampling bookkeeping.
      */
     void saveFunctional(snap::Snapshot &snapshot) const;
+
+    /**
+     * Arm a warm start from the functional prefix @p snapshot. The caller
+     * then re-runs the host program from the start: launches the prefix
+     * fully fast-forwarded are skipped, memcpyToHost is served from the
+     * recorded host log, and deviceMalloc is replayed with address
+     * verification. At the captured launch, global memory and the
+     * sampling state are restored and the launch's remaining CTAs run
+     * normally, so every output is byte-identical to a cold run.
+     *
+     * @throws SimError{Kind::Snapshot} on a functional-fingerprint
+     *         mismatch or a host log that does not decode. The host API
+     *         calls raise the same kind when the host program diverges
+     *         from the log, and the captured launch when a section does
+     *         not decode.
+     */
+    void beginResume(std::shared_ptr<const snap::Snapshot> snapshot);
 
   private:
     /** One recorded host API call (enableHostLog). */
@@ -208,7 +202,7 @@ class Gpu
         std::vector<uint8_t> data;   //!< memcpyToHost payload
     };
 
-    /** Restore the armed snapshot at its capture point. */
+    /** Restore the armed prefix at its capture point. */
     void applyRestore();
     void saveHostLog(snap::SnapWriter &out) const;
     void loadHostLog(snap::SnapReader &in);
@@ -423,15 +417,15 @@ class Gpu
     uint64_t skipEvents_ = 0;
     uint64_t dormantCycles_ = 0;
 
-    // ---- Checkpoint / restore state (gcl::snap) ----
+    // ---- Kernel boundaries and the functional prefix (gcl::snap) ----
     uint64_t kernelsDone_ = 0;
     std::function<void(uint64_t)> boundaryHook_;
     bool firstBoundaryFired_ = false;
     bool hostLogEnabled_ = false;
     std::vector<HostLogEntry> hostLog_;
     size_t hostLogCursor_ = 0;       //!< replay position while resuming
-    bool resume_ = false;            //!< skipping completed launches
-    uint64_t resumeTarget_ = 0;      //!< snapshot's kernel boundary index
+    bool resume_ = false;            //!< skipping fast-forwarded launches
+    uint64_t resumeTarget_ = 0;      //!< launch the prefix was captured in
     std::shared_ptr<const snap::Snapshot> resumeSnap_;
 
     // ---- Sampled simulation state (config.sample) ----
@@ -501,7 +495,6 @@ class Gpu
     uint64_t ffCaptureCtaIndex_ = 0;
     /** Prefix CTAs to skip in the restore-target launch (consumed once). */
     uint64_t ffSkipCtas_ = 0;
-    bool ffResume_ = false;          //!< armed snapshot is functional-only
 };
 
 } // namespace gcl::sim

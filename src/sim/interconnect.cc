@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
@@ -216,32 +215,6 @@ Interconnect::nextEventCycle(Cycle now) const
     if (next == kNone)
         return next;
     return next <= now ? now + 1 : next;
-}
-
-void
-Interconnect::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(idle(), "icnt", 0,
-                  "checkpoint with flits in flight (", reqQueued(),
-                  " requests, ", respQueued(), " responses)");
-    out.u32(reqRrSm_);
-    out.u32(respRrPart_);
-}
-
-void
-Interconnect::load(snap::SnapReader &in)
-{
-    // The arbitration walks index the endpoint arrays from these
-    // pointers, so a value past the endpoint count must not get in.
-    const uint32_t req_rr = in.u32();
-    const uint32_t resp_rr = in.u32();
-    if (req_rr >= config_.numSms || resp_rr >= config_.numPartitions)
-        gcl_sim_error(SimError::Kind::Snapshot, "icnt", 0,
-                      "round-robin pointer out of range (request ", req_rr,
-                      " of ", config_.numSms, " SMs, response ", resp_rr,
-                      " of ", config_.numPartitions, " partitions)");
-    reqRrSm_ = req_rr;
-    respRrPart_ = resp_rr;
 }
 
 } // namespace gcl::sim

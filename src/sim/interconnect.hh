@@ -37,12 +37,6 @@
 #include "mem_request.hh"
 #include "trace/trace.hh"
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
 
@@ -144,22 +138,6 @@ class Interconnect
         respRrPart_ = static_cast<unsigned>(
             (respRrPart_ + count) % config_.numPartitions);
     }
-
-    /**
-     * Serialize the crossbar's persistent state — the two round-robin
-     * arbitration pointers. Only legal when idle() (kernel boundary): the
-     * queues are empty then, so the pointers are the sole state that
-     * shapes future arbitration order.
-     */
-    void save(snap::SnapWriter &out) const;
-
-    /**
-     * Restore state captured by save().
-     *
-     * @throws SimError{Kind::Snapshot} when a round-robin pointer is not
-     *         below its endpoint count.
-     */
-    void load(snap::SnapReader &in);
 
   private:
     /** smNextAt_/partNextAt_ value of an empty delivery queue. */

@@ -1,7 +1,6 @@
 #include "mem_partition.hh"
 
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
@@ -205,24 +204,6 @@ MemPartition::hangInfo() const
     info.mshrOccupancy = l2_.mshrOccupancy();
     info.reservedLines = l2_.reservedLines();
     return info;
-}
-
-void
-MemPartition::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(idle(), "part" + std::to_string(id_), 0,
-                  "checkpoint with requests in flight (rop ", ropQ_.size(),
-                  ", dram ", dram_.size(), ", resp ", respPending_.size(),
-                  ")");
-    l2_.save(out);
-    dram_.save(out);
-}
-
-void
-MemPartition::load(snap::SnapReader &in)
-{
-    l2_.load(in);
-    dram_.load(in);
 }
 
 } // namespace gcl::sim

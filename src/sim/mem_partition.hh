@@ -28,12 +28,6 @@
 #include "interconnect.hh"
 #include "stats.hh"
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
 
@@ -138,16 +132,6 @@ class MemPartition
 
     /** Fault oracle (gcl::guard), installed by the Gpu; null = no faults. */
     guard::FaultInjector *fault = nullptr;
-
-    /**
-     * Serialize the partition's persistent state: the L2 tag array and
-     * the DRAM channel timing. Only legal when idle() — the ROP pipeline
-     * and response queue must be empty (kernel boundary).
-     */
-    void save(snap::SnapWriter &out) const;
-
-    /** Restore state captured by save(). */
-    void load(snap::SnapReader &in);
 
   private:
     trace::TraceSink *traceSink_ = nullptr;

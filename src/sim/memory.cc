@@ -124,7 +124,7 @@ GlobalMemory::load(snap::SnapReader &in)
 {
     pages_.clear();
     allocTop_ = in.u64();
-    const uint64_t count = in.u64();
+    const uint64_t count = in.count(sizeof(uint64_t) + kPageSize);
     for (uint64_t i = 0; i < count; ++i) {
         const uint64_t number = in.u64();
         auto page = std::make_unique<uint8_t[]>(kPageSize);

@@ -1,7 +1,6 @@
 #include "simt_stack.hh"
 
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
@@ -98,28 +97,6 @@ SimtStack::exitLanes(LaneMask exiting)
 
     // Entries in the middle of the stack may have become empty; they pop
     // when they reach the top via reconverge().
-}
-
-void
-SimtStack::save(snap::SnapWriter &out) const
-{
-    out.u64(stack_.size());
-    for (const Entry &entry : stack_) {
-        out.u32(entry.mask);
-        out.u64(entry.pc);
-        out.u64(entry.rpc);
-    }
-}
-
-void
-SimtStack::load(snap::SnapReader &in)
-{
-    stack_.resize(in.u64());
-    for (Entry &entry : stack_) {
-        entry.mask = in.u32();
-        entry.pc = in.u64();
-        entry.rpc = in.u64();
-    }
 }
 
 } // namespace gcl::sim

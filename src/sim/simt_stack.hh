@@ -11,12 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
 
@@ -61,14 +55,6 @@ class SimtStack
     void exitLanes(LaneMask exiting);
 
     size_t depth() const { return stack_.size(); }
-
-    /**
-     * Serialize/restore every entry. Kernel-boundary checkpoints never
-     * need this (warps are retired there); it exists for the planned
-     * CTA-boundary variant and is exercised by the snap unit tests.
-     */
-    void save(snap::SnapWriter &out) const;
-    void load(snap::SnapReader &in);
 
   private:
     struct Entry

@@ -5,7 +5,6 @@
 
 #include "coalescer.hh"
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
@@ -1204,28 +1203,6 @@ Sm::hangInfo() const
     if (crit)
         info.critSummary = crit->hangSummary();
     return info;
-}
-
-void
-Sm::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(!busy(), "sm" + std::to_string(id_), 0,
-                  "checkpoint with resident CTAs or in-flight work");
-    out.u64(ageCounter_);
-    out.u8(critLastL1Outcome_);
-    out.u64(spStageFreeAt_);
-    out.u64(sfuStageFreeAt_);
-    l1_.save(out);
-}
-
-void
-Sm::load(snap::SnapReader &in)
-{
-    ageCounter_ = in.u64();
-    critLastL1Outcome_ = in.u8();
-    spStageFreeAt_ = in.u64();
-    sfuStageFreeAt_ = in.u64();
-    l1_.load(in);
 }
 
 } // namespace gcl::sim

@@ -164,17 +164,6 @@ class Sm
     /** Snapshot for a watchdog HangReport (gcl::guard). */
     guard::SmHangInfo hangInfo() const;
 
-    /**
-     * Serialize the SM state that survives a kernel launch: the GTO age
-     * counter, the crit bookkeeping byte, the function-unit busy-until
-     * markers and the L1 tag array. Only legal when !busy() — CTA slots,
-     * LD/ST queues and writebacks must all be drained (kernel boundary).
-     */
-    void save(snap::SnapWriter &out) const;
-
-    /** Restore state captured by save(). */
-    void load(snap::SnapReader &in);
-
   private:
     // --- Issue stage ---
     void issueCycle(Cycle now);

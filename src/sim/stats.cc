@@ -2,11 +2,6 @@
 
 #include <algorithm>
 
-#include "guard/sim_error.hh"
-#include "snap/io.hh"
-#include "util/bitutil.hh"
-#include "util/logging.hh"
-
 namespace gcl::sim
 {
 
@@ -33,14 +28,11 @@ blockSlotOf(uint64_t line_addr, size_t mask)
     // The product's low bits keep the line alignment's zeros, so lines
     // home only at multiples of the line size and probe forward in long
     // clustered runs — the weakness Mshr::slotOf avoids by taking the
-    // high bits. This table keeps the low bits for two reasons. The
-    // high-bit hash buys nothing here: it measured 0.87-1.12x this one's
-    // suite sweep wall (6 same-host pairs, median 1.00), likely because
-    // the tables (one per SM when it was measured) reach several MB,
-    // where scattered probes miss the host cache that the clustered runs
-    // stream through. And save() writes the slot layout into snapshots,
-    // so a new hash would change every snapshot taken with locality
-    // stats in flight.
+    // high bits. This table keeps the low bits because the high-bit hash
+    // buys nothing here: it measured 0.87-1.12x this one's suite sweep
+    // wall (6 same-host pairs, median 1.00), likely because the tables
+    // (one per SM when it was measured) reach several MB, where scattered
+    // probes miss the host cache that the clustered runs stream through.
     return (line_addr * UINT64_C(0x9E3779B97F4A7C15)) & mask;
 }
 
@@ -384,329 +376,6 @@ SimStats::finalize()
     }
     blockTable_.clear();
     blockCount_ = 0;
-}
-
-namespace
-{
-
-/** Bytes an occupied block slot takes in a snapshot, at the least. */
-constexpr uint64_t kMinBlockSlotBytes = 6 * sizeof(uint64_t);
-
-void
-saveCtas(const std::vector<uint32_t> &ctas, snap::SnapWriter &out)
-{
-    // Exact append order, not sorted: insertCta scans from the back, so
-    // the restored vectors must be bit-identical for the table to evolve
-    // identically after the restore.
-    out.u64(ctas.size());
-    for (uint32_t cta : ctas)
-        out.u32(cta);
-}
-
-void
-loadCtas(std::vector<uint32_t> &ctas, snap::SnapReader &in)
-{
-    const uint64_t n = in.u64();
-    if (n > in.remaining() / sizeof(uint32_t))
-        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                      "snapshot CTA list of ", n,
-                      " entries overruns its section");
-    ctas.resize(n);
-    for (uint32_t &cta : ctas)
-        cta = in.u32();
-}
-
-} // namespace
-
-void
-SimStats::save(snap::SnapWriter &out) const
-{
-    gcl_sim_check(!finalized_, "stats", 0,
-                  "checkpoint after finalize()");
-    out.str(set_.serialize());
-    out.u64(l2Queries_.size());
-    for (uint64_t q : l2Queries_)
-        out.u64(q);
-    for (uint64_t h : l2Hits_)
-        out.u64(h);
-    out.u64(kernelNames_.size());
-    for (const std::string &name : kernelNames_)
-        out.str(name);
-
-    out.u64(hot.warpInsts);
-    out.u64(hot.threadInsts);
-    out.u64(hot.smCycles);
-    out.u64(hot.reqsIssued);
-    out.u64(hot.reqsCompleted);
-    out.u64(hot.busySp);
-    out.u64(hot.busySfu);
-    out.u64(hot.busyLdst);
-    for (int i = 0; i < 6; ++i)
-        out.u64(hot.l1Outcome[i]);
-    for (int i = 0; i < 2; ++i) {
-        out.u64(hot.l1Access[i]);
-        out.u64(hot.l1Miss[i]);
-        out.u64(hot.l2Access[i]);
-        out.u64(hot.l2Miss[i]);
-    }
-    out.u64(hot.partStalls);
-    out.u64(hot.sloadWarps);
-    out.u64(hot.sstoreWarps);
-    out.u64(hot.gstoreWarps);
-    out.u64(hot.atomWarps);
-    out.u64(hot.l2Atomics);
-    out.u64(hot.l2WriteAbsorbed);
-
-    for (int nd = 0; nd < 2; ++nd) {
-        const ClassAgg &agg = cls_[nd];
-        out.u64(agg.warps);
-        out.u64(agg.reqs);
-        out.u64(agg.active);
-        out.f64(agg.turnSum);
-        out.f64(agg.unloaded);
-        out.f64(agg.rsrvPrev);
-        out.f64(agg.rsrvCur);
-        out.f64(agg.mem);
-    }
-
-    // Dense per-pc slots: used slots only, with their nonzero buckets.
-    out.u64(pcDense_.size());
-    for (const auto &slots : pcDense_) {
-        out.u64(slots.size());
-        uint64_t used = 0;
-        for (const PcSlot &slot : slots)
-            used += slot.used ? 1 : 0;
-        out.u64(used);
-        for (uint32_t pc = 0; pc < slots.size(); ++pc) {
-            const PcSlot &slot = slots[pc];
-            if (!slot.used)
-                continue;
-            out.u32(pc);
-            out.u8(slot.nonDet ? 1 : 0);
-            uint32_t nonzero = 0;
-            for (uint32_t n = 0; n <= WarpMemOp::kMaxRequests; ++n)
-                nonzero += slot.byReqs[n].cnt != 0 ? 1 : 0;
-            out.u32(nonzero);
-            for (uint32_t n = 0; n <= WarpMemOp::kMaxRequests; ++n) {
-                const PcBucket &bucket = slot.byReqs[n];
-                if (bucket.cnt == 0)
-                    continue;
-                out.u32(n);
-                out.u64(bucket.cnt);
-                out.f64(bucket.turn);
-                out.f64(bucket.gapL1d);
-                out.f64(bucket.gapIcntL2);
-                out.f64(bucket.gapL2Icnt);
-            }
-        }
-    }
-
-    // Spilled per-pc aggregates, in sorted-key order.
-    std::vector<uint64_t> pc_keys;
-    pc_keys.reserve(pcAggs_.size());
-    for (const auto &[key, agg] : pcAggs_)
-        pc_keys.push_back(key);
-    std::sort(pc_keys.begin(), pc_keys.end());
-    out.u64(pc_keys.size());
-    for (uint64_t key : pc_keys) {
-        const PcAgg &agg = pcAggs_.at(key);
-        out.u64(key);
-        out.u8(agg.nonDet ? 1 : 0);
-        std::vector<uint32_t> reqs;
-        reqs.reserve(agg.byReqs.size());
-        for (const auto &[nreq, bucket] : agg.byReqs)
-            reqs.push_back(nreq);
-        std::sort(reqs.begin(), reqs.end());
-        out.u64(reqs.size());
-        for (uint32_t nreq : reqs) {
-            const PcBucket &bucket = agg.byReqs.at(nreq);
-            out.u32(nreq);
-            out.u64(bucket.cnt);
-            out.f64(bucket.turn);
-            out.f64(bucket.gapL1d);
-            out.f64(bucket.gapIcntL2);
-            out.f64(bucket.gapL2Icnt);
-        }
-    }
-
-    // Block table: exact capacity and slot layout (the open addressing is
-    // history-dependent, so the restored table must match bit for bit),
-    // occupied slots in ascending order.
-    out.u64(blockTable_.size());
-    out.u64(blockCount_);
-    for (uint64_t at = 0; at < blockTable_.size(); ++at) {
-        const BlockSlot &slot = blockTable_[at];
-        if (slot.info.accesses == 0)
-            continue;
-        out.u64(at);
-        out.u64(slot.lineAddr);
-        out.u64(slot.info.accesses);
-        saveCtas(slot.info.ctas, out);
-        saveCtas(slot.info.ctasDet, out);
-        saveCtas(slot.info.ctasNondet, out);
-    }
-}
-
-void
-SimStats::load(snap::SnapReader &in)
-{
-    gcl_sim_check(!finalized_, "stats", 0,
-                  "restore after finalize()");
-    gcl_sim_check(set_.deserialize(in.str()), "stats", 0,
-                  "snapshot stats set does not parse");
-    const uint64_t nparts = in.u64();
-    gcl_sim_check(nparts == l2Queries_.size(), "stats", 0,
-                  "snapshot partition count mismatch");
-    for (uint64_t &q : l2Queries_)
-        q = in.u64();
-    for (uint64_t &h : l2Hits_)
-        h = in.u64();
-    kernelNames_.resize(in.u64());
-    kernelIds_.clear();
-    for (uint32_t id = 0; id < kernelNames_.size(); ++id) {
-        kernelNames_[id] = in.str();
-        kernelIds_.emplace(kernelNames_[id], id);
-    }
-
-    hot.warpInsts = in.u64();
-    hot.threadInsts = in.u64();
-    hot.smCycles = in.u64();
-    hot.reqsIssued = in.u64();
-    hot.reqsCompleted = in.u64();
-    hot.busySp = in.u64();
-    hot.busySfu = in.u64();
-    hot.busyLdst = in.u64();
-    for (int i = 0; i < 6; ++i)
-        hot.l1Outcome[i] = in.u64();
-    for (int i = 0; i < 2; ++i) {
-        hot.l1Access[i] = in.u64();
-        hot.l1Miss[i] = in.u64();
-        hot.l2Access[i] = in.u64();
-        hot.l2Miss[i] = in.u64();
-    }
-    hot.partStalls = in.u64();
-    hot.sloadWarps = in.u64();
-    hot.sstoreWarps = in.u64();
-    hot.gstoreWarps = in.u64();
-    hot.atomWarps = in.u64();
-    hot.l2Atomics = in.u64();
-    hot.l2WriteAbsorbed = in.u64();
-
-    for (int nd = 0; nd < 2; ++nd) {
-        ClassAgg &agg = cls_[nd];
-        agg.warps = in.u64();
-        agg.reqs = in.u64();
-        agg.active = in.u64();
-        agg.turnSum = in.f64();
-        agg.unloaded = in.f64();
-        agg.rsrvPrev = in.f64();
-        agg.rsrvCur = in.f64();
-        agg.mem = in.f64();
-    }
-
-    // gloadDone grows the dense arrays to one per interned kernel and
-    // kDensePcLimit pcs at most.
-    const uint64_t nkernels = in.u64();
-    if (nkernels > kernelNames_.size())
-        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                      "snapshot has per-pc slots for ", nkernels,
-                      " kernels but names only ", kernelNames_.size());
-    pcDense_.assign(nkernels, {});
-    for (auto &slots : pcDense_) {
-        const uint64_t npcs = in.u64();
-        if (npcs > kDensePcLimit)
-            gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                          "snapshot dense pc table of ", npcs,
-                          " slots exceeds ", kDensePcLimit);
-        slots.resize(npcs);
-        const uint64_t used = in.u64();
-        for (uint64_t i = 0; i < used; ++i) {
-            const uint32_t pc = in.u32();
-            if (pc >= slots.size())
-                gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                              "snapshot pc slot ", pc, " out of range");
-            PcSlot &slot = slots[pc];
-            slot.used = true;
-            slot.nonDet = in.u8() != 0;
-            const uint32_t nonzero = in.u32();
-            for (uint32_t b = 0; b < nonzero; ++b) {
-                const uint32_t nreq = in.u32();
-                if (nreq > WarpMemOp::kMaxRequests)
-                    gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                                  "snapshot pc bucket ", nreq,
-                                  " out of range");
-                PcBucket &bucket = slot.byReqs[nreq];
-                bucket.cnt = in.u64();
-                bucket.turn = in.f64();
-                bucket.gapL1d = in.f64();
-                bucket.gapIcntL2 = in.f64();
-                bucket.gapL2Icnt = in.f64();
-            }
-        }
-    }
-
-    pcAggs_.clear();
-    const uint64_t naggs = in.u64();
-    for (uint64_t i = 0; i < naggs; ++i) {
-        const uint64_t key = in.u64();
-        PcAgg &agg = pcAggs_[key];
-        agg.nonDet = in.u8() != 0;
-        const uint64_t nbuckets = in.u64();
-        for (uint64_t b = 0; b < nbuckets; ++b) {
-            const uint32_t nreq = in.u32();
-            PcBucket &bucket = agg.byReqs[nreq];
-            bucket.cnt = in.u64();
-            bucket.turn = in.f64();
-            bucket.gapL1d = in.f64();
-            bucket.gapIcntL2 = in.f64();
-            bucket.gapL2Icnt = in.f64();
-        }
-    }
-
-    // The block table is restored slot for slot, so refuse, before
-    // allocating it, any layout blockFor cannot have grown. With a
-    // capacity that is not a power of two the mask misses slots, and past
-    // the load bound the table may be full: either way a probe can find
-    // no free slot and spin forever inside one cycle. A capacity larger
-    // than its count grows to, or a count the bytes left cannot hold,
-    // would only make the allocation absurd.
-    const uint64_t capacity = in.u64();
-    const uint64_t count = in.u64();
-    if (!isPowerOf2(capacity) || capacity < kInitialBlockSlots)
-        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                      "snapshot block table capacity ", capacity,
-                      " is not a power of two of at least ",
-                      kInitialBlockSlots);
-    if (count > blocksHeldBy(capacity))
-        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                      "snapshot block table of ", capacity,
-                      " slots cannot hold ", count,
-                      " blocks under the 70% load bound");
-    if (capacity > kInitialBlockSlots && count <= blocksHeldBy(capacity / 2))
-        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                      "snapshot block table of ", capacity,
-                      " slots is larger than ", count, " blocks grow to");
-    if (count > in.remaining() / kMinBlockSlotBytes)
-        gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                      "snapshot block table of ", count,
-                      " blocks overruns its section");
-    blockTable_.assign(capacity, BlockSlot{});
-    blockCount_ = count;
-    uint64_t next = 0;    // save() writes occupied slots in ascending order
-    for (uint64_t i = 0; i < count; ++i) {
-        const uint64_t at = in.u64();
-        if (at < next || at >= capacity)
-            gcl_sim_error(SimError::Kind::Snapshot, "stats", 0,
-                          "snapshot block slot ", at,
-                          " out of range or out of order");
-        next = at + 1;
-        BlockSlot &slot = blockTable_[at];
-        slot.lineAddr = in.u64();
-        slot.info.accesses = in.u64();
-        loadCtas(slot.info.ctas, in);
-        loadCtas(slot.info.ctasDet, in);
-        loadCtas(slot.info.ctasNondet, in);
-    }
 }
 
 } // namespace gcl::sim

@@ -60,12 +60,6 @@
 #include "mem_request.hh"
 #include "util/stats.hh"
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
 
@@ -213,27 +207,6 @@ class SimStats
 
     /** Fold all plain counters and maps into the StatsSet. Idempotent. */
     void finalize();
-
-    /**
-     * Serialize everything finalize() will later consume: the StatsSet
-     * (launch-level keys), the per-partition L2 query vectors, the kernel
-     * name table, and the raw accumulation state (hot counters, class
-     * aggregates, per-pc buckets, block table — exact slot layout so the
-     * restored table is bit-identical). Unordered maps are written in
-     * sorted-key order. Only legal before finalize().
-     */
-    void save(snap::SnapWriter &out) const;
-
-    /**
-     * Restore state captured by save(). Only legal before any
-     * accumulation, on a freshly constructed SimStats. Raises
-     * SimError{Snapshot}, before allocating, on a table save() cannot
-     * have written: a block table whose capacity does not match its
-     * count under the growth rule or whose slots are out of range or
-     * order, per-pc tables past their bounds, or a length that overruns
-     * the bytes left.
-     */
-    void load(snap::SnapReader &in);
 
   private:
     /** Find-or-insert into the open-addressed block table. */

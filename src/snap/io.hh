@@ -2,11 +2,12 @@
  * @file
  * `gcl::snap` wire primitives — bounds-checked little-endian buffer I/O.
  *
- * SnapWriter/SnapReader are the byte-level vocabulary every unit's
- * save/load speaks. They are deliberately header-only and free of any
- * gcl library dependency so low layers (util, crit, trace) can serialize
- * themselves without growing a link edge on gcl_snap: only the Snapshot
- * *container* (snapshot.hh) lives in the library proper.
+ * SnapWriter/SnapReader are the byte-level vocabulary the functional
+ * prefix's sections are written in (GlobalMemory::save/load and the Gpu's
+ * host log and sampling state). They are deliberately header-only and
+ * free of any gcl library dependency so a unit can serialize itself
+ * without growing a link edge on gcl_snap: only the Snapshot *container*
+ * (snapshot.hh) lives in the library proper.
  *
  * Encoding rules:
  *  - all integers are little-endian, fixed width; f64 is the IEEE-754
@@ -16,8 +17,10 @@
  *    field sequence, which is what the snapshot schema version guards.
  *
  * A short or malformed read throws SnapIoError. The Snapshot file layer
- * converts that into a structured SimError{Kind::Snapshot}; unit-level
- * load() code lets it propagate.
+ * and Gpu::beginResume/applyRestore convert that into a structured
+ * SimError{Kind::Snapshot}; unit-level load() code lets it propagate.
+ * Element counts are read through count(), which checks them against the
+ * bytes left before the caller allocates.
  */
 
 #ifndef GCL_SNAP_IO_HH
@@ -191,6 +194,25 @@ class SnapReader
         need(n);
         std::memcpy(out, data_ + pos_, static_cast<size_t>(n));
         pos_ += static_cast<size_t>(n);
+    }
+
+    /**
+     * Read a u64 element count whose entries take at least
+     * @p min_entry_bytes each, and throw when the bytes left cannot hold
+     * that many — so a malformed count fails here, before the caller
+     * reserves or resizes for it.
+     */
+    uint64_t
+    count(size_t min_entry_bytes)
+    {
+        const uint64_t n = u64();
+        if (n > remaining() / min_entry_bytes)
+            throw SnapIoError("count of " + std::to_string(n) +
+                              " entries of at least " +
+                              std::to_string(min_entry_bytes) +
+                              " bytes overruns the " +
+                              std::to_string(remaining()) + " bytes left");
+        return n;
     }
 
     /** Advance past @p n unprefixed bytes, returning their start. */

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "guard/sim_error.hh"
 #include "util/file.hh"
@@ -57,25 +56,6 @@ Snapshot::reader(const std::string &name) const
         if (existing == name)
             return SnapReader(writer.buffer().data(), writer.size());
     snapError("missing snapshot section '" + name + "'");
-}
-
-size_t
-Snapshot::sectionSize(const std::string &name) const
-{
-    for (const auto &[existing, writer] : sections_)
-        if (existing == name)
-            return writer.size();
-    return 0;
-}
-
-std::vector<std::string>
-Snapshot::sectionNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(sections_.size());
-    for (const auto &[name, writer] : sections_)
-        names.push_back(name);
-    return names;
 }
 
 std::vector<uint8_t>
@@ -191,28 +171,6 @@ Snapshot::readFile(const std::string &path)
     if (!in.good() && !in.eof())
         snapError("read error on snapshot " + path);
     return deserialize(data);
-}
-
-std::string
-Snapshot::describe() const
-{
-    std::ostringstream out;
-    out << "snapshot schema v" << kSchemaVersion << "\n"
-        << "  app:          " << app << "\n"
-        << "  machine:      " << machineName << "\n"
-        << "  fingerprint:  " << hexFingerprint(configFingerprint) << "\n"
-        << "  kernel_index: " << kernelIndex << "\n"
-        << "  cycle:        " << cycle << "\n";
-    for (const auto &[key, value] : meta)
-        out << "  meta " << key << ": " << value << "\n";
-    out << "  sections (" << sections_.size() << "):\n";
-    size_t total = 0;
-    for (const auto &[name, writer] : sections_) {
-        out << "    " << name << ": " << writer.size() << " bytes\n";
-        total += writer.size();
-    }
-    out << "  payload total: " << total << " bytes\n";
-    return out.str();
 }
 
 } // namespace gcl::snap

@@ -1,29 +1,30 @@
 /**
  * @file
- * `gcl::snap` — versioned, CRC-guarded simulation snapshots.
+ * `gcl::snap` — versioned, CRC-guarded snapshot files.
  *
- * A Snapshot is the unit of checkpoint/restore: the full persistent state
- * of one simulated application at a kernel boundary, organized as a small
- * header (identity + provenance) plus named binary sections, one per
- * state-bearing unit ("gmem", "stats", "sm3", "part0", ...). Units write
- * themselves with the SnapWriter primitives (io.hh); the container owns
- * the file format:
+ * A Snapshot holds the functional fast-forward prefix that sampled runs
+ * share across a --machine sweep (Gpu::saveFunctional): a small header
+ * (identity + provenance) plus named binary sections — "ffstate" (the
+ * capture point), "gmem" (device memory), "hostlog" (the host calls to
+ * replay) and "sample" (the extrapolation book and the warm ring). Units
+ * write themselves with the SnapWriter primitives (io.hh); the container
+ * owns the file format:
  *
  *   magic "GCLSNAP1" | u32 schema | header | u32 nsections |
  *   { name, u64 size, bytes }* | u32 crc32(everything before)
  *
- * Two integrity layers gate a restore:
+ * Two integrity layers gate a warm start:
  *  - structure: magic, schema version, and the trailing CRC-32 over every
  *    preceding byte — a truncated, corrupted, or foreign file is rejected
  *    with a structured SimError{Kind::Snapshot} before any state is
  *    touched;
- *  - identity: the header carries the GpuConfig fingerprint, machine
- *    name, and application, so the restore layer (workloads::SimContext)
- *    can refuse a snapshot taken under a different configuration, naming
- *    both fingerprints.
+ *  - identity: the header carries the functional config fingerprint, the
+ *    machine name and the application, so the warm-start layer
+ *    (workloads::SimContext) can pass over a prefix taken for another
+ *    app, functional configuration or dataset.
  *
- * Files are written atomically (temp + rename) so a kill mid-checkpoint
- * never leaves a truncated .snap under the final name.
+ * Files are written atomically (temp + rename) so a kill mid-write never
+ * leaves a truncated .snap under the final name.
  */
 
 #ifndef GCL_SNAP_SNAPSHOT_HH
@@ -47,22 +48,28 @@ namespace gcl::snap
  *   v3: the stats section holds one accumulation state instead of a
  *       shard count and one state per unit (base, then every SM and
  *       partition).
+ * Both changes were to sections of the whole-device kernel-boundary
+ * checkpoints, which no longer exist. Neither they nor the deletion of
+ * those checkpoints touched the functional prefix's sections, so the
+ * version stays 3 and a prefix written by an earlier v3 build stays
+ * readable.
  */
 constexpr uint32_t kSchemaVersion = 3;
 
 /** File magic; the trailing '1' is cosmetic, kSchemaVersion governs. */
 constexpr char kMagic[8] = {'G', 'C', 'L', 'S', 'N', 'A', 'P', '1'};
 
-/** One application's full persistent state at a kernel boundary. */
+/** One application's functional prefix state. */
 class Snapshot
 {
   public:
     // ---- Header (identity + provenance) ----
-    uint64_t configFingerprint = 0; //!< GpuConfig::fingerprint() at save
-    std::string machineName;        //!< config's machine description name
+    uint64_t configFingerprint = 0; //!< GpuConfig::functionalFingerprint()
+    std::string machineName;        //!< machine of the capturing run
     std::string app;                //!< workload name
-    uint64_t kernelIndex = 0;       //!< launches completed at the boundary
-    uint64_t cycle = 0;             //!< device clock at the boundary
+    uint64_t kernelIndex = 0;       //!< launches completed at capture
+    uint64_t cycle = 0;             //!< device clock at capture (0: a
+                                    //!< prefix never ticks)
     /** Free-form provenance (e.g. dataset_version), kept in order. */
     std::vector<std::pair<std::string, std::string>> meta;
 
@@ -75,11 +82,6 @@ class Snapshot
 
     /** Reader over @p name's bytes; SimError{Snapshot} when absent. */
     SnapReader reader(const std::string &name) const;
-
-    size_t sectionSize(const std::string &name) const;
-
-    /** Section names in creation order. */
-    std::vector<std::string> sectionNames() const;
 
     // ---- Files ----
 
@@ -100,9 +102,6 @@ class Snapshot
 
     /** Read + validate a snapshot file; SimError{Snapshot} on failure. */
     static Snapshot readFile(const std::string &path);
-
-    /** Human-readable header + section table (snap_dump --describe). */
-    std::string describe() const;
 
   private:
     std::vector<std::pair<std::string, SnapWriter>> sections_;

@@ -170,9 +170,6 @@ class TraceSink
      */
     void setIdBase(uint64_t base) { lastId_ = base; }
 
-    /** Last id handed out (checkpointing saves it; restore re-bases). */
-    uint64_t lastId() const { return lastId_; }
-
     size_t capacity() const { return buf_.size(); }
     size_t size() const { return count_; }
     uint64_t emitted() const { return emitted_; }

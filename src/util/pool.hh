@@ -54,20 +54,6 @@ namespace gcl
 using PoolHandle = uint32_t;
 inline constexpr PoolHandle kNullHandle = 0;
 
-/**
- * Serializable image of a quiescent (live() == 0) pool's allocator state:
- * the high-water slot count, the LIFO free-list order, and each slot's
- * generation counter. Restoring it makes the pool hand out the exact same
- * handle values in the exact same order as the original run would have —
- * part of the checkpoint/restore bit-identity contract (gcl::snap).
- */
-struct PoolImage
-{
-    uint32_t slotCount = 0;
-    std::vector<uint32_t> freeList;
-    std::vector<uint32_t> generations;  //!< one per slot < slotCount
-};
-
 template <typename T>
 class HandlePool
 {
@@ -155,49 +141,6 @@ class HandlePool
     size_t capacity() const { return slotCount_; }
 
     const std::string &name() const { return name_; }
-
-    /**
-     * Capture the allocator state (checkpointing). The pool must be
-     * quiescent — every object freed — which is exactly the kernel
-     * boundary condition the request-conservation check enforces.
-     */
-    PoolImage
-    saveImage() const
-    {
-        gcl_assert(live_ == 0, "pool '", name_,
-                   "': saveImage with ", live_, " live objects");
-        PoolImage image;
-        image.slotCount = slotCount_;
-        image.freeList = freeList_;
-        image.generations.reserve(slotCount_);
-        for (uint32_t slot = 0; slot < slotCount_; ++slot)
-            image.generations.push_back(
-                slabs_[slot / kSlabSize]->gen[slot % kSlabSize] & kGenMask);
-        return image;
-    }
-
-    /**
-     * Restore allocator state captured by saveImage() into this (empty)
-     * pool: slabs are materialized, generations re-applied, and the free
-     * list replayed so future alloc() calls reproduce the original run's
-     * handle sequence exactly.
-     */
-    void
-    loadImage(const PoolImage &image)
-    {
-        gcl_assert(live_ == 0, "pool '", name_,
-                   "': loadImage with ", live_, " live objects");
-        gcl_assert(image.generations.size() == image.slotCount,
-                   "pool '", name_, "': malformed pool image");
-        slotCount_ = image.slotCount;
-        for (uint32_t slot = 0; slot < slotCount_; ++slot) {
-            if (!slabs_[slot / kSlabSize])
-                slabs_[slot / kSlabSize] = std::make_unique<Slab>();
-            slabs_[slot / kSlabSize]->gen[slot % kSlabSize] =
-                image.generations[slot] & kGenMask;
-        }
-        freeList_ = image.freeList;
-    }
 
   private:
     /** Uninitialized storage: objects are constructed/destroyed per use. */

@@ -12,7 +12,9 @@
  *
  * The contract a unit of work must honor:
  *  - MAY touch: its own Gpu, its own TraceSink, its own StatsSet, its own
- *    datasets (every generator seeds a local Rng).
+ *    datasets (every generator seeds a local Rng), and its functional
+ *    prefix file (SnapOptions; written atomically, so runs sharing a key
+ *    publish identical complete files).
  *  - MAY read: the shared Workload registry (immutable after first use),
  *    the config it was given (copied in), environment variables.
  *  - MUST NOT touch: another run's context, process-global mutable state,
@@ -35,49 +37,21 @@
 #include "util/stats.hh"
 #include "workload.hh"
 
-namespace gcl::snap
-{
-class Snapshot;
-} // namespace gcl::snap
-
 namespace gcl::workloads
 {
 
 /**
- * Checkpoint/restore options for one run (gcl::snap). Deliberately NOT
- * part of GpuConfig: snapshotting never changes simulated behavior, so it
- * must not perturb the config fingerprint or the run cache identity.
+ * Functional-prefix options for one sampled run (gcl::snap). Deliberately
+ * NOT part of GpuConfig: a warm start never changes simulated behavior,
+ * so it must not perturb the config fingerprint or the run cache
+ * identity.
  */
 struct SnapOptions
 {
-    /** Write a checkpoint every N kernel boundaries (0 = never). */
-    uint64_t checkpointEvery = 0;
-
     /**
-     * Snapshot file path; atomically replaced at every write, so it always
-     * holds the latest complete checkpoint. Required for any write
-     * (periodic, cancellation, hang post-mortem).
-     */
-    std::string checkpointPath;
-
-    /** On a watchdog hang, dump the last boundary to path + ".hang". */
-    bool hangSnapshot = false;
-
-    /** Resume from this snapshot file (empty = fresh run). */
-    std::string resumeFrom;
-
-    /**
-     * Stop with SimError{Kind::Canceled} after this kernel boundary,
-     * writing a checkpoint first — a deterministic "kill at kernel k" for
-     * resume tests and golden-snapshot generation (0 = never).
-     */
-    uint64_t stopAfterKernels = 0;
-
-    /**
-     * Free-form provenance pairs recorded in the snapshot header. On
-     * resume, every pair present under the same key in the snapshot must
-     * match (SimError{Kind::Snapshot} otherwise) — this is what rejects a
-     * checkpoint taken against a different dataset version.
+     * Free-form provenance pairs recorded in the prefix header. A prefix
+     * that carries one of these keys with a different value (e.g. another
+     * dataset_version) is not used: the run falls back to a fresh one.
      */
     std::vector<std::pair<std::string, std::string>> meta;
 
@@ -87,17 +61,15 @@ struct SnapOptions
      * shared functional fast-forward prefix from it; when it does not
      * exist, the run captures and writes it at the first detailed window.
      * Keyed by GpuConfig::functionalFingerprint, so one file serves every
-     * machine of a --machine sweep. Best-effort: an unusable file falls
-     * back to a fresh run, never to a failure.
+     * machine of a --machine sweep.
+     *
+     * A missing or unreadable file (bad magic, schema or CRC), or one that
+     * does not match this run (app, functional fingerprint, meta), falls
+     * back to a fresh run. A matching, CRC-valid file whose sections do
+     * not decode, or whose host log the host program diverges from, ends
+     * the run with a SimError{Kind::Snapshot} failure record.
      */
     std::string ffPrefixPath;
-
-    /** Any option set — the run records host calls and captures boundaries. */
-    bool active() const
-    {
-        return checkpointEvery != 0 || !checkpointPath.empty() ||
-               hangSnapshot || !resumeFrom.empty() || stopAfterKernels != 0;
-    }
 };
 
 /** Owns everything one application simulation mutates. */
@@ -152,23 +124,14 @@ class SimContext
     /** This run's sink, or nullptr when tracing is off. */
     trace::TraceSink *sink() { return sink_.get(); }
 
-    /** Configure checkpoint/restore for this run; call before run(). */
+    /** Configure the functional prefix for this run; call before run(). */
     void setSnapOptions(SnapOptions options);
-
-    /** Checkpoint files written by this run (periodic + cancellation). */
-    uint64_t checkpointsWritten() const { return checkpointsWritten_; }
-
-    /** True when run() warm-started from SnapOptions::resumeFrom. */
-    bool resumed() const { return resumed_; }
 
     /** True when run() restored the functional prefix (ffPrefixPath). */
     bool ffResumed() const { return ffResumed_; }
 
     /** True when run() captured and wrote the functional prefix. */
     bool ffPrefixWritten() const { return ffPrefixWritten_; }
-
-    /** Last captured boundary snapshot (tests; null before any boundary). */
-    const snap::Snapshot *lastSnapshot() const { return lastSnapshot_.get(); }
 
     /**
      * Cycles the event-driven skip jumped over (Gpu::skippedCycles; 0 on
@@ -187,43 +150,18 @@ class SimContext
     uint64_t dormantCycles() const { return dormantCycles_; }
 
   private:
-    /** Capture boundary @p k of @p gpu (the Gpu boundary hook). */
-    void onBoundary(sim::Gpu &gpu, uint64_t k);
-
-    /**
-     * Arm @p gpu to resume from SnapOptions::resumeFrom.
-     * @retval false when the snapshot cannot seed this run's trace stream
-     *         (missing trace section or an id-base mismatch) — the caller
-     *         falls back to a fresh run, which is still a correct answer.
-     * @throws SimError{Kind::Snapshot} when the snapshot is unusable
-     *         (corrupt, wrong app, wrong config fingerprint).
-     */
-    bool beginResume(sim::Gpu &gpu);
-
-    /**
-     * Error on any snapshot meta pair whose key this run's SnapOptions
-     * also carries with a different value (e.g. dataset_version).
-     */
-    void checkSnapshotMeta(const snap::Snapshot &snapshot,
-                           const std::string &path) const;
-
     /**
      * Try to restore the shared functional prefix from ffPrefixPath.
      * @retval false when the file is missing, unreadable, or does not
      *         match this run (wrong app / functional fingerprint / meta)
      *         — the run continues fresh and re-captures the prefix.
+     * @throws SimError{Kind::Snapshot} when a matching prefix's host log
+     *         does not decode (Gpu::beginResume).
      */
     bool tryFfResume(sim::Gpu &gpu);
 
     /** Capture the functional prefix of @p gpu into ffPrefixPath. */
     void writeFfPrefix(sim::Gpu &gpu);
-
-    /** Write @p snapshot to @p path, counting it once. */
-    void writeCheckpoint(const snap::Snapshot &snapshot,
-                         const std::string &path);
-
-    /** Flush the freshest boundary on a cancellation or hang (guarded). */
-    void snapshotOnFailure(const SimError &error);
 
     const Workload &workload_;
     sim::GpuConfig config_;
@@ -235,14 +173,6 @@ class SimContext
     bool ran_ = false;
 
     SnapOptions snap_;
-    std::shared_ptr<const snap::Snapshot> lastSnapshot_;
-    const snap::Snapshot *lastWritten_ = nullptr;
-    /** Every event drained so far (snap runs tee the drain through this). */
-    std::vector<trace::TraceEvent> traceHistory_;
-    trace::TraceSink::DrainFn drainFn_;
-    uint64_t idBase_ = 0;
-    uint64_t checkpointsWritten_ = 0;
-    bool resumed_ = false;
     bool ffResumed_ = false;
     bool ffPrefixWritten_ = false;
     uint64_t skippedCycles_ = 0;

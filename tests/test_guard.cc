@@ -8,7 +8,8 @@
  *    progress tracker, config override validation;
  *  - single runs: an injected livelock (dropfill) is caught by the
  *    watchdog with a HangReport, a cycle budget produces a timeout
- *    record, a stop fault is bit-deterministic across repeats;
+ *    record, a stop fault is bit-deterministic across repeats, and the
+ *    cancel flag unwinds a run into a "canceled" record;
  *  - the sweep: a fault targeted at one application leaves its parallel
  *    siblings byte-identical to a clean serial run.
  */
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "exec/scheduler.hh"
+#include "guard/cancel.hh"
 #include "guard/fault.hh"
 #include "guard/sim_error.hh"
 #include "guard/watchdog.hh"
@@ -296,6 +298,19 @@ TEST(GuardRun, SurvivableFaultIsCountedAndDeterministic)
         out = ctx.stats().serialize();
     }
     EXPECT_EQ(serialized[0], serialized[1]);
+}
+
+TEST(GuardRun, CancelFlagProducesStructuredRecord)
+{
+    // SIGINT/SIGTERM set the cancel flag; the cycle loop polls it and the
+    // run unwinds through the recoverable-error path.
+    gcl::guard::requestCancel();
+    SimContext ctx(byName("gaus"), GpuConfig{});
+    ctx.run();
+    gcl::guard::resetCancel();
+    ASSERT_TRUE(ctx.failed());
+    EXPECT_EQ(ctx.failure().kind, "canceled");
+    EXPECT_EQ(ctx.failure().component, "gpu");
 }
 
 TEST(GuardRun, UntargetedPlanIsStrippedFromConfig)

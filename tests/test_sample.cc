@@ -13,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "guard/sim_error.hh"
 #include "sim/config.hh"
 #include "sim/sample.hh"
+#include "snap/snapshot.hh"
 #include "util/stats.hh"
 #include "workloads/sim_context.hh"
 #include "workloads/workload.hh"
@@ -29,6 +32,9 @@ using gcl::SimError;
 using gcl::StatsSet;
 using gcl::sim::GpuConfig;
 using gcl::sim::SamplePlan;
+using gcl::snap::SnapReader;
+using gcl::snap::Snapshot;
+using gcl::snap::SnapWriter;
 using gcl::workloads::byName;
 using gcl::workloads::SimContext;
 using gcl::workloads::SnapOptions;
@@ -275,6 +281,88 @@ TEST(SampleWarmStart, MetaMismatchFallsBackToFreshRun)
     EXPECT_FALSE(ctx.ffResumed());
     EXPECT_TRUE(ctx.ffPrefixWritten());  // stale file re-captured
     EXPECT_EQ(ctx.stats().serialize(), ref.serialize());
+    std::remove(path.c_str());
+}
+
+TEST(SampleWarmStart, MalformedPrefixEndsInSnapshotError)
+{
+    // A CRC-valid prefix that matches the run but whose sections do not
+    // decode must end the run with a structured "snapshot" record, never
+    // a process abort from an allocation sized by a corrupt count.
+    const std::string path = tempPath("ff_malformed.snap");
+    std::remove(path.c_str());
+    GpuConfig config = configWith("");
+    config.sample = "every:4";
+    bool resumed = false, written = false;
+    runApp("gaus", config, path, &resumed, &written);
+    ASSERT_TRUE(written);
+    const Snapshot good = Snapshot::readFile(path);
+
+    constexpr uint64_t kHuge = uint64_t{1} << 61;
+    struct Case
+    {
+        const char *what;
+        const char *section;
+        std::function<void(SnapWriter &)> write;
+    };
+    const std::vector<Case> cases = {
+        {"host-log entry count", "hostlog",
+         [](SnapWriter &out) { out.u64(kHuge); }},
+        {"host-log payload size", "hostlog",
+         [](SnapWriter &out) {
+             out.u64(1);
+             out.u8(1);       // memcpyToHost
+             out.u64(0);
+             out.u64(kHuge);
+         }},
+        {"sample-book count", "sample",
+         [](SnapWriter &out) {
+             out.u8(0);
+             out.u64(kHuge);
+         }},
+        {"warm-ring count", "sample",
+         [](SnapWriter &out) {
+             out.u8(0);
+             out.u64(0);      // empty book
+             out.u64(kHuge);
+         }},
+        {"gmem page count", "gmem",
+         [](SnapWriter &out) {
+             out.u64(0);      // heap top
+             out.u64(kHuge);
+         }},
+    };
+    for (const Case &c : cases) {
+        // Rewrite one section; copy the others and the header as they are.
+        Snapshot bad;
+        bad.configFingerprint = good.configFingerprint;
+        bad.machineName = good.machineName;
+        bad.app = good.app;
+        bad.kernelIndex = good.kernelIndex;
+        bad.cycle = good.cycle;
+        bad.meta = good.meta;
+        for (const std::string name : {"ffstate", "gmem", "hostlog",
+                                       "sample"}) {
+            SnapWriter &out = bad.section(name);
+            if (name == c.section) {
+                c.write(out);
+                continue;
+            }
+            SnapReader in = good.reader(name);
+            const size_t size = in.remaining();
+            out.raw(in.rawRead(size), size);
+        }
+        bad.writeFile(path);
+
+        SimContext ctx(byName("gaus"), config);
+        SnapOptions snap;
+        snap.ffPrefixPath = path;
+        ctx.setSnapOptions(snap);
+        ctx.run();
+        ASSERT_TRUE(ctx.failed()) << c.what;
+        EXPECT_EQ(ctx.failure().kind, "snapshot")
+            << c.what << ": " << ctx.failure().message;
+    }
     std::remove(path.c_str());
 }
 

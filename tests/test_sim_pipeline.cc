@@ -2,9 +2,10 @@
  * @file
  * SM pipeline integration tests: scoreboard dependences, divergence
  * results, barriers as producer/consumer synchronization, per-CTA shared
- * memory isolation, multi-CTA launches, stat plausibility, and the warp
+ * memory isolation, multi-CTA launches, stat plausibility, the warp
  * scheduler's ready-warp masks (barriers across schedulers, multi-word
- * masks, an SFU issue-rate timing oracle, and GTO byte-identity pins).
+ * masks, an SFU issue-rate timing oracle, and GTO byte-identity pins),
+ * and the kernel-boundary hook (one call per launch, per-launch cycles).
  */
 
 #include <gtest/gtest.h>
@@ -572,6 +573,72 @@ TEST(SimPipeline, DeterministicAcrossRuns)
         return gpu.lastLaunchCycles();
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+/** Every boundary-hook call of one whole-app run, and its final stats. */
+struct Boundaries
+{
+    std::vector<uint64_t> k;        //!< hook argument, in call order
+    std::vector<sim::Cycle> cycles; //!< lastLaunchCycles() at each call
+    StatsSet stats;
+};
+
+Boundaries
+runWithBoundaryHook(const std::string &app, const sim::GpuConfig &config)
+{
+    Boundaries out;
+    sim::Gpu gpu(config);
+    gpu.setBoundaryHook([&](uint64_t k) {
+        out.k.push_back(k);
+        out.cycles.push_back(gpu.lastLaunchCycles());
+    });
+    EXPECT_TRUE(workloads::byName(app).run(gpu));
+    gpu.finalizeStats();
+    out.stats = gpu.stats().set();
+    return out;
+}
+
+TEST(BoundaryHook, FiresOnceBeforeTheFirstLaunchAndAfterEach)
+{
+    // k = 0 at the first launch's entry, then k = n after the n-th
+    // launch; lastLaunchCycles() read there is that launch's share of
+    // the run's cycles.
+    const Boundaries run = runWithBoundaryHook("gaus", sim::GpuConfig{});
+    const auto launches =
+        static_cast<uint64_t>(run.stats.get("launches"));
+    EXPECT_EQ(launches, 126u);
+    ASSERT_EQ(run.k.size(), launches + 1);
+    for (uint64_t i = 0; i < run.k.size(); ++i)
+        ASSERT_EQ(run.k[i], i);
+    EXPECT_EQ(run.cycles[0], 0u);
+    sim::Cycle sum = 0;
+    for (size_t i = 1; i < run.cycles.size(); ++i) {
+        EXPECT_GT(run.cycles[i], 0u) << "launch " << i;
+        sum += run.cycles[i];
+    }
+    EXPECT_EQ(static_cast<double>(sum), run.stats.get("cycles"));
+}
+
+TEST(BoundaryHook, FastForwardedLaunchReportsZeroCycles)
+{
+    // A sampled run still calls the hook once per launch. A launch that
+    // was fast-forwarded whole ran no timed cycle, so it must not repeat
+    // the count of the last timed launch.
+    sim::GpuConfig config;
+    config.sample = "kernels:1";
+    const Boundaries run = runWithBoundaryHook("gaus", config);
+    ASSERT_EQ(run.k.size(), 127u);
+    for (uint64_t i = 0; i < run.k.size(); ++i)
+        ASSERT_EQ(run.k[i], i);
+    sim::Cycle sum = 0;
+    uint64_t timed = 0;
+    for (size_t i = 1; i < run.cycles.size(); ++i) {
+        sum += run.cycles[i];
+        timed += run.cycles[i] != 0 ? 1 : 0;
+    }
+    EXPECT_EQ(static_cast<double>(timed), run.stats.get("launches"));
+    EXPECT_LT(timed, 126u);
+    EXPECT_EQ(static_cast<double>(sum), run.stats.get("cycles"));
 }
 
 } // namespace

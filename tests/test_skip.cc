@@ -6,9 +6,8 @@
  * skipping on must produce stats and trace streams BYTE-identical to the
  * eager reference, every unit ticked every cycle — under injected fault
  * pressure, with a zero-latency crossbar, on op classes whose initiation
- * interval exceeds their latency, across a checkpoint/resume, around CTA
- * placements, and in how it trips the --max-cycles deadline and the
- * watchdog's hang.
+ * interval exceeds their latency, around CTA placements, and in how it
+ * trips the --max-cycles deadline and the watchdog's hang.
  *
  * This is the bit-identity proof referenced from Gpu::launch and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
@@ -18,9 +17,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ptx/builder.hh"
@@ -28,7 +27,6 @@
 #include "sim/gpu.hh"
 #include "sim/interconnect.hh"
 #include "sim/mem_request.hh"
-#include "snap/io.hh"
 #include "trace/trace.hh"
 #include "workloads/sim_context.hh"
 #include "workloads/workload.hh"
@@ -41,7 +39,6 @@ using gcl::sim::Interconnect;
 using gcl::sim::MemPools;
 using gcl::trace::TraceEvent;
 using gcl::workloads::SimContext;
-using gcl::workloads::SnapOptions;
 using gcl::workloads::byName;
 
 struct RunArtifacts
@@ -164,54 +161,6 @@ TEST(Skip, CritReportBitIdenticalWithSkippingOnAndOff)
     crit.crit = true;
     expectIdentical(runClean("gaus", true, crit),
                     runClean("gaus", false, crit), "gaus crit");
-}
-
-TEST(Skip, ResumeBitIdenticalWithSkippingOn)
-{
-    // A checkpoint captured mid-sequence by a skipping run must resume
-    // into the same artifacts an uninterrupted eager run produces.
-    const std::string path = ::testing::TempDir() + "skip_resume.snap";
-    const RunArtifacts eager = runClean("gaus", false);
-    {
-        GpuConfig config{};
-        config.cycleSkipping = true;
-        SnapOptions stop;
-        stop.checkpointPath = path;
-        stop.stopAfterKernels = 2;
-        SimContext ctx(byName("gaus"), config);
-        // Trace through the stop leg too: the snapshot must carry a trace
-        // section for the resume leg to seed its stream from.
-        std::vector<TraceEvent> discard;
-        ctx.enableTrace(0,
-                        [&discard](const TraceEvent *events, size_t count) {
-                            discard.insert(discard.end(), events,
-                                           events + count);
-                        },
-                        0);
-        ctx.setSnapOptions(stop);
-        ctx.run();
-        ASSERT_TRUE(ctx.failed());
-    }
-    GpuConfig config{};
-    config.cycleSkipping = true;
-    SnapOptions resume;
-    resume.resumeFrom = path;
-    SimContext ctx(byName("gaus"), config);
-    RunArtifacts resumed;
-    ctx.enableTrace(0,
-                    [&resumed](const TraceEvent *events, size_t count) {
-                        resumed.trace.insert(resumed.trace.end(), events,
-                                             events + count);
-                    },
-                    0);
-    ctx.setSnapOptions(resume);
-    ctx.run();
-    ASSERT_FALSE(ctx.failed())
-        << ctx.failure().kind << ": " << ctx.failure().message;
-    ASSERT_TRUE(ctx.resumed());
-    resumed.stats = ctx.stats().serialize();
-    expectIdentical(resumed, eager, "gaus resumed");
-    std::remove(path.c_str());
 }
 
 TEST(Skip, MaxCyclesDeadlineTripsAtTheSameCycle)
@@ -372,28 +321,60 @@ TEST(SkipEvent, IcntNextEventPinsAndClampsExactly)
 TEST(SkipEvent, RrPointerSkipAdvanceMatchesCycleByCycle)
 {
     // The round-robin pointers advance once per cycle whether or not a
-    // flit moves; a jump credits them with skipAdvance(span). Replaying
-    // a large span (far past the pointer modulus, exercising wraparound)
-    // must land both pointers exactly where span empty ticks would.
+    // flit moves; a jump credits them with skipAdvance(span). After a
+    // large span (far past the pointer modulus, exercising wraparound),
+    // both crossbars must grant contended traffic in the same order: one
+    // request from every SM to partition 0, and one response from every
+    // partition to SM 0, leave in the order the pointers pick them.
     GpuConfig config{};
     MemPools pools;
     Interconnect jumped(config, pools);
     Interconnect ticked(config, pools);
 
-    const uint64_t span = uint64_t{3} * config.numSms * config.numPartitions + 7;
+    const uint64_t span =
+        uint64_t{3} * config.numSms * config.numPartitions + 7;
     jumped.skipAdvance(span);
     for (uint64_t i = 0; i < span; ++i)
         ticked.cycle(1000 + i);
 
-    auto pointers = [](const Interconnect &icnt) {
-        gcl::snap::SnapWriter out;
-        icnt.save(out);
-        gcl::snap::SnapReader in(out.buffer().data(), out.size());
-        const uint32_t req_rr = in.u32();
-        const uint32_t resp_rr = in.u32();
-        return std::pair<uint32_t, uint32_t>{req_rr, resp_rr};
+    // Sending SM ids in the order partition 0 receives their requests,
+    // and sending partition ids in the order SM 0 receives responses.
+    using Order = std::pair<std::vector<int>, std::vector<int>>;
+    auto grantOrder = [&](Interconnect &icnt) {
+        const gcl::sim::Cycle start = 1000 + span;
+        for (unsigned sm = 0; sm < config.numSms; ++sm) {
+            const gcl::sim::ReqHandle req = pools.reqs.alloc();
+            pools.reqs.get(req).smId = static_cast<int>(sm);
+            pools.reqs.get(req).partition = 0;
+            icnt.inject(req, start);
+        }
+        for (unsigned part = 0; part < config.numPartitions; ++part) {
+            const gcl::sim::ReqHandle req = pools.reqs.alloc();
+            pools.reqs.get(req).smId = 0;
+            pools.reqs.get(req).partition = static_cast<int>(part);
+            icnt.respond(req, start);
+        }
+        Order order;
+        for (gcl::sim::Cycle now = start;
+             !icnt.idle() && now < start + 1000; ++now) {
+            icnt.cycle(now);
+            while (icnt.hasRequest(0, now)) {
+                const gcl::sim::ReqHandle req = icnt.popRequest(0, now);
+                order.first.push_back(pools.reqs.get(req).smId);
+                pools.reqs.free(req);
+            }
+            while (icnt.hasResponse(0, now)) {
+                const gcl::sim::ReqHandle req = icnt.popResponse(0, now);
+                order.second.push_back(pools.reqs.get(req).partition);
+                pools.reqs.free(req);
+            }
+        }
+        return order;
     };
-    EXPECT_EQ(pointers(jumped), pointers(ticked));
+    const Order want = grantOrder(ticked);
+    ASSERT_EQ(want.first.size(), config.numSms);
+    ASSERT_EQ(want.second.size(), config.numPartitions);
+    EXPECT_EQ(grantOrder(jumped), want);
 }
 
 } // namespace

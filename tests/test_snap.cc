@@ -1,16 +1,11 @@
 /**
  * @file
- * gcl::snap — checkpoint/restore correctness.
+ * gcl::snap — the snapshot container the functional prefix is stored in.
  *
- * Three layers under test:
- *  - wire format: SnapWriter/SnapReader round trips, truncation, the
- *    Snapshot container's CRC/magic/schema rejection paths;
- *  - unit images: HandlePool allocator state round-trips to the exact
- *    handle sequence, SimtStack entries survive save/load;
- *  - whole runs: a run killed at kernel boundary k and resumed from its
- *    checkpoint finishes with byte-identical stats to the uninterrupted
- *    run — plain, under a surviving fault plan, and for the trace event
- *    stream.
+ * SnapWriter/SnapReader round trips, truncation and element counts past
+ * the bytes left, and the Snapshot container's CRC/magic/schema
+ * rejection paths. The prefix itself (warm-start identity, fallbacks and
+ * malformed sections) is tested in test_sample.cc.
  */
 
 #include <gtest/gtest.h>
@@ -20,44 +15,18 @@
 #include <string>
 #include <vector>
 
-#include "guard/cancel.hh"
 #include "guard/sim_error.hh"
-#include "sim/config.hh"
-#include "sim/simt_stack.hh"
 #include "snap/io.hh"
 #include "snap/snapshot.hh"
-#include "trace/trace.hh"
-#include "util/pool.hh"
-#include "util/stats.hh"
-#include "workloads/sim_context.hh"
-#include "workloads/workload.hh"
 
 namespace
 {
 
-using gcl::HandlePool;
-using gcl::PoolHandle;
-using gcl::PoolImage;
 using gcl::SimError;
-using gcl::StatsSet;
-using gcl::sim::GpuConfig;
-using gcl::sim::SimtStack;
 using gcl::snap::SnapIoError;
 using gcl::snap::SnapReader;
 using gcl::snap::Snapshot;
 using gcl::snap::SnapWriter;
-using gcl::workloads::byName;
-using gcl::workloads::SimContext;
-using gcl::workloads::SnapOptions;
-
-GpuConfig
-configWith(const std::string &overrides)
-{
-    GpuConfig config;
-    if (!overrides.empty())
-        config.applyOverrides(overrides);
-    return config;
-}
 
 std::string
 tempPath(const std::string &name)
@@ -112,6 +81,23 @@ TEST(SnapIo, BlobSizeMismatchThrows)
     SnapReader in(out.buffer().data(), out.size());
     uint8_t back[8];
     EXPECT_THROW(in.bytesInto(back, sizeof back), SnapIoError);
+}
+
+TEST(SnapIo, CountPastTheBytesLeftThrows)
+{
+    // Three 4-byte entries follow the count: 3 fits, 4 does not, and a
+    // count whose allocation would overflow fails before any allocation.
+    auto read = [](uint64_t count) {
+        SnapWriter out;
+        out.u64(count);
+        for (int i = 0; i < 3; ++i)
+            out.u32(7);
+        SnapReader in(out.buffer().data(), out.size());
+        return in.count(sizeof(uint32_t));
+    };
+    EXPECT_EQ(read(3), 3u);
+    EXPECT_THROW(read(4), SnapIoError);
+    EXPECT_THROW(read(uint64_t{1} << 61), SnapIoError);
 }
 
 // ---------------------------------------------------------------------
@@ -213,347 +199,6 @@ TEST(SnapshotFile, MissingSectionIsStructuredError)
 {
     const Snapshot snap = sampleSnapshot();
     EXPECT_THROW(snap.reader("no-such-section"), SimError);
-}
-
-// ---------------------------------------------------------------------
-// Unit images
-// ---------------------------------------------------------------------
-
-TEST(SnapPool, ImageRestoresHandleSequence)
-{
-    HandlePool<int> pool("orig");
-    // Scramble the allocator: interleave allocs and frees so the free
-    // list and generations diverge from a fresh pool's.
-    std::vector<PoolHandle> held;
-    for (int i = 0; i < 8; ++i)
-        held.push_back(pool.alloc());
-    pool.free(held[6]);
-    pool.free(held[1]);
-    pool.free(held[3]);
-    std::vector<PoolHandle> refill;
-    for (int i = 0; i < 3; ++i)
-        refill.push_back(pool.alloc());
-    for (PoolHandle h : {held[0], held[2], held[4], held[5], held[7],
-                         refill[0], refill[1], refill[2]})
-        pool.free(h);
-    const PoolImage image = pool.saveImage();
-
-    HandlePool<int> restored("copy");
-    restored.loadImage(image);
-    // Both pools must now hand out the exact same handle values in the
-    // exact same order — the bit-identity contract a resumed run needs.
-    for (int i = 0; i < 12; ++i) {
-        const PoolHandle a = pool.alloc();
-        const PoolHandle b = restored.alloc();
-        EXPECT_EQ(a, b) << "allocation #" << i;
-    }
-}
-
-TEST(SnapSimtStack, RoundTripsDivergence)
-{
-    SimtStack stack;
-    stack.reset(0xffffffffu, 1000);
-    stack.advance();
-    stack.branch(0x0000ffffu, 500, 700); // diverge
-    stack.advance();
-
-    SnapWriter out;
-    stack.save(out);
-
-    SimtStack back;
-    SnapReader in(out.buffer().data(), out.size());
-    back.load(in);
-    EXPECT_EQ(back.depth(), stack.depth());
-    EXPECT_EQ(back.pc(), stack.pc());
-    EXPECT_EQ(back.activeMask(), stack.activeMask());
-}
-
-// ---------------------------------------------------------------------
-// Whole-run resume identity
-// ---------------------------------------------------------------------
-
-/** Run @p app to completion and return its finalized stats. */
-StatsSet
-referenceStats(const std::string &app, const GpuConfig &config)
-{
-    SimContext ctx(byName(app), config);
-    ctx.run();
-    EXPECT_FALSE(ctx.failed()) << ctx.failure().message;
-    return ctx.stats();
-}
-
-/** Kill @p app at kernel boundary @p k, then resume; return final stats. */
-StatsSet
-killAndResume(const std::string &app, const GpuConfig &config, uint64_t k,
-              const std::string &path)
-{
-    {
-        SnapOptions stop;
-        stop.checkpointPath = path;
-        stop.stopAfterKernels = k;
-        SimContext ctx(byName(app), config);
-        ctx.setSnapOptions(stop);
-        ctx.run();
-        EXPECT_TRUE(ctx.failed());
-        EXPECT_EQ(ctx.failure().kind, "canceled");
-        EXPECT_GE(ctx.checkpointsWritten(), 1u);
-    }
-    SnapOptions resume;
-    resume.checkpointPath = path;
-    resume.resumeFrom = path;
-    SimContext ctx(byName(app), config);
-    ctx.setSnapOptions(resume);
-    ctx.run();
-    EXPECT_FALSE(ctx.failed())
-        << ctx.failure().kind << ": " << ctx.failure().message;
-    EXPECT_TRUE(ctx.resumed());
-    std::remove(path.c_str());
-    return ctx.stats();
-}
-
-TEST(SnapResume, ByteIdenticalSingleThread)
-{
-    const GpuConfig config = configWith("");
-    const StatsSet ref = referenceStats("gaus", config);
-    const StatsSet res = killAndResume("gaus", config, 2,
-                                       tempPath("resume_t1.snap"));
-    EXPECT_EQ(res.serialize(), ref.serialize());
-}
-
-TEST(SnapResume, ComposesWithFaultPlan)
-{
-    // A survivable fault plan (transient MSHR + interconnect refusal)
-    // perturbs timing but completes; the resumed run must reproduce the
-    // perturbed stats exactly.
-    const GpuConfig config =
-        configWith("fault_plan=mshr@500+5000;icnt@1000+2000");
-    const StatsSet ref = referenceStats("gaus", config);
-    const StatsSet res = killAndResume("gaus", config, 2,
-                                       tempPath("resume_fault.snap"));
-    EXPECT_EQ(res.serialize(), ref.serialize());
-}
-
-TEST(SnapResume, FingerprintMismatchNamesBothFingerprints)
-{
-    const GpuConfig config = configWith("");
-    const std::string path = tempPath("mismatch.snap");
-    {
-        SnapOptions stop;
-        stop.checkpointPath = path;
-        stop.stopAfterKernels = 1;
-        SimContext ctx(byName("gaus"), config);
-        ctx.setSnapOptions(stop);
-        ctx.run();
-    }
-    const GpuConfig other = configWith("num_sms=4");
-    SnapOptions resume;
-    resume.resumeFrom = path;
-    SimContext ctx(byName("gaus"), other);
-    ctx.setSnapOptions(resume);
-    ctx.run();
-    ASSERT_TRUE(ctx.failed());
-    EXPECT_EQ(ctx.failure().kind, "snapshot");
-    EXPECT_NE(ctx.failure().message.find(
-                  gcl::snap::hexFingerprint(config.fingerprint())),
-              std::string::npos)
-        << ctx.failure().message;
-    EXPECT_NE(ctx.failure().message.find(
-                  gcl::snap::hexFingerprint(other.fingerprint())),
-              std::string::npos)
-        << ctx.failure().message;
-    std::remove(path.c_str());
-}
-
-TEST(SnapResume, DatasetVersionMismatchRejected)
-{
-    // Provenance meta pairs (the bench runner records dataset_version)
-    // must match between capture and resume: the config fingerprint
-    // cannot see datasets, so a checkpoint of version-5 inputs resumed
-    // against version-6 inputs would be silently wrong instead of
-    // loudly rejected.
-    const GpuConfig config = configWith("");
-    const std::string path = tempPath("dataset_mismatch.snap");
-    {
-        SnapOptions stop;
-        stop.checkpointPath = path;
-        stop.stopAfterKernels = 1;
-        stop.meta.emplace_back("dataset_version", "5");
-        SimContext ctx(byName("gaus"), config);
-        ctx.setSnapOptions(stop);
-        ctx.run();
-    }
-    SnapOptions resume;
-    resume.resumeFrom = path;
-    resume.meta.emplace_back("dataset_version", "6");
-    SimContext ctx(byName("gaus"), config);
-    ctx.setSnapOptions(resume);
-    ctx.run();
-    ASSERT_TRUE(ctx.failed());
-    EXPECT_EQ(ctx.failure().kind, "snapshot");
-    EXPECT_NE(ctx.failure().message.find("dataset_version=5"),
-              std::string::npos)
-        << ctx.failure().message;
-    EXPECT_NE(ctx.failure().message.find("dataset_version=6"),
-              std::string::npos)
-        << ctx.failure().message;
-    std::remove(path.c_str());
-}
-
-TEST(SnapResume, WrongAppRejected)
-{
-    const GpuConfig config = configWith("");
-    const std::string path = tempPath("wrongapp.snap");
-    {
-        SnapOptions stop;
-        stop.checkpointPath = path;
-        stop.stopAfterKernels = 1;
-        SimContext ctx(byName("gaus"), config);
-        ctx.setSnapOptions(stop);
-        ctx.run();
-    }
-    SnapOptions resume;
-    resume.resumeFrom = path;
-    SimContext ctx(byName("bpr"), config);
-    ctx.setSnapOptions(resume);
-    ctx.run();
-    ASSERT_TRUE(ctx.failed());
-    EXPECT_EQ(ctx.failure().kind, "snapshot");
-    EXPECT_NE(ctx.failure().message.find("gaus"), std::string::npos);
-    EXPECT_NE(ctx.failure().message.find("bpr"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(SnapResume, TraceStreamByteIdentical)
-{
-    using gcl::trace::TraceEvent;
-    const GpuConfig config = configWith("");
-    auto collect = [](std::vector<TraceEvent> &into) {
-        return [&into](const TraceEvent *events, size_t count) {
-            into.insert(into.end(), events, events + count);
-        };
-    };
-
-    std::vector<TraceEvent> ref;
-    {
-        SimContext ctx(byName("gaus"), config);
-        ctx.enableTrace(0, collect(ref), 0);
-        ctx.run();
-        ASSERT_FALSE(ctx.failed());
-    }
-
-    const std::string path = tempPath("resume_trace.snap");
-    std::vector<TraceEvent> killed;
-    {
-        SnapOptions stop;
-        stop.checkpointPath = path;
-        stop.stopAfterKernels = 2;
-        SimContext ctx(byName("gaus"), config);
-        ctx.enableTrace(0, collect(killed), 0);
-        ctx.setSnapOptions(stop);
-        ctx.run();
-        ASSERT_TRUE(ctx.failed());
-    }
-    std::vector<TraceEvent> resumed;
-    {
-        SnapOptions resume;
-        resume.resumeFrom = path;
-        SimContext ctx(byName("gaus"), config);
-        ctx.enableTrace(0, collect(resumed), 0);
-        ctx.setSnapOptions(resume);
-        ctx.run();
-        ASSERT_FALSE(ctx.failed())
-            << ctx.failure().kind << ": " << ctx.failure().message;
-        ASSERT_TRUE(ctx.resumed());
-    }
-
-    ASSERT_EQ(resumed.size(), ref.size());
-    EXPECT_EQ(std::memcmp(resumed.data(), ref.data(),
-                          ref.size() * sizeof(TraceEvent)),
-              0)
-        << "resumed trace event stream differs from the uninterrupted one";
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Cancellation and hang snapshots
-// ---------------------------------------------------------------------
-
-TEST(SnapCancel, CancelFlagProducesStructuredRecord)
-{
-    gcl::guard::requestCancel();
-    SimContext ctx(byName("gaus"), configWith(""));
-    ctx.run();
-    gcl::guard::resetCancel();
-    ASSERT_TRUE(ctx.failed());
-    EXPECT_EQ(ctx.failure().kind, "canceled");
-    EXPECT_EQ(ctx.failure().component, "gpu");
-}
-
-TEST(SnapCancel, CancelledRunFlushesItsFreshestBoundary)
-{
-    const std::string path = tempPath("cancel_flush.snap");
-    SnapOptions snap;
-    snap.checkpointPath = path;
-    snap.checkpointEvery = 1000; // never periodic — only the flush writes
-    SimContext ctx(byName("gaus"), configWith(""));
-    ctx.setSnapOptions(snap);
-    gcl::guard::requestCancel();
-    ctx.run();
-    gcl::guard::resetCancel();
-    ASSERT_TRUE(ctx.failed());
-    EXPECT_EQ(ctx.failure().kind, "canceled");
-    if (ctx.lastSnapshot() != nullptr) {
-        EXPECT_EQ(ctx.checkpointsWritten(), 1u);
-        EXPECT_NE(ctx.failure().detail.find("checkpoint"),
-                  std::string::npos);
-        const Snapshot back = Snapshot::readFile(path);
-        EXPECT_EQ(back.app, "gaus");
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SnapHang, HangSnapshotWrittenNextToFailure)
-{
-    const std::string path = tempPath("hang.snap");
-    SnapOptions snap;
-    snap.checkpointPath = path;
-    snap.hangSnapshot = true;
-    SimContext ctx(byName("gaus"),
-                   configWith("watchdog_interval=1024,watchdog_budget=50000,"
-                              "fault_plan=dropfill@0+1000000000"));
-    ctx.setSnapOptions(snap);
-    ctx.run();
-    ASSERT_TRUE(ctx.failed());
-    EXPECT_EQ(ctx.failure().kind, "hang");
-    // The primary post-mortem must still be intact...
-    EXPECT_NE(ctx.failure().detail.find("HangReport"), std::string::npos);
-    // ...and the boundary snapshot lands next to it.
-    EXPECT_NE(ctx.failure().detail.find("hang snapshot"),
-              std::string::npos)
-        << ctx.failure().detail;
-    const Snapshot back = Snapshot::readFile(path + ".hang");
-    EXPECT_EQ(back.app, "gaus");
-    std::remove((path + ".hang").c_str());
-}
-
-TEST(SnapHang, FailedSnapshotWriteDoesNotDisplaceHangReport)
-{
-    // Unwritable snapshot directory: composing the hang report and the
-    // failing snapshot write are two faults — both records must surface.
-    SnapOptions snap;
-    snap.checkpointPath = "/nonexistent-dir-gcl/hang.snap";
-    snap.hangSnapshot = true;
-    SimContext ctx(byName("gaus"),
-                   configWith("watchdog_interval=1024,watchdog_budget=50000,"
-                              "fault_plan=dropfill@0+1000000000"));
-    ctx.setSnapOptions(snap);
-    ctx.run();
-    ASSERT_TRUE(ctx.failed());
-    EXPECT_EQ(ctx.failure().kind, "hang");
-    EXPECT_NE(ctx.failure().detail.find("HangReport"), std::string::npos)
-        << "primary hang post-mortem was displaced";
-    EXPECT_NE(ctx.failure().detail.find("failed"), std::string::npos)
-        << ctx.failure().detail;
 }
 
 } // namespace

@@ -1,20 +1,16 @@
 /**
  * @file
  * SimStats tests: the turnaround decomposition, per-pc aggregation,
- * inter-CTA block tracking, the finalize() fold and the snapshot load's
- * refusal of state save() cannot have written.
+ * inter-CTA block tracking and the finalize() fold.
  */
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "guard/sim_error.hh"
 #include "sim/stats.hh"
-#include "snap/io.hh"
 
 namespace
 {
@@ -233,150 +229,6 @@ TEST(SimStatsTest, L2AccessAttributionPerPartition)
     EXPECT_EQ(s.get("l2.hits.p0"), 1.0);
     EXPECT_EQ(s.get("l2.queries.p3"), 1.0);
     EXPECT_EQ(s.get("l2.hits.p3"), 1.0);
-}
-
-/**
- * Load @p stats from a fresh SimStats' snapshot whose trailing sections
- * are replaced: the fresh bytes are kept up to @p keep_tail bytes before
- * their end, and @p tail writes the rest.
- */
-void
-loadWithTail(SimStats &stats, size_t keep_tail,
-             const std::function<void(gcl::snap::SnapWriter &)> &tail)
-{
-    gcl::snap::SnapWriter fresh;
-    stats.save(fresh);
-    gcl::snap::SnapWriter out;
-    out.raw(fresh.buffer().data(), fresh.size() - keep_tail);
-    tail(out);
-    gcl::snap::SnapReader in(out.buffer().data(), out.size());
-    stats.load(in);
-}
-
-/** Expect @p load to raise SimError{Snapshot} from the stats section. */
-void
-expectSnapshotError(const std::function<void()> &load, const char *what)
-{
-    try {
-        load();
-        ADD_FAILURE() << what << " was accepted";
-    } catch (const gcl::SimError &e) {
-        EXPECT_EQ(e.kind(), gcl::SimError::Kind::Snapshot) << what;
-        EXPECT_EQ(e.component(), "stats") << what;
-    }
-}
-
-TEST(SimStatsTest, SnapshotRejectsMalformedBlockTable)
-{
-    // save() ends with the block table: capacity, count, then each
-    // occupied slot in ascending order. A fresh SimStats writes an empty
-    // table (16 bytes); each case below replaces it. A capacity that is
-    // not a power of two (1536: its mask reaches 1,024 slots while growth
-    // waits for 1,076 blocks) or one past the 70% bound would let a later
-    // probe spin forever, so load() must refuse it before allocating.
-    const GpuConfig config;
-    auto load = [&](uint64_t capacity, uint64_t count,
-                    const std::vector<uint64_t> &slots) {
-        SimStats stats(config);
-        loadWithTail(stats, 2 * sizeof(uint64_t),
-                     [&](gcl::snap::SnapWriter &out) {
-                         out.u64(capacity);
-                         out.u64(count);
-                         for (uint64_t at : slots) {
-                             out.u64(at);
-                             out.u64(0x1000 + 128 * at);  // line address
-                             out.u64(1);                  // accesses
-                             for (uint64_t ctas : {1, 1, 0}) {
-                                 out.u64(ctas);
-                                 for (uint64_t c = 0; c < ctas; ++c)
-                                     out.u32(0);
-                             }
-                         }
-                     });
-    };
-    auto ascending = [](uint64_t n) {
-        std::vector<uint64_t> slots(n);
-        for (uint64_t i = 0; i < n; ++i)
-            slots[i] = i;
-        return slots;
-    };
-
-    EXPECT_NO_THROW(load(1024, 3, {0, 7, 1023}));
-    EXPECT_NO_THROW(load(1024, 716, ascending(716)));
-    EXPECT_NO_THROW(load(2048, 717, ascending(717)));
-
-    expectSnapshotError([&] { load(1536, 3, {0, 7, 1023}); },
-                        "capacity 1536");
-    expectSnapshotError([&] { load(0, 0, {}); }, "capacity 0");
-    expectSnapshotError([&] { load(512, 3, {0, 7, 500}); },
-                        "capacity below the initial table");
-    expectSnapshotError([&] { load(1024, 717, ascending(717)); },
-                        "717 blocks in 1024 slots");
-    expectSnapshotError([&] { load(1024, 1024, ascending(1024)); },
-                        "a full table");
-    expectSnapshotError([&] { load(4096, 717, ascending(717)); },
-                        "a table twice its grown size");
-    expectSnapshotError([&] { load(uint64_t{1} << 62, 3, {0, 7, 9}); },
-                        "capacity 2^62");
-    expectSnapshotError([&] { load(1024, 5, {0, 7, 9}); },
-                        "a count past the section's end");
-    expectSnapshotError([&] { load(1024, 3, {0, 7, 1024}); },
-                        "slot 1024 of 1024");
-    expectSnapshotError([&] { load(1024, 3, {0, 9, 7}); },
-                        "descending slots");
-    expectSnapshotError([&] { load(1024, 3, {0, 7, 7}); },
-                        "a repeated slot");
-
-    // A CTA list longer than the bytes left is refused before its vector
-    // is sized.
-    expectSnapshotError(
-        [&] {
-            SimStats stats(config);
-            loadWithTail(stats, 2 * sizeof(uint64_t),
-                         [](gcl::snap::SnapWriter &out) {
-                             out.u64(1024);
-                             out.u64(1);
-                             out.u64(0);
-                             out.u64(0x1000);
-                             out.u64(1);
-                             out.u64(uint64_t{1} << 40);
-                         });
-        },
-        "a CTA list of 2^40 entries");
-}
-
-TEST(SimStatsTest, SnapshotRejectsOversizedPcTables)
-{
-    // Before the block table come the dense per-pc tables (one per
-    // interned kernel, at most kDensePcLimit = 4096 pcs each) and the
-    // spill map. Replace all three trailing sections of a SimStats that
-    // interned one kernel.
-    const GpuConfig config;
-    auto load = [&](uint64_t kernels, uint64_t pcs, uint64_t used,
-                    uint32_t pc) {
-        SimStats stats(config);
-        stats.kernelId("k");
-        loadWithTail(stats, 4 * sizeof(uint64_t),
-                     [&](gcl::snap::SnapWriter &out) {
-                         out.u64(kernels);
-                         for (uint64_t k = 0; k < kernels; ++k) {
-                             out.u64(pcs);
-                             out.u64(used);
-                             for (uint64_t i = 0; i < used; ++i) {
-                                 out.u32(pc);
-                                 out.u8(0);
-                                 out.u32(0);
-                             }
-                         }
-                         out.u64(0);       // spilled pcs
-                         out.u64(1024);    // empty block table
-                         out.u64(0);
-                     });
-    };
-    EXPECT_NO_THROW(load(1, 4096, 1, 4095));
-    expectSnapshotError([&] { load(2, 1, 0, 0); }, "2 kernels of 1");
-    expectSnapshotError([&] { load(1, 4097, 0, 0); }, "4097 dense pcs");
-    expectSnapshotError([&] { load(1, 8, 1, 8); }, "pc 8 of 8");
 }
 
 } // namespace
