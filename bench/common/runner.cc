@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -392,18 +393,13 @@ simulate(workloads::SimContext &ctx)
     result.verified = ctx.verified();
     result.stats = ctx.stats();
     result.failure = ctx.failure();
-    result.skippedCycles = ctx.skippedCycles();
-    result.skipEvents = ctx.skipEvents();
     result.dormantCycles = ctx.dormantCycles();
     // One whole line per finished simulation (safe from worker threads):
-    // how much of the run the event-driven skip machinery short-circuited.
+    // how many unit-cycles per-unit sleep left unticked.
     if (!result.failure.failed && result.stats.has("cycles"))
         std::fprintf(stderr,
-                     "[bench] %s: %.0f cycles, sim.skipped_cycles=%llu, "
-                     "sim.skip_events=%llu, sim.dormant_cycles=%llu\n",
+                     "[bench] %s: %.0f cycles, sim.dormant_cycles=%llu\n",
                      result.name.c_str(), result.stats.get("cycles"),
-                     static_cast<unsigned long long>(result.skippedCycles),
-                     static_cast<unsigned long long>(result.skipEvents),
                      static_cast<unsigned long long>(result.dormantCycles));
     return result;
 }
@@ -499,6 +495,27 @@ appConfig(const std::string &name, const sim::GpuConfig &base)
     return config;
 }
 
+/**
+ * The value @p v of @p flag as a count: decimal digits only, with no
+ * sign, no trailing text and nothing above @p max. Anything else, or 0
+ * unless @p zero_ok, exits 1 with "<flag>=<v> is not a <what>".
+ */
+uint64_t
+parseCount(const char *flag, const char *v, const char *what, bool zero_ok,
+           uint64_t max = std::numeric_limits<uint64_t>::max())
+{
+    uint64_t n = 0;
+    bool ok = *v != '\0';
+    for (const char *c = v; ok && *c != '\0'; ++c) {
+        const auto digit = static_cast<uint64_t>(*c - '0');
+        ok = digit <= 9 && n <= (max - digit) / 10;
+        n = n * 10 + digit;
+    }
+    if (!ok || (n == 0 && !zero_ok))
+        gcl_fatal(flag, "=", v, " is not a ", what);
+    return n;
+}
+
 } // namespace
 
 const Options &
@@ -528,7 +545,8 @@ initBench(int argc, char **argv)
         if (const char *v = value(arg, "--trace-out")) {
             g_options.traceOut = v;
         } else if (const char *v = value(arg, "--timeline-interval")) {
-            g_options.timelineInterval = std::strtoull(v, nullptr, 10);
+            g_options.timelineInterval =
+                parseCount("--timeline-interval", v, "cycle interval", true);
         } else if (const char *v = value(arg, "--stats-json")) {
             g_options.statsJson = v;
         } else if (const char *v = value(arg, "--stats-csv")) {
@@ -546,18 +564,13 @@ initBench(int argc, char **argv)
                     gcl_fatal("--apps: unknown application '", name,
                               "' (known: ", workloads::knownNames(), ")");
         } else if (const char *v = value(arg, "--jobs")) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v, &end, 10);
-            if (end == v || *end != '\0')
-                gcl_fatal("--jobs=", v, " is not a job count");
-            g_options.jobs = n == 0 ? exec::hardwareThreads()
-                                    : static_cast<unsigned>(n);
+            const auto n = static_cast<unsigned>(
+                parseCount("--jobs", v, "job count", true,
+                           std::numeric_limits<unsigned>::max()));
+            g_options.jobs = n == 0 ? exec::hardwareThreads() : n;
         } else if (const char *v = value(arg, "--max-cycles")) {
-            char *end = nullptr;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0' || n == 0)
-                gcl_fatal("--max-cycles=", v, " is not a cycle count");
-            g_options.maxCycles = n;
+            g_options.maxCycles =
+                parseCount("--max-cycles", v, "cycle count", false);
         } else if (const char *v = value(arg, "--machine")) {
             g_options.machine = v;
         } else if (const char *v = value(arg, "--sim-config")) {
@@ -567,11 +580,9 @@ initBench(int argc, char **argv)
         } else if (std::strcmp(arg, "--crit") == 0) {
             g_options.crit = true;
         } else if (const char *v = value(arg, "--crit-top-n")) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v, &end, 10);
-            if (end == v || *end != '\0' || n == 0)
-                gcl_fatal("--crit-top-n=", v, " is not a row count");
-            g_options.critTopN = static_cast<unsigned>(n);
+            g_options.critTopN = static_cast<unsigned>(
+                parseCount("--crit-top-n", v, "row count", false,
+                           std::numeric_limits<unsigned>::max()));
         } else if (const char *v = value(arg, "--crit-out")) {
             g_options.critOut = v;
             g_options.crit = true;
@@ -652,16 +663,10 @@ initBench(int argc, char **argv)
     }
 
     // Environment fallbacks (flags win).
-    if (g_options.maxCycles == 0) {
-        if (const char *env = std::getenv("GCL_MAX_CYCLES")) {
-            char *end = nullptr;
-            const unsigned long long n = std::strtoull(env, &end, 10);
-            if (end == env || *end != '\0' || n == 0)
-                gcl_fatal("GCL_MAX_CYCLES=", env,
-                          " is not a cycle count");
-            g_options.maxCycles = n;
-        }
-    }
+    if (g_options.maxCycles == 0)
+        if (const char *env = std::getenv("GCL_MAX_CYCLES"))
+            g_options.maxCycles =
+                parseCount("GCL_MAX_CYCLES", env, "cycle count", false);
     if (g_options.machine.empty())
         if (const char *env = std::getenv("GCL_MACHINE"))
             g_options.machine = env;

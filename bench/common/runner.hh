@@ -84,13 +84,11 @@ struct AppResult
                              //!< on a clean run)
     bool skipped = false;    //!< never simulated (sweep cancelled first)
 
-    // Event-driven skip accounting (host-side wall-clock diagnostics;
+    // Per-unit sleep accounting (a host-side wall-clock diagnostic;
     // deliberately NOT part of stats — the exported artifacts are
     // byte-identical with cycle_skipping on and off, and trace_check
-    // enforces that these never leak into them).
-    uint64_t skippedCycles = 0; //!< cycles the clock jumped over
-    uint64_t skipEvents = 0;    //!< jumps taken
-    uint64_t dormantCycles = 0; //!< unit-cycles asleep, jumps included
+    // enforces that it never leaks into them).
+    uint64_t dormantCycles = 0; //!< unit-cycles asleep
 };
 
 /** Observability options shared by every bench binary. */

@@ -69,9 +69,7 @@ struct AppPerf
     std::string name;
     uint64_t simCycles = 0;
     uint64_t warpInsts = 0;
-    uint64_t skippedCycles = 0;   //!< of simCycles, jumped by event skip
-    uint64_t skipEvents = 0;
-    uint64_t dormantCycles = 0;   //!< unit-cycles asleep, jumps included
+    uint64_t dormantCycles = 0;   //!< unit-cycles asleep
     double medianSeconds = 0.0;
     std::vector<double> repSeconds; //!< one entry per --repeat run
 };
@@ -136,15 +134,12 @@ writeJson(const std::string &path, const std::string &label,
             : 0.0;
         std::snprintf(buf, sizeof(buf),
                       "    {\"name\": \"%s\", \"sim_cycles\": %llu, "
-                      "\"warp_insts\": %llu, \"skipped_cycles\": %llu, "
-                      "\"skip_events\": %llu, \"dormant_cycles\": %llu, "
+                      "\"warp_insts\": %llu, \"dormant_cycles\": %llu, "
                       "\"median_seconds\": %.6f, "
                       "\"cycles_per_sec\": %.0f}%s\n",
                       app.name.c_str(),
                       static_cast<unsigned long long>(app.simCycles),
                       static_cast<unsigned long long>(app.warpInsts),
-                      static_cast<unsigned long long>(app.skippedCycles),
-                      static_cast<unsigned long long>(app.skipEvents),
                       static_cast<unsigned long long>(app.dormantCycles),
                       app.medianSeconds, app_cps,
                       i + 1 < apps.size() ? "," : "");
@@ -273,8 +268,8 @@ main(int argc, char **argv)
         std::printf("sampled: %s%s\n", sample.c_str(),
                     ff_prefix_dir.empty() ? ""
                                           : " (shared functional prefix)");
-    std::printf("%-8s %12s %12s %12s %12s %10s %14s\n", "app",
-                "sim_cycles", "warp_insts", "skipped", "dormant",
+    std::printf("%-8s %12s %12s %12s %10s %14s\n", "app",
+                "sim_cycles", "warp_insts", "dormant",
                 "median_sec", "cycles/sec");
 
     for (const auto &name : apps) {
@@ -313,8 +308,6 @@ main(int argc, char **argv)
             if (rep == 0) {
                 perf.simCycles = cycles;
                 perf.warpInsts = insts;
-                perf.skippedCycles = ctx.skippedCycles();
-                perf.skipEvents = ctx.skipEvents();
                 perf.dormantCycles = ctx.dormantCycles();
             } else {
                 // The simulator is deterministic; a repeat that simulates
@@ -325,11 +318,10 @@ main(int argc, char **argv)
             perf.repSeconds.push_back(seconds);
         }
         perf.medianSeconds = medianOf(perf.repSeconds);
-        std::printf("%-8s %12llu %12llu %12llu %12llu %10.3f %14.0f\n",
+        std::printf("%-8s %12llu %12llu %12llu %10.3f %14.0f\n",
                     perf.name.c_str(),
                     static_cast<unsigned long long>(perf.simCycles),
                     static_cast<unsigned long long>(perf.warpInsts),
-                    static_cast<unsigned long long>(perf.skippedCycles),
                     static_cast<unsigned long long>(perf.dormantCycles),
                     perf.medianSeconds,
                     static_cast<double>(perf.simCycles) /
@@ -337,20 +329,15 @@ main(int argc, char **argv)
         results.push_back(perf);
     }
 
-    uint64_t total_cycles = 0;
+    uint64_t total_cycles = 0, total_dormant = 0;
     double total_seconds = 0.0;
     for (const auto &app : results) {
         total_cycles += app.simCycles;
+        total_dormant += app.dormantCycles;
         total_seconds += app.medianSeconds;
     }
-    uint64_t total_skipped = 0, total_dormant = 0;
-    for (const auto &app : results) {
-        total_skipped += app.skippedCycles;
-        total_dormant += app.dormantCycles;
-    }
-    std::printf("%-8s %12llu %12s %12llu %12llu %10.3f %14.0f\n", "TOTAL",
+    std::printf("%-8s %12llu %12s %12llu %10.3f %14.0f\n", "TOTAL",
                 static_cast<unsigned long long>(total_cycles), "",
-                static_cast<unsigned long long>(total_skipped),
                 static_cast<unsigned long long>(total_dormant),
                 total_seconds,
                 static_cast<double>(total_cycles) / total_seconds);

@@ -93,10 +93,10 @@ diff tests/goldens/crit_report_small.txt "$tmp/crit-top3.txt" \
     || { echo "check: crit_report diverged from the committed golden" >&2
          exit 1; }
 
-# Event-driven cycle skipping (drained and frozen units sleeping, the
-# clock jumping once none is awake) is a pure host-side optimization. With
-# it off every unit ticks every cycle: that sweep is the eager reference,
-# and the default sweep must leave byte-identical cache entries to it.
+# Event-driven cycle skipping (drained and frozen units sleeping until
+# their next event) is a pure host-side optimization. With it off every
+# unit ticks every cycle: that sweep is the eager reference, and the
+# default sweep must leave byte-identical cache entries to it.
 # cycle_skipping is deliberately excluded from the config fingerprint so
 # both runs share cache keys.
 GCL_BENCH_CACHE="$tmp/cache-noskip" "$BUILD_DIR/bench/fig1_load_classes" \
@@ -121,6 +121,20 @@ for leg in skip noskip; do
 done
 diff -r "$tmp/cache-init-skip" "$tmp/cache-init-noskip" \
     || { echo "check: cycle skipping changed long-initiation results" >&2
+         exit 1; }
+# The same identity on a second machine: modern-core's four GTO
+# schedulers per SM sleep and wake differently from c2050's two LRR ones.
+for leg in skip noskip; do
+    config=
+    [ "$leg" = noskip ] && config=--sim-config=cycle_skipping=0
+    GCL_BENCH_CACHE="$tmp/cache-modern-$leg" \
+        "$BUILD_DIR/bench/fig1_load_classes" \
+        --apps=$SMALL_APPS --fresh --machine=modern-core $config \
+        > /dev/null 2> /dev/null \
+        || { echo "check: modern-core sweep ($leg) failed" >&2; exit 1; }
+done
+diff -r "$tmp/cache-modern-skip" "$tmp/cache-modern-noskip" \
+    || { echo "check: cycle skipping changed modern-core results" >&2
          exit 1; }
 
 # ...and it must actually pay: on a memory-stressed configuration (DRAM

@@ -109,23 +109,6 @@ class FaultPlan
     /** Canonical spec string (stable across parse round-trips). */
     std::string describe() const;
 
-    /**
-     * Earliest KernelStop window start strictly after @p now (~0 when
-     * none). Pure query — no injection counter moves. The event-driven
-     * skip clamps clock jumps here so a premature-stop fault fires at
-     * exactly the cycle the cycle-by-cycle loop would have seen it.
-     */
-    uint64_t
-    nextStopAfter(uint64_t now) const
-    {
-        uint64_t next = ~uint64_t{0};
-        for (const auto &w : windows_)
-            if (w.kind == FaultKind::KernelStop && w.start > now &&
-                w.start < next)
-                next = w.start;
-        return next;
-    }
-
   private:
     uint64_t seed_ = 0;
     std::string app_;
@@ -141,8 +124,6 @@ class FaultInjector
 {
   public:
     explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
-
-    const FaultPlan &plan() const { return plan_; }
 
     bool mshrExhausted(uint64_t now) { return hit(FaultKind::MshrExhaust, now); }
     bool icntBlocked(uint64_t now) { return hit(FaultKind::IcntBlock, now); }

@@ -148,15 +148,6 @@ class Watchdog
         return check(now, insts, reqs);
     }
 
-    /**
-     * Absolute cycle of the next scheduled progress check (~0 when
-     * disabled). A clock jump must never overshoot this: the event-driven
-     * skip clamps its target here so the sequence of check cycles — and
-     * therefore the cycle at which a hang fires — is identical to the
-     * cycle-by-cycle run's.
-     */
-    uint64_t nextCheckCycle() const { return nextCheck_; }
-
     /** Cycle of the last observed progress (valid after a fire). */
     uint64_t lastProgressCycle() const { return lastProgress_; }
 

@@ -200,15 +200,14 @@ struct GpuConfig
     unsigned nondetSplitRequests = 0;
 
     /**
-     * Per-unit sleep and clock jumps: a drained or frozen SM or memory
-     * partition stops ticking until its next event or an outside
-     * stimulus, crediting the slept cycles in bulk to the counters the
-     * per-cycle loop would have bumped, and when no unit is awake the
-     * device clock jumps straight to the next event. A pure host-side
-     * optimization — every stats/trace/crit artifact is bit-identical
-     * with the knob on or off (tests/test_skip.cc) — so it is not part
-     * of the config fingerprint. Off, every unit ticks every cycle: the
-     * eager reference.
+     * Per-unit sleep: a drained or frozen SM or memory partition stops
+     * ticking until its next event or an outside stimulus, crediting the
+     * slept cycles in bulk to the counters the per-cycle loop would have
+     * bumped. The device clock still steps one cycle at a time. A pure
+     * host-side optimization — every stats/trace/crit artifact is
+     * bit-identical with the knob on or off (tests/test_skip.cc) — so it
+     * is not part of the config fingerprint. Off, every unit ticks every
+     * cycle: the eager reference.
      */
     bool cycleSkipping = true;
 

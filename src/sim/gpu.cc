@@ -318,50 +318,6 @@ Gpu::wakeAtFor(unsigned unit, Cycle now) const
     return sm.nextEventCycle(now);
 }
 
-Cycle
-Gpu::skipTarget(Cycle now, Cycle start, const DispatchState &dispatch) const
-{
-    // The crossbar first: anything waiting for arbitration moves next
-    // cycle, and memory-bound kernels are in that state nearly every
-    // cycle. Otherwise its earliest in-flight delivery bounds the jump,
-    // which is what wakes a sleeper waiting for a response or arrival.
-    Cycle target = icnt_.nextEventCycle(now);
-    if (target == now + 1)
-        return now + 1;
-    // A CTA that fits now is placed next cycle: this cycle's warp exit
-    // freed its slot, whether or not it left its SM drained.
-    if (nextCtaSm(dispatch) >= 0)
-        return now + 1;
-    // A sleeping SM can still block the jump: a FailIcnt-frozen head (its
-    // gate bit) whose injection credit came back this cycle retries next
-    // cycle, although the freed queue may leave the crossbar empty.
-    for (unsigned s = 0; s < config_.numSms; ++s)
-        if (sleep_[s].gate && icnt_.canInject(static_cast<int>(s)))
-            return now + 1;
-    // A drained sleeper's wakeAt is kNever.
-    for (const SleepState &state : sleep_)
-        target = std::min(target, state.wakeAt);
-
-    // Deadlines a jump must not overshoot. Each fires at exactly the
-    // cycle the eager loop reaches it, so landing ON the deadline makes
-    // the next iteration take the identical action at the identical
-    // cycle: the Timeout throw, the watchdog progress check, the
-    // premature-stop fault, the timeline sample. The cooperative cancel
-    // poll is deliberately not clamped — cancellation arrives at
-    // wall-clock-arbitrary points, and no artifact depends on where the
-    // poll lands.
-    target = std::min(target, config_.maxCycles);
-    target = std::min(target, watchdog_.nextCheckCycle());
-    if (fault_)
-        target = std::min(target, fault_->plan().nextStopAfter(now));
-    if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_))
-        target = std::min(target, now + (timelineInterval_ -
-                                         (now - start) % timelineInterval_));
-    // Nothing ever ripens and every deadline is disabled: a genuine
-    // deadlock with the watchdog off. Spin like the eager loop would.
-    return target == kNever ? now + 1 : target;
-}
-
 void
 Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
             std::vector<uint64_t> params)
@@ -566,10 +522,10 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     const Cycle start = clock_ + 1;
     watchdog_.beginLaunch(start, stats_.hot.warpInsts,
                           stats_.hot.reqsCompleted);
-    // Per-unit sleep and clock jumps run only with cycle skipping on.
-    // With it off nothing sleeps, and this same loop body is the eager
-    // cycle-by-cycle reference every skipping run is proved bit-identical
-    // against (tests/test_skip.cc). Every unit enters a launch awake: the
+    // Units sleep only with cycle skipping on. With it off nothing
+    // sleeps, and this same loop body is the eager cycle-by-cycle
+    // reference every skipping run is proved bit-identical against
+    // (tests/test_skip.cc). Every unit enters a launch awake: the
     // previous launch settled all sleepers at its exit.
     const bool skip_on = config_.cycleSkipping;
     Cycle now = start;
@@ -714,22 +670,6 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         if (dispatch.next == dispatch.total &&
             (awakeCount_ == 0 || !skip_on) && allIdle())
             break;
-
-        if (awakeCount_ == 0) {
-            // ---- Clock jump: the sleep pass left no unit awake ----
-            // Decided from end-of-cycle committed state, after the break
-            // check, so a jump is only taken mid-kernel. Every unit
-            // credits the span at its own wake; the crossbar only owes its
-            // round-robin pointer advance.
-            const Cycle target = skipTarget(now, start, dispatch);
-            if (target > now + 1) {
-                const uint64_t span = target - (now + 1);
-                icnt_.skipAdvance(span);
-                skippedCycles_ += span;
-                ++skipEvents_;
-                now = target - 1; // ++now lands exactly on the event
-            }
-        }
     }
 
     wakeAll(now + 1);

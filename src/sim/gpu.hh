@@ -100,25 +100,22 @@ class Gpu
     static int mapPartition(uint64_t line_addr, int sm_id,
                             const GpuConfig &config);
 
-    // ---- Event-driven cycle skipping (config.cycleSkipping) ----
+    // ---- Per-unit sleep (config.cycleSkipping) ----
 
     /**
-     * Cycles the clock jumped over instead of simulating one by one.
-     * A pure wall-clock diagnostic: skipped cycles are credited into the
-     * same counters the cycle-by-cycle loop would have bumped, so this
-     * number never appears in (or perturbs) the stats set.
+     * Always 0: the clock steps one cycle at a time. Kept only for
+     * perfbench/gcl_perfbench.cc, its one reader.
      */
-    uint64_t skippedCycles() const { return skippedCycles_; }
+    uint64_t skippedCycles() const { return 0; }
 
-    /** Number of clock jumps taken (each covers >= 1 skipped cycle). */
-    uint64_t skipEvents() const { return skipEvents_; }
+    /** Always 0, like skippedCycles(), for the same one reader. */
+    uint64_t skipEvents() const { return 0; }
 
     /**
      * Unit-cycles (SMs and partitions) not ticked because the unit slept:
-     * drained, frozen (stalled LD/ST or ROP head, or a pure fill/arrival
-     * wait), or inside a clock jump. Credited in bulk at wake, so — like
-     * skippedCycles() — a wall-clock diagnostic that never reaches the
-     * stats set.
+     * drained, or frozen (stalled LD/ST or ROP head, or a pure
+     * fill/arrival wait). Credited in bulk at wake; a wall-clock
+     * diagnostic that never reaches the stats set.
      */
     uint64_t dormantCycles() const { return dormantCycles_; }
 
@@ -289,10 +286,11 @@ class Gpu
     //    shows up — checked every cycle by reading the crossbar's
     //    delivery cycles (and, behind the unit's frozen gate bit, its
     //    injection-queue length) in wakeDue.
-    // At wake the unit credits its own span in bulk (wakeUnit). When the
-    // end-of-cycle sleep pass leaves no unit awake, the clock jumps to
-    // the earliest wakeAt, crossbar event or deadline (skipTarget). With
-    // cycle_skipping=0 nothing sleeps: that run is the eager reference.
+    // At wake the unit credits its own span in bulk (wakeUnit). The
+    // clock still steps one cycle at a time, so a cycle with every unit
+    // asleep costs only the wake checks and the crossbar's arbitration.
+    // With cycle_skipping=0 nothing sleeps: that run is the eager
+    // reference.
 
     /**
      * Sleep-state wakeAt of a unit only an outside stimulus can wake: the
@@ -361,14 +359,6 @@ class Gpu
      */
     Cycle wakeAtFor(unsigned unit, Cycle now) const;
 
-    /**
-     * The next cycle the loop must run once no unit is awake, seen from
-     * the end of cycle @p now; now + 1 means no jump. @p start is the
-     * launch's first cycle (anchors the timeline-sample clamp); a CTA
-     * @p dispatch can place blocks the jump.
-     */
-    Cycle skipTarget(Cycle now, Cycle start,
-                     const DispatchState &dispatch) const;
     guard::HangReport buildHangReport(const std::string &kernel,
                                       Cycle now) const;
 
@@ -408,13 +398,11 @@ class Gpu
      */
     std::unique_ptr<crit::CritStats> crit_;
 
-    // ---- Per-unit sleep + clock-jump state ----
+    // ---- Per-unit sleep state ----
 
     /** Sleep state per unit id: SMs, then partitions. */
     std::vector<SleepState> sleep_;
-    unsigned awakeCount_ = 0;
-    uint64_t skippedCycles_ = 0;
-    uint64_t skipEvents_ = 0;
+    unsigned awakeCount_ = 0;   //!< gates launch's all-drained scan
     uint64_t dormantCycles_ = 0;
 
     // ---- Kernel boundaries and the functional prefix (gcl::snap) ----

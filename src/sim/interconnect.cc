@@ -200,21 +200,4 @@ Interconnect::respQueued() const
     return total;
 }
 
-Cycle
-Interconnect::nextEventCycle(Cycle now) const
-{
-    // Waiting arbitration can move a flit next cycle; otherwise the
-    // earliest in-flight delivery (to either side) is the event.
-    if (injectCount_ != 0 || respQCount_ != 0)
-        return now + 1;
-    Cycle next = kNone;
-    for (const Cycle at : partNextAt_)
-        next = std::min(next, at);
-    for (const Cycle at : smNextAt_)
-        next = std::min(next, at);
-    if (next == kNone)
-        return next;
-    return next <= now ? now + 1 : next;
-}
-
 } // namespace gcl::sim

@@ -18,8 +18,7 @@
  *  - partNextAt_: each partition's next arrival cycle (head of toPart_),
  *    behind hasRequest().
  *
- * nextEventCycle() takes the minimum of the two arrays. Every new push
- * into or pop from toSm_/toPart_ must update them
+ * Every new push into or pop from toSm_/toPart_ must update them
  * (IcntTest.MatchesReferenceModel is the oracle).
  *
  * Trace events are emitted through the calling unit's sink (inject() from
@@ -112,32 +111,6 @@ class Interconnect
      * gate for the GPU's per-cycle response drain loop. O(1).
      */
     bool anyResponsesInFlight() const { return toSmCount_ != 0; }
-
-    /**
-     * The next cycle > @p now at which ticking the crossbar could move a
-     * flit, or ~0 when it is empty. Anything waiting for arbitration
-     * (injection or response queues) can move next cycle; otherwise the
-     * earliest in-flight delivery (the minimum of smNextAt_ and
-     * partNextAt_) is the event. The round-robin pointers
-     * also advance every cycle, but skipAdvance() replays them exactly,
-     * so they do not pin the event.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Credit a skipped span of @p count cycles: both round-robin pointers
-     * advance once per cycle whether or not any flit moves, so a jump
-     * must advance them by the span length to leave arbitration state
-     * exactly as the cycle-by-cycle loop would have.
-     */
-    void
-    skipAdvance(uint64_t count)
-    {
-        reqRrSm_ = static_cast<unsigned>(
-            (reqRrSm_ + count) % config_.numSms);
-        respRrPart_ = static_cast<unsigned>(
-            (respRrPart_ + count) % config_.numPartitions);
-    }
 
   private:
     /** smNextAt_/partNextAt_ value of an empty delivery queue. */

@@ -1,5 +1,8 @@
 #include "sim_context.hh"
 
+#include <filesystem>
+#include <system_error>
+
 #include "guard/fault.hh"
 #include "sim/gpu.hh"
 #include "snap/io.hh"
@@ -80,8 +83,10 @@ SimContext::tryFfResume(sim::Gpu &gpu)
                          "; running fresh");
                 return false;
             }
-    gpu.beginResume(snapshot);
+    // Set before the call: a host log that does not decode throws from
+    // it, and run() must still know the prefix was read.
     ffResumed_ = true;
+    gpu.beginResume(snapshot);
     GCL_DEBUG("snap", "warm-starting '", workload_.name,
               "' from functional prefix at launch ", snapshot->kernelIndex,
               " (", snap_.ffPrefixPath, ")");
@@ -137,11 +142,9 @@ SimContext::run()
         verified_ = workload_.run(gpu);
         gpu.finalizeStats();
         stats_ = gpu.stats().set();
-        // Wall-clock diagnostics, captured while the device still exists.
-        // Deliberately NOT part of stats_: the artifact byte-identity
-        // contract (skip on == skip off) forbids them there.
-        skippedCycles_ = gpu.skippedCycles();
-        skipEvents_ = gpu.skipEvents();
+        // A wall-clock diagnostic, captured while the device still
+        // exists. Deliberately NOT part of stats_: the artifact
+        // byte-identity contract (skip on == skip off) forbids it there.
         dormantCycles_ = gpu.dormantCycles();
         if (sink_)
             gpu.attachTrace(nullptr);
@@ -152,6 +155,18 @@ SimContext::run()
         verified_ = false;
         stats_ = StatsSet{};
         gcl_warn("workload '", workload_.name, "' failed: ", error.what());
+        // A prefix this run read and could not use would fail every later
+        // run of its key. It is an accelerator, not an output: remove it,
+        // so the next run recaptures it.
+        if (ffResumed_ && error.kind() == SimError::Kind::Snapshot) {
+            std::error_code ec;
+            if (std::filesystem::remove(snap_.ffPrefixPath, ec))
+                gcl_warn("removed functional prefix '", snap_.ffPrefixPath,
+                         "'; the next run of this key recaptures it");
+            else if (ec)
+                gcl_warn("cannot remove functional prefix '",
+                         snap_.ffPrefixPath, "': ", ec.message());
+        }
     }
     // Flush even on failure — the trace of the final window is exactly
     // what a hang post-mortem needs.

@@ -67,7 +67,8 @@ struct SnapOptions
      * does not match this run (app, functional fingerprint, meta), falls
      * back to a fresh run. A matching, CRC-valid file whose sections do
      * not decode, or whose host log the host program diverges from, ends
-     * the run with a SimError{Kind::Snapshot} failure record.
+     * the run with a SimError{Kind::Snapshot} failure record, and run()
+     * removes the file, so the next run of its key recaptures it.
      */
     std::string ffPrefixPath;
 };
@@ -127,36 +128,33 @@ class SimContext
     /** Configure the functional prefix for this run; call before run(). */
     void setSnapOptions(SnapOptions options);
 
-    /** True when run() restored the functional prefix (ffPrefixPath). */
+    /**
+     * True when run() warm-started from the functional prefix
+     * (ffPrefixPath), including a start that failed with a snapshot error.
+     */
     bool ffResumed() const { return ffResumed_; }
 
     /** True when run() captured and wrote the functional prefix. */
     bool ffPrefixWritten() const { return ffPrefixWritten_; }
 
     /**
-     * Cycles the event-driven skip jumped over (Gpu::skippedCycles; 0 on
-     * a failed run). A wall-clock diagnostic — never part of stats().
-     */
-    uint64_t skippedCycles() const { return skippedCycles_; }
-
-    /** Clock jumps the run took (Gpu::skipEvents; 0 on a failed run). */
-    uint64_t skipEvents() const { return skipEvents_; }
-
-    /**
-     * Unit-cycles (SMs and partitions) not ticked because the unit slept:
-     * drained, frozen, or inside a clock jump (Gpu::dormantCycles; same
-     * caveats).
+     * Unit-cycles (SMs and partitions) not ticked because the unit slept,
+     * drained or frozen (Gpu::dormantCycles; 0 on a failed run). A
+     * wall-clock diagnostic — never part of stats().
      */
     uint64_t dormantCycles() const { return dormantCycles_; }
 
   private:
     /**
      * Try to restore the shared functional prefix from ffPrefixPath.
+     * Sets ffResumed_ before Gpu::beginResume, so that run() removes a
+     * prefix whose decoding fails there or later in the run.
      * @retval false when the file is missing, unreadable, or does not
      *         match this run (wrong app / functional fingerprint / meta)
      *         — the run continues fresh and re-captures the prefix.
      * @throws SimError{Kind::Snapshot} when a matching prefix's host log
-     *         does not decode (Gpu::beginResume).
+     *         does not decode (Gpu::beginResume); run() then removes the
+     *         file.
      */
     bool tryFfResume(sim::Gpu &gpu);
 
@@ -175,8 +173,6 @@ class SimContext
     SnapOptions snap_;
     bool ffResumed_ = false;
     bool ffPrefixWritten_ = false;
-    uint64_t skippedCycles_ = 0;
-    uint64_t skipEvents_ = 0;
     uint64_t dormantCycles_ = 0;
 };
 

@@ -1,12 +1,16 @@
 /**
  * @file
  * Tests for the benchmark-harness helpers: per-pc series discovery and
- * class-ratio extraction used by the Fig 6/7 binaries.
+ * class-ratio extraction used by the Fig 6/7 binaries, and the runner's
+ * count-flag parsing.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/figures.hh"
+#include "common/runner.hh"
 
 namespace
 {
@@ -85,6 +89,25 @@ TEST(BenchHelpers, IgnoresNonPcHistograms)
     s.hist("cta_distance").add(1, 5.0);
     s.hist("block_reuse").add(2, 5.0);
     EXPECT_TRUE(discoverPcSeries(s).empty());
+}
+
+TEST(BenchFlagsDeathTest, MalformedCountsAreFatal)
+{
+    // initBench only parses and validates; it starts no sweep. A count
+    // flag with a sign, trailing text or no digits must exit 1 naming the
+    // flag, not run as a default, truncated or wrapped value.
+    for (const char *flag :
+         {"--timeline-interval=abc", "--timeline-interval=200x",
+          "--timeline-interval=-1", "--max-cycles=-1", "--jobs=-2",
+          "--crit-top-n=-1"}) {
+        std::string prog = "bench";
+        std::string arg = flag;
+        char *argv[] = {prog.data(), arg.data(), nullptr};
+        EXPECT_EXIT(gcl::bench::initBench(2, argv),
+                    ::testing::ExitedWithCode(1),
+                    "fatal: " + arg + " is not a ")
+            << flag;
+    }
 }
 
 } // namespace

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <deque>
 #include <random>
 #include <string>
@@ -304,33 +303,6 @@ class CrossbarModel
         respRr = (respRr + 1) % config.numPartitions;
     }
 
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        for (const auto &q : inject)
-            if (!q.empty())
-                return now + 1;
-        for (const auto &q : respQ)
-            if (!q.empty())
-                return now + 1;
-        Cycle next = ~Cycle{0};
-        for (const auto *side : {&toPart, &toSm})
-            for (const auto &q : *side)
-                if (!q.empty())
-                    next = std::min(next, q.front().readyAt);
-        if (next == ~Cycle{0})
-            return next;
-        return std::max(next, now + 1);
-    }
-
-    void
-    skip(uint64_t span)
-    {
-        reqRr = static_cast<unsigned>((reqRr + span) % config.numSms);
-        respRr =
-            static_cast<unsigned>((respRr + span) % config.numPartitions);
-    }
-
     GpuConfig config;
     std::vector<std::deque<Flit>> inject;   //!< per SM
     std::vector<std::deque<Flit>> toPart;   //!< per partition, in flight
@@ -347,10 +319,8 @@ TEST_F(IcntTest, MatchesReferenceModel)
     // contention all happen. The cycle follows the Gpu's order: SMs
     // inject, the crossbar arbitrates, partitions pop arrivals and
     // respond, SMs pop responses. Every cycle the crossbar must agree
-    // with the model on canInject, canRespond, hasRequest, hasResponse,
-    // nextEventCycle and every popped handle. Quiet phases let the
-    // network drain, and the clock jumps to nextEventCycle there, as
-    // the Gpu's clock jump does.
+    // with the model on canInject, canRespond, hasRequest, hasResponse
+    // and every popped handle. Quiet phases let the network drain.
     for (const unsigned latency : {0u, 3u}) {
         for (unsigned depths = 0; depths < 8; ++depths) {
             GpuConfig config;
@@ -370,7 +340,6 @@ TEST_F(IcntTest, MatchesReferenceModel)
                 return rng() % 100 < percent;
             };
             uint64_t moved = 0;
-            uint64_t jumps = 0;
 
             for (Cycle now = 1; now < 3000; ++now) {
                 // 60 busy cycles, then 40 quiet ones with no new traffic
@@ -446,26 +415,8 @@ TEST_F(IcntTest, MatchesReferenceModel)
                     ASSERT_FALSE(icnt.hasResponse(static_cast<int>(sm), now))
                         << label << ", cycle " << now << ", sm " << sm;
                 }
-
-                const Cycle next = model.nextEventCycle(now);
-                ASSERT_EQ(icnt.nextEventCycle(now), next)
-                    << label << ", cycle " << now;
-                // Quiet phase: nothing enters, so the clock may jump to
-                // the next event (within the phase), with the pointers
-                // credited for the jumped span.
-                const Cycle phase_end = now - now % 100 + 100;
-                if (!busy && next > now + 1) {
-                    const Cycle target = std::min(next, phase_end);
-                    if (target > now + 1) {
-                        icnt.skipAdvance(target - (now + 1));
-                        model.skip(target - (now + 1));
-                        now = target - 1;
-                        ++jumps;
-                    }
-                }
             }
             EXPECT_GT(moved, 1000u) << label;
-            EXPECT_GT(jumps, 0u) << label;
             // Free what is still in flight so the pool does not fill up
             // across configs.
             for (auto *side : {&model.inject, &model.toPart, &model.respQ,

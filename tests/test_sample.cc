@@ -288,13 +288,15 @@ TEST(SampleWarmStart, MalformedPrefixEndsInSnapshotError)
 {
     // A CRC-valid prefix that matches the run but whose sections do not
     // decode must end the run with a structured "snapshot" record, never
-    // a process abort from an allocation sized by a corrupt count.
+    // a process abort from an allocation sized by a corrupt count. The
+    // failed run removes the prefix, so the next run of the same key runs
+    // cold, recaptures it, and matches the first cold run.
     const std::string path = tempPath("ff_malformed.snap");
     std::remove(path.c_str());
     GpuConfig config = configWith("");
     config.sample = "every:4";
     bool resumed = false, written = false;
-    runApp("gaus", config, path, &resumed, &written);
+    const StatsSet cold = runApp("gaus", config, path, &resumed, &written);
     ASSERT_TRUE(written);
     const Snapshot good = Snapshot::readFile(path);
 
@@ -362,6 +364,12 @@ TEST(SampleWarmStart, MalformedPrefixEndsInSnapshotError)
         ASSERT_TRUE(ctx.failed()) << c.what;
         EXPECT_EQ(ctx.failure().kind, "snapshot")
             << c.what << ": " << ctx.failure().message;
+
+        const StatsSet again =
+            runApp("gaus", config, path, &resumed, &written);
+        EXPECT_FALSE(resumed) << c.what << ": the bad prefix was kept";
+        EXPECT_TRUE(written) << c.what;
+        EXPECT_EQ(again.serialize(), cold.serialize()) << c.what;
     }
     std::remove(path.c_str());
 }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Event-driven cycle skipping must be invisible: putting drained and
- * frozen units to sleep and jumping the clock once none is awake
- * (config.cycleSkipping) is a pure host-side optimization, so a run with
- * skipping on must produce stats and trace streams BYTE-identical to the
- * eager reference, every unit ticked every cycle — under injected fault
- * pressure, with a zero-latency crossbar, on op classes whose initiation
- * interval exceeds their latency, around CTA placements, and in how it
- * trips the --max-cycles deadline and the watchdog's hang.
+ * Per-unit sleep must be invisible: putting drained and frozen units to
+ * sleep (config.cycleSkipping) is a pure host-side optimization, so a run
+ * with skipping on must produce stats and trace streams BYTE-identical to
+ * the eager reference, every unit ticked every cycle — with timeline
+ * samples, under injected fault pressure, with a zero-latency or
+ * backed-up crossbar, on op classes whose initiation interval exceeds
+ * their latency, around CTA placements, and in how it trips the
+ * --max-cycles deadline and the watchdog's hang.
  *
  * This is the bit-identity proof referenced from Gpu::launch and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
@@ -19,14 +19,11 @@
 
 #include <cstring>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ptx/builder.hh"
 #include "sim/config.hh"
 #include "sim/gpu.hh"
-#include "sim/interconnect.hh"
-#include "sim/mem_request.hh"
 #include "trace/trace.hh"
 #include "workloads/sim_context.hh"
 #include "workloads/workload.hh"
@@ -35,8 +32,6 @@ namespace
 {
 
 using gcl::sim::GpuConfig;
-using gcl::sim::Interconnect;
-using gcl::sim::MemPools;
 using gcl::trace::TraceEvent;
 using gcl::workloads::SimContext;
 using gcl::workloads::byName;
@@ -52,14 +47,19 @@ struct RunArtifacts
     std::string failureDetail;
 };
 
-/** Run @p app under @p config and capture every artifact it produced. */
+/**
+ * Run @p app under @p config and capture every artifact it produced,
+ * sampling the occupancy timeline every @p timeline_interval cycles
+ * (0: no timeline).
+ */
 RunArtifacts
-runApp(const std::string &app, bool skipping, GpuConfig config = {})
+runApp(const std::string &app, bool skipping, GpuConfig config = {},
+       gcl::sim::Cycle timeline_interval = 0)
 {
     config.cycleSkipping = skipping;
     SimContext ctx(byName(app), config);
     RunArtifacts out;
-    ctx.enableTrace(0,
+    ctx.enableTrace(timeline_interval,
                     [&out](const TraceEvent *events, size_t count) {
                         out.trace.insert(out.trace.end(), events,
                                          events + count);
@@ -77,9 +77,10 @@ runApp(const std::string &app, bool skipping, GpuConfig config = {})
 
 /** runApp for a run that must complete and pass its CPU check. */
 RunArtifacts
-runClean(const std::string &app, bool skipping, GpuConfig config = {})
+runClean(const std::string &app, bool skipping, GpuConfig config = {},
+         gcl::sim::Cycle timeline_interval = 0)
 {
-    RunArtifacts out = runApp(app, skipping, config);
+    RunArtifacts out = runApp(app, skipping, config, timeline_interval);
     EXPECT_FALSE(out.failed) << app << ": " << out.failureMessage;
     EXPECT_TRUE(out.verified) << app;
     return out;
@@ -103,18 +104,19 @@ expectIdentical(const RunArtifacts &skip, const RunArtifacts &eager,
 TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
 {
     // gaus drains its SMs between launches (long dead spans); bpr adds
-    // atomic traffic through the partitions' ROP path. A zero-latency
-    // crossbar delivers a flit in the cycle it was pushed, so a sleeping
-    // partition or SM must wake and take it in that same cycle. A
-    // backed-up crossbar (every queue one deep) freezes LD/ST heads on
-    // FailIcnt: sleeping SMs then wake through their gate bit when an
-    // injection credit returns, and a jump must wait for a credit that
-    // came back while every unit slept (the FailIcnt block of
-    // Gpu::skipTarget). A machine whose op classes keep their first stage
-    // busy longer than their latency makes a ready warp wait on a stage
-    // edge no writeback marks: the SM must wake at that edge, and both
-    // runs must finish (a tight watchdog turns a missed edge into a hang
-    // rather than a long spin).
+    // atomic traffic through the partitions' ROP path. Timeline samples
+    // (every 200 cycles, as check.sh's traced smoke run takes them) read
+    // every unit's queues, so a sleeper must look exactly as the eager
+    // loop leaves it at each sample. A zero-latency crossbar delivers a
+    // flit in the cycle it was pushed, so a sleeping partition or SM must
+    // wake and take it in that same cycle. A backed-up crossbar (every
+    // queue one deep) freezes LD/ST heads on FailIcnt: sleeping SMs then
+    // wake through their gate bit when an injection credit returns,
+    // including a credit that came back while every unit slept. A machine
+    // whose op classes keep their first stage busy longer than their
+    // latency makes a ready warp wait on a stage edge no writeback marks:
+    // the SM must wake at that edge, and both runs must finish (a tight
+    // watchdog turns a missed edge into a hang rather than a long spin).
     GpuConfig zero_latency{};
     zero_latency.icntLatency = 0;
     GpuConfig backed_up{};
@@ -126,6 +128,9 @@ TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
         "op_int_alu=1:2,op_fp_mul=4:8,op_sfu=16:64,watchdog_budget=200000");
     for (const std::string app : {"gaus", "bpr"}) {
         expectIdentical(runClean(app, true), runClean(app, false), app);
+        expectIdentical(runClean(app, true, {}, 200),
+                        runClean(app, false, {}, 200),
+                        app + " timeline every 200 cycles");
         expectIdentical(runClean(app, true, zero_latency),
                         runClean(app, false, zero_latency),
                         app + " icnt_latency=0");
@@ -143,8 +148,8 @@ TEST(Skip, ArtifactsBitIdenticalUnderInjectedFaults)
 {
     // Seeded backpressure windows (MSHR/ICNT/DRAM refusals, dropped
     // fills from seed 42) repeatedly stall and wake the very units whose
-    // next-event certificates license the jumps. Fault windows also
-    // disable the frozen-stall contract (MemPartition::ropHeadStall_,
+    // next-event certificates decide how long they sleep. Fault windows
+    // also disable the frozen-stall contract (MemPartition::ropHeadStall_,
     // Sm::ldstHeadStall_), so this leg proves the conservative fallback.
     GpuConfig faulted{};
     faulted.faultPlan = "seed=42;auto=3";
@@ -155,8 +160,8 @@ TEST(Skip, ArtifactsBitIdenticalUnderInjectedFaults)
 TEST(Skip, CritReportBitIdenticalWithSkippingOnAndOff)
 {
     // The crit profiler charges one issue-slot disposition per SM-cycle;
-    // slept and jumped spans are credited in bulk, so the exported
-    // crit.* schema (which crit_report renders) must not move.
+    // slept spans are credited in bulk at wake, so the exported crit.*
+    // schema (which crit_report renders) must not move.
     GpuConfig crit{};
     crit.crit = true;
     expectIdentical(runClean("gaus", true, crit),
@@ -165,9 +170,9 @@ TEST(Skip, CritReportBitIdenticalWithSkippingOnAndOff)
 
 TEST(Skip, MaxCyclesDeadlineTripsAtTheSameCycle)
 {
-    // A jump must never overshoot the --max-cycles deadline: the timeout
-    // has to fire at exactly the cycle the eager loop reports, with the
-    // same structured failure record.
+    // Sleepers must be settled before the --max-cycles deadline throws:
+    // the timeout has to fire at exactly the cycle the eager loop
+    // reports, with the same structured failure record and stats.
     GpuConfig budget{};
     budget.maxCycles = 2'000;
     const RunArtifacts skip = runApp("gaus", true, budget);
@@ -243,15 +248,16 @@ TEST(Skip, DrainedSmCreditsIdleCyclesNotStageOccupancy)
     EXPECT_EQ(run(true), run(false));
 }
 
-TEST(Skip, JumpStopsAtTheNextCtaPlacement)
+TEST(Skip, CtaPlacementWakesASleepingSm)
 {
     // One SM, no memory traffic: CTA c runs a dependent ALU loop of
     // 4 * (c + 1) iterations and exits, so while its warps wait on the
     // chain every unit sleeps. A warp exit that retires a CTA frees a
     // slot the dispatcher fills the next cycle — with the SM left drained
-    // (1024-thread CTAs, one resident) or still holding a CTA whose warp
-    // waits on its chain (one-warp CTAs, two resident) — and a clock jump
-    // taken from that cycle must not pass the placement.
+    // (1024-thread CTAs, one resident) or still busy with a CTA whose
+    // warp waits on its chain (one-warp CTAs, two resident). Either way
+    // the placement must wake the SM in that cycle, and skip on and
+    // eager must agree.
     using namespace gcl::ptx;
     KernelBuilder b("alu_loop", 0);
     const Reg x = b.globalTidX();
@@ -282,99 +288,6 @@ TEST(Skip, JumpStopsAtTheNextCtaPlacement)
         };
         EXPECT_EQ(run(true), run(false)) << threads << "-thread CTAs";
     }
-}
-
-TEST(SkipEvent, IcntNextEventPinsAndClampsExactly)
-{
-    // Unit-level contract of the crossbar's next-event certificate: an
-    // empty network reports "no event" (~0); anything waiting for
-    // arbitration pins now + 1; an in-flight flit's delivery time is the
-    // event, clamped to now + 1 once it is ripe (a jump may never leave
-    // a deliverable flit undelivered).
-    GpuConfig config{};
-    MemPools pools;
-    Interconnect icnt(config, pools);
-
-    EXPECT_EQ(icnt.nextEventCycle(100), ~gcl::sim::Cycle{0});
-
-    const gcl::sim::ReqHandle req = pools.reqs.alloc();
-    pools.reqs.get(req).smId = 0;
-    pools.reqs.get(req).partition = 1;
-    icnt.inject(req, 100);
-    EXPECT_EQ(icnt.nextEventCycle(100), 101u);
-
-    icnt.cycle(100); // moves the flit in flight; delivery at 100 + latency
-    EXPECT_EQ(icnt.nextEventCycle(100), 100 + config.icntLatency);
-    EXPECT_FALSE(icnt.hasRequest(1, 99 + config.icntLatency));
-
-    // Ripe (or past-due) heads clamp to now + 1, never earlier.
-    EXPECT_EQ(icnt.nextEventCycle(100 + config.icntLatency),
-              101 + config.icntLatency);
-
-    while (!icnt.hasRequest(1, 100 + config.icntLatency)) {
-        FAIL() << "flit never arrived";
-    }
-    pools.reqs.free(icnt.popRequest(1, 100 + config.icntLatency));
-    EXPECT_EQ(icnt.nextEventCycle(200), ~gcl::sim::Cycle{0});
-}
-
-TEST(SkipEvent, RrPointerSkipAdvanceMatchesCycleByCycle)
-{
-    // The round-robin pointers advance once per cycle whether or not a
-    // flit moves; a jump credits them with skipAdvance(span). After a
-    // large span (far past the pointer modulus, exercising wraparound),
-    // both crossbars must grant contended traffic in the same order: one
-    // request from every SM to partition 0, and one response from every
-    // partition to SM 0, leave in the order the pointers pick them.
-    GpuConfig config{};
-    MemPools pools;
-    Interconnect jumped(config, pools);
-    Interconnect ticked(config, pools);
-
-    const uint64_t span =
-        uint64_t{3} * config.numSms * config.numPartitions + 7;
-    jumped.skipAdvance(span);
-    for (uint64_t i = 0; i < span; ++i)
-        ticked.cycle(1000 + i);
-
-    // Sending SM ids in the order partition 0 receives their requests,
-    // and sending partition ids in the order SM 0 receives responses.
-    using Order = std::pair<std::vector<int>, std::vector<int>>;
-    auto grantOrder = [&](Interconnect &icnt) {
-        const gcl::sim::Cycle start = 1000 + span;
-        for (unsigned sm = 0; sm < config.numSms; ++sm) {
-            const gcl::sim::ReqHandle req = pools.reqs.alloc();
-            pools.reqs.get(req).smId = static_cast<int>(sm);
-            pools.reqs.get(req).partition = 0;
-            icnt.inject(req, start);
-        }
-        for (unsigned part = 0; part < config.numPartitions; ++part) {
-            const gcl::sim::ReqHandle req = pools.reqs.alloc();
-            pools.reqs.get(req).smId = 0;
-            pools.reqs.get(req).partition = static_cast<int>(part);
-            icnt.respond(req, start);
-        }
-        Order order;
-        for (gcl::sim::Cycle now = start;
-             !icnt.idle() && now < start + 1000; ++now) {
-            icnt.cycle(now);
-            while (icnt.hasRequest(0, now)) {
-                const gcl::sim::ReqHandle req = icnt.popRequest(0, now);
-                order.first.push_back(pools.reqs.get(req).smId);
-                pools.reqs.free(req);
-            }
-            while (icnt.hasResponse(0, now)) {
-                const gcl::sim::ReqHandle req = icnt.popResponse(0, now);
-                order.second.push_back(pools.reqs.get(req).partition);
-                pools.reqs.free(req);
-            }
-        }
-        return order;
-    };
-    const Order want = grantOrder(ticked);
-    ASSERT_EQ(want.first.size(), config.numSms);
-    ASSERT_EQ(want.second.size(), config.numPartitions);
-    EXPECT_EQ(grantOrder(jumped), want);
 }
 
 } // namespace

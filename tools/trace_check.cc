@@ -233,18 +233,15 @@ checkStats(const std::string &path)
         if (!set.has("cycles") || set.get("cycles") <= 0)
             return fail(path + ": app '" + name +
                         "' has no positive \"cycles\" scalar");
-        // The event-skip counters are host-side wall-clock diagnostics
-        // (SimContext::skippedCycles and friends, surfaced on the bench
-        // runner's per-app line and in perf_sweep's JSON). The stats
-        // artifacts must stay byte-identical with cycle_skipping on and
-        // off, so finding them here means the identity contract broke.
-        for (const char *leak :
-             {"sim.skipped_cycles", "sim.skip_events",
-              "sim.dormant_cycles"})
-            if (set.has(leak))
-                return fail(path + ": app '" + name + "': host-side skip "
-                            "accounting '" + leak +
-                            "' leaked into the deterministic stats");
+        // The sleep counter is a host-side wall-clock diagnostic
+        // (SimContext::dormantCycles, surfaced on the bench runner's
+        // per-app line and in perf_sweep's JSON). The stats artifacts
+        // must stay byte-identical with cycle_skipping on and off, so
+        // finding it here means the identity contract broke.
+        if (set.has("sim.dormant_cycles"))
+            return fail(path + ": app '" + name + "': host-side skip "
+                        "accounting 'sim.dormant_cycles' leaked into the "
+                        "deterministic stats");
         if (set.has("crit.issue_width"))
             if (int rc = checkCrit(path, name, set))
                 return rc;
