@@ -24,6 +24,7 @@
 #include "trace/export.hh"
 #include "trace/json.hh"
 #include "trace/trace.hh"
+#include "util/count.hh"
 #include "util/file.hh"
 #include "util/logging.hh"
 #include "workloads/sim_context.hh"
@@ -493,27 +494,6 @@ appConfig(const std::string &name, const sim::GpuConfig &base)
     if (g_options.ffWarm >= 0)
         config.ffWarm = g_options.ffWarm != 0;
     return config;
-}
-
-/**
- * The value @p v of @p flag as a count: decimal digits only, with no
- * sign, no trailing text and nothing above @p max. Anything else, or 0
- * unless @p zero_ok, exits 1 with "<flag>=<v> is not a <what>".
- */
-uint64_t
-parseCount(const char *flag, const char *v, const char *what, bool zero_ok,
-           uint64_t max = std::numeric_limits<uint64_t>::max())
-{
-    uint64_t n = 0;
-    bool ok = *v != '\0';
-    for (const char *c = v; ok && *c != '\0'; ++c) {
-        const auto digit = static_cast<uint64_t>(*c - '0');
-        ok = digit <= 9 && n <= (max - digit) / 10;
-        n = n * 10 + digit;
-    }
-    if (!ok || (n == 0 && !zero_ok))
-        gcl_fatal(flag, "=", v, " is not a ", what);
-    return n;
 }
 
 } // namespace

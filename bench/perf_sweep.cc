@@ -41,12 +41,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/sample.hh"
+#include "util/count.hh"
 #include "util/logging.hh"
 #include "workloads/sim_context.hh"
 #include "workloads/workload.hh"
@@ -185,9 +187,9 @@ main(int argc, char **argv)
                 if (!app.empty())
                     apps.push_back(app);
         } else if (const char *v = value(arg, "--repeat")) {
-            repeat = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-            if (repeat == 0)
-                gcl_fatal("--repeat must be positive");
+            repeat = static_cast<unsigned>(
+                gcl::parseCount("--repeat", v, "repetition count", false,
+                                std::numeric_limits<unsigned>::max()));
         } else if (const char *v = value(arg, "--out")) {
             out_path = v;
         } else if (const char *v = value(arg, "--label")) {

@@ -136,6 +136,21 @@ done
 diff -r "$tmp/cache-modern-skip" "$tmp/cache-modern-noskip" \
     || { echo "check: cycle skipping changed modern-core results" >&2
          exit 1; }
+# ...and on 68 units (60 SMs, 8 partitions): the cycle loop's awake and
+# gated unit bitsets and the crossbar's delivery-pending bitset then span
+# a second 64-bit word.
+for leg in skip noskip; do
+    config=num_sms=60,num_partitions=8
+    [ "$leg" = noskip ] && config=$config,cycle_skipping=0
+    GCL_BENCH_CACHE="$tmp/cache-wide-$leg" \
+        "$BUILD_DIR/bench/fig1_load_classes" \
+        --apps=$SMALL_APPS --fresh --sim-config="$config" \
+        > /dev/null 2> /dev/null \
+        || { echo "check: 68-unit sweep ($leg) failed" >&2; exit 1; }
+done
+diff -r "$tmp/cache-wide-skip" "$tmp/cache-wide-noskip" \
+    || { echo "check: cycle skipping changed 68-unit results" >&2
+         exit 1; }
 
 # ...and it must actually pay: on a memory-stressed configuration (DRAM
 # latency stretched to 800 cycles, crit profiler on — the EXPERIMENTS.md
@@ -383,8 +398,12 @@ if [ "$ASAN" = 1 ]; then
     # reading that is left: the functional prefix's page restore and
     # host-log replay, and the malformed-prefix rejections. Skip*
     # re-proves cycle-skip bit-identity against the eager reference
-    # (including the fault-plan, zero-latency and hang legs) with pool
-    # checking live. The same checked build re-derives every warp
+    # (including the fault-plan, zero-latency, 68-unit, starved-L1 and
+    # hang legs) with pool checking live; there every retry of a frozen
+    # LD/ST head re-probes the L1 and fails the run when the outcome
+    # differs from the frozen one (Sm::checkFrozenHead), so a fill that
+    # should have un-frozen a head surfaces as an invariant error. The
+    # same checked build re-derives every warp
     # pick with the reference scan (Sm::pickWarp); SimPipeline* drives it
     # through barriers, divergence, exits, multi-word ready masks and both
     # scheduling policies. It also re-derives every crit blocking warp

@@ -1,7 +1,9 @@
 #include "scheduler.hh"
 
 #include <cstdlib>
+#include <limits>
 
+#include "util/count.hh"
 #include "util/logging.hh"
 
 namespace gcl::exec
@@ -21,11 +23,9 @@ resolveJobs(unsigned requested, const char *envvar, unsigned fallback)
     bool chosen = requested != 0;
     if (!chosen && envvar != nullptr) {
         if (const char *env = std::getenv(envvar)) {
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(env, &end, 10);
-            if (end == env || *end != '\0')
-                gcl_fatal(envvar, "='", env, "' is not a job count");
-            jobs = static_cast<unsigned>(v);
+            jobs = static_cast<unsigned>(
+                parseCount(envvar, env, "job count", true,
+                           std::numeric_limits<unsigned>::max()));
             chosen = true;
         }
     }

@@ -140,20 +140,11 @@ Cache::Cache(std::string name, const CacheConfig &config, MemPools &pools,
                   name_, 0,
                   "cache geometry must give a power-of-two set count, got ",
                   config_.numSets());
+    lineShift_ = floorLog2(config_.lineBytes);
+    setMask_ = config_.numSets() - 1;
+    tagShift_ = lineShift_ + floorLog2(config_.numSets());
     lines_.assign(static_cast<size_t>(config_.numSets()) * config_.assoc,
                   Line{});
-}
-
-size_t
-Cache::setIndex(uint64_t line_addr) const
-{
-    return (line_addr / config_.lineBytes) & (config_.numSets() - 1);
-}
-
-uint64_t
-Cache::tagOf(uint64_t line_addr) const
-{
-    return line_addr / config_.lineBytes / config_.numSets();
 }
 
 AccessOutcome

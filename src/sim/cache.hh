@@ -162,6 +162,16 @@ class Cache
     /** Allocated MSHR entries (timeline sampling, gcl::trace). */
     size_t mshrOccupancy() const { return mshr_.size(); }
 
+    /** True when every MSHR entry is allocated. */
+    bool mshrFull() const { return mshr_.full(); }
+
+    /** True when lines @p a and @p b map to the same set. */
+    bool
+    sameSet(uint64_t a, uint64_t b) const
+    {
+        return setIndex(a) == setIndex(b);
+    }
+
     /** Lines currently reserved for in-flight fills (timeline sampling). */
     size_t reservedLines() const;
 
@@ -174,12 +184,22 @@ class Cache
         uint64_t lru = 0;
     };
 
-    size_t setIndex(uint64_t line_addr) const;
-    uint64_t tagOf(uint64_t line_addr) const;
+    size_t
+    setIndex(uint64_t line_addr) const
+    {
+        return static_cast<size_t>((line_addr >> lineShift_) & setMask_);
+    }
+
+    uint64_t tagOf(uint64_t line_addr) const { return line_addr >> tagShift_; }
 
     std::string name_;
     CacheConfig config_;
     MemPools &pools_;
+    // Set index and tag by shift and mask (the constructor checks that
+    // the line size and set count are powers of two).
+    unsigned lineShift_ = 0;   //!< log2(lineBytes)
+    uint64_t setMask_ = 0;     //!< numSets - 1
+    unsigned tagShift_ = 0;    //!< log2(lineBytes * numSets)
     std::vector<Line> lines_;   //!< sets x assoc, row-major
     uint64_t lruClock_ = 0;
     Mshr mshr_;

@@ -48,7 +48,10 @@ Gpu::Gpu(GpuConfig config)
     }
 
     sleep_.resize(numUnits());
-    awakeCount_ = numUnits();
+    awake_.assign(divCeil(numUnits(), 64), 0);
+    gated_.assign(awake_.size(), 0);
+    for (unsigned unit = 0; unit < numUnits(); ++unit)
+        setBit(awake_, unit);
 }
 
 unsigned
@@ -234,8 +237,8 @@ Gpu::dispatchCtas(DispatchState &dispatch, Cycle now)
         // A placement wakes the SM before launchCta, so the span credit
         // still sees the state the SM slept in (a clustered dispatch can
         // also land a CTA on a frozen busy SM with a free slot).
-        if (sleep_[sm].asleep)
-            wakeUnit(static_cast<unsigned>(sm), now);
+        if (!testBit(awake_, static_cast<size_t>(sm)))
+            wakeUnit(static_cast<size_t>(sm), now);
         const uint32_t cx = static_cast<uint32_t>(linear % launch.grid.x);
         const uint32_t cy =
             static_cast<uint32_t>((linear / launch.grid.x) % launch.grid.y);
@@ -264,24 +267,26 @@ Gpu::allIdle() const
 }
 
 void
-Gpu::sleepUnit(unsigned unit, Cycle from, Cycle wake_at)
+Gpu::sleepUnit(size_t unit, Cycle from, Cycle wake_at)
 {
-    SleepState &state = sleep_[unit];
-    state.asleep = true;
-    state.gate = unit < config_.numSms
+    clearBit(awake_, unit);
+    const bool gate = unit < config_.numSms
         ? sms_[unit]->ldstStalledOnIcnt()
         : partitions_[unit - config_.numSms]->canAcceptArrival();
+    if (gate)
+        setBit(gated_, unit);
+    SleepState &state = sleep_[unit];
     state.from = from;
     state.wakeAt = wake_at;
-    --awakeCount_;
+    alarm_ = std::min(alarm_, wake_at);
 }
 
 void
-Gpu::wakeUnit(unsigned unit, Cycle resume)
+Gpu::wakeUnit(size_t unit, Cycle resume)
 {
-    SleepState &state = sleep_[unit];
-    state.asleep = false;
-    ++awakeCount_;
+    setBit(awake_, unit);
+    clearBit(gated_, unit);
+    const SleepState &state = sleep_[unit];
     if (resume <= state.from)
         return;
     // A sleeper's state is frozen, so busy() still tells which loop body
@@ -297,15 +302,29 @@ Gpu::wakeUnit(unsigned unit, Cycle resume)
 }
 
 void
+Gpu::wakeByAlarm(Cycle now)
+{
+    Cycle next = kNever;
+    forEachClearBit(awake_, 0, numUnits(), [&](size_t unit) {
+        const Cycle wake_at = sleep_[unit].wakeAt;
+        if (wake_at <= now)
+            wakeUnit(unit, now);
+        else
+            next = std::min(next, wake_at);
+    });
+    alarm_ = next;
+}
+
+void
 Gpu::wakeAll(Cycle resume)
 {
-    for (unsigned unit = 0; unit < numUnits(); ++unit)
-        if (sleep_[unit].asleep)
-            wakeUnit(unit, resume);
+    forEachClearBit(awake_, 0, numUnits(),
+                    [&](size_t unit) { wakeUnit(unit, resume); });
+    alarm_ = kNever;
 }
 
 Cycle
-Gpu::wakeAtFor(unsigned unit, Cycle now) const
+Gpu::wakeAtFor(size_t unit, Cycle now) const
 {
     // A unit's certificate is already kNever once it is drained.
     if (unit >= config_.numSms)
@@ -588,75 +607,73 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
             throw error;
         }
 
+        // ---- Wakes before the tick ----
+        // A sleeper's wakeAt does not change while it sleeps and no SM's
+        // tick touches another unit's wake inputs, so waking by the alarm
+        // and by the SM gates here equals asking right before each
+        // unit's tick slot.
+        if (alarm_ <= now)
+            wakeByAlarm(now);
         dispatchCtas(dispatch, now);
+        forEachSetBit(gated_, 0, config_.numSms, [&](size_t s) {
+            if (icnt_.canInject(static_cast<int>(s)))
+                wakeUnit(s, now);
+        });
 
         // ---- Tick ----
-        // Each sleeper is asked right before its own tick slot. An SM's
-        // wake inputs (its delivery queue, its injection credit) only
-        // change later in the cycle, so this equals asking at the top of
-        // the cycle.
-        for (unsigned s = 0; s < config_.numSms; ++s) {
-            if (sleep_[s].asleep) {
-                if (!wakeDue(s, now))
-                    continue;
-                wakeUnit(s, now);
-            }
-            // Idle SMs still tick the Fig 4 denominator but skip the pipeline
-            // walk.
+        forEachSetBit(awake_, 0, config_.numSms, [&](size_t s) {
+            // Idle SMs still tick the Fig 4 denominator but skip the
+            // pipeline walk.
             Sm &sm = *sms_[s];
             if (sm.busy())
                 sm.cycle(now, icnt_);
             else
                 sm.idleCycle();
-        }
+        });
         icnt_.cycle(now);
-        for (unsigned p = 0; p < config_.numPartitions; ++p) {
-            // Asked after the arbitration: a latency-0 crossbar delivers a
-            // flit in the cycle it was pushed, and the partition must
-            // accept it at that exact cycle.
-            const unsigned unit = config_.numSms + p;
-            if (sleep_[unit].asleep) {
-                if (!wakeDue(unit, now))
-                    continue;
+        // Asked after the arbitration: a latency-0 crossbar delivers a
+        // flit in the cycle it was pushed, and the partition must accept
+        // it at that exact cycle.
+        forEachSetBit(gated_, config_.numSms, numUnits(), [&](size_t unit) {
+            if (icnt_.hasRequest(static_cast<int>(unit - config_.numSms),
+                                 now))
                 wakeUnit(unit, now);
-            }
+        });
+        forEachSetBit(awake_, config_.numSms, numUnits(), [&](size_t unit) {
             // A drained partition with no arriving flit would run a no-op
             // cycle.
+            const size_t p = unit - config_.numSms;
             MemPartition &part = *partitions_[p];
             if (part.idle() && !icnt_.hasRequest(static_cast<int>(p), now))
-                continue;
+                return;
             part.cycle(now, icnt_);
-        }
-        if (icnt_.anyResponsesInFlight())
-            for (unsigned s = 0; s < config_.numSms; ++s) {
-                if (sleep_[s].asleep) {
-                    // Only a latency-0 crossbar makes a response
-                    // deliverable in the cycle it was pushed. The SM
-                    // skipped this cycle's tick, so its span runs through
-                    // now inclusive; the delivery then un-freezes it for
-                    // next cycle.
-                    if (!icnt_.hasResponse(static_cast<int>(s), now))
-                        continue;
-                    wakeUnit(s, now + 1);
-                }
-                sms_[s]->drainResponses(now, icnt_);
-            }
+        });
+        // Responses reach a sleeping SM here, not in the tick pass: its
+        // certificate proves its tick at now did nothing, so its span
+        // runs through now inclusive and the delivery wakes it for the
+        // next cycle.
+        forEachSetBit(icnt_.deliveryPending(), 0, config_.numSms,
+                      [&](size_t s) {
+            if (!icnt_.hasResponse(static_cast<int>(s), now))
+                return;
+            if (!testBit(awake_, s))
+                wakeUnit(s, now + 1);
+            sms_[s]->drainResponses(now, icnt_);
+        });
 
         // ---- End of cycle: write commit, then the sleep pass ----
         // Staged writes commit in SM-id order; a sleeper never executed
         // this cycle, so it has nothing staged. The sleep decision reads
         // end-of-cycle committed state.
-        for (unsigned unit = 0; unit < numUnits(); ++unit) {
-            if (sleep_[unit].asleep)
-                continue;
+        forEachSetBit(awake_, 0, numUnits(), [&](size_t unit) {
             if (unit < config_.numSms)
                 sms_[unit]->commitStagedWrites();
             if (!skip_on)
-                continue;
+                return;
             const Cycle wake = wakeAtFor(unit, now);
             if (wake > now + 1)
                 sleepUnit(unit, now + 1, wake);
-        }
+        });
 
         if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_) &&
             (now - start) % timelineInterval_ == 0)
@@ -668,7 +685,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         // skipping on, a drained unit is asleep by now, so the scan only
         // runs once nothing is awake.
         if (dispatch.next == dispatch.total &&
-            (awakeCount_ == 0 || !skip_on) && allIdle())
+            (!skip_on || noBitSet(awake_)) && allIdle())
             break;
     }
 

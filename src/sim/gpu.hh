@@ -281,16 +281,15 @@ class Gpu
     //    until a CTA placement (SM) or an arrival it can accept
     //    (partition);
     //  - a stalled unit sleeps until its nextEventCycle certificate, or
-    //    earlier when a response (SM), an injection credit for a
-    //    FailIcnt-frozen head (SM) or an acceptable arrival (partition)
-    //    shows up — checked every cycle by reading the crossbar's
-    //    delivery cycles (and, behind the unit's frozen gate bit, its
-    //    injection-queue length) in wakeDue.
-    // At wake the unit credits its own span in bulk (wakeUnit). The
-    // clock still steps one cycle at a time, so a cycle with every unit
-    // asleep costs only the wake checks and the crossbar's arbitration.
-    // With cycle_skipping=0 nothing sleeps: that run is the eager
-    // reference.
+    //    earlier when an injection credit for a FailIcnt-frozen head (SM)
+    //    or an acceptable arrival (partition) shows up. A response to a
+    //    sleeping SM is delivered in the response pass, which wakes the
+    //    SM for the next cycle.
+    // The cycle loop walks the awake units only (awake_). A sleeper is
+    // reached through its alarm (alarm_), its gate (gated_) or a pending
+    // delivery (Interconnect::deliveryPending), and at wake it credits
+    // its own span in bulk (wakeUnit). With cycle_skipping=0 nothing
+    // sleeps: that run is the eager reference.
 
     /**
      * Sleep-state wakeAt of a unit only an outside stimulus can wake: the
@@ -300,21 +299,12 @@ class Gpu
 
     struct SleepState
     {
-        bool asleep = false;
-        /**
-         * Frozen at sleepUnit: for an SM, its LD/ST head is stalled on
-         * FailIcnt (an injection credit wakes it); for a partition,
-         * canAcceptArrival() (an arrival wakes it). Both inputs change
-         * only when the unit ticks, and every path that touches a
-         * sleeper wakes it first, so the bit stays exact while asleep.
-         */
-        bool gate = false;
         Cycle from = 0;     //!< first un-ticked cycle
         Cycle wakeAt = 0;   //!< own wake cycle; kNever = outside only
     };
 
     /** Unit @p unit stops ticking from @p from until @p wake_at. */
-    void sleepUnit(unsigned unit, Cycle from, Cycle wake_at);
+    void sleepUnit(size_t unit, Cycle from, Cycle wake_at);
 
     /**
      * End unit @p unit's sleep; it ticks again from cycle @p resume.
@@ -323,28 +313,13 @@ class Gpu
      * Sm::skipCycles, a partition with MemPartition::skipCycles (a no-op
      * when it is idle).
      */
-    void wakeUnit(unsigned unit, Cycle resume);
+    void wakeUnit(size_t unit, Cycle resume);
 
     /**
-     * True when sleeping unit @p unit must tick in cycle @p now: its own
-     * wakeAt came, or the crossbar holds what it waits for — a
-     * deliverable response or, behind the gate, an injection credit
-     * (SM); behind the gate, a deliverable arrival (partition). Reads
-     * the sleep state and the crossbar, never the unit itself.
+     * The alarm came due: wake every sleeper whose wakeAt is @p now and
+     * set the alarm to the earliest wakeAt of those still asleep.
      */
-    bool
-    wakeDue(unsigned unit, Cycle now) const
-    {
-        const SleepState &state = sleep_[unit];
-        if (state.wakeAt <= now)
-            return true;
-        if (unit >= config_.numSms)
-            return state.gate &&
-                   icnt_.hasRequest(
-                       static_cast<int>(unit - config_.numSms), now);
-        return icnt_.hasResponse(static_cast<int>(unit), now) ||
-               (state.gate && icnt_.canInject(static_cast<int>(unit)));
-    }
+    void wakeByAlarm(Cycle now);
 
     /**
      * Settle every sleeper's span before a timeout, fault-stop or cancel
@@ -357,7 +332,7 @@ class Gpu
      * Where unit @p unit, awake through the end of cycle @p now, would
      * next need a tick: now + 1 keeps it awake.
      */
-    Cycle wakeAtFor(unsigned unit, Cycle now) const;
+    Cycle wakeAtFor(size_t unit, Cycle now) const;
 
     guard::HangReport buildHangReport(const std::string &kernel,
                                       Cycle now) const;
@@ -402,7 +377,25 @@ class Gpu
 
     /** Sleep state per unit id: SMs, then partitions. */
     std::vector<SleepState> sleep_;
-    unsigned awakeCount_ = 0;   //!< gates launch's all-drained scan
+    /**
+     * Bitsets over unit ids (util/bitutil.hh). awake_: the units the
+     * cycle loop ticks, commits and puts to sleep, walked in id order.
+     * gated_: the sleepers with a gate, checked every cycle — an SM whose
+     * LD/ST head is frozen on FailIcnt (Interconnect::canInject, before
+     * the SM pass) and a partition with room for an arrival
+     * (Interconnect::hasRequest, after the arbitration). Both gate
+     * inputs change only when the unit ticks, and every path that
+     * touches a sleeper wakes it first, so a gated_ bit stays exact
+     * while its unit sleeps.
+     */
+    std::vector<uint64_t> awake_;
+    std::vector<uint64_t> gated_;
+    /**
+     * A lower bound on every sleeper's wakeAt, lowered by sleepUnit and
+     * recomputed by wakeByAlarm; kNever when no sleeper has a wake cycle
+     * of its own.
+     */
+    Cycle alarm_ = kNever;
     uint64_t dormantCycles_ = 0;
 
     // ---- Kernel boundaries and the functional prefix (gcl::snap) ----

@@ -16,6 +16,7 @@ Interconnect::Interconnect(const GpuConfig &config, MemPools &pools)
       toSm_(config.numSms),
       smNextAt_(config.numSms, kNone),
       partNextAt_(config.numPartitions, kNone),
+      smPending_(divCeil(config.numSms, 64), 0),
       partOpen_(config.numPartitions, 0),
       smUsed_(config.numSms, 0)
 {
@@ -82,10 +83,14 @@ Interconnect::popResponse(int sm, Cycle now)
     gcl_sim_check(hasResponse(sm, now), "icnt", now,
                   "popResponse with none ready");
     const auto s = static_cast<size_t>(sm);
-    --toSmCount_;
     DelayQueue<ReqHandle> &q = toSm_[s];
     const ReqHandle req = q.pop();
-    smNextAt_[s] = q.empty() ? kNone : q.headReadyAt();
+    if (q.empty()) {
+        smNextAt_[s] = kNone;
+        clearBit(smPending_, s);
+    } else {
+        smNextAt_[s] = q.headReadyAt();
+    }
     return req;
 }
 
@@ -155,12 +160,13 @@ Interconnect::responseArbitration(Cycle now)
                     smUsed_[sm] = 1;
                     DelayQueue<ReqHandle> &dst = toSm_[sm];
                     const Cycle ready = now + config_.icntLatency;
-                    if (dst.empty())
+                    if (dst.empty()) {
                         smNextAt_[sm] = ready;
+                        setBit(smPending_, sm);
+                    }
                     dst.push(q.front(), ready);
                     q.pop_front();
                     --respQCount_;
-                    ++toSmCount_;
                 }
             }
             if (++part == num_parts)

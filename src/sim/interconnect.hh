@@ -8,15 +8,19 @@
  * flit; transfers take icntLatency cycles. The response side is symmetric
  * with per-partition bounded response queues.
  *
- * Delivery cycles: besides its delay queues the crossbar keeps each
- * endpoint's next delivery cycle in a dense array, updated at every push
- * into and pop from those queues, so the questions asked of every
- * sleeping unit every cycle are array reads:
+ * Delivery state: besides its delay queues the crossbar keeps each
+ * endpoint's next delivery cycle in a dense array and the SMs with
+ * deliveries pending in a bitset, updated at every push into and pop
+ * from those queues, so the GPU's per-cycle questions (which SMs to
+ * drain, whether a gated sleeper's arrival came) are array reads:
  *
  *  - smNextAt_: each SM's next delivery cycle (head of toSm_, kNone when
  *    empty), behind hasResponse();
  *  - partNextAt_: each partition's next arrival cycle (head of toPart_),
- *    behind hasRequest().
+ *    behind hasRequest();
+ *  - smPending_: the SMs whose toSm_ queue is non-empty, behind
+ *    deliveryPending(). A push into an empty queue sets the bit and the
+ *    pop that empties it clears it.
  *
  * Every new push into or pop from toSm_/toPart_ must update them
  * (IcntTest.MatchesReferenceModel is the oracle).
@@ -35,6 +39,7 @@
 #include "delay_queue.hh"
 #include "mem_request.hh"
 #include "trace/trace.hh"
+#include "util/bitutil.hh"
 
 namespace gcl::sim
 {
@@ -92,12 +97,12 @@ class Interconnect
     /** Advance arbitration: request side, then response side. */
     void cycle(Cycle now);
 
-    /** All queues drained (used by the GPU's termination check). O(1). */
+    /** All queues drained (used by the GPU's termination check). */
     bool
     idle() const
     {
         return injectCount_ == 0 && toPartCount_ == 0 && respQCount_ == 0 &&
-               toSmCount_ == 0;
+               noBitSet(smPending_);
     }
 
     /** Requests anywhere in the request network (timeline sampling). */
@@ -107,10 +112,14 @@ class Interconnect
     size_t respQueued() const;
 
     /**
-     * True when any SM-bound response is in flight or deliverable — the
-     * gate for the GPU's per-cycle response drain loop. O(1).
+     * Bitset over SM ids (util/bitutil.hh): bit s is set while SM s has a
+     * response in flight or deliverable. The GPU's response pass walks
+     * only these SMs.
      */
-    bool anyResponsesInFlight() const { return toSmCount_ != 0; }
+    const std::vector<uint64_t> &deliveryPending() const
+    {
+        return smPending_;
+    }
 
   private:
     /** smNextAt_/partNextAt_ value of an empty delivery queue. */
@@ -131,6 +140,7 @@ class Interconnect
     // delay queues above.
     std::vector<Cycle> smNextAt_;            //!< per SM: toSm_ head ready
     std::vector<Cycle> partNextAt_;          //!< per partition: toPart_ head
+    std::vector<uint64_t> smPending_;        //!< bitset: toSm_ non-empty
 
     // Per-cycle arbitration scratch, sized once in the constructor so the
     // cycle loop never allocates: the partitions still open to a request
@@ -139,12 +149,10 @@ class Interconnect
     std::vector<uint8_t> smUsed_;
 
     // Occupancy counters kept exactly in sync with the queues above so
-    // idle()/anyResponsesInFlight() — called every cycle by the GPU loop —
-    // are O(1) instead of O(units).
+    // idle() needs no walk over the queues (toSm_ has smPending_).
     size_t injectCount_ = 0; //!< total across injectQ_
     size_t toPartCount_ = 0; //!< total across toPart_
     size_t respQCount_ = 0;  //!< total across respQ_
-    size_t toSmCount_ = 0;   //!< total across toSm_
 
     unsigned reqRrSm_ = 0;     //!< round-robin pointer, request side
     unsigned respRrPart_ = 0;  //!< round-robin pointer, response side

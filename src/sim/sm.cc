@@ -864,13 +864,33 @@ Sm::finishMemOp(OpHandle op_handle, Cycle now)
     pools_.ops.free(op_handle);
 }
 
+ReqHandle
+Sm::headRequest() const
+{
+    const WarpMemOp &op = pools_.ops.get(ldstQ_.front());
+    return op.requests[op.nextToIssue];
+}
+
+void
+Sm::checkFrozenHead([[maybe_unused]] bool can_inject,
+                    [[maybe_unused]] Cycle now)
+{
+#if GCL_POOL_CHECKED
+    // A fail mutates nothing, so a correctly frozen head re-probes to the
+    // same outcome without side effects. A different outcome means a
+    // missed un-freeze event (see receiveResponse).
+    const auto frozen = static_cast<AccessOutcome>(ldstHeadStall_);
+    const AccessOutcome probe = l1_.access(headRequest(), can_inject);
+    if (probe != frozen)
+        gcl_sim_error(SimError::Kind::Invariant, "sm" + std::to_string(id_),
+                      now, "LD/ST head frozen on ", toString(frozen),
+                      " but the L1 now answers ", toString(probe));
+#endif
+}
+
 void
 Sm::ldstCycle(Cycle now, Interconnect &icnt)
 {
-    // Recomputed below on the deterministic-fail path; anything else the
-    // stage does this cycle is progress, which un-stalls the head.
-    ldstHeadStall_ = kNoStall;
-
     // L1 hits coming back after the hit latency.
     while (hitReturnQ_.headReady(now))
         completeRequest(hitReturnQ_.pop(), now);
@@ -878,6 +898,21 @@ Sm::ldstCycle(Cycle now, Interconnect &icnt)
     if (ldstQ_.empty())
         return;
     ++stats_.hot.busyLdst;
+
+    if (ldstHeadStall_ != kNoStall) {
+        // A frozen head retries with its frozen outcome until an event
+        // un-freezes it: count the failed attempt without probing. The
+        // trace stays silent (the per-request dedupe already recorded this
+        // fail) and critLastL1Outcome_ already holds the outcome. A
+        // FailIcnt head probes again once its injection credit is back.
+        const bool can_inject = icnt.canInject(id_);
+        if (!ldstStalledOnIcnt() || !can_inject) {
+            checkFrozenHead(can_inject, now);
+            stats_.l1AccessCycle(static_cast<AccessOutcome>(ldstHeadStall_));
+            return;
+        }
+        ldstHeadStall_ = kNoStall;
+    }
 
     const OpHandle op_handle = ldstQ_.front();
     WarpMemOp &op = pools_.ops.get(op_handle);
@@ -971,10 +1006,11 @@ Sm::ldstCycle(Cycle now, Interconnect &icnt)
             // Frozen until an external event flips the probe: a fill (for
             // the tag/MSHR resources) or an injection-queue pop (for
             // FailIcnt — the queue sits at its cap, and only arbitration
-            // drains it). Both are events the Gpu's wake scan watches.
-            // With a fault oracle attached the outcome can flip mid-span
-            // and its per-attempt queries count, so never freeze then.
-            if (!fault)
+            // drains it). With a fault oracle attached the outcome can
+            // flip mid-span and its per-attempt queries count, so never
+            // freeze then; with cycle skipping off the eager reference
+            // probes every cycle.
+            if (!fault && config_.cycleSkipping)
                 ldstHeadStall_ = static_cast<uint8_t>(outcome);
             break;
         }
@@ -1103,6 +1139,10 @@ Sm::skipCycles(Cycle first, uint64_t count)
                       "SM ", id_, " credited a skipped span with a live "
                       "LD/ST head — nextEventCycle lied about the span "
                       "being dead");
+        // Probe as the span saw it: a returned injection credit would
+        // have ended a FailIcnt head's span, and FailTag and FailMshr do
+        // not read the credit.
+        checkFrozenHead(false, first);
         stats_.hot.busyLdst += count;
         stats_.l1AccessCycle(static_cast<AccessOutcome>(ldstHeadStall_),
                              count);
@@ -1122,10 +1162,6 @@ Sm::skipCycles(Cycle first, uint64_t count)
 void
 Sm::receiveResponse(ReqHandle req_handle, Cycle now)
 {
-    // Response delivery runs after ldstCycle within a tick; the fill below
-    // frees the very resource the head stalled on, so the frozen-outcome
-    // claim no longer holds past this cycle.
-    ldstHeadStall_ = kNoStall;
     // Injected dropped fill (gcl::guard): the response vanishes, leaking
     // the MSHR entry and every merged request — the livelock case the
     // forward-progress watchdog exists to catch. (The pooled request leaks
@@ -1143,6 +1179,15 @@ Sm::receiveResponse(ReqHandle req_handle, Cycle now)
     const ServiceLevel level = req.level;
     const Cycle t_l2_done = req.tL2Done;
     const Cycle t_arrive_l2 = req.tArriveL2;
+
+    // A frozen FailTag head waits on a way of its own set, a FailMshr
+    // head on its reserved line's merge list (same set) or on an entry of
+    // a full MSHR: any other fill leaves their probe as it was. A
+    // FailIcnt head waits on an injection credit alone.
+    if (ldstHeadStall_ != kNoStall && !ldstStalledOnIcnt() &&
+        (l1_.mshrFull() ||
+         l1_.sameSet(line_addr, pools_.reqs.get(headRequest()).lineAddr)))
+        ldstHeadStall_ = kNoStall;
 
     ReqHandle waiting = l1_.fill(line_addr);
     while (waiting != kNullHandle) {

@@ -108,11 +108,11 @@ class Sm
     static constexpr Cycle kNoEvent = ~Cycle{0};
 
     /**
-     * True when the LD/ST head's frozen failure is FailIcnt — the one
-     * stall an L1 fill cannot clear. The Gpu freezes it into a sleeping
-     * SM's gate bit and pairs that with Interconnect::canInject to
-     * detect the injection-credit event that un-freezes the head (a
-     * queue pop by the request arbitration).
+     * True when the LD/ST head's frozen failure is FailIcnt: the head
+     * already passed the tag and MSHR checks, so only an injection credit
+     * (a queue pop by the request arbitration) changes its outcome. The
+     * Gpu puts a sleeping SM with such a head behind a gate and pairs it
+     * with Interconnect::canInject to detect that credit.
      */
     bool
     ldstStalledOnIcnt() const
@@ -131,7 +131,12 @@ class Sm
      */
     void skipCycles(Cycle first, uint64_t count);
 
-    /** A memory response arrived from the interconnect. */
+    /**
+     * A memory response arrived from the interconnect. Its fill un-freezes
+     * a FailTag or FailMshr LD/ST head only when it can change the head's
+     * outcome: the fill lands in the head line's L1 set, or the L1 MSHR
+     * was full before it.
+     */
     void receiveResponse(ReqHandle req, Cycle now);
 
     /** Pop and process every response deliverable to this SM this cycle. */
@@ -213,6 +218,15 @@ class Sm
 
     // --- LD/ST unit ---
     void ldstCycle(Cycle now, Interconnect &icnt);
+    /** The request the LD/ST head issues next (a global op's). */
+    ReqHandle headRequest() const;
+    /**
+     * Checked builds (GCL_POOL_CHECKED): re-probe the L1 with the frozen
+     * head's request and fail the run with an invariant SimError when the
+     * outcome differs from ldstHeadStall_. @p can_inject is what the
+     * eager loop would pass at this point. A no-op otherwise.
+     */
+    void checkFrozenHead(bool can_inject, Cycle now);
     void startMemOp(int slot, size_t pc, const ptx::Instruction &inst,
                     const StepInfo &info, Cycle now);
     void completeRequest(ReqHandle req, Cycle now);
@@ -329,19 +343,23 @@ class Sm
     static constexpr uint8_t kNoStall = 0xff;
 
     /**
-     * The AccessOutcome the LD/ST head's last retry failed with, when
+     * The AccessOutcome the LD/ST head's last probe failed with, when
      * that failure is deterministic until an external event: a
-     * FailTag/FailMshr/FailIcnt load with no fault oracle attached.
-     * FailTag/FailMshr depend only on L1 tag/MSHR state, which nothing
-     * but Cache::fill (a response delivery) can change; FailIcnt depends
-     * only on the SM's injection-queue occupancy, which sits at its cap
-     * and only drains by request arbitration (a pop flips canInject and
-     * ends the span). Cache::access mutates nothing on a fail, so every
-     * retry across the span repeats the same outcome and the same stat
-     * deltas, which skipCycles credits in bulk. kNoStall otherwise (head
-     * making progress, shared ops, or fault windows active — a fault
-     * flips outcomes mid-span and counts per-attempt queries).
-     * Recomputed by every ldstCycle retry; cleared on response arrival.
+     * FailTag/FailMshr/FailIcnt load with cycle skipping on and no fault
+     * oracle attached. FailTag/FailMshr depend only on L1 tag/MSHR state,
+     * which nothing but Cache::fill (a response delivery) can change, and
+     * only a fill into the head line's set or into a full MSHR can change
+     * them (receiveResponse). FailIcnt depends only on the SM's
+     * injection-queue occupancy, which sits at its cap and only drains by
+     * request arbitration. Cache::access mutates nothing on a fail, so
+     * every retry while frozen repeats the same outcome and the same stat
+     * deltas: ldstCycle counts them without probing, skipCycles credits
+     * them in bulk. kNoStall otherwise (head making progress, shared ops,
+     * stores and atomics, fault windows active — a fault flips outcomes
+     * mid-span and counts per-attempt queries — or cycle_skipping=0, the
+     * eager reference that probes every cycle). Set by a failed probe;
+     * cleared by the probe a FailIcnt head makes once canInject holds and
+     * by an un-freezing fill.
      */
     uint8_t ldstHeadStall_ = kNoStall;
 

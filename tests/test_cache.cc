@@ -129,6 +129,60 @@ TEST_F(CacheTest, FailedAccessHasNoSideEffects)
     EXPECT_TRUE(cache.isHit(0));
 }
 
+TEST_F(CacheTest, FillOutsideTheSetIntoAFreeMshrKeepsEveryFail)
+{
+    // The LD/ST head's fill rule (Sm::receiveResponse): a frozen fail
+    // stays frozen through a fill that lands outside the head line's set
+    // while the MSHR has a free entry. Sets here: 0 holds lines 0, 256,
+    // 512, ...; 1 holds 128, 384, ...
+    auto fill_elsewhere_keeps = [&](Cache &cache, uint64_t head,
+                                    bool can_inject, AccessOutcome fail) {
+        ASSERT_EQ(cache.access(makeReq(head), can_inject), fail);
+        ASSERT_FALSE(cache.sameSet(head, 128));
+        ASSERT_FALSE(cache.mshrFull());
+        EXPECT_EQ(chain(cache.fill(128)).size(), 1u);
+        EXPECT_EQ(cache.access(makeReq(head), can_inject), fail)
+            << toString(fail);
+    };
+    auto config = smallConfig();
+    config.mshrEntries = 8;
+    {
+        // FailTag: both ways of set 0 reserved.
+        Cache cache("t", config, pools);
+        EXPECT_EQ(cache.access(makeReq(0), true), AccessOutcome::Miss);
+        EXPECT_EQ(cache.access(makeReq(256), true), AccessOutcome::Miss);
+        EXPECT_EQ(cache.access(makeReq(128), true), AccessOutcome::Miss);
+        fill_elsewhere_keeps(cache, 512, true, AccessOutcome::FailTag);
+    }
+    {
+        // FailMshr: line 0's merge list is full (depth 2).
+        Cache cache("t", config, pools);
+        EXPECT_EQ(cache.access(makeReq(0), true), AccessOutcome::Miss);
+        EXPECT_EQ(cache.access(makeReq(0), true),
+                  AccessOutcome::HitReserved);
+        EXPECT_EQ(cache.access(makeReq(128), true), AccessOutcome::Miss);
+        fill_elsewhere_keeps(cache, 0, true, AccessOutcome::FailMshr);
+    }
+    {
+        // FailIcnt: tag and MSHR checks pass, no injection space.
+        Cache cache("t", config, pools);
+        EXPECT_EQ(cache.access(makeReq(128), true), AccessOutcome::Miss);
+        fill_elsewhere_keeps(cache, 0, false, AccessOutcome::FailIcnt);
+    }
+    {
+        // Why the rule's second clause exists: with the MSHR full, a fill
+        // in any set frees the entry a FailMshr head waits on.
+        Cache cache("t", smallConfig(), pools);  // 2 MSHR entries
+        EXPECT_EQ(cache.access(makeReq(0), true), AccessOutcome::Miss);
+        EXPECT_EQ(cache.access(makeReq(128), true), AccessOutcome::Miss);
+        EXPECT_EQ(cache.access(makeReq(256), true), AccessOutcome::FailMshr);
+        EXPECT_TRUE(cache.mshrFull());
+        EXPECT_FALSE(cache.sameSet(256, 128));
+        EXPECT_EQ(chain(cache.fill(128)).size(), 1u);
+        EXPECT_EQ(cache.access(makeReq(256), true), AccessOutcome::Miss);
+    }
+}
+
 TEST_F(CacheTest, LruEvictsLeastRecentlyUsed)
 {
     Cache cache("t", smallConfig(), pools);

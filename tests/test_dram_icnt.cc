@@ -15,6 +15,7 @@
 #include "guard/sim_error.hh"
 #include "sim/dram.hh"
 #include "sim/interconnect.hh"
+#include "util/bitutil.hh"
 
 namespace
 {
@@ -319,8 +320,10 @@ TEST_F(IcntTest, MatchesReferenceModel)
     // contention all happen. The cycle follows the Gpu's order: SMs
     // inject, the crossbar arbitrates, partitions pop arrivals and
     // respond, SMs pop responses. Every cycle the crossbar must agree
-    // with the model on canInject, canRespond, hasRequest, hasResponse
-    // and every popped handle. Quiet phases let the network drain.
+    // with the model on canInject, canRespond, hasRequest, hasResponse,
+    // the delivery-pending bit of every SM (after the arbitration and
+    // after the pops) and every popped handle. Quiet phases let the
+    // network drain.
     for (const unsigned latency : {0u, 3u}) {
         for (unsigned depths = 0; depths < 8; ++depths) {
             GpuConfig config;
@@ -361,6 +364,14 @@ TEST_F(IcntTest, MatchesReferenceModel)
 
                 icnt.cycle(now);
                 model.cycle(now);
+                auto expect_pending = [&](const char *stage) {
+                    for (unsigned sm = 0; sm < config.numSms; ++sm)
+                        ASSERT_EQ(gcl::testBit(icnt.deliveryPending(), sm),
+                                  !model.toSm[sm].empty())
+                            << label << ", cycle " << now << ", sm " << sm
+                            << ", " << stage;
+                };
+                expect_pending("after the arbitration");
 
                 for (unsigned part = 0; part < config.numPartitions;
                      ++part) {
@@ -415,6 +426,7 @@ TEST_F(IcntTest, MatchesReferenceModel)
                     ASSERT_FALSE(icnt.hasResponse(static_cast<int>(sm), now))
                         << label << ", cycle " << now << ", sm " << sm;
                 }
+                expect_pending("after the pops");
             }
             EXPECT_GT(moved, 1000u) << label;
             // Free what is still in flight so the pool does not fill up

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/scheduler.hh"
@@ -47,6 +48,23 @@ TEST(Exec, ResolveJobsPrecedence)
 
     // fallback 0 = one job per hardware thread
     EXPECT_EQ(resolveJobs(0, nullptr, 0), hardwareThreads());
+}
+
+TEST(ExecDeathTest, MalformedJobsEnvIsFatal)
+{
+    // resolveJobs only reads the count; it starts no thread. A sign or
+    // trailing text must exit 1 naming the variable, not run as 2^32 - 2
+    // or as 2 jobs. The variable is set in the death test's child only.
+    for (const char *value : {"-2", "2x"})
+        EXPECT_EXIT(
+            {
+                setenv("GCL_BENCH_JOBS", value, 1);
+                resolveJobs(0, "GCL_BENCH_JOBS");
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("fatal: GCL_BENCH_JOBS=") + value +
+                " is not a job count")
+            << value;
 }
 
 TEST(Exec, InlineWhenSingleJobPreservesOrder)

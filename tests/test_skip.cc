@@ -5,9 +5,10 @@
  * with skipping on must produce stats and trace streams BYTE-identical to
  * the eager reference, every unit ticked every cycle — with timeline
  * samples, under injected fault pressure, with a zero-latency or
- * backed-up crossbar, on op classes whose initiation interval exceeds
- * their latency, around CTA placements, and in how it trips the
- * --max-cycles deadline and the watchdog's hang.
+ * backed-up crossbar, on more than 64 units, with a starved L1, on op
+ * classes whose initiation interval exceeds their latency, around CTA
+ * placements, and in how it trips the --max-cycles deadline and the
+ * watchdog's hang.
  *
  * This is the bit-identity proof referenced from Gpu::launch and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
@@ -126,6 +127,15 @@ TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
     GpuConfig long_initiation{};
     long_initiation.applyOverrides(
         "op_int_alu=1:2,op_fp_mul=4:8,op_sfu=16:64,watchdog_budget=200000");
+    // 68 units: the awake, gated and delivery-pending bitsets use a
+    // second word. A starved L1 (4 MSHRs, 2 requests per line) freezes
+    // LD/ST heads on FailTag and FailMshr and lands fills both inside
+    // and outside a frozen head's set: only a fill into its set or into
+    // a full MSHR may un-freeze it.
+    GpuConfig wide{};
+    wide.applyOverrides("num_sms=60,num_partitions=8");
+    GpuConfig starved_l1{};
+    starved_l1.applyOverrides("l1_mshr=4,l1_mshr_merge=2");
     for (const std::string app : {"gaus", "bpr"}) {
         expectIdentical(runClean(app, true), runClean(app, false), app);
         expectIdentical(runClean(app, true, {}, 200),
@@ -137,6 +147,11 @@ TEST(Skip, ArtifactsBitIdenticalWithSkippingOnAndOff)
         expectIdentical(runClean(app, true, backed_up),
                         runClean(app, false, backed_up),
                         app + " one-deep crossbar queues");
+        expectIdentical(runClean(app, true, wide),
+                        runClean(app, false, wide), app + " 68 units");
+        expectIdentical(runClean(app, true, starved_l1),
+                        runClean(app, false, starved_l1),
+                        app + " l1_mshr=4,l1_mshr_merge=2");
     }
     for (const std::string app : {"gaus", "bpr", "mriq"})
         expectIdentical(runClean(app, true, long_initiation),

@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit tests for the utility layer: RNG, histogram, stats container,
- * table writer, and bit utilities.
+ * table writer, bit utilities and the count parser.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/bitutil.hh"
+#include "util/count.hh"
 #include "util/histogram.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -53,6 +57,72 @@ TEST(BitUtil, Rounding)
     EXPECT_EQ(gcl::roundDown(255, 128), 128u);
     EXPECT_EQ(gcl::divCeil(10, 3), 4u);
     EXPECT_EQ(gcl::divCeil(9, 3), 3u);
+}
+
+TEST(BitUtil, WordBitsetsWalkInOrderAcrossWords)
+{
+    // 68 bits, as for 60 SMs and 8 partitions: the walk must cross into
+    // the second word and stop at the range ends.
+    std::vector<uint64_t> bits(2, 0);
+    for (const size_t i : {0, 5, 59, 60, 63, 64, 67})
+        gcl::setBit(bits, i);
+    gcl::clearBit(bits, 5);
+    EXPECT_TRUE(gcl::testBit(bits, 64));
+    EXPECT_FALSE(gcl::testBit(bits, 5));
+
+    auto walk = [&bits](size_t first, size_t last, bool set) {
+        std::vector<size_t> seen;
+        auto record = [&seen](size_t i) { seen.push_back(i); };
+        if (set)
+            gcl::forEachSetBit(bits, first, last, record);
+        else
+            gcl::forEachClearBit(bits, first, last, record);
+        return seen;
+    };
+    EXPECT_EQ(walk(0, 68, true),
+              (std::vector<size_t>{0, 59, 60, 63, 64, 67}));
+    EXPECT_EQ(walk(0, 60, true), (std::vector<size_t>{0, 59}));
+    EXPECT_EQ(walk(60, 68, true), (std::vector<size_t>{60, 63, 64, 67}));
+    EXPECT_EQ(walk(61, 67, true), (std::vector<size_t>{63, 64}));
+    EXPECT_EQ(walk(58, 68, false), (std::vector<size_t>{58, 61, 62, 65, 66}));
+    EXPECT_TRUE(walk(64, 64, true).empty());
+
+    // A walk may clear the bit it visits (a unit falling asleep).
+    std::vector<size_t> cleared;
+    gcl::forEachSetBit(bits, 0, 68, [&](size_t i) {
+        gcl::clearBit(bits, i);
+        cleared.push_back(i);
+    });
+    EXPECT_EQ(cleared, (std::vector<size_t>{0, 59, 60, 63, 64, 67}));
+    EXPECT_EQ(bits, (std::vector<uint64_t>{0, 0}));
+}
+
+TEST(CountDeathTest, ParseCountTakesDecimalDigitsOnly)
+{
+    EXPECT_EQ(gcl::parseCount("--n", "007", "count", false), 7u);
+    EXPECT_EQ(gcl::parseCount("--n", "0", "count", true), 0u);
+    EXPECT_EQ(gcl::parseCount("--n", "18446744073709551615", "count", false),
+              UINT64_MAX);
+    EXPECT_EQ(gcl::parseCount("--n", "4294967295", "count", false,
+                              UINT32_MAX),
+              UINT32_MAX);
+    // A sign, trailing or leading text, the empty value, overflow of the
+    // type and of a caller's bound, and 0 where it is not allowed.
+    const std::pair<const char *, uint64_t> bad[] = {
+        {"-2", UINT64_MAX},
+        {"2x", UINT64_MAX},
+        {" 2", UINT64_MAX},
+        {"", UINT64_MAX},
+        {"18446744073709551616", UINT64_MAX},
+        {"4294967296", UINT32_MAX},
+    };
+    for (const auto &[text, max] : bad)
+        EXPECT_EXIT(gcl::parseCount("--n", text, "count", true, max),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: --n=") + text + " is not a count")
+            << '"' << text << '"';
+    EXPECT_EXIT(gcl::parseCount("--n", "0", "count", false),
+                ::testing::ExitedWithCode(1), "fatal: --n=0 is not a count");
 }
 
 TEST(Rng, DeterministicAcrossInstances)
