@@ -12,6 +12,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 
 #include "crit/report.hh"
@@ -69,6 +70,26 @@ cacheDir()
     return "bench_results";
 }
 
+/** The flags initBench() parsed. */
+struct Options
+{
+    std::string traceOut;          //!< Chrome trace-event JSON path
+    std::string statsJson;         //!< stats JSON path
+    std::string statsCsv;          //!< stats CSV path
+    uint64_t timelineInterval = 0; //!< counter sampling period (cycles)
+    bool fresh = false;            //!< bypass the run cache
+    std::vector<std::string> apps; //!< suite filter (empty = all)
+    unsigned jobs = 0;             //!< --jobs value (0 = unset/env/serial)
+    uint64_t maxCycles = 0;        //!< per-run cycle budget (0 = default)
+    std::string machine;           //!< --machine spec (name or path)
+    std::string simConfig;         //!< key=value config overrides
+    std::string faultPlan;         //!< guard::FaultPlan spec
+    bool crit = false;             //!< enable the criticality profiler
+    unsigned critTopN = 10;        //!< critical-load table depth
+    std::string critOut;           //!< crit report path (implies crit)
+    std::string sample;            //!< sampled-simulation spec (empty = off)
+};
+
 Options g_options;
 
 /** Parsed --fault-plan / GCL_FAULT_PLAN (validated in initBench). */
@@ -81,9 +102,9 @@ sim::GpuConfig g_machineConfig;
 std::vector<std::pair<std::string, SimFailure>> g_failures;
 
 /**
- * Trace/export state living for the whole process (all runApp calls).
- * Touched only from the main thread: parallel jobs write into private
- * per-run fragments that the main thread merges in canonical order.
+ * Trace/export state living for the whole process. Touched only from the
+ * main thread: traced runs write into their own spill files, which the
+ * main thread splices in declaration order.
  */
 struct ExportState
 {
@@ -258,14 +279,15 @@ cacheDisabled()
     return env && env[0] == '1';
 }
 
-std::filesystem::path
-cachePath(const std::string &name, const sim::GpuConfig &config)
+/** A run's cache entry name: one per (app, dataset, config fingerprint). */
+std::string
+cacheKey(const std::string &name, const sim::GpuConfig &config)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s.v%u.%016llx.stats", name.c_str(),
                   kDatasetVersion,
                   static_cast<unsigned long long>(config.fingerprint()));
-    return cacheDir() / buf;
+    return buf;
 }
 
 /**
@@ -394,14 +416,14 @@ simulate(workloads::SimContext &ctx)
     result.verified = ctx.verified();
     result.stats = ctx.stats();
     result.failure = ctx.failure();
-    result.dormantCycles = ctx.dormantCycles();
     // One whole line per finished simulation (safe from worker threads):
-    // how many unit-cycles per-unit sleep left unticked.
+    // how many unit-cycles per-unit sleep left unticked, a host-side
+    // diagnostic that never enters the stats.
     if (!result.failure.failed && result.stats.has("cycles"))
         std::fprintf(stderr,
                      "[bench] %s: %.0f cycles, sim.dormant_cycles=%llu\n",
                      result.name.c_str(), result.stats.get("cycles"),
-                     static_cast<unsigned long long>(result.dormantCycles));
+                     static_cast<unsigned long long>(ctx.dormantCycles()));
     return result;
 }
 
@@ -491,28 +513,28 @@ appConfig(const std::string &name, const sim::GpuConfig &base)
     // alias a full-detail sweep's.
     if (!g_options.sample.empty())
         config.sample = g_options.sample;
-    if (g_options.ffWarm >= 0)
-        config.ffWarm = g_options.ffWarm != 0;
     return config;
+}
+
+/** The Table I applications --apps selects, in Table I order. */
+std::vector<std::string>
+suiteApps()
+{
+    std::vector<std::string> apps;
+    for (const auto &workload : workloads::all())
+        if (g_options.apps.empty() ||
+            std::find(g_options.apps.begin(), g_options.apps.end(),
+                      workload.name) != g_options.apps.end())
+            apps.push_back(workload.name);
+    return apps;
 }
 
 } // namespace
 
-const Options &
-options()
+std::vector<std::string>
+initBench(int argc, char **argv, const std::string &usage)
 {
-    return g_options;
-}
-
-unsigned
-effectiveJobs()
-{
-    return exec::resolveJobs(g_options.jobs, "GCL_BENCH_JOBS", 1);
-}
-
-void
-initBench(int argc, char **argv)
-{
+    std::vector<std::string> positional;
     auto value = [](const char *arg, const char *flag) -> const char * {
         const size_t n = std::strlen(flag);
         if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=')
@@ -568,16 +590,12 @@ initBench(int argc, char **argv)
             g_options.crit = true;
         } else if (const char *v = value(arg, "--sample")) {
             g_options.sample = v;
-        } else if (const char *v = value(arg, "--ff-warm")) {
-            if (std::strcmp(v, "0") != 0 && std::strcmp(v, "1") != 0)
-                gcl_fatal("--ff-warm=", v, " is not 0 or 1");
-            g_options.ffWarm = v[0] - '0';
         } else if (std::strcmp(arg, "--fresh") == 0) {
             g_options.fresh = true;
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
+            std::fputs(usage.c_str(), stdout);
             std::printf(
-                "usage: %s [options]\n"
                 "  --trace-out=FILE         Chrome trace-event JSON "
                 "(load in Perfetto)\n"
                 "  --timeline-interval=N    sample occupancy counters "
@@ -586,10 +604,10 @@ initBench(int argc, char **argv)
                 "as JSON\n"
                 "  --stats-csv=FILE         same, flat CSV "
                 "(app,kind,key,bucket,value)\n"
-                "  --apps=a,b,c             restrict the suite to these "
-                "applications\n"
+                "  --apps=a,b,c             restrict the suite runs to "
+                "these applications\n"
                 "  --fresh                  ignore the on-disk run cache\n"
-                "  --jobs=N                 simulate up to N apps "
+                "  --jobs=N                 simulate up to N runs "
                 "concurrently (0 = #cores;\n"
                 "                           default GCL_BENCH_JOBS, "
                 "else 1)\n"
@@ -630,13 +648,10 @@ initBench(int argc, char **argv)
                 "and extrapolate\n"
                 "                           (kernels:K1:K2 | ctas:S:L | "
                 "every:N; grammar\n"
-                "                           in src/sim/sample.hh)\n"
-                "  --ff-warm=0|1            warm cache tags from the "
-                "fast-forwarded\n"
-                "                           address stream before each "
-                "window (default 1)\n",
-                argv[0]);
+                "                           in src/sim/sample.hh)\n");
             std::exit(0);
+        } else if (arg[0] != '-') {
+            positional.push_back(arg);
         } else {
             gcl_fatal("unknown argument '", arg, "' (try --help)");
         }
@@ -714,7 +729,7 @@ initBench(int argc, char **argv)
 
     if (g_options.traceOut.empty() && g_options.statsJson.empty() &&
         g_options.statsCsv.empty() && g_options.critOut.empty())
-        return;
+        return positional;
 
     static ExportState state;
     g_export = &state;
@@ -736,6 +751,7 @@ initBench(int argc, char **argv)
             g_options.timelineInterval = 1000;
     }
     std::atexit(finishExports);
+    return positional;
 }
 
 sim::GpuConfig
@@ -744,178 +760,157 @@ defaultConfig()
     return g_machineConfig;
 }
 
-AppResult
-runApp(const std::string &name, const sim::GpuConfig &config)
+std::vector<Run>
+suiteRuns(const sim::GpuConfig &config)
 {
-    const auto &workload = workloads::byName(name);
-    const sim::GpuConfig run_config = appConfig(name, config);
-
-    AppResult result;
-    result.name = name;
-    result.category = workloads::toString(workload.category);
-
-    // A cached stats file has no events in it: tracing forces a fresh
-    // simulation (the stats it produces are identical, so re-caching is
-    // still valid).
-    const auto path = cachePath(name, run_config);
-    if (!tracing() && !cacheDisabled() && loadCached(path, result)) {
-        recordResult(result, run_config);
-        return result;
-    }
-
-    workloads::SimContext ctx(workload, run_config);
-    if (tracing()) {
-        const int pid = g_export->nextPid++;
-        g_export->writer->beginProcess(pid, name,
-                                       run_config.machineName);
-        ctx.enableTrace(g_options.timelineInterval,
-                        g_export->writer->drain(), traceIdBase(pid));
-    }
-    usePrefix(ctx, run_config);
-    result = simulate(ctx);
-
-    noteFailure(result);
-    storeCached(path, result);
-    recordResult(result, run_config);
-    return result;
+    std::vector<Run> runs;
+    for (const std::string &app : suiteApps())
+        runs.push_back({app, config});
+    return runs;
 }
 
-std::vector<AppResult>
-runSuite(const sim::GpuConfig &config)
+const AppResult &
+Results::at(const std::string &app, const sim::GpuConfig &config) const
 {
-    // Select in Table I order; force the (lazily-built) registry before
-    // any worker thread can race on its initialization.
-    std::vector<const workloads::Workload *> selected;
-    for (const auto &workload : workloads::all()) {
-        if (!g_options.apps.empty() &&
-            std::find(g_options.apps.begin(), g_options.apps.end(),
-                      workload.name) == g_options.apps.end())
-            continue;
-        selected.push_back(&workload);
-    }
+    const std::string key = cacheKey(app, appConfig(app, config));
+    const auto it = byKey_.find(key);
+    if (it == byKey_.end())
+        gcl_fatal("artifact reads run ", key, ", which it did not declare");
+    return it->second;
+}
 
-    const unsigned jobs = effectiveJobs();
-    if (jobs <= 1 || selected.size() <= 1) {
-        // Serial path: the historical loop, byte for byte.
-        std::vector<AppResult> results;
-        results.reserve(selected.size());
-        for (const auto *workload : selected) {
-            if (guard::cancelRequested()) {
-                results.push_back(skippedResult(*workload));
-                noteFailure(results.back());
-                continue;
-            }
-            std::fprintf(stderr, "[bench] %s ...\n",
-                         workload->name.c_str());
-            results.push_back(runApp(workload->name, config));
-        }
-        summarizeSweep(results);
-        return results;
-    }
+std::vector<const AppResult *>
+Results::suite(const sim::GpuConfig &config) const
+{
+    std::vector<const AppResult *> out;
+    for (const std::string &app : suiteApps())
+        out.push_back(&at(app, config));
+    return out;
+}
 
-    // Parallel path. Result slots are pre-sized so every job writes only
-    // its own element and the output order is canonical regardless of
-    // completion order.
-    std::vector<sim::GpuConfig> configs;
-    configs.reserve(selected.size());
-    for (const auto *workload : selected)
-        configs.push_back(appConfig(workload->name, config));
-    std::vector<AppResult> results(selected.size());
-
-    // 1) Satisfy what we can from the cache (cheap, so done inline).
-    std::vector<char> done(selected.size(), 0);
-    if (!tracing() && !cacheDisabled()) {
-        for (size_t i = 0; i < selected.size(); ++i) {
-            AppResult &r = results[i];
-            r.name = selected[i]->name;
-            r.category = workloads::toString(selected[i]->category);
-            done[i] = loadCached(cachePath(r.name, configs[i]), r) ? 1 : 0;
-            if (done[i])
-                std::fprintf(stderr, "[bench] %s ...\n", r.name.c_str());
-        }
-    }
-
-    // 2) Schedule the misses. Each job owns a SimContext and (when
-    //    tracing) a private sink draining into a private fragment; pids
-    //    are assigned here, in canonical order, so the merged trace is
-    //    numbered exactly like a serial one.
-    struct RunJob
+Results
+runApps(const std::vector<Run> &runs)
+{
+    // 1) One slot per distinct cache key, in declaration order. Resolving
+    //    the workloads here also forces the (lazily-built) registry before
+    //    any worker thread can race on its initialization.
+    struct Slot
     {
-        size_t slot = 0;
-        std::unique_ptr<workloads::SimContext> ctx;
-        // Heap-allocated: the fragment writer keeps a reference to the
-        // stream, which must stay put when RunJobs move around the vector.
-        std::unique_ptr<std::ostringstream> fragmentBody;
+        const workloads::Workload *workload = nullptr;
+        sim::GpuConfig config;
+        std::string key;
+        // When tracing: this run's pid, its spill file and the fragment
+        // writer streaming into it (heap-allocated, so the writer's
+        // reference to the stream survives the vector growing).
+        int pid = 0;
+        std::string spillPath;
+        std::unique_ptr<std::ofstream> spill;
         std::unique_ptr<trace::ChromeTraceWriter> fragment;
     };
-    std::vector<RunJob> pending;
-    for (size_t i = 0; i < selected.size(); ++i) {
-        if (done[i])
-            continue;
-        RunJob job;
-        job.slot = i;
-        job.ctx = std::make_unique<workloads::SimContext>(*selected[i],
-                                                          configs[i]);
-        if (tracing()) {
-            const int pid = g_export->nextPid++;
-            job.fragmentBody = std::make_unique<std::ostringstream>();
-            job.fragment = std::make_unique<trace::ChromeTraceWriter>(
-                *job.fragmentBody, /*fragment=*/true);
-            job.fragment->beginProcess(pid, selected[i]->name,
-                                       configs[i].machineName);
-            job.ctx->enableTrace(g_options.timelineInterval,
-                                 job.fragment->drain(), traceIdBase(pid));
-        }
-        usePrefix(*job.ctx, configs[i]);
-        pending.push_back(std::move(job));
+    std::vector<Slot> slots;
+    std::set<std::string> declared;
+    for (const Run &run : runs) {
+        Slot slot;
+        slot.workload = &workloads::byName(run.app);
+        slot.config = appConfig(run.app, run.config);
+        slot.key = cacheKey(run.app, slot.config);
+        if (declared.insert(slot.key).second)
+            slots.push_back(std::move(slot));
     }
 
-    exec::parallelFor(jobs, pending.size(), [&](size_t j) {
-        RunJob &job = pending[j];
-        // A cancelled sweep stops launching: queued runs become explicit
+    // 2) Load the cache hits inline. The rest are misses; when tracing,
+    //    each gets a pid in declaration order and a fragment writer on its
+    //    own spill file, so the merged trace does not depend on the job
+    //    count and no run's events stay in memory.
+    std::vector<AppResult> results(slots.size());
+    std::vector<size_t> misses;
+    for (size_t i = 0; i < slots.size(); ++i) {
+        Slot &slot = slots[i];
+        AppResult &result = results[i];
+        result.name = slot.workload->name;
+        result.category = workloads::toString(slot.workload->category);
+        if (!tracing() && !cacheDisabled() &&
+            loadCached(cacheDir() / slot.key, result)) {
+            std::fprintf(stderr, "[bench] %s ...\n", result.name.c_str());
+            continue;
+        }
+        misses.push_back(i);
+        if (!tracing())
+            continue;
+        slot.pid = g_export->nextPid++;
+        slot.spillPath = g_export->traceTmp + "." + std::to_string(slot.pid);
+        slot.spill = std::make_unique<std::ofstream>(
+            slot.spillPath, std::ios::out | std::ios::trunc);
+        if (!*slot.spill)
+            gcl_fatal("cannot open trace spill file '", slot.spillPath, "'");
+        slot.fragment = std::make_unique<trace::ChromeTraceWriter>(
+            *slot.spill, /*fragment=*/true);
+        slot.fragment->beginProcess(slot.pid, result.name,
+                                    slot.config.machineName);
+    }
+
+    // 3) Simulate the misses, inline and in order at one job.
+    const unsigned jobs = exec::resolveJobs(g_options.jobs, "GCL_BENCH_JOBS");
+    exec::parallelFor(jobs, misses.size(), [&](size_t j) {
+        Slot &slot = slots[misses[j]];
+        // A cancelled batch stops launching: queued runs become explicit
         // "skipped" records instead of burning cycles just to cancel
         // themselves a few thousand ticks in.
         if (guard::cancelRequested()) {
-            results[job.slot] = skippedResult(job.ctx->workload());
+            results[misses[j]] = skippedResult(*slot.workload);
             return;
         }
         std::fprintf(stderr, "[bench] %s ...\n",
-                     job.ctx->workload().name.c_str());
-        results[job.slot] = simulate(*job.ctx);
+                     slot.workload->name.c_str());
+        workloads::SimContext ctx(*slot.workload, slot.config);
+        if (slot.fragment)
+            ctx.enableTrace(g_options.timelineInterval,
+                            slot.fragment->drain(), traceIdBase(slot.pid));
+        usePrefix(ctx, slot.config);
+        results[misses[j]] = simulate(ctx);
     });
 
-    // 3) Publish — cache entries, trace fragments, export records — on
-    //    the calling thread, in canonical order.
-    for (RunJob &job : pending) {
-        if (job.fragment) {
-            job.fragment->close();
-            g_export->writer->appendFragment(job.fragmentBody->str(),
-                                             job.fragment->eventsWritten());
+    // 4) Publish, on the calling thread, in declaration order.
+    for (size_t i : misses) {
+        Slot &slot = slots[i];
+        if (slot.fragment) {
+            slot.fragment->close();
+            slot.spill->close();
+            std::ifstream spill(slot.spillPath);
+            g_export->writer->appendFragment(
+                spill, slot.fragment->eventsWritten());
+            std::error_code ec;
+            std::filesystem::remove(slot.spillPath, ec);
         }
-        noteFailure(results[job.slot]);
-        storeCached(cachePath(results[job.slot].name, configs[job.slot]),
-                    results[job.slot]);
+        noteFailure(results[i]);
+        storeCached(cacheDir() / slot.key, results[i]);
     }
-    for (size_t i = 0; i < results.size(); ++i)
-        recordResult(results[i], configs[i]);
     summarizeSweep(results);
-    return results;
+    Results out;
+    for (size_t i = 0; i < slots.size(); ++i) {
+        recordResult(results[i], slots[i].config);
+        out.byKey_.emplace(slots[i].key, std::move(results[i]));
+    }
+    return out;
 }
 
 void
-printHeader(const std::string &title, const sim::GpuConfig &config)
+printHeader(const std::string &title, const sim::GpuConfig &config,
+            std::ostream &out)
 {
-    std::printf("== %s ==\n", title.c_str());
-    std::printf("machine %s, config fingerprint %016llx, cache %s\n",
-                config.machineName.c_str(),
-                static_cast<unsigned long long>(config.fingerprint()),
-                cacheDisabled() ? "disabled" : cacheDir().string().c_str());
+    char fp[32];
+    std::snprintf(fp, sizeof(fp), "%016llx",
+                  static_cast<unsigned long long>(config.fingerprint()));
+    out << "== " << title << " ==\n"
+        << "machine " << config.machineName << ", config fingerprint " << fp
+        << '\n';
     if (!g_options.simConfig.empty())
-        std::printf("sim-config overrides: %s\n",
-                    g_options.simConfig.c_str());
+        out << "sim-config overrides: " << g_options.simConfig << '\n';
     if (!g_options.faultPlan.empty())
-        std::printf("fault plan: %s\n", g_options.faultPlan.c_str());
-    std::printf("\n");
+        out << "fault plan: " << g_options.faultPlan << '\n';
+    out << '\n';
+    std::fprintf(stderr, "[bench] cache %s\n",
+                 cacheDisabled() ? "disabled" : cacheDir().string().c_str());
 }
 
 int

@@ -1,17 +1,19 @@
 /**
  * @file
- * Shared experiment runner for the figure/table benches.
+ * Shared experiment runner behind bench/gcl_paper.
  *
- * Every bench binary regenerates its figure from the same 15-application
- * simulation sweep. Since one sweep costs the better part of a minute, the
- * runner memoizes finished runs on disk keyed by (application, dataset
- * version, config fingerprint); running every binary in build/bench
- * therefore simulates each configuration once and replays it everywhere
- * else. Set GCL_BENCH_FRESH=1 to ignore the cache, GCL_BENCH_CACHE to move
- * it (default: ./bench_results).
+ * Every artifact of the paper reads runs of the 15-application suite,
+ * some under several configs. runApps() takes the runs of every artifact
+ * asked for as one batch of (application, config) pairs: it drops the
+ * pairs that share a cache key, loads the cache hits, simulates the misses
+ * on a gcl::exec pool of --jobs workers (inline and in order at one job)
+ * and publishes cache entries, export records and trace fragments in
+ * declaration order. Finished runs are memoized on disk keyed by
+ * (application, dataset version, config fingerprint), so a second
+ * gcl_paper replays them. Set GCL_BENCH_FRESH=1 to ignore the cache,
+ * GCL_BENCH_CACHE to move it (default: ./bench_results).
  *
- * Observability (gcl::trace) is wired in behind flags, parsed by
- * initBench():
+ * Flags, parsed by initBench():
  *   --machine=NAME|PATH       load the machine description (configs/ zoo
  *                             name or a .config file path; default
  *                             GCL_MACHINE, else the compiled-in C2050)
@@ -19,11 +21,15 @@
  *   --timeline-interval=N     sample occupancy counters every N cycles
  *   --stats-json=FILE         dump every app's finalized stats as JSON
  *   --stats-csv=FILE          same, as a flat CSV table
- *   --apps=a,b,c              restrict runSuite() to these applications
+ *   --apps=a,b,c              restrict the suite runs to these
+ *                             applications (fixed app lists stay whole)
  *   --fresh                   ignore the on-disk run cache (= GCL_BENCH_FRESH)
- *   --jobs=N                  simulate up to N applications concurrently
+ *   --jobs=N                  simulate up to N runs concurrently
  *                             (0 = one per hardware thread; default
  *                             GCL_BENCH_JOBS, else 1)
+ *   --max-cycles=N            per-run cycle budget (= GCL_MAX_CYCLES)
+ *   --sim-config=K=V,...      config overrides (= GCL_SIM_CONFIG)
+ *   --fault-plan=SPEC         fault injection (= GCL_FAULT_PLAN)
  *   --crit                    enable the gcl::crit criticality profiler
  *                             (per-PC stall attribution + latency
  *                             decomposition folded into the stats)
@@ -33,37 +39,37 @@
  *                             collapsed-stack lines for flamegraph tools
  *   --sample=SPEC             sampled simulation (= GCL_SAMPLE): fast-
  *                             forward outside the spec's detailed windows
- *                             and extrapolate whole-run stats (grammar in
+ *                             (warming the caches before each) and
+ *                             extrapolate whole-run stats (grammar in
  *                             src/sim/sample.hh). Sampled runs get their
  *                             own cache entries, and share one functional
  *                             fast-forward prefix snapshot (in
  *                             <cache>/snap) across a --machine sweep
  *                             (warm-start), serial or --jobs alike
- *   --ff-warm=0|1             warm L1/L2 tags from the fast-forwarded
- *                             address stream before each detailed window
- *                             (default 1; 0 = cold windows)
- * Tracing always simulates fresh: a cached stats file has no events.
+ * Tracing always simulates fresh: a cached stats file has no events. Each
+ * traced run streams its events into its own spill file beside the
+ * staging trace; publication splices the spill files in declaration order.
  *
  * SIGINT/SIGTERM request a cooperative stop: in-flight runs unwind with a
- * structured "canceled" failure record, queued sweep runs are skipped
- * with a "skipped" record, and a per-run summary tells the user which
- * runs completed, failed or never started. A second signal kills the
- * process immediately.
+ * structured "canceled" failure record, queued runs are skipped with a
+ * "skipped" record, and a per-run summary tells the user which runs
+ * completed, failed or never started. A second signal kills the process
+ * immediately.
  *
- * --jobs spreads the sweep *across* applications: each run is a
- * thread-confined workloads::SimContext scheduled on a gcl::exec pool,
- * results land in canonical (Table I) order, and per-run trace sinks are
- * merged into one well-formed Chrome trace — so every artifact is
- * bit-identical to a --jobs=1 sweep. Each simulation's cycle loop runs on
- * the one thread that owns its SimContext.
+ * --jobs spreads a batch *across* runs: each run is a thread-confined
+ * workloads::SimContext scheduled on a gcl::exec pool, and everything a
+ * run leaves behind is published in declaration order — so every artifact
+ * is bit-identical to a --jobs=1 batch. Each simulation's cycle loop runs
+ * on the one thread that owns its SimContext.
  */
 
 #ifndef GCL_BENCH_COMMON_RUNNER_HH
 #define GCL_BENCH_COMMON_RUNNER_HH
 
 #include <cstdint>
+#include <map>
+#include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "guard/sim_error.hh"
@@ -82,59 +88,56 @@ struct AppResult
     StatsSet stats;          //!< finalized simulator stats
     SimFailure failure;      //!< structured failure record (failed=false
                              //!< on a clean run)
-    bool skipped = false;    //!< never simulated (sweep cancelled first)
-
-    // Per-unit sleep accounting (a host-side wall-clock diagnostic;
-    // deliberately NOT part of stats — the exported artifacts are
-    // byte-identical with cycle_skipping on and off, and trace_check
-    // enforces that it never leaks into them).
-    uint64_t dormantCycles = 0; //!< unit-cycles asleep
+    bool skipped = false;    //!< never simulated (batch cancelled first)
 };
 
-/** Observability options shared by every bench binary. */
-struct Options
+/** One simulation an artifact reads: an application under a config. */
+struct Run
 {
-    std::string traceOut;          //!< Chrome trace-event JSON path
-    std::string statsJson;         //!< stats JSON path
-    std::string statsCsv;          //!< stats CSV path
-    uint64_t timelineInterval = 0; //!< counter sampling period (cycles)
-    bool fresh = false;            //!< bypass the run cache
-    std::vector<std::string> apps; //!< runSuite() filter (empty = all)
-    unsigned jobs = 0;             //!< --jobs value (0 = unset/env/serial)
-    uint64_t maxCycles = 0;        //!< per-run cycle budget (0 = default)
-    std::string machine;           //!< --machine spec (name or path)
-    std::string simConfig;         //!< key=value config overrides
-    std::string faultPlan;         //!< guard::FaultPlan spec
-    bool crit = false;             //!< enable the criticality profiler
-    unsigned critTopN = 10;        //!< critical-load table depth
-    std::string critOut;           //!< crit report path (implies crit)
-    std::string sample;            //!< sampled-simulation spec (empty = off)
-    int ffWarm = -1;               //!< --ff-warm (-1 = config default)
+    std::string app;
+    sim::GpuConfig config;
+};
+
+/** The finished runs of one runApps() batch. */
+class Results
+{
+  public:
+    /**
+     * The result of @p app under @p config. Fatal when the batch did not
+     * declare that run: an artifact reads only what it declared.
+     */
+    const AppResult &at(const std::string &app,
+                        const sim::GpuConfig &config) const;
+
+    /** at(app, config) for each Table I app --apps selects, in order. */
+    std::vector<const AppResult *> suite(const sim::GpuConfig &config) const;
+
+  private:
+    friend Results runApps(const std::vector<Run> &runs);
+
+    std::map<std::string, AppResult> byKey_; //!< by cache key
 };
 
 /**
- * Parse the shared observability flags; call first thing in main().
- * Unknown flags are fatal; `--help` prints usage and exits. Artifact
- * files (trace/stats) are finalized automatically at process exit.
+ * Parse the shared flags; call first thing in main(). Returns the
+ * positional (non-flag) arguments in order. Unknown flags are fatal;
+ * `--help` prints @p usage, then the flags, and exits. Artifact files
+ * (trace/stats) are finalized automatically at process exit.
  */
-void initBench(int argc, char **argv);
+std::vector<std::string> initBench(int argc, char **argv,
+                                   const std::string &usage);
 
-/** The options parsed by initBench() (defaults before it runs). */
-const Options &options();
-
-/** Run (or load) one application under @p config. */
-AppResult runApp(const std::string &name, const sim::GpuConfig &config);
+/** One run per Table I application --apps selects, under @p config. */
+std::vector<Run> suiteRuns(const sim::GpuConfig &config);
 
 /**
- * Run (or load) the full Table I suite; results are always in Table I
- * order. With an effective job count > 1 the uncached applications are
- * simulated concurrently (one SimContext per job on a gcl::exec pool);
- * stats, cache entries, records and traces are identical to a serial run.
+ * Run (or load) a batch. Runs that share a cache key run once. Cache
+ * hits load inline; the misses run on --jobs workers (else
+ * GCL_BENCH_JOBS, else 1). Cache entries, export records and trace
+ * fragments are published in declaration order, so the artifacts do not
+ * depend on the job count.
  */
-std::vector<AppResult> runSuite(const sim::GpuConfig &config);
-
-/** The job count runSuite() will use: --jobs, else GCL_BENCH_JOBS, else 1. */
-unsigned effectiveJobs();
+Results runApps(const std::vector<Run> &runs);
 
 /**
  * The base configuration every bench starts from: the machine resolved by
@@ -143,14 +146,19 @@ unsigned effectiveJobs();
  */
 sim::GpuConfig defaultConfig();
 
-/** Print the standard bench header (config fingerprint + cache status). */
-void printHeader(const std::string &title, const sim::GpuConfig &config);
+/**
+ * Print the standard artifact header (title, machine, config fingerprint,
+ * overrides) to @p out. The cache status goes to stderr, so stdout
+ * depends only on the code and the flags.
+ */
+void printHeader(const std::string &title, const sim::GpuConfig &config,
+                 std::ostream &out);
 
 /**
  * End-of-main hook: print a summary of failed runs and return the process
  * exit code (0 = all clean, 3 = at least one run produced a failure
- * record). Every bench main ends with `return bench::finishBench();` so a
- * sweep degrades gracefully — failed runs are reported, not fatal.
+ * record), so a batch degrades gracefully — failed runs are reported, not
+ * fatal.
  */
 int finishBench();
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Full repository check: configure, build, run the test suite, then smoke
-# the observability path end-to-end — a traced bench run whose Chrome-JSON
-# trace and stats JSON are validated by tools/trace_check — and verify the
-# parallel sweep (--jobs) produces byte-identical cache entries to serial.
+# Full repository check: configure, build, run the test suite, regenerate
+# every paper artifact with bench/gcl_paper and diff it against its
+# committed golden, then smoke the observability path end-to-end — a
+# traced run whose Chrome-JSON trace and stats JSON are validated by
+# tools/trace_check — and verify the parallel sweep (--jobs) produces
+# byte-identical cache entries and traces to serial.
 #
 # Usage: scripts/check.sh            (from anywhere; builds into ./build)
 #        scripts/check.sh --tsan     additionally build with
@@ -37,6 +39,8 @@ done
 
 BUILD_DIR=${BUILD_DIR:-build}
 JOBS=$(nproc 2> /dev/null || echo 4)
+# The paper driver: every table, figure and ablation is one of its names.
+PAPER="$BUILD_DIR/bench/gcl_paper"
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j"$JOBS"
@@ -45,9 +49,34 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# Traced smoke run: one real workload through a figure bench, with the
+# Paper goldens: regenerate every table, figure and ablation as one fresh
+# batch, then replay each artifact from that cache; its stdout must match
+# tests/goldens/paper/<name>.txt byte for byte. A change that moves
+# simulated behaviour regenerates the goldens and names the moved ones.
+GCL_BENCH_CACHE="$tmp/cache-paper" "$PAPER" all --fresh --jobs="$JOBS" \
+    > /dev/null 2> /dev/null
+for golden in tests/goldens/paper/*.txt; do
+    name=$(basename "$golden" .txt)
+    GCL_BENCH_CACHE="$tmp/cache-paper" "$PAPER" "$name" \
+        > "$tmp/paper-$name.txt" 2> /dev/null
+    diff "$golden" "$tmp/paper-$name.txt" \
+        || { echo "check: $name diverged from its golden" >&2; exit 1; }
+done
+
+# A batch simulates each distinct run once: Table III reads bfs twice
+# (its suite row and its per-slice view), and a fresh batch over two apps
+# must still simulate exactly two runs.
+GCL_BENCH_CACHE="$tmp/cache-table3" "$PAPER" table3_profiler \
+    --fresh --apps=bfs,gaus > /dev/null 2> "$tmp/table3-runs.err"
+runs=$(grep -cE '^\[bench\] [a-z0-9]+: [0-9]+ cycles' "$tmp/table3-runs.err" \
+       || true)
+[ "$runs" = 2 ] \
+    || { echo "check: table3_profiler simulated $runs runs, want 2" >&2
+         exit 1; }
+
+# Traced smoke run: one real workload through a figure, with the
 # lifecycle trace, occupancy timeline and stats artifacts all enabled.
-GCL_BENCH_CACHE="$tmp/cache" "$BUILD_DIR/bench/fig5_turnaround" \
+GCL_BENCH_CACHE="$tmp/cache" "$PAPER" fig5_turnaround \
     --apps=bfs --fresh \
     --trace-out="$tmp/trace.json" \
     --timeline-interval=200 \
@@ -58,21 +87,27 @@ GCL_BENCH_CACHE="$tmp/cache" "$BUILD_DIR/bench/fig5_turnaround" \
 
 # Parallel-sweep determinism: a --jobs=3 fresh sweep over the three
 # smallest apps must leave byte-identical cache entries (same keys, same
-# stats) as a --jobs=1 sweep, and a parallel *traced* sweep must still
-# produce a well-formed merged Chrome trace.
+# stats) as a --jobs=1 sweep, and traced sweeps at --jobs=1 and --jobs=3
+# must write byte-identical, well-formed merged Chrome traces.
 SMALL_APPS=gaus,bpr,dwt
-GCL_BENCH_CACHE="$tmp/cache-j1" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-j1" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --jobs=1 > /dev/null 2> /dev/null
-GCL_BENCH_CACHE="$tmp/cache-j3" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-j3" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --jobs=3 > /dev/null 2> /dev/null
 diff -r "$tmp/cache-j1" "$tmp/cache-j3" \
     || { echo "check: parallel sweep diverged from serial" >&2; exit 1; }
-GCL_BENCH_CACHE="$tmp/cache-j3t" "$BUILD_DIR/bench/fig1_load_classes" \
-    --apps=$SMALL_APPS --jobs=3 \
-    --trace-out="$tmp/trace-par.json" \
-    --stats-json="$tmp/stats-par.json" > /dev/null 2> /dev/null
+for jobs in 1 3; do
+    GCL_BENCH_CACHE="$tmp/cache-j${jobs}t" "$PAPER" fig1_load_classes \
+        --apps=$SMALL_APPS --jobs=$jobs \
+        --trace-out="$tmp/trace-j$jobs.json" \
+        --stats-json="$tmp/stats-j$jobs.json" > /dev/null 2> /dev/null
+done
 "$BUILD_DIR/tools/trace_check" \
-    --trace="$tmp/trace-par.json" --stats="$tmp/stats-par.json"
+    --trace="$tmp/trace-j3.json" --stats="$tmp/stats-j3.json"
+cmp "$tmp/trace-j1.json" "$tmp/trace-j3.json" \
+    || { echo "check: parallel traced sweep diverged from serial" >&2
+         exit 1; }
+rm -f "$tmp/trace-j1.json" "$tmp/trace-j3.json"
 
 # Criticality profiler (gcl::crit): a crit-enabled sweep must export
 # stats whose per-SM issue-slot accounting is exact (trace_check
@@ -82,7 +117,7 @@ GCL_BENCH_CACHE="$tmp/cache-j3t" "$BUILD_DIR/bench/fig1_load_classes" \
 # crit defaults to off, so every other stage in this script (including
 # the perf-delta gate below) already runs and measures the disabled
 # simulator.
-GCL_BENCH_CACHE="$tmp/cache-crit1" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-crit1" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --crit \
     --stats-json="$tmp/stats-crit.json" \
     --crit-out="$tmp/crit-report.txt" > /dev/null 2> /dev/null
@@ -99,7 +134,7 @@ diff tests/goldens/crit_report_small.txt "$tmp/crit-top3.txt" \
 # default sweep must leave byte-identical cache entries to it.
 # cycle_skipping is deliberately excluded from the config fingerprint so
 # both runs share cache keys.
-GCL_BENCH_CACHE="$tmp/cache-noskip" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-noskip" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --jobs=1 \
     --sim-config=cycle_skipping=0 > /dev/null 2> /dev/null
 diff -r "$tmp/cache-j1" "$tmp/cache-noskip" \
@@ -114,7 +149,7 @@ for leg in skip noskip; do
     config=$LONG_INIT
     [ "$leg" = noskip ] && config=$LONG_INIT,cycle_skipping=0
     GCL_BENCH_CACHE="$tmp/cache-init-$leg" \
-        "$BUILD_DIR/bench/fig1_load_classes" \
+        "$PAPER" fig1_load_classes \
         --apps=$SMALL_APPS,mriq --fresh \
         --sim-config="$config" > /dev/null 2> /dev/null \
         || { echo "check: long-initiation sweep ($leg) failed" >&2; exit 1; }
@@ -128,7 +163,7 @@ for leg in skip noskip; do
     config=
     [ "$leg" = noskip ] && config=--sim-config=cycle_skipping=0
     GCL_BENCH_CACHE="$tmp/cache-modern-$leg" \
-        "$BUILD_DIR/bench/fig1_load_classes" \
+        "$PAPER" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --machine=modern-core $config \
         > /dev/null 2> /dev/null \
         || { echo "check: modern-core sweep ($leg) failed" >&2; exit 1; }
@@ -143,7 +178,7 @@ for leg in skip noskip; do
     config=num_sms=60,num_partitions=8
     [ "$leg" = noskip ] && config=$config,cycle_skipping=0
     GCL_BENCH_CACHE="$tmp/cache-wide-$leg" \
-        "$BUILD_DIR/bench/fig1_load_classes" \
+        "$PAPER" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --sim-config="$config" \
         > /dev/null 2> /dev/null \
         || { echo "check: 68-unit sweep ($leg) failed" >&2; exit 1; }
@@ -179,23 +214,21 @@ done
 "$BUILD_DIR/tools/machine_dump" --diff c2050 "" > /dev/null \
     || { echo "check: configs/c2050.config differs from compiled defaults" >&2
          exit 1; }
-"$BUILD_DIR/bench/table2_config" --fresh > "$tmp/table2-default.txt"
-"$BUILD_DIR/bench/table2_config" --fresh --machine=c2050 \
+"$PAPER" table2_config --fresh > "$tmp/table2-default.txt" 2> /dev/null
+"$PAPER" table2_config --fresh --machine=c2050 \
     > "$tmp/table2-c2050.txt" 2> /dev/null
+# (The goldens stage above diffs the default Table II against its golden.)
 cmp "$tmp/table2-default.txt" "$tmp/table2-c2050.txt" \
     || { echo "check: --machine=c2050 changes the Table II output" >&2
          exit 1; }
-diff tests/goldens/table2_c2050.txt "$tmp/table2-c2050.txt" \
-    || { echo "check: Table II diverged from the committed golden" >&2
-         exit 1; }
-GCL_BENCH_CACHE="$tmp/cache-c2050" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-c2050" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --machine=configs/c2050.config \
     > /dev/null 2> /dev/null
 diff -r "$tmp/cache-j1" "$tmp/cache-c2050" \
     || { echo "check: --machine=c2050 diverged from compiled defaults" >&2
          exit 1; }
 for m in hbm-sectored modern-core tiny; do
-    GCL_BENCH_CACHE="$tmp/cache-zoo-$m" "$BUILD_DIR/bench/fig1_load_classes" \
+    GCL_BENCH_CACHE="$tmp/cache-zoo-$m" "$PAPER" fig1_load_classes \
         --apps=gaus --fresh --machine="$m" > /dev/null 2> /dev/null \
         || { echo "check: machine '$m' failed to run gaus" >&2; exit 1; }
 done
@@ -206,7 +239,7 @@ done
 # and (c) leave the sibling runs' cache entries byte-identical to the
 # clean serial sweep's (cache-j1 from above — same apps, same config).
 status=0
-GCL_BENCH_CACHE="$tmp/cache-fault" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-fault" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --jobs=3 \
     --fault-plan='app=bpr;stop@2000' \
     --stats-json="$tmp/stats-fault.json" > /dev/null 2> /dev/null \
@@ -229,7 +262,7 @@ done
 # pressure from seed 42) slow the run down but must not kill it — and two
 # identical invocations must export byte-identical stats.
 for i in 1 2; do
-    GCL_BENCH_CACHE="$tmp/cache-auto$i" "$BUILD_DIR/bench/fig1_load_classes" \
+    GCL_BENCH_CACHE="$tmp/cache-auto$i" "$PAPER" fig1_load_classes \
         --apps=gaus --fresh \
         --fault-plan='seed=42;auto=3' \
         --stats-json="$tmp/stats-auto$i.json" > /dev/null 2> /dev/null \
@@ -243,7 +276,7 @@ cmp "$tmp/stats-auto1.json" "$tmp/stats-auto2.json" \
 # Watchdog: an injected livelock (every fill dropped) must be caught as a
 # structured hang report instead of burning the 200M-cycle budget.
 status=0
-GCL_BENCH_CACHE="$tmp/cache-hang" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-hang" "$PAPER" fig1_load_classes \
     --apps=gaus --fresh \
     --fault-plan='dropfill@0+1000000000' \
     --sim-config=watchdog_interval=1024,watchdog_budget=100000 \
@@ -261,7 +294,7 @@ grep -q '"hang"' "$tmp/stats-hang.json" \
 # warm --jobs=3 sweep into the same directory, whose runs start from
 # those files, must leave every byte as it was.
 for leg in j1 j3 j3; do
-    GCL_BENCH_CACHE="$tmp/cache-ff-$leg" "$BUILD_DIR/bench/fig1_load_classes" \
+    GCL_BENCH_CACHE="$tmp/cache-ff-$leg" "$PAPER" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --jobs="${leg#j}" --sample=every:4 \
         > /dev/null 2> /dev/null
 done
@@ -281,27 +314,27 @@ diff -r "$tmp/cache-ff-j1" "$tmp/cache-ff-j3" \
 #     (every-Nth-CTA windows) at 5% cycles with a wider 10pp miss-rate
 #     tolerance: a sub-launch window measures a window-local working
 #     set, a documented limitation (DESIGN.md, "Sampled simulation").
-GCL_BENCH_CACHE="$tmp/cache-sample" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
     --apps=sssp --fresh --sim-config=dram_latency=800 \
     --stats-json="$tmp/stats-sample-full.json" > /dev/null 2> /dev/null
-GCL_BENCH_CACHE="$tmp/cache-sample" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
     --apps=sssp --fresh --sim-config=dram_latency=800 --sample=kernels:9 \
     --stats-json="$tmp/stats-sample-k9.json" > /dev/null 2> /dev/null
 "$BUILD_DIR/tools/sample_diff" --app=sssp \
     --full="$tmp/stats-sample-full.json" \
     --sampled="$tmp/stats-sample-k9.json" \
     || { echo "check: sampled sssp broke the accuracy gate" >&2; exit 1; }
-GCL_BENCH_CACHE="$tmp/cache-sample" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
     --apps=srad,gaus --fresh \
     --stats-json="$tmp/stats-sample-small-full.json" > /dev/null 2> /dev/null
-GCL_BENCH_CACHE="$tmp/cache-sample" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
     --apps=srad --fresh --sample=kernels:2:3 \
     --stats-json="$tmp/stats-sample-srad.json" > /dev/null 2> /dev/null
 "$BUILD_DIR/tools/sample_diff" --app=srad --miss-tol=0.10 \
     --full="$tmp/stats-sample-small-full.json" \
     --sampled="$tmp/stats-sample-srad.json" \
     || { echo "check: sampled srad broke the accuracy gate" >&2; exit 1; }
-GCL_BENCH_CACHE="$tmp/cache-sample" "$BUILD_DIR/bench/fig1_load_classes" \
+GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
     --apps=gaus --fresh --sample=every:4 \
     --stats-json="$tmp/stats-sample-gaus.json" > /dev/null 2> /dev/null
 "$BUILD_DIR/tools/sample_diff" --app=gaus --miss-tol=0.10 \
@@ -365,7 +398,7 @@ fi
 if [ "$TSAN" = 1 ]; then
     TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
     cmake -B "$TSAN_DIR" -S . -DGCL_TSAN=ON
-    cmake --build "$TSAN_DIR" -j"$JOBS" --target gcl_tests fig1_load_classes
+    cmake --build "$TSAN_DIR" -j"$JOBS" --target gcl_tests gcl_paper
     # halt_on_error turns the first data race into a hard stop instead of
     # a report that scrolls past; abort_on_error makes the exit status
     # unmissable even through pipelines that would swallow TSan's own
@@ -376,13 +409,14 @@ if [ "$TSAN" = 1 ]; then
     "$TSAN_DIR/tests/gcl_tests" --gtest_filter='Exec*:ParallelSweep*'
     # A parallel bench sweep end to end under TSan, traced: per-run trace
     # sinks filled on the pool's threads and merged on the main one.
-    GCL_BENCH_CACHE="$tmp/cache-tsan" "$TSAN_DIR/bench/fig1_load_classes" \
+    GCL_BENCH_CACHE="$tmp/cache-tsan" \
+        "$TSAN_DIR/bench/gcl_paper" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --jobs=3 \
         --trace-out="$tmp/trace-tsan.json" > /dev/null
     # The sampled path in a parallel sweep: functional fast-forward and
     # warm replay, one run per thread.
     GCL_BENCH_CACHE="$tmp/cache-tsan-sample" \
-        "$TSAN_DIR/bench/fig1_load_classes" \
+        "$TSAN_DIR/bench/gcl_paper" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --jobs=3 --sample=every:4 > /dev/null
 fi
 

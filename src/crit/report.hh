@@ -4,7 +4,7 @@
  * per-class CPI stack, the ranked top-N critical-load table, and a
  * collapsed-stack file consumable by standard flamegraph tools. Everything
  * here reads only a finalized StatsSet, so the same code serves
- * tools/crit_report (offline, from a stats JSON), bench/figX_cpi_stack
+ * tools/crit_report (offline, from a stats JSON), gcl_paper figX_cpi_stack
  * (live, across the suite) and the bench runner's --crit-out flag.
  *
  * All output is deterministic: inputs are deterministic merged stats and

@@ -335,15 +335,6 @@ buildOverrideKeys()
              SamplePlan::parse(v); // eager validation, like fault_plan
              config.sample = v;
          }},
-        {"ff_warm",
-         [](GpuConfig &config, const std::string &v) {
-             if (v == "0")
-                 config.ffWarm = false;
-             else if (v == "1")
-                 config.ffWarm = true;
-             else
-                 badValue("ff_warm", v, "one of 0, 1");
-         }},
     };
     // One `op_<class> <latency>:<initiation>` key per opcode class, the
     // machine-file form of GPGPU-Sim's ptx_opcode_latency_* tables.
@@ -467,8 +458,7 @@ GpuConfig::describe() const
     if (!faultPlan.empty())
         oss << "FaultPlan  " << faultPlan << "\n";
     if (!sample.empty())
-        oss << "Sampling   " << SamplePlan::parse(sample).describe()
-            << (ffWarm ? ", warmed windows" : ", cold windows") << "\n";
+        oss << "Sampling   " << SamplePlan::parse(sample).describe() << "\n";
     return oss.str();
 }
 
@@ -518,15 +508,13 @@ GpuConfig::fingerprint() const
         mix(1);
     for (char c : faultPlan)
         mix(static_cast<uint64_t>(static_cast<unsigned char>(c)));
-    // Sampled stats are partial by construction: the sample spec (and the
-    // warming knob, which changes the sampled windows' cache behavior)
-    // must separate cache entries from full runs. Mixed only when
-    // sampling is on, so every pre-existing fingerprint stays valid.
+    // Sampled stats are partial by construction: the sample spec must
+    // separate cache entries from full runs. Mixed only when sampling is
+    // on, so every pre-existing fingerprint stays valid.
     if (!sample.empty()) {
         mix(2);
         for (char c : sample)
             mix(static_cast<uint64_t>(static_cast<unsigned char>(c)));
-        mix(ffWarm ? 1 : 0);
     }
     return h;
 }
@@ -549,8 +537,7 @@ GpuConfig::functionalFingerprint() const
     mix(warpSize);
     // The spec decides which CTAs the fast-forward executes (and in what
     // interleaving with detailed windows), so two specs never share a
-    // prefix. ffWarm is excluded: the warm ring is recorded either way,
-    // only its replay is gated.
+    // prefix.
     for (char c : sample)
         mix(static_cast<uint64_t>(static_cast<unsigned char>(c)));
     return h;

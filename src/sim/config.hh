@@ -259,13 +259,6 @@ struct GpuConfig
      * valid.
      */
     std::string sample;
-    /**
-     * Warm L1/L2 tag state before each detailed window by replaying the
-     * line addresses the fast-forward recorded since the previous window
-     * (cold caches would bias a short window's miss rates high). Only
-     * meaningful when `sample` is active; fingerprinted with it.
-     */
-    bool ffWarm = true;
 
     /** Max concurrent CTAs on one SM for a CTA of the given footprint. */
     unsigned ctasPerSm(unsigned threads_per_cta,

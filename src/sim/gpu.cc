@@ -502,8 +502,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                 return;
             }
             beginDetailedWork(prefix.size());
-            if (config_.ffWarm)
-                warmCaches();
+            warmCaches();
             // The window leaves real tag state behind; drop the replayed
             // entries so they cannot pollute the next window's warm-up.
             warmRing_.clear();

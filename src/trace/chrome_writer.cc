@@ -87,14 +87,14 @@ ChromeTraceWriter::close()
 }
 
 void
-ChromeTraceWriter::appendFragment(const std::string &body, uint64_t events)
+ChromeTraceWriter::appendFragment(std::istream &body, uint64_t events)
 {
-    if (body.empty())
+    if (body.peek() == std::istream::traits_type::eof())
         return;
     if (!first_)
         out_ << ",\n";
     first_ = false;
-    out_ << body;
+    out_ << body.rdbuf();
     written_ += events;
 }
 

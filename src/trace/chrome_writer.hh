@@ -24,6 +24,7 @@
 #define GCL_TRACE_CHROME_WRITER_HH
 
 #include <cstdint>
+#include <istream>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -43,9 +44,9 @@ class ChromeTraceWriter
     /**
      * Fragment mode (@p fragment true): write *bare* comma-separated
      * event objects with no surrounding JSON array, for later inclusion
-     * in another writer's stream via appendFragment(). The parallel sweep
-     * gives every concurrent run a fragment writer on a private buffer
-     * and splices the bodies into the real trace in canonical app order.
+     * in another writer's stream via appendFragment(). The bench runner
+     * gives every traced run a fragment writer on its own spill file and
+     * splices the files into the real trace in declaration order.
      */
     ChromeTraceWriter(std::ostream &out, bool fragment);
 
@@ -80,11 +81,12 @@ class ChromeTraceWriter
     void close();
 
     /**
-     * Splice the body produced by a closed fragment-mode writer into this
-     * writer's stream (adding the separating comma if needed). The writer
-     * stays usable afterwards; @p events is the fragment's event count.
+     * Copy the body a closed fragment-mode writer produced, read from
+     * @p body to its end, into this writer's stream (adding the separating
+     * comma if needed). The writer stays usable afterwards; @p events is
+     * the fragment's event count.
      */
-    void appendFragment(const std::string &body, uint64_t events);
+    void appendFragment(std::istream &body, uint64_t events);
 
     uint64_t eventsWritten() const { return written_; }
 

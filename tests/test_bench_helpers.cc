@@ -1,15 +1,19 @@
 /**
  * @file
  * Tests for the benchmark-harness helpers: per-pc series discovery and
- * class-ratio extraction used by the Fig 6/7 binaries, and the runner's
- * count-flag parsing.
+ * class-ratio extraction used by the Fig 6/7 artifacts, the runner's
+ * count-flag parsing and undeclared-run check, and the artifact registry
+ * against its goldens.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
 #include <string>
 
 #include "common/figures.hh"
+#include "common/paper.hh"
 #include "common/runner.hh"
 
 namespace
@@ -103,11 +107,36 @@ TEST(BenchFlagsDeathTest, MalformedCountsAreFatal)
         std::string prog = "bench";
         std::string arg = flag;
         char *argv[] = {prog.data(), arg.data(), nullptr};
-        EXPECT_EXIT(gcl::bench::initBench(2, argv),
+        EXPECT_EXIT(gcl::bench::initBench(2, argv, ""),
                     ::testing::ExitedWithCode(1),
                     "fatal: " + arg + " is not a ")
             << flag;
     }
+}
+
+TEST(BenchRunnerDeathTest, ReadingAnUndeclaredRunIsFatal)
+{
+    // An empty batch simulates nothing; an artifact that reads a run it
+    // did not declare must stop, not print a table of empty stats.
+    const gcl::bench::Results results = gcl::bench::runApps({});
+    EXPECT_EXIT(results.at("bfs", gcl::sim::GpuConfig{}),
+                ::testing::ExitedWithCode(1), "which it did not declare");
+}
+
+TEST(PaperRegistry, NamesMatchGoldensOneToOne)
+{
+    // Every artifact has a committed golden (scripts/check.sh diffs them)
+    // and every golden belongs to an artifact. Runs no simulation.
+    std::set<std::string> expected;
+    for (const auto &artifact : gcl::bench::artifacts())
+        EXPECT_TRUE(expected.insert(std::string(artifact.name) + ".txt")
+                        .second)
+            << "duplicate artifact name " << artifact.name;
+    std::set<std::string> goldens;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             GCL_REPO_GOLDENS_DIR "/paper"))
+        goldens.insert(entry.path().filename().string());
+    EXPECT_EQ(expected, goldens);
 }
 
 } // namespace

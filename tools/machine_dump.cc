@@ -6,7 +6,7 @@
  *                                  form (redirect to a file to snapshot it;
  *                                  no argument = the compiled-in C2050)
  *   machine_dump --describe [M]    human-readable summary instead (the
- *                                  same text table2_config renders)
+ *                                  same text gcl_paper table2_config renders)
  *   machine_dump --diff A B        field-by-field diff of two machines;
  *                                  exits 1 when they differ
  *   machine_dump --list            known machine names + search path
