@@ -17,9 +17,9 @@ namespace gcl::bench
 
 /** "x" -> "x.det" or "x.nondet". */
 inline std::string
-classKey(const char *key, bool non_det)
+classKey(const std::string &key, bool non_det)
 {
-    return std::string(key) + (non_det ? ".nondet" : ".det");
+    return key + (non_det ? ".nondet" : ".det");
 }
 
 /** Per-class ratio of two stat keys; 0 when the class never ran. */

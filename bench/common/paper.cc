@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 
+#include "app_table.hh"
 #include "crit/report.hh"
 #include "figures.hh"
 #include "profiler/counters.hh"
@@ -55,40 +56,38 @@ printTable(const Table &table, std::ostream &out, const std::string &note = {})
 }
 
 // ---------------------------------------------------------------------------
-// Table I: application characteristics — CTA counts, CTA sizes, dynamic
-// warp-instruction counts, global-load counts and the global-load
-// fraction, per application.
+// The per-app tables (app_table.hh): formats and the artifact that prints
+// one over the suite. EXPERIMENTS.md compares each with the paper's shape.
 
-void
-printTable1(const sim::GpuConfig &base, const Results &results,
-            std::ostream &out)
+std::string
+integer(double v)
 {
-    Table table({"app", "category", "ctas", "threads/cta", "warp insts",
-                 "gld warps", "gld fraction", "verified"});
+    return Table::fmtInt(static_cast<uint64_t>(v));
+}
 
-    double total_fraction = 0.0;
-    for (const AppResult *app : results.suite(base)) {
-        const auto &s = app->stats;
-        const double gld = s.get("gload.warps.det") +
-                           s.get("gload.warps.nondet");
-        const double fraction = gld / s.get("warp_insts");
-        total_fraction += fraction;
-        table.addRow({
-            app->name,
-            app->category,
-            Table::fmtInt(static_cast<uint64_t>(s.get("ctas_launched"))),
-            Table::fmtInt(static_cast<uint64_t>(s.get("threads_per_cta"))),
-            Table::fmtInt(static_cast<uint64_t>(s.get("warp_insts"))),
-            Table::fmtInt(static_cast<uint64_t>(gld)),
-            Table::fmtPct(fraction),
-            app->verified ? "yes" : "NO",
-        });
-    }
+std::string
+percent(double v)
+{
+    return Table::fmtPct(v);
+}
 
-    printTable(table, out,
-               "\naverage global-load fraction: " +
-                   Table::fmtPct(total_fraction / 15.0) +
-                   " (paper: 6.43% on its inputs)\n");
+template <int Precision>
+std::string
+fixed(double v)
+{
+    return Table::fmt(v, Precision);
+}
+
+/** An artifact that prints @p table over the suite. */
+Artifact
+perApp(const char *name, const char *title, AppTable table,
+       bool crit = false)
+{
+    return {name, title, crit, suiteRuns,
+            [table](const sim::GpuConfig &base, const Results &results,
+                    std::ostream &out) {
+                printAppTable(table, results.suite(base), out);
+            }};
 }
 
 // ---------------------------------------------------------------------------
@@ -124,168 +123,26 @@ void
 printTable3(const sim::GpuConfig &base, const Results &results,
             std::ostream &out)
 {
-    Table table({"app", "gld_request", "shared_load", "l1_gld_hit",
-                 "l1_gld_miss", "l2_read_queries", "l2_read_hits"});
-
-    for (const AppResult *app : results.suite(base)) {
-        const auto counters =
-            profiler::Counters::fromStats(app->stats, base.numPartitions);
-        const double queries =
-            std::accumulate(counters.l2ReadQueries.begin(),
-                            counters.l2ReadQueries.end(), 0.0);
-        const double hits = std::accumulate(counters.l2ReadHits.begin(),
-                                            counters.l2ReadHits.end(), 0.0);
-        table.addRow({
-            app->name,
-            Table::fmtInt(static_cast<uint64_t>(counters.gldRequest)),
-            Table::fmtInt(static_cast<uint64_t>(counters.sharedLoad)),
-            Table::fmtInt(static_cast<uint64_t>(counters.l1GlobalLoadHit)),
-            Table::fmtInt(static_cast<uint64_t>(counters.l1GlobalLoadMiss)),
-            Table::fmtInt(static_cast<uint64_t>(queries)),
-            Table::fmtInt(static_cast<uint64_t>(hits)),
-        });
-    }
-
-    const auto counters = profiler::Counters::fromStats(
-        results.at(kSliceApp, base).stats, base.numPartitions);
-    printTable(table, out,
-               std::string("\n") + kSliceApp +
-                   " per-slice profiler output:\n" + counters.report());
-}
-
-// ---------------------------------------------------------------------------
-// Figure 1: distribution of dynamic global-load warps into deterministic
-// and non-deterministic classes per application.
-//
-// Paper shape: linear/image apps are (almost) fully deterministic except
-// spmv; graph apps run a large non-deterministic fraction but still keep
-// a majority-deterministic static mix overall.
-
-void
-printFig1(const sim::GpuConfig &base, const Results &results,
-          std::ostream &out)
-{
-    Table table({"app", "category", "det fraction", "nondet fraction",
-                 "det warps", "nondet warps"});
-    for (const AppResult *app : results.suite(base)) {
-        const double det = app->stats.get("gload.warps.det");
-        const double nondet = app->stats.get("gload.warps.nondet");
-        const double total = det + nondet;
-        table.addRow({
-            app->name,
-            app->category,
-            Table::fmtPct(total ? det / total : 0.0),
-            Table::fmtPct(total ? nondet / total : 0.0),
-            Table::fmtInt(static_cast<uint64_t>(det)),
-            Table::fmtInt(static_cast<uint64_t>(nondet)),
-        });
-    }
-    printTable(table, out);
-}
-
-// ---------------------------------------------------------------------------
-// Figure 2: average memory requests generated per warp and per active
-// thread, for non-deterministic (N) and deterministic (D) loads.
-//
-// Paper shape: D loads coalesce to ~1-2 requests/warp in every app; N
-// loads generate many more (bfs approaches one request per active thread).
-
-void
-printFig2(const sim::GpuConfig &base, const Results &results,
-          std::ostream &out)
-{
-    Table table({"app", "N req/warp", "D req/warp", "N req/thread",
-                 "D req/thread"});
-    for (const AppResult *app : results.suite(base)) {
-        const auto &s = app->stats;
-        table.addRow({
-            app->name,
-            Table::fmt(classRatio(s, "gload.reqs", "gload.warps", true), 2),
-            Table::fmt(classRatio(s, "gload.reqs", "gload.warps", false), 2),
-            Table::fmt(classRatio(s, "gload.reqs", "gload.active", true), 3),
-            Table::fmt(classRatio(s, "gload.reqs", "gload.active", false),
-                       3),
-        });
-    }
-    printTable(table, out);
-}
-
-// ---------------------------------------------------------------------------
-// Figure 3: breakdown of L1 data-cache access cycles into hit /
-// hit-reserved / miss / reservation-fail (tag, MSHR, interconnect).
-//
-// Paper shape: on average ~70% of L1 cycles are wasted on reservation
-// failures, dominated by tag/MSHR shortage, and graph apps are the worst.
-
-void
-printFig3(const sim::GpuConfig &base, const Results &results,
-          std::ostream &out)
-{
-    static const char *kOutcomes[6] = {"hit", "hit_reserved", "miss",
-                                       "fail_tag", "fail_mshr",
-                                       "fail_icnt"};
-
-    Table table({"app", "hit", "hit_rsrv", "miss", "rsrv_fail_tag",
-                 "rsrv_fail_mshr", "rsrv_fail_icnt"});
-    double wasted_sum = 0.0;
-    int napps = 0;
-    for (const AppResult *app : results.suite(base)) {
-        double total = 0.0;
-        double v[6];
-        for (int o = 0; o < 6; ++o) {
-            v[o] = app->stats.get(std::string("l1.outcome.") + kOutcomes[o]);
-            total += v[o];
-        }
-        std::vector<std::string> row{app->name};
-        for (int o = 0; o < 6; ++o)
-            row.push_back(Table::fmtPct(total ? v[o] / total : 0.0));
-        table.addRow(std::move(row));
-        if (total > 0) {
-            wasted_sum += (v[3] + v[4] + v[5]) / total;
-            ++napps;
-        }
-    }
-    printTable(table, out,
-               "\naverage fraction of L1 cycles lost to reservation fails: " +
-                   Table::fmtPct(napps ? wasted_sum / napps : 0.0) +
-                   " (paper: ~70%)\n");
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4: fraction of cycles the first pipeline stage of each function
-// unit (SP, SFU, LD/ST) is idle.
-//
-// Paper shape: the LD/ST unit is by far the busiest (~54% busy on
-// average) although global loads are only ~6% of instructions; SP/SFU
-// stay mostly idle.
-
-void
-printFig4(const sim::GpuConfig &base, const Results &results,
-          std::ostream &out)
-{
-    Table table({"app", "SP idle", "SFU idle", "LD/ST idle"});
-    double busy_sum[3] = {0, 0, 0};
-    for (const AppResult *app : results.suite(base)) {
-        const double cycles = app->stats.get("sm_cycles");
-        const double sp = app->stats.get("busy.sp") / cycles;
-        const double sfu = app->stats.get("busy.sfu") / cycles;
-        const double ldst = app->stats.get("busy.ldst") / cycles;
-        busy_sum[0] += sp;
-        busy_sum[1] += sfu;
-        busy_sum[2] += ldst;
-        table.addRow({
-            app->name,
-            Table::fmtPct(1.0 - sp),
-            Table::fmtPct(1.0 - sfu),
-            Table::fmtPct(1.0 - ldst),
-        });
-    }
-    printTable(table, out,
-               "\naverage busy fractions: SP " +
-                   Table::fmtPct(busy_sum[0] / 15) + ", SFU " +
-                   Table::fmtPct(busy_sum[1] / 15) + ", LD/ST " +
-                   Table::fmtPct(busy_sum[2] / 15) +
-                   " (paper: 9.3% / 11.5% / 54.4%)\n");
+    auto counters = [&base](const AppResult &app) {
+        return profiler::Counters::fromStats(app.stats, base.numPartitions);
+    };
+    const AppResult &slice_app = results.at(kSliceApp, base);
+    printAppTable(
+        {.columns = {{"gld_request", integer}, {"shared_load", integer},
+                     {"l1_gld_hit", integer}, {"l1_gld_miss", integer},
+                     {"l2_read_queries", integer}, {"l2_read_hits", integer}},
+         .values = [&](const AppResult &app) -> Values {
+             const profiler::Counters c = counters(app);
+             const std::vector<double> &q = c.l2ReadQueries;
+             const std::vector<double> &h = c.l2ReadHits;
+             return {c.gldRequest, c.sharedLoad, c.l1GlobalLoadHit,
+                     c.l1GlobalLoadMiss,
+                     std::accumulate(q.begin(), q.end(), 0.0),
+                     std::accumulate(h.begin(), h.end(), 0.0)};
+         }},
+        results.suite(base), out,
+        std::string("\n") + kSliceApp + " per-slice profiler output:\n" +
+            (finished(slice_app) ? counters(slice_app).report() : "-\n"));
 }
 
 // ---------------------------------------------------------------------------
@@ -420,131 +277,6 @@ printFig7(const sim::GpuConfig &base, const Results &results,
 }
 
 // ---------------------------------------------------------------------------
-// Figure 8: L1 and L2 miss ratios per load class.
-
-void
-printFig8(const sim::GpuConfig &base, const Results &results,
-          std::ostream &out)
-{
-    Table table({"app", "N L1 miss", "D L1 miss", "N L2 miss",
-                 "D L2 miss"});
-    for (const AppResult *app : results.suite(base)) {
-        const auto &s = app->stats;
-        auto cell = [&](const char *num, const char *den, bool non_det) {
-            const double den_v = s.get(classKey(den, non_det));
-            return den_v
-                ? Table::fmtPct(s.get(classKey(num, non_det)) / den_v)
-                : std::string("-");
-        };
-        table.addRow({
-            app->name,
-            cell("l1.miss", "l1.access", true),
-            cell("l1.miss", "l1.access", false),
-            cell("l2.miss", "l2.access", true),
-            cell("l2.miss", "l2.access", false),
-        });
-    }
-    printTable(table, out);
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9: shared-memory loads per global load, per application and per
-// category.
-
-void
-printFig9(const sim::GpuConfig &base, const Results &results,
-          std::ostream &out)
-{
-    Table table({"app", "category", "shared loads", "global loads",
-                 "ratio"});
-    std::map<std::string, std::pair<double, int>> by_category;
-    for (const AppResult *app : results.suite(base)) {
-        const double sload = app->stats.get("sload.warps");
-        const double gload = app->stats.get("gload.warps.det") +
-                             app->stats.get("gload.warps.nondet");
-        const double ratio = gload ? sload / gload : 0.0;
-        by_category[app->category].first += ratio;
-        by_category[app->category].second += 1;
-        table.addRow({
-            app->name,
-            app->category,
-            Table::fmtInt(static_cast<uint64_t>(sload)),
-            Table::fmtInt(static_cast<uint64_t>(gload)),
-            Table::fmt(ratio, 2),
-        });
-    }
-    std::string note = "\n";
-    for (const auto &[category, acc] : by_category)
-        note += "category " + category + " average ratio: " +
-                Table::fmt(acc.first / acc.second, 2) + '\n';
-    printTable(table, out, note + "(paper: image apps average ~2.5x)\n");
-}
-
-// ---------------------------------------------------------------------------
-// Figure 10: cold-miss ratio (distinct blocks per access) and block reuse.
-
-void
-printFig10(const sim::GpuConfig &base, const Results &results,
-           std::ostream &out)
-{
-    Table table({"app", "category", "blocks", "accesses",
-                 "cold miss ratio", "accesses/block"});
-    std::map<std::string, std::pair<double, int>> cold_by_category;
-    for (const AppResult *app : results.suite(base)) {
-        const double blocks = app->stats.get("blocks.count");
-        const double accesses = app->stats.get("blocks.accesses");
-        const double cold = accesses ? blocks / accesses : 0.0;
-        cold_by_category[app->category].first += cold;
-        cold_by_category[app->category].second += 1;
-        table.addRow({
-            app->name,
-            app->category,
-            Table::fmtInt(static_cast<uint64_t>(blocks)),
-            Table::fmtInt(static_cast<uint64_t>(accesses)),
-            Table::fmtPct(cold),
-            Table::fmt(blocks ? accesses / blocks : 0.0, 1),
-        });
-    }
-    std::string note = "\n";
-    for (const auto &[category, acc] : cold_by_category)
-        note += "category " + category + " average cold-miss ratio: " +
-                Table::fmtPct(acc.first / acc.second) + '\n';
-    printTable(table, out, note + "(paper: 16% overall, image ~38.8%)\n");
-}
-
-// ---------------------------------------------------------------------------
-// Figure 11: data blocks shared across CTAs, and the accesses to them.
-
-void
-printFig11(const sim::GpuConfig &base, const Results &results,
-           std::ostream &out)
-{
-    Table table({"app", "shared block ratio", "shared access ratio",
-                 "avg CTAs/shared block"});
-    double block_ratio_sum = 0.0, access_ratio_sum = 0.0;
-    for (const AppResult *app : results.suite(base)) {
-        const auto &s = app->stats;
-        const double block_ratio = s.ratio("blocks.shared", "blocks.count");
-        const double access_ratio =
-            s.ratio("blocks.shared_accesses", "blocks.accesses");
-        block_ratio_sum += block_ratio;
-        access_ratio_sum += access_ratio;
-        table.addRow({
-            app->name,
-            Table::fmtPct(block_ratio),
-            Table::fmtPct(access_ratio),
-            Table::fmt(s.ratio("blocks.shared_cta_sum", "blocks.shared"), 1),
-        });
-    }
-    printTable(table, out,
-               "\naverages: shared blocks " +
-                   Table::fmtPct(block_ratio_sum / 15) +
-                   ", accesses to shared blocks " +
-                   Table::fmtPct(access_ratio_sum / 15) +
-                   " (paper: 28.7% / 50.9%)\n");
-}
-
-// ---------------------------------------------------------------------------
 // Figure 12: frequency of CTA distances among the CTAs that share a data
 // block, per application category.
 //
@@ -562,6 +294,10 @@ printFig12(const sim::GpuConfig &base, const Results &results,
     std::map<std::string, Histogram> graph_by_class;
 
     for (const AppResult *app : results.suite(base)) {
+        if (!finished(*app)) {
+            per_app.addRow({app->name, app->category, "-"});
+            continue;
+        }
         const Histogram &dist = app->stats.histOrEmpty("cta_distance");
         by_category[app->category].merge(dist);
         if (app->category == "graph") {
@@ -610,58 +346,6 @@ printFig12(const sim::GpuConfig &base, const Results &results,
             << " distinct distances\n";
     out << "(paper: non-deterministic loads disperse sharing across a wide "
            "CTA-distance range)\n";
-}
-
-// ---------------------------------------------------------------------------
-// Figure X: per-application CPI stacks over the criticality profiler (not
-// in the paper; an extension enabled by gcl::crit). Every issue slot of
-// every SM cycle is either an issue or a charged stall, so the per-reason
-// shares decompose CPI exactly — the paper's Section IV claim that memory
-// (data-hazard) stalls dominate, split by load class, becomes directly
-// visible per application.
-//
-// Expected shape: the graph applications spend most slots on data hazards
-// behind non-deterministic loads; the dense linear-algebra apps stall
-// mostly behind deterministic loads or issue near their width. Its runs
-// have the profiler on, so they never share cache entries with the
-// profiler-off runs the other figures read.
-
-void
-printFigX(const sim::GpuConfig &base, const Results &results,
-          std::ostream &out)
-{
-    Table table({"app", "slots", "issued%", "data_hazard%", "(det%",
-                 "nondet%)", "barrier%", "ibuf%", "pipe%", "mshr%",
-                 "icnt%", "idle%"});
-    for (const AppResult *app : results.suite(base)) {
-        const crit::CpiStack stack = crit::cpiStack(app->stats);
-        if (!stack.valid) {
-            out << app->name << ": no crit section (run failed?)\n";
-            continue;
-        }
-        auto pct = [&](double v) {
-            return Table::fmt(100.0 * v / stack.slots, 1);
-        };
-        using crit::StallReason;
-        auto stall = [&](StallReason r) {
-            return stack.stall[static_cast<unsigned>(r)];
-        };
-        table.addRow({
-            app->name,
-            Table::fmtInt(static_cast<uint64_t>(stack.slots)),
-            pct(stack.issued),
-            pct(stall(StallReason::DataHazard)),
-            pct(stack.dhzByClass[1]),
-            pct(stack.dhzByClass[2]),
-            pct(stall(StallReason::Barrier)),
-            pct(stall(StallReason::IbufferEmpty)),
-            pct(stall(StallReason::Pipeline)),
-            pct(stall(StallReason::MshrFull)),
-            pct(stall(StallReason::IcntBackpressure)),
-            pct(stall(StallReason::IdleNoCta)),
-        });
-    }
-    printTable(table, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -886,22 +570,102 @@ const std::vector<Artifact> &
 artifacts()
 {
     static const std::vector<Artifact> registry = {
-        {"table1_apps", "Table I: application characteristics", false,
-         suiteRuns, printTable1},
+        perApp("table1_apps", "Table I: application characteristics",
+               {.category = true,
+                .columns = {{"ctas", integer}, {"threads/cta", integer},
+                            {"warp insts", integer}, {"gld warps", integer},
+                            {"gld fraction", percent},
+                            {"verified", [](double v) -> std::string {
+                                 return v ? "yes" : "NO";
+                             }}},
+                .values = [](const AppResult &app) -> Values {
+                    const StatsSet &s = app.stats;
+                    const double gld =
+                        s.get("gload.warps.det") + s.get("gload.warps.nondet");
+                    return {s.get("ctas_launched"), s.get("threads_per_cta"),
+                            s.get("warp_insts"), gld, gld / s.get("warp_insts"),
+                            app.verified ? 1.0 : 0.0};
+                },
+                .summaries = {{.means = {{"average global-load fraction: ",
+                                          4, percent}},
+                               .tail = " (paper: 6.43% on its inputs)"}}}),
         {"table2_config", "Table II: experiment environment", false, noRuns,
          printTable2},
         {"table3_profiler", "Table III: profiler counters", false,
          table3Runs, printTable3},
-        {"fig1_load_classes",
-         "Figure 1: deterministic vs non-deterministic global-load warps",
-         false, suiteRuns, printFig1},
-        {"fig2_requests_per_warp",
-         "Figure 2: memory requests per warp / active thread", false,
-         suiteRuns, printFig2},
-        {"fig3_l1_cycles", "Figure 3: L1 data cache cycle breakdown", false,
-         suiteRuns, printFig3},
-        {"fig4_unit_idle", "Figure 4: function-unit idle fractions", false,
-         suiteRuns, printFig4},
+        perApp("fig1_load_classes",
+               "Figure 1: deterministic vs non-deterministic global-load "
+               "warps",
+               {.category = true,
+                .columns = {{"det fraction", percent},
+                            {"nondet fraction", percent},
+                            {"det warps", integer}, {"nondet warps", integer}},
+                .values = [](const AppResult &app) -> Values {
+                    const double det = app.stats.get("gload.warps.det");
+                    const double nondet = app.stats.get("gload.warps.nondet");
+                    const double total = det + nondet;
+                    return {total ? det / total : 0.0,
+                            total ? nondet / total : 0.0, det, nondet};
+                }}),
+        // Figure 2: memory requests per warp and per active thread of the
+        // non-deterministic (N) and deterministic (D) loads.
+        perApp("fig2_requests_per_warp",
+               "Figure 2: memory requests per warp / active thread",
+               {.columns = {{"N req/warp", fixed<2>}, {"D req/warp", fixed<2>},
+                            {"N req/thread", fixed<3>},
+                            {"D req/thread", fixed<3>}},
+                .values = [](const AppResult &app) -> Values {
+                    Values v;
+                    for (const char *per : {"gload.warps", "gload.active"})
+                        for (bool non_det : {true, false})
+                            v.push_back(classRatio(app.stats, "gload.reqs",
+                                                   per, non_det));
+                    return v;
+                }}),
+        // Figure 3: L1 data-cache cycles by outcome: hit, hit-reserved,
+        // miss and the reservation fails (tag, MSHR, interconnect).
+        perApp("fig3_l1_cycles", "Figure 3: L1 data cache cycle breakdown",
+               {.columns = {{"hit", percent}, {"hit_rsrv", percent},
+                            {"miss", percent}, {"rsrv_fail_tag", percent},
+                            {"rsrv_fail_mshr", percent},
+                            {"rsrv_fail_icnt", percent}},
+                .values = [](const AppResult &app) -> Values {
+                    std::vector<double> v;
+                    for (std::string o : {"hit", "hit_reserved", "miss",
+                                          "fail_tag", "fail_mshr", "fail_icnt"})
+                        v.push_back(app.stats.get("l1.outcome." + o));
+                    const double sum = std::accumulate(v.begin(), v.end(), 0.0);
+                    Values shares;
+                    for (double cycles : v)
+                        shares.push_back(sum ? cycles / sum : 0.0);
+                    // The share lost to reservation fails: none without
+                    // L1 cycles.
+                    const double fails = v[3] + v[4] + v[5];
+                    shares.push_back(sum ? std::optional(fails / sum)
+                                         : std::nullopt);
+                    return shares;
+                },
+                .summaries = {{.means = {{"average fraction of L1 cycles "
+                                          "lost to reservation fails: ",
+                                          6, percent}},
+                               .tail = " (paper: ~70%)"}}}),
+        // Figure 4: the fraction of cycles the first stage of the SP, SFU
+        // and LD/ST units is idle; the summary averages the busy fractions.
+        perApp("fig4_unit_idle", "Figure 4: function-unit idle fractions",
+               {.columns = {{"SP idle", percent}, {"SFU idle", percent},
+                            {"LD/ST idle", percent}},
+                .values = [](const AppResult &app) -> Values {
+                    const double cycles = app.stats.get("sm_cycles");
+                    const double sp = app.stats.get("busy.sp") / cycles;
+                    const double sfu = app.stats.get("busy.sfu") / cycles;
+                    const double ldst = app.stats.get("busy.ldst") / cycles;
+                    return {1.0 - sp, 1.0 - sfu, 1.0 - ldst, sp, sfu, ldst};
+                },
+                .summaries = {{.means = {{"average busy fractions: SP ", 3,
+                                          percent},
+                                         {", SFU ", 4, percent},
+                                         {", LD/ST ", 5, percent}},
+                               .tail = " (paper: 9.3% / 11.5% / 54.4%)"}}}),
         {"fig5_turnaround",
          "Figure 5: global-load turnaround decomposition (cycles)", false,
          suiteRuns, printFig5},
@@ -912,21 +676,106 @@ artifacts()
          "Figure 7: per-request-count gap breakdown (bfs, hottest "
          "non-deterministic load)",
          false, fig7Runs, printFig7},
-        {"fig8_miss_ratio", "Figure 8: L1/L2 miss ratios by load class",
-         false, suiteRuns, printFig8},
-        {"fig9_shared_loads", "Figure 9: shared loads per global load",
-         false, suiteRuns, printFig9},
-        {"fig10_cold_miss", "Figure 10: cold-miss ratio and block reuse",
-         false, suiteRuns, printFig10},
-        {"fig11_cta_sharing", "Figure 11: data blocks shared across CTAs",
-         false, suiteRuns, printFig11},
+        // Figure 8: L1 and L2 miss ratios per load class; none for a class
+        // that never reached the level.
+        perApp("fig8_miss_ratio", "Figure 8: L1/L2 miss ratios by load class",
+               {.columns = {{"N L1 miss", percent}, {"D L1 miss", percent},
+                            {"N L2 miss", percent}, {"D L2 miss", percent}},
+                .values = [](const AppResult &app) -> Values {
+                    Values v;
+                    for (const std::string level : {"l1", "l2"})
+                        for (bool non_det : {true, false}) {
+                            const double access = app.stats.get(
+                                classKey(level + ".access", non_det));
+                            const double miss = app.stats.get(
+                                classKey(level + ".miss", non_det));
+                            v.push_back(access ? std::optional(miss / access)
+                                               : std::nullopt);
+                        }
+                    return v;
+                }}),
+        perApp("fig9_shared_loads", "Figure 9: shared loads per global load",
+               {.category = true,
+                .columns = {{"shared loads", integer},
+                            {"global loads", integer}, {"ratio", fixed<2>}},
+                .values = [](const AppResult &app) -> Values {
+                    const double sload = app.stats.get("sload.warps");
+                    const double gload = app.stats.get("gload.warps.det") +
+                                         app.stats.get("gload.warps.nondet");
+                    return {sload, gload, gload ? sload / gload : 0.0};
+                },
+                .summaries = {{.byCategory = true,
+                               .means = {{"average ratio: ", 2, fixed<2>}}},
+                              {.tail = "(paper: image apps average ~2.5x)"}}}),
+        // Figure 10: cold-miss ratio (distinct blocks per access) and
+        // block reuse.
+        perApp("fig10_cold_miss", "Figure 10: cold-miss ratio and block reuse",
+               {.category = true,
+                .columns = {{"blocks", integer}, {"accesses", integer},
+                            {"cold miss ratio", percent},
+                            {"accesses/block", fixed<1>}},
+                .values = [](const AppResult &app) -> Values {
+                    const StatsSet &s = app.stats;
+                    return {s.get("blocks.count"), s.get("blocks.accesses"),
+                            s.ratio("blocks.count", "blocks.accesses"),
+                            s.ratio("blocks.accesses", "blocks.count")};
+                },
+                .summaries = {{.byCategory = true,
+                               .means = {{"average cold-miss ratio: ", 2,
+                                          percent}}},
+                              {.tail = "(paper: 16% overall, image ~38.8%)"}}}),
+        perApp("fig11_cta_sharing", "Figure 11: data blocks shared across CTAs",
+               {.columns = {{"shared block ratio", percent},
+                            {"shared access ratio", percent},
+                            {"avg CTAs/shared block", fixed<1>}},
+                .values = [](const AppResult &app) -> Values {
+                    const StatsSet &s = app.stats;
+                    return {s.ratio("blocks.shared", "blocks.count"),
+                            s.ratio("blocks.shared_accesses",
+                                    "blocks.accesses"),
+                            s.ratio("blocks.shared_cta_sum",
+                                    "blocks.shared")};
+                },
+                .summaries = {{.means = {{"averages: shared blocks ", 0,
+                                          percent},
+                                         {", accesses to shared blocks ", 1,
+                                          percent}},
+                               .tail = " (paper: 28.7% / 50.9%)"}}}),
         {"fig12_cta_distance",
          "Figure 12: CTA-distance frequency for shared blocks", false,
          suiteRuns, printFig12},
-        {"figX_cpi_stack",
-         "Figure X: per-application CPI stacks (issue-slot attribution, "
-         "crit profiler)",
-         true, suiteRuns, printFigX},
+        // Figure X (not in the paper): per-app CPI stacks from the crit
+        // profiler; every issue slot is an issue or a charged stall. Its
+        // runs have the profiler on, so they share no cache entries.
+        perApp("figX_cpi_stack",
+               "Figure X: per-application CPI stacks (issue-slot "
+               "attribution, crit profiler)",
+               {.columns = {{"slots", integer}, {"issued%", fixed<1>},
+                            {"data_hazard%", fixed<1>}, {"(det%", fixed<1>},
+                            {"nondet%)", fixed<1>}, {"barrier%", fixed<1>},
+                            {"ibuf%", fixed<1>}, {"pipe%", fixed<1>},
+                            {"mshr%", fixed<1>}, {"icnt%", fixed<1>},
+                            {"idle%", fixed<1>}},
+                .values = [](const AppResult &app) -> Values {
+                    const crit::CpiStack stack = crit::cpiStack(app.stats);
+                    if (!stack.valid)
+                        return Values(11);
+                    auto stall = [&](crit::StallReason r) {
+                        return stack.stall[static_cast<unsigned>(r)];
+                    };
+                    using enum crit::StallReason;
+                    Values v = {stack.slots, stack.issued,
+                                stall(DataHazard), stack.dhzByClass[1],
+                                stack.dhzByClass[2], stall(Barrier),
+                                stall(IbufferEmpty), stall(Pipeline),
+                                stall(MshrFull), stall(IcntBackpressure),
+                                stall(IdleNoCta)};
+                    // Every count but the slots, in percent of the slots.
+                    for (size_t i = 1; i < v.size(); ++i)
+                        v[i] = 100.0 * *v[i] / stack.slots;
+                    return v;
+                }},
+               true),
         {"ablation_cta_sched",
          "Ablation X.B: CTA scheduling policy (round-robin vs clustered "
          "pairs)",

@@ -4,15 +4,17 @@
  * CPI-stack figure, the Section X ablations and the L1-size claim.
  *
  * Each artifact declares the runs it reads and prints its table from their
- * results. bench/gcl_paper runs the union of the named artifacts' runs as
- * one runApps() batch, then prints each artifact in registry order; the
- * stdout of each at the default config is committed as
+ * results; the per-app tables are data printed by one renderer
+ * (app_table.hh). bench/gcl_paper runs the union of the named artifacts'
+ * runs as one runApps() batch, then prints each artifact in registry
+ * order; the stdout of each at the default config is committed as
  * tests/goldens/paper/<name>.txt.
  */
 
 #ifndef GCL_BENCH_COMMON_PAPER_HH
 #define GCL_BENCH_COMMON_PAPER_HH
 
+#include <functional>
 #include <ostream>
 #include <vector>
 
@@ -31,8 +33,9 @@ struct Artifact
     /** The runs print() reads, under the artifact's base config. */
     std::vector<Run> (*runs)(const sim::GpuConfig &base);
     /** Print the artifact's body (after its header) from @p results. */
-    void (*print)(const sim::GpuConfig &base, const Results &results,
-                  std::ostream &out);
+    std::function<void(const sim::GpuConfig &base, const Results &results,
+                       std::ostream &out)>
+        print;
 };
 
 /** Every artifact, in print order. */

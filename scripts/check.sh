@@ -63,6 +63,30 @@ for golden in tests/goldens/paper/*.txt; do
         || { echo "check: $name diverged from its golden" >&2; exit 1; }
 done
 
+# An average covers the finished runs among the apps printed. Replayed
+# over gaus alone, every suite and category average equals gaus's own row
+# (tests/goldens/paper_gaus.txt). With a sibling stopped by a fault (bpr,
+# the one run this stage simulates), the batch exits 3, the failed run
+# prints "-" and enters no average, and nothing prints nan.
+AVERAGED="table1_apps fig3_l1_cycles fig4_unit_idle fig9_shared_loads"
+AVERAGED="$AVERAGED fig10_cold_miss fig11_cta_sharing"
+GCL_BENCH_CACHE="$tmp/cache-paper" "$PAPER" $AVERAGED --apps=gaus \
+    > "$tmp/paper-gaus.txt" 2> /dev/null
+diff tests/goldens/paper_gaus.txt "$tmp/paper-gaus.txt" \
+    || { echo "check: an average over gaus alone is not gaus's row" >&2
+         exit 1; }
+rc=0
+GCL_BENCH_CACHE="$tmp/cache-paper" "$PAPER" $AVERAGED --apps=gaus,bpr \
+    --fault-plan='app=bpr;stop@2000' > "$tmp/paper-failed.txt" \
+    2> /dev/null || rc=$?
+[ "$rc" = 3 ] \
+    || { echo "check: a batch with a failed run exited $rc, want 3" >&2
+         exit 1; }
+if grep -q nan "$tmp/paper-failed.txt"; then
+    echo "check: a failed sibling's artifacts print nan" >&2
+    exit 1
+fi
+
 # A batch simulates each distinct run once: Table III reads bfs twice
 # (its suite row and its per-slice view), and a fresh batch over two apps
 # must still simulate exactly two runs.

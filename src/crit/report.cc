@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/table.hh"
+
 namespace gcl::crit
 {
 
@@ -100,22 +102,6 @@ p99FromLog2(const Histogram &hist)
                              1);
     }
     return 0;
-}
-
-/** Minimal RFC-4180 field quoting (kernel names may be arbitrary). */
-std::string
-csvField(const std::string &field)
-{
-    if (field.find_first_of(",\"\n\r") == std::string::npos)
-        return field;
-    std::string quoted = "\"";
-    for (char c : field) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
 }
 
 std::string

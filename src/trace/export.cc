@@ -42,15 +42,20 @@ exportStatsJson(const StatsSet &stats, std::ostream &out)
 bool
 importStatsJson(const std::string &text, StatsSet &stats, std::string *error)
 {
+    JsonValue root;
+    return parseJson(text, root, error) &&
+           importStatsJson(root, stats, error);
+}
+
+bool
+importStatsJson(const JsonValue &root, StatsSet &stats, std::string *error)
+{
     auto fail = [&](const std::string &msg) {
         if (error)
             *error = msg;
         return false;
     };
 
-    JsonValue root;
-    if (!parseJson(text, root, error))
-        return false;
     if (!root.isObject())
         return fail("stats JSON root is not an object");
     const JsonValue &scalars = root["scalars"];
@@ -83,23 +88,6 @@ importStatsJson(const std::string &text, StatsSet &stats, std::string *error)
         }
     }
     return true;
-}
-
-std::string
-csvField(const std::string &field)
-{
-    if (field.find_first_of(",\"\r\n") == std::string::npos)
-        return field;
-    std::string quoted;
-    quoted.reserve(field.size() + 2);
-    quoted += '"';
-    for (char c : field) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
 }
 
 void

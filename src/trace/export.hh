@@ -24,12 +24,15 @@
 #include <string>
 
 #include "util/stats.hh"
+#include "util/table.hh"
 
 namespace gcl::trace
 {
 
 /** Serialize @p stats as a JSON object (schema above). */
 void exportStatsJson(const StatsSet &stats, std::ostream &out);
+
+class JsonValue;
 
 /**
  * Parse JSON produced by exportStatsJson() back into @p stats.
@@ -38,17 +41,18 @@ void exportStatsJson(const StatsSet &stats, std::ostream &out);
 bool importStatsJson(const std::string &text, StatsSet &stats,
                      std::string *error = nullptr);
 
+/**
+ * The same from a parsed stats object, such as the "stats" member of one
+ * app record of a --stats-json file: the one JSON-to-StatsSet importer.
+ */
+bool importStatsJson(const JsonValue &root, StatsSet &stats,
+                     std::string *error = nullptr);
+
 /** Serialize @p stats as a flat CSV table (schema above). */
 void exportStatsCsv(const StatsSet &stats, std::ostream &out);
 
-/**
- * RFC 4180 field quoting: returns @p field unchanged when it contains no
- * comma, quote, CR, or LF; otherwise wraps it in double quotes with inner
- * quotes doubled. Every CSV writer in the tree funnels fields through this
- * so keys with punctuation (e.g. crit.pc.<kernel>#<pc>) and free-form text
- * (failure messages, app names) can never break a row.
- */
-std::string csvField(const std::string &field);
+/** The one CSV field quoting rule (util/table.hh). */
+using gcl::csvField;
 
 /** Result of validating a Chrome trace-event JSON file. */
 struct TraceValidation

@@ -8,6 +8,23 @@
 namespace gcl
 {
 
+std::string
+csvField(const std::string &field)
+{
+    if (field.find_first_of(",\"\r\n") == std::string::npos)
+        return field;
+    std::string quoted;
+    quoted.reserve(field.size() + 2);
+    quoted += '"';
+    for (char c : field) {
+        if (c == '"')
+            quoted += '"';
+        quoted += c;
+    }
+    quoted += '"';
+    return quoted;
+}
+
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {
@@ -81,17 +98,8 @@ void
 Table::printCsv(std::ostream &os) const
 {
     auto emit_row = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ',';
-            // Cells are simple tokens (names/numbers); strip '%' padding is
-            // unnecessary, but commas would corrupt the CSV.
-            std::string cell = row[c];
-            for (auto &ch : cell)
-                if (ch == ',')
-                    ch = ';';
-            os << cell;
-        }
+        for (size_t c = 0; c < row.size(); ++c)
+            os << (c ? "," : "") << csvField(row[c]);
         os << '\n';
     };
     emit_row(headers_);

@@ -18,6 +18,15 @@
 namespace gcl
 {
 
+/**
+ * RFC 4180 field quoting: @p field unchanged when it holds no comma,
+ * quote, CR or LF; otherwise wrapped in double quotes with inner quotes
+ * doubled. Every CSV writer in the tree quotes its fields through this,
+ * so keys with punctuation (e.g. crit.pc.<kernel>#<pc>) and free-form
+ * text (failure messages, kernel names) can never break a row.
+ */
+std::string csvField(const std::string &field);
+
 /** A simple column-aligned text table with an optional CSV rendering. */
 class Table
 {
@@ -35,7 +44,7 @@ class Table
     /** Render with aligned columns and a header rule. */
     void print(std::ostream &os) const;
 
-    /** Render as CSV (headers + rows). */
+    /** Render as CSV (headers + rows), each cell through csvField(). */
     void printCsv(std::ostream &os) const;
 
     size_t numRows() const { return rows_.size(); }

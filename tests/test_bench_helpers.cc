@@ -1,20 +1,23 @@
 /**
  * @file
  * Tests for the benchmark-harness helpers: per-pc series discovery and
- * class-ratio extraction used by the Fig 6/7 artifacts, the runner's
- * count-flag parsing and undeclared-run check, and the artifact registry
- * against its goldens.
+ * class-ratio extraction used by the Fig 6/7 artifacts, the per-app table
+ * renderer's averaging rule, the runner's count-flag parsing and
+ * undeclared-run check, and the artifact registry against its goldens.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <set>
+#include <sstream>
 #include <string>
 
+#include "common/app_table.hh"
 #include "common/figures.hh"
 #include "common/paper.hh"
 #include "common/runner.hh"
+#include "util/table.hh"
 
 namespace
 {
@@ -93,6 +96,105 @@ TEST(BenchHelpers, IgnoresNonPcHistograms)
     s.hist("cta_distance").add(1, 5.0);
     s.hist("block_reuse").add(2, 5.0);
     EXPECT_TRUE(discoverPcSeries(s).empty());
+}
+
+// The per-app table renderer, fed fabricated runs (no simulation).
+
+using gcl::bench::AppResult;
+using gcl::bench::Values;
+
+/** A run of @p name whose one value is its scalar "x" (none when 0). */
+AppResult
+fakeRun(const char *name, const char *category, double x,
+        bool failed = false)
+{
+    AppResult app;
+    app.name = name;
+    app.category = category;
+    app.stats.set("x", x);
+    app.failure.failed = failed;
+    return app;
+}
+
+std::string
+fixed2(double v)
+{
+    return gcl::Table::fmt(v, 2);
+}
+
+/** The table of x with its suite mean and its per-category means. */
+std::string
+render(const std::vector<AppResult> &apps)
+{
+    const gcl::bench::AppTable table = {
+        .category = true,
+        .columns = {{"x", fixed2}},
+        .values = [](const AppResult &app) -> Values {
+            const double x = app.stats.get("x");
+            return {x ? std::optional(x) : std::nullopt};
+        },
+        .summaries = {{.means = {{"mean x: ", 0, fixed2}}},
+                      {.byCategory = true,
+                       .means = {{"mean x: ", 0, fixed2}},
+                       .tail = " (per category)"}}};
+    std::vector<const AppResult *> rows;
+    for (const AppResult &app : apps)
+        rows.push_back(&app);
+    std::ostringstream out;
+    gcl::bench::printAppTable(table, rows, out, "note\n");
+    return out.str();
+}
+
+TEST(AppTable, OneAppAveragesEqualItsRow)
+{
+    EXPECT_EQ(render({fakeRun("gaus", "linear", 9.11)}),
+              "app   category  x   \n"
+              "--------------------\n"
+              "gaus  linear    9.11\n"
+              "\n"
+              "mean x: 9.11\n"
+              "category linear mean x: 9.11 (per category)\n"
+              "note\n"
+              "\nCSV:\n"
+              "app,category,x\n"
+              "gaus,linear,9.11\n");
+}
+
+TEST(AppTable, FailedRunPrintsDashesAndEntersNoAverage)
+{
+    // bpr failed: its row keeps its name and category, every value cell
+    // is "-", and it enters neither the suite mean nor a category. dwt
+    // finished without a value: "-" in its cell, and its category's mean
+    // has nothing to average.
+    const std::string out = render({fakeRun("gaus", "linear", 1.0),
+                                    fakeRun("bpr", "image", 100.0, true),
+                                    fakeRun("lu", "linear", 4.0),
+                                    fakeRun("dwt", "graph", 0.0)});
+    EXPECT_NE(out.find("bpr   image     -   \n"), std::string::npos) << out;
+    EXPECT_NE(out.find("dwt   graph     -   \n"), std::string::npos) << out;
+    EXPECT_NE(out.find("\nmean x: 2.50\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("\ncategory graph mean x: - (per category)\n"
+                       "category linear mean x: 2.50 (per category)\n"
+                       "note\n"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("category image"), std::string::npos) << out;
+    EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+    EXPECT_NE(out.find("\nbpr,image,-\n"), std::string::npos) << out;
+}
+
+TEST(AppTable, CategoryMeanDividesByItsOwnFinishedApps)
+{
+    const std::string out = render({fakeRun("2mm", "linear", 1.0),
+                                    fakeRun("bfs", "graph", 10.0),
+                                    fakeRun("gaus", "linear", 2.0),
+                                    fakeRun("sssp", "graph", 30.0, true),
+                                    fakeRun("lu", "linear", 6.0)});
+    EXPECT_NE(out.find("\nmean x: 4.75\n"
+                       "category graph mean x: 10.00 (per category)\n"
+                       "category linear mean x: 3.00 (per category)\n"),
+              std::string::npos)
+        << out;
 }
 
 TEST(BenchFlagsDeathTest, MalformedCountsAreFatal)

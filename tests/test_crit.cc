@@ -24,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,6 +158,35 @@ TEST(Crit, ProfilerIsAPureObserver)
     const StatsSet on = runStats("gaus", true);
     EXPECT_TRUE(on.has("crit.issue_width"));
     EXPECT_EQ(stripCrit(on).serialize(), off.serialize());
+}
+
+// tools/crit_report reads its flags and its stats JSON through the shared
+// parsers (gcl::parseCount, trace::importStatsJson). Each death test runs
+// the tool in the forked child.
+
+TEST(CritReportDeathTest, NegativeTopNIsNotARowCount)
+{
+    // A hand-rolled strtoul once wrapped -1 to ULONG_MAX and printed
+    // every row.
+    EXPECT_EXIT(execl(GCL_CRIT_REPORT, "crit_report", "--top-n=-1",
+                      static_cast<char *>(nullptr)),
+                ::testing::ExitedWithCode(1),
+                "fatal: --top-n=-1 is not a row count");
+}
+
+TEST(CritReportDeathTest, NonIntegerBucketIsRejected)
+{
+    // trace_check rejects this file; crit_report once read the bucket
+    // "0x" as 0 and printed a report.
+    const std::string path = ::testing::TempDir() + "crit_report_0x.json";
+    std::ofstream(path) << R"({"apps": [{"name": "a", "stats": {
+        "scalars": {"crit.issue_width": 2, "crit.cycles": 10},
+        "histograms": {"h": {"buckets": {"0x": 1}}}}}]})";
+    const std::string stats = "--stats=" + path;
+    EXPECT_EXIT(execl(GCL_CRIT_REPORT, "crit_report", stats.c_str(),
+                      static_cast<char *>(nullptr)),
+                ::testing::ExitedWithCode(1),
+                "app 'a': histogram 'h' bucket '0x' is not an integer");
 }
 
 } // namespace

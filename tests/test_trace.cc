@@ -316,6 +316,27 @@ TEST(StatsExport, JsonContainsTheDocumentedKeyFamilies)
     EXPECT_GT(back.histOrEmpty("block_reuse").totalWeight(), 0.0);
 }
 
+TEST(StatsExport, ParsedObjectImportRejectsANonIntegerBucket)
+{
+    // The parsed-object importer (what crit_report and trace_check call on
+    // each app record) checks bucket keys as strictly as the text one.
+    const std::string good = R"({"scalars": {"cycles": 5},
+        "histograms": {"h": {"buckets": {"0": 2, "-3": 1}}}})";
+    trace::JsonValue root;
+    ASSERT_TRUE(trace::parseJson(good, root, nullptr));
+    StatsSet stats;
+    std::string error;
+    ASSERT_TRUE(trace::importStatsJson(root, stats, &error)) << error;
+    EXPECT_EQ(stats.get("cycles"), 5.0);
+    EXPECT_EQ(stats.histOrEmpty("h").weightAt(-3), 1.0);
+
+    std::string bad = good;
+    bad.replace(bad.find("\"0\""), 3, "\"0x\"");
+    ASSERT_TRUE(trace::parseJson(bad, root, nullptr));
+    EXPECT_FALSE(trace::importStatsJson(root, stats, &error));
+    EXPECT_EQ(error, "histogram 'h' bucket '0x' is not an integer");
+}
+
 TEST(StatsExport, CsvListsScalarsAndHistogramBuckets)
 {
     StatsSet stats;

@@ -309,11 +309,13 @@ TEST(TableTest, AlignedOutputContainsCells)
 
 TEST(TableTest, CsvEscapesCommas)
 {
+    // RFC 4180 quoting (gcl::csvField), not a lossy rewrite of the comma.
     Table t({"a", "b"});
     t.addRow({"x,y", "1"});
+    t.addRow({"say \"hi\"", "2%"});
     std::ostringstream oss;
     t.printCsv(oss);
-    EXPECT_NE(oss.str().find("x;y,1"), std::string::npos);
+    EXPECT_EQ(oss.str(), "a,b\n\"x,y\",1\n\"say \"\"hi\"\"\",2%\n");
 }
 
 TEST(TableTest, FormatHelpers)

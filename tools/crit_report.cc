@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -24,6 +23,7 @@
 #include "crit/report.hh"
 #include "trace/export.hh"
 #include "trace/json.hh"
+#include "util/count.hh"
 #include "util/stats.hh"
 
 namespace
@@ -36,34 +36,6 @@ fail(const std::string &msg)
 {
     std::fprintf(stderr, "crit_report: %s\n", msg.c_str());
     return 1;
-}
-
-/** Rebuild one app's StatsSet from the parsed "stats" sub-object. */
-bool
-rebuildStats(const JsonValue &stats, gcl::StatsSet &set)
-{
-    const JsonValue &scalars = stats["scalars"];
-    const JsonValue &hists = stats["histograms"];
-    if (!scalars.isObject() || !hists.isObject())
-        return false;
-    for (const auto &[key, value] : scalars.object) {
-        if (!value.isNumber())
-            return false;
-        set.set(key, value.number);
-    }
-    for (const auto &[key, hist] : hists.object) {
-        const JsonValue &buckets = hist["buckets"];
-        if (!buckets.isObject())
-            return false;
-        gcl::Histogram &out = set.hist(key);
-        for (const auto &[bucket, weight] : buckets.object) {
-            if (!weight.isNumber())
-                return false;
-            out.add(std::strtoll(bucket.c_str(), nullptr, 10),
-                    weight.number);
-        }
-    }
-    return true;
 }
 
 } // namespace
@@ -80,12 +52,7 @@ main(int argc, char **argv)
         if (std::strncmp(arg, "--stats=", 8) == 0) {
             stats_path = arg + 8;
         } else if (std::strncmp(arg, "--top-n=", 8) == 0) {
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(arg + 8, &end, 10);
-            if (end == arg + 8 || *end != '\0' || n == 0)
-                return fail(std::string("--top-n=") + (arg + 8) +
-                            " is not a row count");
-            top_n = n;
+            top_n = gcl::parseCount("--top-n", arg + 8, "row count", false);
         } else if (std::strncmp(arg, "--collapsed=", 12) == 0) {
             collapsed_path = arg + 12;
         } else if (std::strcmp(arg, "--csv") == 0) {
@@ -132,9 +99,8 @@ main(int argc, char **argv)
             return fail(stats_path + ": malformed app record");
         const std::string &name = app["name"].string;
         gcl::StatsSet set;
-        if (!rebuildStats(app["stats"], set))
-            return fail(stats_path + ": app '" + name +
-                        "' has a malformed stats object");
+        if (!gcl::trace::importStatsJson(app["stats"], set, &error))
+            return fail(stats_path + ": app '" + name + "': " + error);
         if (!set.has("crit.issue_width")) {
             std::fprintf(stderr,
                          "crit_report: app '%s' has no crit section "

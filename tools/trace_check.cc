@@ -196,39 +196,10 @@ checkStats(const std::string &path)
         if (!app.has("stats") || !app["stats"].isObject())
             return fail(path + ": app '" + name + "' has no stats");
 
-        // Round-trip the stats object through the importer; this enforces
-        // the scalars/histograms schema, not just well-formed JSON. The
-        // importer consumes whole documents, so re-emit the sub-object
-        // from the parsed tree.
-        const JsonValue &stats = app["stats"];
+        // The importer enforces the scalars/histograms schema, not just
+        // well-formed JSON.
         gcl::StatsSet set;
-        std::ostringstream rebuilt;
-        rebuilt << "{\"scalars\":{";
-        bool first = true;
-        for (const auto &[key, value] : stats["scalars"].object) {
-            rebuilt << (first ? "" : ",") << gcl::trace::jsonQuote(key)
-                    << ":" << gcl::trace::jsonNumber(value.number);
-            first = false;
-        }
-        rebuilt << "},\"histograms\":{";
-        first = true;
-        for (const auto &[key, hist] : stats["histograms"].object) {
-            rebuilt << (first ? "" : ",") << gcl::trace::jsonQuote(key)
-                    << ":{\"buckets\":{";
-            bool fb = true;
-            for (const auto &[bucket, weight] : hist["buckets"].object) {
-                rebuilt << (fb ? "" : ",") << gcl::trace::jsonQuote(bucket)
-                        << ":" << gcl::trace::jsonNumber(weight.number);
-                fb = false;
-            }
-            rebuilt << "},\"total_weight\":"
-                    << gcl::trace::jsonNumber(hist["total_weight"].number)
-                    << ",\"mean\":"
-                    << gcl::trace::jsonNumber(hist["mean"].number) << "}";
-            first = false;
-        }
-        rebuilt << "}}";
-        if (!gcl::trace::importStatsJson(rebuilt.str(), set, &error))
+        if (!gcl::trace::importStatsJson(app["stats"], set, &error))
             return fail(path + ": app '" + name + "': " + error);
         if (!set.has("cycles") || set.get("cycles") <= 0)
             return fail(path + ": app '" + name +
