@@ -28,16 +28,48 @@ appRuns(const std::vector<const char *> &apps, const sim::GpuConfig &config)
     return runs;
 }
 
-/** Combined L1 or L2 miss ratio over both load classes. */
-double
-missRatio(const AppResult &app, const char *level)
+// The cells of the tables that keep their own code. A run that did not
+// finish prints "-" in each of its cells, as in the per-app tables.
+
+/** "-" in each of @p cells after @p name. */
+std::vector<std::string>
+unfinishedRow(const std::string &name, size_t cells)
 {
+    std::vector<std::string> row(cells + 1, "-");
+    row[0] = name;
+    return row;
+}
+
+/** Combined L1 or L2 miss ratio over both load classes, as a percent. */
+std::string
+missCell(const AppResult &app, const char *level)
+{
+    if (!finished(app))
+        return "-";
     const std::string l = level;
     const double access = app.stats.get(l + ".access.det") +
                           app.stats.get(l + ".access.nondet");
     const double misses = app.stats.get(l + ".miss.det") +
                           app.stats.get(l + ".miss.nondet");
-    return access ? misses / access : 0.0;
+    return Table::fmtPct(access ? misses / access : 0.0);
+}
+
+std::string
+cyclesCell(const AppResult &app)
+{
+    return finished(app) ? Table::fmtInt(static_cast<uint64_t>(
+                               app.stats.get("cycles")))
+                         : "-";
+}
+
+/** @p base's cycles over @p variant's. */
+std::string
+speedupCell(const AppResult &base, const AppResult &variant)
+{
+    if (!finished(base) || !finished(variant))
+        return "-";
+    const double cycles = variant.stats.get("cycles");
+    return Table::fmt(cycles ? base.stats.get("cycles") / cycles : 0.0, 3);
 }
 
 std::vector<Run>
@@ -123,8 +155,9 @@ void
 printTable3(const sim::GpuConfig &base, const Results &results,
             std::ostream &out)
 {
-    auto counters = [&base](const AppResult &app) {
-        return profiler::Counters::fromStats(app.stats, base.numPartitions);
+    auto counters = [](const AppResult &app) {
+        return profiler::Counters::fromStats(app.stats,
+                                             app.config.numPartitions);
     };
     const AppResult &slice_app = results.at(kSliceApp, base);
     printAppTable(
@@ -176,6 +209,10 @@ printFig5(const sim::GpuConfig &base, const Results &results,
     Table table({"app", "class", "unloaded", "rsrv_prev_warps",
                  "rsrv_cur_warp", "wasted_l2_dram", "total"});
     for (const AppResult *app : results.suite(base)) {
+        if (!finished(*app)) {
+            table.addRow(unfinishedRow(app->name, 6));
+            continue;
+        }
         if (app->stats.get("turn.cnt.nondet") > 0)
             table.addRow(turnaroundRow(*app, true));
         if (app->stats.get("turn.cnt.det") > 0)
@@ -206,6 +243,10 @@ printFig6(const sim::GpuConfig &base, const Results &results,
 
     for (const char *name : kFig6Apps) {
         const AppResult &app = results.at(name, base);
+        if (!finished(app)) {
+            table.addRow(unfinishedRow(app.name, 6));
+            continue;
+        }
         for (bool non_det : {true, false}) {
             const auto series = hottestPc(app.stats, non_det);
             if (series.prefix.empty())
@@ -248,6 +289,14 @@ printFig7(const sim::GpuConfig &base, const Results &results,
           std::ostream &out)
 {
     const AppResult &app = results.at(kFig7App, base);
+    Table table({"requests", "warps", "common latency", "gap at L1D",
+                 "gap at icnt-L2", "gap at L2-icnt"});
+    if (!finished(app)) {
+        out << "load: -\n\n";
+        table.addRow(std::vector<std::string>(6, "-"));
+        printTable(table, out);
+        return;
+    }
     const auto series = hottestPc(app.stats, true);
     if (series.prefix.empty()) {
         out << "no non-deterministic load recorded\n";
@@ -260,9 +309,6 @@ printFig7(const sim::GpuConfig &base, const Results &results,
     const auto &g1 = app.stats.histOrEmpty(series.prefix + "gap_l1d");
     const auto &g2 = app.stats.histOrEmpty(series.prefix + "gap_icnt_l2");
     const auto &g3 = app.stats.histOrEmpty(series.prefix + "gap_l2icnt");
-
-    Table table({"requests", "warps", "common latency", "gap at L1D",
-                 "gap at icnt-L2", "gap at L2-icnt"});
     for (const auto &[nreq, warps] : cnt.buckets()) {
         table.addRow({
             Table::fmtInt(static_cast<uint64_t>(nreq)),
@@ -375,16 +421,12 @@ printSuitePair(const sim::GpuConfig &base, const sim::GpuConfig &variant,
     const auto with_base = results.suite(base);
     const auto with_variant = results.suite(variant);
     for (size_t i = 0; i < with_base.size(); ++i) {
-        const double cyc_b = with_base[i]->stats.get("cycles");
-        const double cyc_v = with_variant[i]->stats.get("cycles");
-        table.addRow({
-            with_base[i]->name,
-            Table::fmtPct(missRatio(*with_base[i], level)),
-            Table::fmtPct(missRatio(*with_variant[i], level)),
-            Table::fmtInt(static_cast<uint64_t>(cyc_b)),
-            Table::fmtInt(static_cast<uint64_t>(cyc_v)),
-            Table::fmt(cyc_v ? cyc_b / cyc_v : 0.0, 3),
-        });
+        const AppResult &app_base = *with_base[i];
+        const AppResult &app_variant = *with_variant[i];
+        table.addRow({app_base.name, missCell(app_base, level),
+                      missCell(app_variant, level), cyclesCell(app_base),
+                      cyclesCell(app_variant),
+                      speedupCell(app_base, app_variant)});
     }
     printTable(table, out);
 }
@@ -486,18 +528,12 @@ printL1Size(const sim::GpuConfig &base, const Results &results,
     Table table({"app", "L1 size", "L1 miss", "cycles",
                  "speedup vs 16KB"});
     for (const char *name : kL1SizeApps) {
-        const double base_cycles =
-            results.at(name, base).stats.get("cycles");
+        const AppResult &app_base = results.at(name, base);
         for (uint32_t kb : kL1SizesKb) {
             const AppResult &app = results.at(name, withL1Kb(base, kb));
-            const double cycles = app.stats.get("cycles");
-            table.addRow({
-                name,
-                std::to_string(kb) + "KB",
-                Table::fmtPct(missRatio(app, "l1")),
-                Table::fmtInt(static_cast<uint64_t>(cycles)),
-                Table::fmt(cycles ? base_cycles / cycles : 0.0, 3),
-            });
+            table.addRow({name, std::to_string(kb) + "KB",
+                          missCell(app, "l1"), cyclesCell(app),
+                          speedupCell(app_base, app)});
         }
     }
     printTable(table, out,
@@ -544,22 +580,17 @@ printWarpSplit(const sim::GpuConfig &base, const Results &results,
     for (const char *name : kWarpSplitApps) {
         const AppResult &app_base = results.at(name, base);
         const AppResult &app_split = results.at(name, warpSplit(base));
-        auto turn = [](const AppResult &app, bool non_det) {
+        auto turn = [](const AppResult &app, bool non_det) -> std::string {
+            if (!finished(app))
+                return "-";
             const auto &s = app.stats;
             const double cnt = s.get(classKey("turn.cnt", non_det));
-            return cnt ? s.get(classKey("turn.sum", non_det)) / cnt : 0.0;
+            return Table::fmt(
+                cnt ? s.get(classKey("turn.sum", non_det)) / cnt : 0.0, 1);
         };
-        table.addRow({
-            name,
-            Table::fmt(turn(app_base, false), 1),
-            Table::fmt(turn(app_split, false), 1),
-            Table::fmt(turn(app_base, true), 1),
-            Table::fmt(turn(app_split, true), 1),
-            Table::fmtInt(
-                static_cast<uint64_t>(app_base.stats.get("cycles"))),
-            Table::fmtInt(
-                static_cast<uint64_t>(app_split.stats.get("cycles"))),
-        });
+        table.addRow({name, turn(app_base, false), turn(app_split, false),
+                      turn(app_base, true), turn(app_split, true),
+                      cyclesCell(app_base), cyclesCell(app_split)});
     }
     printTable(table, out);
 }

@@ -23,7 +23,6 @@
 #include "sim/machine.hh"
 #include "trace/chrome_writer.hh"
 #include "trace/export.hh"
-#include "trace/json.hh"
 #include "trace/trace.hh"
 #include "util/count.hh"
 #include "util/file.hh"
@@ -112,18 +111,7 @@ struct ExportState
     std::string traceTmp; //!< staging name; renamed over --trace-out
     std::unique_ptr<trace::ChromeTraceWriter> writer;
     int nextPid = 1;
-
-    struct Record
-    {
-        std::string name;
-        std::string category;
-        std::string machine;
-        bool verified = false;
-        uint64_t fingerprint = 0;
-        StatsSet stats;
-        SimFailure failure;
-    };
-    std::vector<Record> records;
+    std::vector<trace::StatsRecord> records;
 };
 
 ExportState *g_export = nullptr;
@@ -159,36 +147,7 @@ void
 writeStatsJson(const std::string &path)
 {
     std::ostringstream out;
-    out << "{\n\"apps\": [";
-    bool first = true;
-    for (const auto &rec : g_export->records) {
-        char fp[32];
-        std::snprintf(fp, sizeof(fp), "%016" PRIx64, rec.fingerprint);
-        out << (first ? "\n" : ",\n") << "{\"name\": "
-            << trace::jsonQuote(rec.name) << ", \"category\": "
-            << trace::jsonQuote(rec.category) << ", \"machine\": "
-            << trace::jsonQuote(rec.machine) << ", \"verified\": "
-            << (rec.verified ? "true" : "false")
-            << ", \"fingerprint\": \"" << fp << "\"";
-        if (rec.failure.failed) {
-            out << ", \"failure\": {\"kind\": "
-                << trace::jsonQuote(rec.failure.kind)
-                << ", \"component\": "
-                << trace::jsonQuote(rec.failure.component)
-                << ", \"cycle\": " << rec.failure.cycle
-                << ", \"message\": "
-                << trace::jsonQuote(rec.failure.message);
-            if (!rec.failure.detail.empty())
-                out << ", \"detail\": "
-                    << trace::jsonQuote(rec.failure.detail);
-            out << "}";
-        }
-        out << ", \"stats\": ";
-        trace::exportStatsJson(rec.stats, out);
-        out << "}";
-        first = false;
-    }
-    out << "\n]\n}\n";
+    trace::exportStatsFile(g_export->records, out);
     publishArtifact("stats JSON", path, out.str());
 }
 
@@ -393,15 +352,15 @@ storeCached(const std::filesystem::path &path, const AppResult &result)
 
 /** Remember a finished run for the end-of-process stats artifacts. */
 void
-recordResult(const AppResult &result, const sim::GpuConfig &config)
+recordResult(const AppResult &result)
 {
     if (!g_export ||
         (g_options.statsJson.empty() && g_options.statsCsv.empty() &&
          g_options.critOut.empty()))
         return;
     g_export->records.push_back({result.name, result.category,
-                                 config.machineName, result.verified,
-                                 config.fingerprint(), result.stats,
+                                 result.config.machineName, result.verified,
+                                 result.config.fingerprint(), result.stats,
                                  result.failure});
 }
 
@@ -646,7 +605,7 @@ initBench(int argc, char **argv, const std::string &usage)
                 "(= GCL_SAMPLE): fast-forward\n"
                 "                           outside the detailed windows "
                 "and extrapolate\n"
-                "                           (kernels:K1:K2 | ctas:S:L | "
+                "                           (kernels:K1:K2 | ctas:0:0 | "
                 "every:N; grammar\n"
                 "                           in src/sim/sample.hh)\n");
             std::exit(0);
@@ -788,6 +747,13 @@ Results::suite(const sim::GpuConfig &config) const
     return out;
 }
 
+void
+Results::add(AppResult result)
+{
+    std::string key = cacheKey(result.name, result.config);
+    byKey_.emplace(std::move(key), std::move(result));
+}
+
 Results
 runApps(const std::vector<Run> &runs)
 {
@@ -888,8 +854,9 @@ runApps(const std::vector<Run> &runs)
     summarizeSweep(results);
     Results out;
     for (size_t i = 0; i < slots.size(); ++i) {
-        recordResult(results[i], slots[i].config);
-        out.byKey_.emplace(slots[i].key, std::move(results[i]));
+        results[i].config = slots[i].config;
+        recordResult(results[i]);
+        out.add(std::move(results[i]));
     }
     return out;
 }

@@ -84,6 +84,7 @@ struct AppResult
 {
     std::string name;
     std::string category;    //!< "linear" / "image" / "graph"
+    sim::GpuConfig config;   //!< the config it ran under
     bool verified = false;   //!< CPU reference check passed
     StatsSet stats;          //!< finalized simulator stats
     SimFailure failure;      //!< structured failure record (failed=false
@@ -112,9 +113,13 @@ class Results
     /** at(app, config) for each Table I app --apps selects, in order. */
     std::vector<const AppResult *> suite(const sim::GpuConfig &config) const;
 
-  private:
-    friend Results runApps(const std::vector<Run> &runs);
+    /**
+     * Add @p result as its app's run under its config. runApps() fills a
+     * batch this way; tests feed fabricated runs.
+     */
+    void add(AppResult result);
 
+  private:
     std::map<std::string, AppResult> byKey_; //!< by cache key
 };
 

@@ -13,7 +13,7 @@
  *   ns_per_cycle     host nanoseconds per simulated cycle (lower is better)
  *   peak_rss_kb      peak resident set of the whole process
  *
- * `tools/perf_diff old.json new.json` compares two snapshots and fails on
+ * `tools/stats_diff old.json new.json` compares two snapshots and fails on
  * a regression; `scripts/bench_perf.sh` wires both against the committed
  * baseline in bench/baselines/ so every perf PR leaves a trajectory.
  *
@@ -48,6 +48,7 @@
 
 #include "sim/config.hh"
 #include "sim/sample.hh"
+#include "trace/json.hh"
 #include "util/count.hh"
 #include "util/logging.hh"
 #include "workloads/sim_context.hh"
@@ -105,28 +106,25 @@ void
 writeJson(const std::string &path, const std::string &label,
           const std::vector<AppPerf> &apps, unsigned repeat)
 {
-    uint64_t total_cycles = 0, total_insts = 0;
+    using gcl::trace::jsonNumber;
+    using gcl::trace::jsonQuote;
+    uint64_t total_cycles = 0;
     double total_seconds = 0.0;
     for (const auto &app : apps) {
         total_cycles += app.simCycles;
-        total_insts += app.warpInsts;
         total_seconds += app.medianSeconds;
     }
-    const double cps =
-        total_seconds > 0 ? static_cast<double>(total_cycles) / total_seconds
-                          : 0.0;
+    const double cycles = static_cast<double>(total_cycles);
+    const double cps = total_seconds > 0 ? cycles / total_seconds : 0.0;
     const double ns_per_cycle =
-        total_cycles > 0 ? total_seconds * 1e9 /
-                               static_cast<double>(total_cycles)
-                         : 0.0;
+        total_cycles > 0 ? total_seconds * 1e9 / cycles : 0.0;
 
     std::ofstream out(path);
     if (!out)
         gcl_fatal("cannot write '", path, "'");
-    char buf[256];
     out << "{\n";
     out << "  \"bench\": \"perf_sweep\",\n";
-    out << "  \"label\": \"" << label << "\",\n";
+    out << "  \"label\": " << jsonQuote(label) << ",\n";
     out << "  \"repeat\": " << repeat << ",\n";
     out << "  \"per_app\": [\n";
     for (size_t i = 0; i < apps.size(); ++i) {
@@ -134,27 +132,20 @@ writeJson(const std::string &path, const std::string &label,
         const double app_cps = app.medianSeconds > 0
             ? static_cast<double>(app.simCycles) / app.medianSeconds
             : 0.0;
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"name\": \"%s\", \"sim_cycles\": %llu, "
-                      "\"warp_insts\": %llu, \"dormant_cycles\": %llu, "
-                      "\"median_seconds\": %.6f, "
-                      "\"cycles_per_sec\": %.0f}%s\n",
-                      app.name.c_str(),
-                      static_cast<unsigned long long>(app.simCycles),
-                      static_cast<unsigned long long>(app.warpInsts),
-                      static_cast<unsigned long long>(app.dormantCycles),
-                      app.medianSeconds, app_cps,
-                      i + 1 < apps.size() ? "," : "");
-        out << buf;
+        out << "    {\"name\": " << jsonQuote(app.name)
+            << ", \"sim_cycles\": " << app.simCycles
+            << ", \"warp_insts\": " << app.warpInsts
+            << ", \"dormant_cycles\": " << app.dormantCycles
+            << ", \"median_seconds\": " << jsonNumber(app.medianSeconds)
+            << ", \"cycles_per_sec\": " << jsonNumber(app_cps) << "}"
+            << (i + 1 < apps.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
-    std::snprintf(buf, sizeof(buf),
-                  "  \"total\": {\"sim_cycles\": %llu, \"seconds\": %.6f, "
-                  "\"cycles_per_sec\": %.0f, \"ns_per_cycle\": %.3f, "
-                  "\"peak_rss_kb\": %ld}\n",
-                  static_cast<unsigned long long>(total_cycles),
-                  total_seconds, cps, ns_per_cycle, peakRssKb());
-    out << buf;
+    out << "  \"total\": {\"sim_cycles\": " << total_cycles
+        << ", \"seconds\": " << jsonNumber(total_seconds)
+        << ", \"cycles_per_sec\": " << jsonNumber(cps)
+        << ", \"ns_per_cycle\": " << jsonNumber(ns_per_cycle)
+        << ", \"peak_rss_kb\": " << peakRssKb() << "}\n";
     out << "}\n";
 }
 
@@ -209,7 +200,7 @@ main(int argc, char **argv)
                         "          [--sim-config=K=V,...] [--crit]\n"
                         "Times fresh simulations of the pinned app subset "
                         "and writes a\nBENCH_perf.json throughput snapshot "
-                        "(compare with tools/perf_diff).\n"
+                        "(compare with tools/stats_diff).\n"
                         "--crit times the run with the criticality "
                         "profiler enabled,\nto measure its overhead "
                         "against a plain snapshot.\n"

@@ -2,7 +2,7 @@
 # Simulator-throughput snapshot: build (Release flags come from the default
 # toolchain), run bench/perf_sweep on the pinned app subset, write
 # BENCH_perf.json, and compare against the committed baseline in
-# bench/baselines/BENCH_perf_baseline.json with tools/perf_diff.
+# bench/baselines/BENCH_perf_baseline.json with tools/stats_diff.
 #
 # Usage: scripts/bench_perf.sh [--out=FILE] [--repeat=N] [--no-diff]
 #        BUILD_DIR=out scripts/bench_perf.sh
@@ -20,7 +20,7 @@
 #      that carries them ("+dirty" in a committed file means step 1 was
 #      skipped — regenerate).
 #
-# Exit status: perf_diff's (1 on >10% regression) unless --no-diff.
+# Exit status: stats_diff's (1 on >10% regression) unless --no-diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +40,7 @@ BUILD_DIR=${BUILD_DIR:-build}
 JOBS=$(nproc 2> /dev/null || echo 4)
 
 cmake -B "$BUILD_DIR" -S . > /dev/null
-cmake --build "$BUILD_DIR" -j"$JOBS" --target perf_sweep perf_diff
+cmake --build "$BUILD_DIR" -j"$JOBS" --target perf_sweep stats_diff
 
 LABEL=$(git rev-parse --short HEAD 2> /dev/null || echo local)
 git diff --quiet HEAD 2> /dev/null || LABEL="$LABEL+dirty"
@@ -50,5 +50,5 @@ git diff --quiet HEAD 2> /dev/null || LABEL="$LABEL+dirty"
 
 BASELINE=bench/baselines/BENCH_perf_baseline.json
 if [ "$DIFF" = 1 ] && [ -f "$BASELINE" ]; then
-    "$BUILD_DIR/tools/perf_diff" "$BASELINE" "$OUT"
+    "$BUILD_DIR/tools/stats_diff" "$BASELINE" "$OUT"
 fi

@@ -438,14 +438,11 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
 
     // ---- Sampled simulation (config.sample): split the grid ----
     //
-    // Non-detailed CTAs retire functionally (fastForwardCtas); only the
-    // detailed window runs through the timed machine. A CTA window keeps
-    // the ids after the window for AFTER the timed session, so the warm
-    // ring holds exactly the window's preceding accesses; every other
-    // mode fast-forwards all non-detailed CTAs up front.
+    // Non-detailed CTAs retire functionally (fastForwardCtas), all of
+    // them before the timed session; only the detailed ids run through
+    // the timed machine.
     const uint64_t launchIndex = kernelsDone_;
     std::vector<uint64_t> detailedList;   //!< windowed dispatch ids
-    std::vector<uint64_t> ffTail;         //!< fast-forwarded after the window
     bool windowed = false;
     // Occupancy waves of an n-CTA grid under this launch's per-SM
     // residency — the extrapolation unit.
@@ -468,24 +465,16 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         if (fully_detailed) {
             beginDetailedWork(0);
         } else {
-            std::vector<uint64_t> prefix;
-            if (samplePlan_.mode == SamplePlan::Mode::CtaWindow &&
-                !detailed.empty()) {
-                for (uint64_t i = 0; i < detailed.front(); ++i)
-                    prefix.push_back(i);
-                for (uint64_t i = detailed.back() + 1; i < total; ++i)
-                    ffTail.push_back(i);
-            } else {
-                size_t d = 0;
-                for (uint64_t i = 0; i < total; ++i) {
-                    if (d < detailed.size() && detailed[d] == i) {
-                        ++d;
-                        continue;
-                    }
-                    prefix.push_back(i);
+            std::vector<uint64_t> fast_forwarded;
+            size_t d = 0;
+            for (uint64_t i = 0; i < total; ++i) {
+                if (d < detailed.size() && detailed[d] == i) {
+                    ++d;
+                    continue;
                 }
+                fast_forwarded.push_back(i);
             }
-            fastForwardCtas(launch, prefix, ff_skip);
+            fastForwardCtas(launch, fast_forwarded, ff_skip);
             if (detailed.empty()) {
                 // Whole launch fast-forwarded: no timed session, no
                 // launches/ctas_launched stats — only the book entry the
@@ -501,7 +490,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                     boundaryHook_(kernelsDone_);
                 return;
             }
-            beginDetailedWork(prefix.size());
+            beginDetailedWork(fast_forwarded.size());
             warmCaches();
             // The window leaves real tag state behind; drop the replayed
             // entries so they cannot pollute the next window's warm-up.
@@ -704,14 +693,11 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     GCL_DEBUG("gpu", "launch '", kernel.name(), "' retired after ",
               lastLaunchCycles_, " cycles");
 
-    // Sampled simulation: record the window for the extrapolation and
-    // fast-forward the CTAs after the window (CTA-window mode).
+    // Sampled simulation: record the window for the extrapolation.
     if (samplePlan_.active()) {
         const uint64_t det =
             windowed ? detailedList.size() : grid.count();
         const uint64_t detWork = stats_.hot.threadInsts - workBefore;
-        if (!ffTail.empty())
-            fastForwardCtas(launch, ffTail, 0);
         sampleBook_.push_back({launchIndex, grid.count(), det,
                                lastLaunchCycles_, wavesOf(grid.count()),
                                wavesOf(det), detWork, ffLaunchWork_});

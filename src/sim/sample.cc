@@ -16,7 +16,7 @@ badSpec(const std::string &spec, const char *expected)
 {
     gcl_sim_error(SimError::Kind::Config, "sample", 0, "sample spec '",
                   spec, "' is not ", expected,
-                  " (grammar: kernels:K1:K2:..., ctas:START:LEN, every:N)");
+                  " (grammar: kernels:K1:K2:..., ctas:0:0, every:N)");
 }
 
 uint64_t
@@ -58,11 +58,9 @@ SamplePlan::parse(const std::string &spec)
             plan.kernels.push_back(parseField(spec, f));
         std::sort(plan.kernels.begin(), plan.kernels.end());
     } else if (head == "ctas") {
-        plan.mode = Mode::CtaWindow;
-        if (fields.size() != 2)
-            badSpec(spec, "a ctas:START:LEN window");
-        plan.ctaStart = parseField(spec, fields[0]);
-        plan.ctaLen = parseField(spec, fields[1]);
+        plan.mode = Mode::FastForward;
+        if (spec != "ctas:0:0")
+            badSpec(spec, "ctas:0:0, the one ctas spec");
     } else if (head == "every") {
         plan.mode = Mode::EveryNth;
         if (fields.size() != 1)
@@ -93,6 +91,7 @@ SamplePlan::detailedCtas(uint64_t launch_index, uint64_t total) const
     std::vector<uint64_t> out;
     switch (mode) {
       case Mode::Off:
+      case Mode::FastForward:
         break;
       case Mode::Kernels:
         // Whole-launch granularity: detailed launches take the plain
@@ -100,11 +99,6 @@ SamplePlan::detailedCtas(uint64_t launch_index, uint64_t total) const
         if (kernelDetailed(launch_index))
             for (uint64_t i = 0; i < total; ++i)
                 out.push_back(i);
-        break;
-      case Mode::CtaWindow:
-        for (uint64_t i = ctaStart;
-             i < total && i < ctaStart + ctaLen; ++i)
-            out.push_back(i);
         break;
       case Mode::EveryNth:
         for (uint64_t i = 0; i < total; i += everyN)
@@ -127,9 +121,8 @@ SamplePlan::describe() const
         for (uint64_t k : kernels)
             oss << " " << k;
         break;
-      case Mode::CtaWindow:
-        oss << "CTA window [" << ctaStart << ", " << ctaStart + ctaLen
-            << ") per launch";
+      case Mode::FastForward:
+        oss << "every CTA fast-forwarded";
         break;
       case Mode::EveryNth:
         oss << "every " << everyN << (everyN == 1 ? "st" : "th")

@@ -10,10 +10,9 @@
  *
  *   kernels:K1:K2:...   simulate the listed launch indices (0-based) in
  *                       full detail, fast-forward every other launch
- *   ctas:START:LEN      simulate CTAs [START, START+LEN) of every launch
- *                       in detail, fast-forward the rest (LEN may be 0:
- *                       the whole run is fast-forwarded, which is how the
- *                       functional path is exercised on its own)
+ *   ctas:0:0            fast-forward the whole run: no CTA is simulated
+ *                       in detail, which is how the functional path is
+ *                       exercised and timed on its own
  *   every:N             simulate every N-th CTA (linear id % N == 0) of
  *                       every launch in detail, fast-forward the rest
  *
@@ -34,12 +33,10 @@ namespace gcl::sim
 /** Parsed `--sample` spec; see the file comment for the grammar. */
 struct SamplePlan
 {
-    enum class Mode { Off, Kernels, CtaWindow, EveryNth };
+    enum class Mode { Off, Kernels, FastForward, EveryNth };
 
     Mode mode = Mode::Off;
     std::vector<uint64_t> kernels; //!< detailed launch indices (Kernels)
-    uint64_t ctaStart = 0;         //!< window start (CtaWindow)
-    uint64_t ctaLen = 0;           //!< window length (CtaWindow)
     uint64_t everyN = 0;           //!< detail stride (EveryNth)
 
     /**
@@ -61,9 +58,8 @@ struct SamplePlan
 
     /**
      * The detailed CTA linear ids for launch @p launch_index out of
-     * @p total CTAs, ascending. Only meaningful for the windowed modes
-     * (CtaWindow / EveryNth); may be empty (whole launch fast-forwarded)
-     * or cover everything (plain detailed launch).
+     * @p total CTAs, ascending. Empty when the whole launch is
+     * fast-forwarded; all @p total ids for a plain detailed launch.
      */
     std::vector<uint64_t> detailedCtas(uint64_t launch_index,
                                        uint64_t total) const;

@@ -1,9 +1,13 @@
 #include "export.hh"
 
 #include <cinttypes>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <ostream>
+#include <sstream>
 
 #include "json.hh"
 
@@ -88,6 +92,129 @@ importStatsJson(const JsonValue &root, StatsSet &stats, std::string *error)
         }
     }
     return true;
+}
+
+void
+exportStatsFile(const std::vector<StatsRecord> &records, std::ostream &out)
+{
+    out << "{\n\"apps\": [";
+    bool first = true;
+    for (const StatsRecord &rec : records) {
+        char fp[32];
+        std::snprintf(fp, sizeof(fp), "%016" PRIx64, rec.fingerprint);
+        out << (first ? "\n" : ",\n") << "{\"name\": " << jsonQuote(rec.name)
+            << ", \"category\": " << jsonQuote(rec.category)
+            << ", \"machine\": " << jsonQuote(rec.machine)
+            << ", \"verified\": " << (rec.verified ? "true" : "false")
+            << ", \"fingerprint\": \"" << fp << "\"";
+        if (rec.failure.failed) {
+            out << ", \"failure\": {\"kind\": "
+                << jsonQuote(rec.failure.kind)
+                << ", \"component\": " << jsonQuote(rec.failure.component)
+                << ", \"cycle\": " << rec.failure.cycle
+                << ", \"message\": " << jsonQuote(rec.failure.message);
+            if (!rec.failure.detail.empty())
+                out << ", \"detail\": " << jsonQuote(rec.failure.detail);
+            out << "}";
+        }
+        out << ", \"stats\": ";
+        exportStatsJson(rec.stats, out);
+        out << "}";
+        first = false;
+    }
+    out << "\n]\n}\n";
+}
+
+bool
+importStatsFile(const JsonValue &root, std::vector<StatsRecord> &records,
+                std::string *error)
+{
+    std::string why;
+    auto fail = [&](const std::string &msg) {
+        if (error)
+            *error = msg;
+        return false;
+    };
+    // An optional string member: absent leaves @p out as it is.
+    auto text = [&](const JsonValue &obj, const char *key, std::string &out) {
+        if (!obj.has(key))
+            return true;
+        if (!obj[key].isString()) {
+            why = std::string("\"") + key + "\" is not a string";
+            return false;
+        }
+        out = obj[key].string;
+        return true;
+    };
+
+    if (!root.isObject() || !root["apps"].isArray())
+        return fail("missing top-level \"apps\" array");
+    records.clear();
+    for (const JsonValue &app : root["apps"].array) {
+        if (!app["name"].isString())
+            return fail("app record without a name");
+        StatsRecord rec;
+        rec.name = app["name"].string;
+        const std::string where = "app '" + rec.name + "'";
+        if (!app["stats"].isObject())
+            return fail(where + " has no stats");
+        if (!text(app, "category", rec.category) ||
+            !text(app, "machine", rec.machine))
+            return fail(where + ": " + why);
+        if (app.has("verified")) {
+            if (!app["verified"].isBool())
+                return fail(where + ": \"verified\" is not a boolean");
+            rec.verified = app["verified"].boolean;
+        }
+        if (app.has("fingerprint")) {
+            const JsonValue &fp = app["fingerprint"];
+            if (!fp.isString() || fp.string.size() != 16 ||
+                fp.string.find_first_not_of("0123456789abcdef") !=
+                    std::string::npos)
+                return fail(where + ": \"fingerprint\" is not 16 hex digits");
+            rec.fingerprint = std::strtoull(fp.string.c_str(), nullptr, 16);
+        }
+        if (app.has("failure")) {
+            const JsonValue &f = app["failure"];
+            const double cycle = f["cycle"].number;
+            if (!f["cycle"].isNumber() || cycle < 0 || cycle >= 0x1p64 ||
+                cycle != std::floor(cycle))
+                return fail(where + ": \"failure\" has no cycle count");
+            rec.failure.failed = true;
+            rec.failure.cycle = static_cast<uint64_t>(cycle);
+            if (!text(f, "kind", rec.failure.kind) ||
+                !text(f, "component", rec.failure.component) ||
+                !text(f, "message", rec.failure.message) ||
+                !text(f, "detail", rec.failure.detail))
+                return fail(where + ": failure " + why);
+        }
+        if (!importStatsJson(app["stats"], rec.stats, &why))
+            return fail(where + ": " + why);
+        records.push_back(std::move(rec));
+    }
+    return true;
+}
+
+bool
+readStatsFile(const std::string &path, std::vector<StatsRecord> &records,
+              std::string *error)
+{
+    std::ifstream in(path);
+    if (!in) {
+        if (error)
+            *error = "cannot open stats '" + path + "'";
+        return false;
+    }
+    std::stringstream buf;
+    buf << in.rdbuf();
+    JsonValue root;
+    std::string why;
+    if (parseJson(buf.str(), root, &why) &&
+        importStatsFile(root, records, &why))
+        return true;
+    if (error)
+        *error = path + ": " + why;
+    return false;
 }
 
 void

@@ -11,6 +11,15 @@
  *                                "mean": <number> }, ... }
  *   }
  *
+ * A --stats-json file holds one record per run:
+ *   { "apps": [ { "name": "<app>", "category": "<category>",
+ *                 "machine": "<machine>", "verified": <bool>,
+ *                 "fingerprint": "<16 hex digits>",
+ *                 "failure": { "kind": ..., "component": ...,
+ *                              "cycle": <n>, "message": ...,
+ *                              "detail": ... },   (failed runs only)
+ *                 "stats": <one stats set> }, ... ] }
+ *
  * CSV schema (one flat table for scalars and histogram buckets alike):
  *   kind,key,bucket,value
  *   scalar,cycles,,123
@@ -20,9 +29,12 @@
 #ifndef GCL_TRACE_EXPORT_HH
 #define GCL_TRACE_EXPORT_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
+#include "guard/sim_error.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -47,6 +59,34 @@ bool importStatsJson(const std::string &text, StatsSet &stats,
  */
 bool importStatsJson(const JsonValue &root, StatsSet &stats,
                      std::string *error = nullptr);
+
+/** One run's record in a --stats-json file. */
+struct StatsRecord
+{
+    std::string name;
+    std::string category;
+    std::string machine;
+    bool verified = false;
+    uint64_t fingerprint = 0; //!< config fingerprint
+    StatsSet stats;
+    SimFailure failure;       //!< failed=false on a clean run
+};
+
+/** Serialize @p records as a --stats-json file (schema above). */
+void exportStatsFile(const std::vector<StatsRecord> &records,
+                     std::ostream &out);
+
+/**
+ * Read a parsed --stats-json file into @p records: the one reader of
+ * that layout. Each record needs a name and a stats set; the other
+ * fields may be absent but must have their type when present.
+ */
+bool importStatsFile(const JsonValue &root, std::vector<StatsRecord> &records,
+                     std::string *error = nullptr);
+
+/** Open, parse and read the --stats-json file at @p path. */
+bool readStatsFile(const std::string &path, std::vector<StatsRecord> &records,
+                   std::string *error = nullptr);
 
 /** Serialize @p stats as a flat CSV table (schema above). */
 void exportStatsCsv(const StatsSet &stats, std::ostream &out);

@@ -102,12 +102,10 @@ TEST(SamplePlan, ParsesEveryMode)
     EXPECT_TRUE(kernels.kernelDetailed(3));
     EXPECT_FALSE(kernels.kernelDetailed(4));
 
-    const SamplePlan window = SamplePlan::parse("ctas:16:8");
-    EXPECT_EQ(window.mode, SamplePlan::Mode::CtaWindow);
-    EXPECT_EQ(window.ctaStart, 16u);
-    EXPECT_EQ(window.ctaLen, 8u);
-    EXPECT_EQ(window.detailedCtas(0, 32),
-              (std::vector<uint64_t>{16, 17, 18, 19, 20, 21, 22, 23}));
+    const SamplePlan functional = SamplePlan::parse("ctas:0:0");
+    EXPECT_EQ(functional.mode, SamplePlan::Mode::FastForward);
+    EXPECT_FALSE(functional.kernelDetailed(0));
+    EXPECT_TRUE(functional.detailedCtas(0, 32).empty());
 
     const SamplePlan nth = SamplePlan::parse("every:4");
     EXPECT_EQ(nth.mode, SamplePlan::Mode::EveryNth);
@@ -117,7 +115,7 @@ TEST(SamplePlan, ParsesEveryMode)
 TEST(SamplePlan, RejectsMalformedSpecs)
 {
     for (const char *bad : {"bogus:1", "kernels", "kernels:x", "ctas:5",
-                            "every:0", "every:two"})
+                            "ctas:16:8", "ctas:5:0", "every:0", "every:two"})
         EXPECT_THROW((void)SamplePlan::parse(bad), SimError) << bad;
 }
 

@@ -12,7 +12,7 @@
  *
  * This is the bit-identity proof referenced from Gpu::launch and
  * config.hh; scripts/check.sh additionally diffs whole memo-cache
- * directories and asserts the >=2x throughput gate with perf_diff
+ * directories and asserts the >=2x throughput gate with stats_diff
  * --expect-speedup.
  */
 

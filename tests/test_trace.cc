@@ -318,7 +318,7 @@ TEST(StatsExport, JsonContainsTheDocumentedKeyFamilies)
 
 TEST(StatsExport, ParsedObjectImportRejectsANonIntegerBucket)
 {
-    // The parsed-object importer (what crit_report and trace_check call on
+    // The parsed-object importer (what the --stats-json reader calls on
     // each app record) checks bucket keys as strictly as the text one.
     const std::string good = R"({"scalars": {"cycles": 5},
         "histograms": {"h": {"buckets": {"0": 2, "-3": 1}}}})";
@@ -335,6 +335,65 @@ TEST(StatsExport, ParsedObjectImportRejectsANonIntegerBucket)
     ASSERT_TRUE(trace::parseJson(bad, root, nullptr));
     EXPECT_FALSE(trace::importStatsJson(root, stats, &error));
     EXPECT_EQ(error, "histogram 'h' bucket '0x' is not an integer");
+}
+
+TEST(StatsExport, StatsFileRecordsRoundTripWithTheirFailure)
+{
+    // The one writer and the one reader of the --stats-json layout: a
+    // failed run's record comes back field for field beside a clean one,
+    // and writes back byte for byte.
+    trace::StatsRecord clean;
+    clean.name = "gaus";
+    clean.category = "linear";
+    clean.machine = "c2050";
+    clean.verified = true;
+    clean.fingerprint = 0x0123456789abcdefULL;
+    clean.stats.set("cycles", 41.5);
+    clean.stats.hist("h").add(-2, 0.25);
+    trace::StatsRecord failed;
+    failed.name = "bpr";
+    failed.failure = {true, "fault_injected", "fault", 2000,
+                      "stop \"here\"", "line 1\nline 2"};
+    failed.stats.set("ctas_launched", 3);
+
+    std::ostringstream out;
+    trace::exportStatsFile({clean, failed}, out);
+    trace::JsonValue root;
+    std::string error;
+    ASSERT_TRUE(trace::parseJson(out.str(), root, &error)) << error;
+    std::vector<trace::StatsRecord> back;
+    ASSERT_TRUE(trace::importStatsFile(root, back, &error)) << error;
+    ASSERT_EQ(back.size(), 2u);
+    EXPECT_EQ(back[0].machine, "c2050");
+    EXPECT_TRUE(back[0].verified);
+    EXPECT_EQ(back[0].fingerprint, clean.fingerprint);
+    EXPECT_FALSE(back[0].failure.failed);
+    EXPECT_EQ(back[0].stats.serialize(), clean.stats.serialize());
+    const SimFailure &f = back[1].failure;
+    EXPECT_TRUE(f.failed);
+    EXPECT_EQ(f.kind, "fault_injected");
+    EXPECT_EQ(f.component, "fault");
+    EXPECT_EQ(f.cycle, 2000u);
+    EXPECT_EQ(f.message, "stop \"here\"");
+    EXPECT_EQ(f.detail, "line 1\nline 2");
+    EXPECT_FALSE(back[1].verified);
+    std::ostringstream again;
+    trace::exportStatsFile(back, again);
+    EXPECT_EQ(again.str(), out.str());
+
+    // A field that is present must have its type.
+    for (const char *field :
+         {R"("verified": 1)", R"("category": 7)", R"("fingerprint": "0x12")",
+          R"("failure": {"kind": "hang"})", R"("failure": {"cycle": -1})",
+          R"("failure": {"cycle": 3, "message": 4})"}) {
+        const std::string text = std::string(R"({"apps": [{"name": "a", )") +
+                                 field +
+                                 R"(, "stats": {"scalars": {},
+                                      "histograms": {}}}]})";
+        ASSERT_TRUE(trace::parseJson(text, root, nullptr)) << field;
+        EXPECT_FALSE(trace::importStatsFile(root, back, &error)) << field;
+        EXPECT_EQ(error.rfind("app 'a': ", 0), 0u) << error;
+    }
 }
 
 TEST(StatsExport, CsvListsScalarsAndHistogramBuckets)

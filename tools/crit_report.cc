@@ -17,19 +17,16 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "crit/report.hh"
 #include "trace/export.hh"
-#include "trace/json.hh"
 #include "util/count.hh"
 #include "util/stats.hh"
 
 namespace
 {
-
-using gcl::trace::JsonValue;
 
 int
 fail(const std::string &msg)
@@ -71,18 +68,10 @@ main(int argc, char **argv)
     if (stats_path.empty())
         return fail("no input (pass --stats=FILE, a --stats-json artifact)");
 
-    std::ifstream in(stats_path);
-    if (!in)
-        return fail("cannot open stats '" + stats_path + "'");
-    std::stringstream buf;
-    buf << in.rdbuf();
-
-    JsonValue root;
+    std::vector<gcl::trace::StatsRecord> records;
     std::string error;
-    if (!gcl::trace::parseJson(buf.str(), root, &error))
-        return fail(stats_path + ": " + error);
-    if (!root.isObject() || !root["apps"].isArray())
-        return fail(stats_path + ": missing top-level \"apps\" array");
+    if (!gcl::trace::readStatsFile(stats_path, records, &error))
+        return fail(error);
 
     std::ofstream collapsed;
     if (!collapsed_path.empty()) {
@@ -94,13 +83,9 @@ main(int argc, char **argv)
 
     size_t reported = 0;
     bool csv_header = true;
-    for (const JsonValue &app : root["apps"].array) {
-        if (!app["name"].isString() || !app["stats"].isObject())
-            return fail(stats_path + ": malformed app record");
-        const std::string &name = app["name"].string;
-        gcl::StatsSet set;
-        if (!gcl::trace::importStatsJson(app["stats"], set, &error))
-            return fail(stats_path + ": app '" + name + "': " + error);
+    for (const gcl::trace::StatsRecord &rec : records) {
+        const std::string &name = rec.name;
+        const gcl::StatsSet &set = rec.stats;
         if (!set.has("crit.issue_width")) {
             std::fprintf(stderr,
                          "crit_report: app '%s' has no crit section "

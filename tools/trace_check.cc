@@ -16,8 +16,8 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "trace/export.hh"
 #include "trace/json.hh"
@@ -174,33 +174,18 @@ checkCrit(const std::string &path, const std::string &name,
 int
 checkStats(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        return fail("cannot open stats '" + path + "'");
-    std::stringstream buf;
-    buf << in.rdbuf();
-
-    JsonValue root;
+    // The reader enforces the record layout and the scalars/histograms
+    // schema, not just well-formed JSON.
+    std::vector<gcl::trace::StatsRecord> records;
     std::string error;
-    if (!parseJson(buf.str(), root, &error))
-        return fail(path + ": " + error);
-    if (!root.isObject() || !root.has("apps") || !root["apps"].isArray())
-        return fail(path + ": missing top-level \"apps\" array");
-    if (root["apps"].array.empty())
+    if (!gcl::trace::readStatsFile(path, records, &error))
+        return fail(error);
+    if (records.empty())
         return fail(path + ": \"apps\" is empty");
 
-    for (const JsonValue &app : root["apps"].array) {
-        if (!app.has("name") || !app["name"].isString())
-            return fail(path + ": app record without a name");
-        const std::string &name = app["name"].string;
-        if (!app.has("stats") || !app["stats"].isObject())
-            return fail(path + ": app '" + name + "' has no stats");
-
-        // The importer enforces the scalars/histograms schema, not just
-        // well-formed JSON.
-        gcl::StatsSet set;
-        if (!gcl::trace::importStatsJson(app["stats"], set, &error))
-            return fail(path + ": app '" + name + "': " + error);
+    for (const gcl::trace::StatsRecord &rec : records) {
+        const std::string &name = rec.name;
+        const gcl::StatsSet &set = rec.stats;
         if (!set.has("cycles") || set.get("cycles") <= 0)
             return fail(path + ": app '" + name +
                         "' has no positive \"cycles\" scalar");
@@ -219,7 +204,7 @@ checkStats(const std::string &path)
     }
 
     std::printf("trace_check: %s ok (%zu apps)\n", path.c_str(),
-                root["apps"].array.size());
+                records.size());
     return 0;
 }
 
