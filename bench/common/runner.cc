@@ -58,8 +58,13 @@ constexpr unsigned kDatasetVersion = 5;
  *       mean gap_icnt_l2 joins one device-wide sum in completion order
  *       instead of per-SM sums merged in SM order; the last bits of
  *       some pc.*.gap_icnt_l2 weights round differently.
+ *   v7: the end-of-cycle global write commit is gone: stores and atomics
+ *       apply at issue, so a load sees every write issued before it in
+ *       its cycle (SMs tick in id order), as the fast-forward always
+ *       did. This moves sssp at the default config, and sssp and mis on
+ *       modern-core and at dram_latency=800.
  */
-constexpr unsigned kCacheSchemaVersion = 6;
+constexpr unsigned kCacheSchemaVersion = 7;
 
 std::filesystem::path
 cacheDir()

@@ -181,6 +181,26 @@ done
 diff -r "$tmp/cache-init-skip" "$tmp/cache-init-noskip" \
     || { echo "check: cycle skipping changed long-initiation results" >&2
          exit 1; }
+# The same identity under GPGPU-Sim's own opcode latency and initiation
+# tables (gpgpusim.config's -ptx_opcode_latency_* / _initiation_* rows):
+# long-latency multiplies and divides that issue more than once per
+# latency.
+GPGPUSIM_OPS=op_int_alu=1:1,op_int_mul=19:4,op_int_div=145:32
+GPGPUSIM_OPS=$GPGPUSIM_OPS,op_fp_alu=1:1,op_fp_mul=1:1,op_fp_div=30:5
+GPGPUSIM_OPS=$GPGPUSIM_OPS,watchdog_budget=200000
+for leg in skip noskip; do
+    config=$GPGPUSIM_OPS
+    [ "$leg" = noskip ] && config=$GPGPUSIM_OPS,cycle_skipping=0
+    GCL_BENCH_CACHE="$tmp/cache-ops-$leg" \
+        "$PAPER" fig1_load_classes \
+        --apps=$SMALL_APPS,mriq --fresh \
+        --sim-config="$config" > /dev/null 2> /dev/null \
+        || { echo "check: GPGPU-Sim opcode-table sweep ($leg) failed" >&2
+             exit 1; }
+done
+diff -r "$tmp/cache-ops-skip" "$tmp/cache-ops-noskip" \
+    || { echo "check: cycle skipping changed opcode-table results" >&2
+         exit 1; }
 # The same identity on a second machine: modern-core's four GTO
 # schedulers per SM sleep and wake differently from c2050's two LRR ones.
 for leg in skip noskip; do

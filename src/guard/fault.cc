@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "sim_error.hh"
+#include "util/count.hh"
 #include "util/rng.hh"
 
 namespace gcl::guard
@@ -42,13 +43,10 @@ parseNumber(const std::string &spec, const std::string &text)
 {
     if (text.empty())
         parseError(spec, "missing number");
-    uint64_t value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            parseError(spec, "'" + text + "' is not a number");
-        value = value * 10 + static_cast<uint64_t>(c - '0');
-    }
-    return value;
+    const std::optional<uint64_t> value = tryParseCount(text);
+    if (!value)
+        parseError(spec, "'" + text + "' is not a number");
+    return *value;
 }
 
 int

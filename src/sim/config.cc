@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "sample.hh"
 #include "ptx/instruction.hh"
 #include "util/bitutil.hh"
+#include "util/count.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
@@ -99,18 +101,18 @@ badValue(const std::string &key, const std::string &value,
                   "': '", value, "' is not ", expected);
 }
 
+/** The range of the per-PC timing tables (LaunchContext::opLatency). */
+constexpr uint64_t kMaxOpCycles = std::numeric_limits<uint16_t>::max();
+
 uint64_t
-parseUnsigned(const std::string &key, const std::string &value)
+parseUnsigned(const std::string &key, const std::string &value,
+              uint64_t max)
 {
-    if (value.empty())
-        badValue(key, value, "a non-negative integer");
-    uint64_t out = 0;
-    for (char c : value) {
-        if (c < '0' || c > '9')
-            badValue(key, value, "a non-negative integer");
-        out = out * 10 + static_cast<uint64_t>(c - '0');
-    }
-    return out;
+    const std::optional<uint64_t> n = tryParseCount(value, max);
+    if (!n)
+        badValue(key, value,
+                 "a non-negative integer up to " + std::to_string(max));
+    return *n;
 }
 
 template <typename T>
@@ -118,7 +120,8 @@ OverrideKey
 numericKey(const char *name, T GpuConfig::*field)
 {
     return {name, [name, field](GpuConfig &config, const std::string &v) {
-                config.*field = static_cast<T>(parseUnsigned(name, v));
+                config.*field = static_cast<T>(parseUnsigned(
+                    name, v, std::numeric_limits<T>::max()));
             }};
 }
 
@@ -129,27 +132,28 @@ cacheKey(const char *name, CacheConfig GpuConfig::*cache,
 {
     return {name,
             [name, cache, field](GpuConfig &config, const std::string &v) {
-                config.*cache.*field = static_cast<T>(parseUnsigned(name, v));
+                config.*cache.*field = static_cast<T>(parseUnsigned(
+                    name, v, std::numeric_limits<T>::max()));
             }};
 }
 
-/** Split @p value on ':' into exactly @p min..@p max numeric fields. */
+/**
+ * Split @p value on ':' into exactly @p min..@p max numeric fields, each
+ * at most @p field_max.
+ */
 std::vector<uint64_t>
 parseColonFields(const std::string &key, const std::string &value,
-                 size_t min, size_t max, const char *expected)
+                 size_t min, size_t max, uint64_t field_max,
+                 const char *expected)
 {
     std::vector<uint64_t> out;
     std::istringstream items(value);
     std::string item;
     while (std::getline(items, item, ':')) {
-        if (out.size() == max)
+        const std::optional<uint64_t> n = tryParseCount(item, field_max);
+        if (out.size() == max || !n)
             badValue(key, value, expected);
-        if (item.empty())
-            badValue(key, value, expected);
-        for (char c : item)
-            if (c < '0' || c > '9')
-                badValue(key, value, expected);
-        out.push_back(parseUnsigned(key, item));
+        out.push_back(*n);
     }
     if (out.size() < min)
         badValue(key, value, expected);
@@ -166,14 +170,19 @@ OverrideKey
 geometryKey(const char *name, CacheConfig GpuConfig::*cache)
 {
     return {name, [name, cache](GpuConfig &config, const std::string &v) {
+                constexpr uint64_t kMax = std::numeric_limits<uint32_t>::max();
                 const auto f = parseColonFields(
-                    name, v, 3, 5,
+                    name, v, 3, 5, kMax,
                     "a <nsets>:<bsize>:<assoc>[:<mshr>[:<merge>]] "
                     "geometry");
                 CacheConfig &c = config.*cache;
                 const uint64_t nsets = f[0], bsize = f[1], assoc = f[2];
                 if (nsets == 0 || bsize == 0 || assoc == 0)
                     badValue(name, v, "a geometry with non-zero fields");
+                // Each field fits in 32 bits, so nsets * bsize cannot wrap.
+                if (nsets * bsize > kMax / assoc)
+                    badValue(name, v,
+                             "a geometry of at most 4294967295 bytes");
                 c.sizeBytes = static_cast<uint32_t>(nsets * bsize * assoc);
                 c.lineBytes = static_cast<uint32_t>(bsize);
                 c.assoc = static_cast<uint32_t>(assoc);
@@ -193,7 +202,8 @@ opTimingKey(OpClass cls)
                 const std::string key =
                     std::string("op_") + toString(cls);
                 const auto f = parseColonFields(
-                    key, v, 2, 2, "a <latency>:<initiation> pair");
+                    key, v, 2, 2, kMaxOpCycles,
+                    "a <latency>:<initiation> pair, each at most 65535");
                 if (f[0] == 0 || f[1] == 0)
                     badValue(key, v, "a pair of non-zero cycle counts");
                 auto &t = config.opTiming[static_cast<size_t>(cls)];
@@ -235,8 +245,8 @@ buildOverrideKeys()
         // writes every non-SFU class, the sfu_* pair writes the SFU row.
         {"sp_latency",
          [](GpuConfig &config, const std::string &v) {
-             const auto lat =
-                 static_cast<unsigned>(parseUnsigned("sp_latency", v));
+             const auto lat = static_cast<unsigned>(
+                 parseUnsigned("sp_latency", v, kMaxOpCycles));
              for (unsigned c = 0; c < kNumOpClasses; ++c)
                  if (static_cast<OpClass>(c) != OpClass::Sfu)
                      config.opTiming[c].latency = lat;
@@ -244,13 +254,14 @@ buildOverrideKeys()
         {"sfu_latency",
          [](GpuConfig &config, const std::string &v) {
              config.opTiming[static_cast<size_t>(OpClass::Sfu)].latency =
-                 static_cast<unsigned>(parseUnsigned("sfu_latency", v));
+                 static_cast<unsigned>(
+                     parseUnsigned("sfu_latency", v, kMaxOpCycles));
          }},
         {"sfu_initiation_interval",
          [](GpuConfig &config, const std::string &v) {
              config.opTiming[static_cast<size_t>(OpClass::Sfu)].initiation =
-                 static_cast<unsigned>(
-                     parseUnsigned("sfu_initiation_interval", v));
+                 static_cast<unsigned>(parseUnsigned(
+                     "sfu_initiation_interval", v, kMaxOpCycles));
          }},
         numericKey("shared_mem_latency", &GpuConfig::sharedMemLatency),
         numericKey("l1_hit_latency", &GpuConfig::l1HitLatency),

@@ -586,12 +586,6 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
                 gcl_sim_check(cta.shared, "exec", 0,
                               "shared store without shared memory");
                 cta.shared->write(addr, value, inst.accessSize);
-            } else if (staging_ != nullptr) {
-                PendingAccess p;
-                p.addr = addr;
-                p.a = value;
-                p.size = inst.accessSize;
-                staging_->push_back(p);
             } else {
                 gmem_.write(addr, value, inst.accessSize);
             }
@@ -615,28 +609,11 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
             const uint64_t a = s1[lane];
             const uint64_t b = s2[lane];
             info.addrs.emplace_back(lane, addr);
-            if (staging_ != nullptr) {
-                // Stage the *operation*, not a precomputed value: the
-                // read-modify-write runs at commit against committed
-                // memory, so same-cycle conflicts across SMs never lose
-                // updates (see functional.hh).
-                PendingAccess p;
-                p.addr = addr;
-                p.a = a;
-                p.b = b;
-                p.oldDst = &dst[lane];
-                p.size = inst.accessSize;
-                p.isAtomic = true;
-                p.atomOp = inst.atomOp;
-                p.type = inst.type;
-                staging_->push_back(p);
-            } else {
-                const uint64_t old_v = gmem_.read(addr, inst.accessSize);
-                gmem_.write(addr,
-                            atomicApply(inst.atomOp, inst.type, old_v, a, b),
-                            inst.accessSize);
-                dst[lane] = old_v;
-            }
+            const uint64_t old_v = gmem_.read(addr, inst.accessSize);
+            gmem_.write(addr,
+                        atomicApply(inst.atomOp, inst.type, old_v, a, b),
+                        inst.accessSize);
+            dst[lane] = old_v;
         });
         return;
       }
@@ -693,23 +670,6 @@ WarpExecutor::step(const LaunchContext &launch, CtaContext &cta,
         return;
       }
     }
-}
-
-void
-WarpExecutor::commitStaged(std::vector<PendingAccess> &staged)
-{
-    for (const PendingAccess &p : staged) {
-        if (!p.isAtomic) {
-            gmem_.write(p.addr, p.a, p.size);
-            continue;
-        }
-        const uint64_t old_v = gmem_.read(p.addr, p.size);
-        gmem_.write(p.addr, atomicApply(p.atomOp, p.type, old_v, p.a, p.b),
-                    p.size);
-        if (p.oldDst != nullptr)
-            *p.oldDst = old_v;
-    }
-    staged.clear();
 }
 
 } // namespace gcl::sim

@@ -7,18 +7,9 @@
  * incurs (StepInfo). See DESIGN.md decision 1: timing-directed functional
  * execution.
  *
- * End-of-cycle global write commit: when a staging buffer is attached
- * (setStaging), global-memory mutations — stores and atomics — are not
- * applied at issue but captured as PendingAccess records; the Gpu applies
- * them at the end of the cycle in SM-id order (commitStaged). Loads read
- * the pre-cycle memory image, so every SM sees the same memory within a
- * cycle. Atomics are staged as *operations* (op, operands, destination
- * register), not precomputed values: the read-modify-write runs at commit
- * against committed memory, so same-cycle atomics from different SMs
- * serialize in SM-id/lane order and never lose updates. Shared-memory and
- * register traffic stays immediate — it is SM-private. This rule is part
- * of the simulated behaviour behind every cached result; changing it is a
- * cache-schema decision (tests/test_functional.cc pins it).
+ * Global stores and atomics land at issue, lanes in lane order. The timed
+ * SMs tick in id order, so a load sees every write issued before it, in
+ * its own cycle too; the fast-forward follows the same rule.
  */
 
 #ifndef GCL_SIM_FUNCTIONAL_HH
@@ -65,27 +56,6 @@ struct StepInfo
 };
 
 /**
- * One deferred global-memory mutation, captured at issue and applied at
- * the end of the cycle (WarpExecutor::commitStaged). Stores carry their
- * value in @p a; atomics carry both operands plus the operation, and the
- * destination register slot that receives the old value at commit. The
- * register pointer stays valid: a warp's register vector is sized once at
- * CTA launch and the scoreboard blocks readers of the destination until
- * the op's writeback, long after commit.
- */
-struct PendingAccess
-{
-    uint64_t addr = 0;
-    uint64_t a = 0;              //!< store value / first atomic operand
-    uint64_t b = 0;              //!< second atomic operand
-    uint64_t *oldDst = nullptr;  //!< atomic old-value register, else null
-    unsigned size = 0;
-    bool isAtomic = false;
-    ptx::AtomOp atomOp = ptx::AtomOp::Add;
-    ptx::DataType type = ptx::DataType::U32;
-};
-
-/**
  * Stateless warp-level interpreter bound to a device's global memory.
  *
  * All lanes of the warp execute the instruction under @p active; guarded
@@ -117,18 +87,6 @@ class WarpExecutor
                           const WarpContext &warp, unsigned lane,
                           ptx::SpecialReg sreg) const;
 
-    /**
-     * Defer global stores/atomics into @p staging instead of applying them
-     * at issue (see file comment). Null restores immediate application.
-     */
-    void setStaging(std::vector<PendingAccess> *staging)
-    {
-        staging_ = staging;
-    }
-
-    /** Apply and clear @p staged, in staged (= lane/program) order. */
-    void commitStaged(std::vector<PendingAccess> &staged);
-
   private:
     /** Lanes of @p active whose guard predicate passes. */
     LaneMask guardMask(const ptx::Instruction &inst, const WarpContext &warp,
@@ -145,7 +103,6 @@ class WarpExecutor
 
     GlobalMemory &gmem_;
     unsigned warpSize_;
-    std::vector<PendingAccess> *staging_ = nullptr;
 };
 
 } // namespace gcl::sim

@@ -36,9 +36,6 @@ Gpu::Gpu(GpuConfig config)
         // finalize reads them in.
         if (crit_)
             sms_.back()->crit = &crit_->newShard();
-        // Global stores/atomics commit at end of cycle in SM-id order
-        // (the end-of-cycle write rule; see functional.hh).
-        sms_.back()->enableWriteStaging();
     }
     partitions_.reserve(config_.numPartitions);
     for (unsigned p = 0; p < config_.numPartitions; ++p) {
@@ -649,19 +646,13 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
             sms_[s]->drainResponses(now, icnt_);
         });
 
-        // ---- End of cycle: write commit, then the sleep pass ----
-        // Staged writes commit in SM-id order; a sleeper never executed
-        // this cycle, so it has nothing staged. The sleep decision reads
-        // end-of-cycle committed state.
-        forEachSetBit(awake_, 0, numUnits(), [&](size_t unit) {
-            if (unit < config_.numSms)
-                sms_[unit]->commitStagedWrites();
-            if (!skip_on)
-                return;
-            const Cycle wake = wakeAtFor(unit, now);
-            if (wake > now + 1)
-                sleepUnit(unit, now + 1, wake);
-        });
+        // ---- End of cycle: the sleep pass ----
+        if (skip_on)
+            forEachSetBit(awake_, 0, numUnits(), [&](size_t unit) {
+                const Cycle wake = wakeAtFor(unit, now);
+                if (wake > now + 1)
+                    sleepUnit(unit, now + 1, wake);
+            });
 
         if (timelineInterval_ != 0 && GCL_TRACE_ACTIVE(traceSink_) &&
             (now - start) % timelineInterval_ == 0)
@@ -729,7 +720,7 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
 {
     if (ids.size() <= skip)
         return;
-    // The executor applies memory effects immediately (no write staging):
+    // The executor applies memory effects at issue, as in the timed SMs:
     // fast-forward retires one instruction at a time, so the retire order
     // below IS the canonical order.
     if (!ffExec_)

@@ -379,7 +379,7 @@ class Gpu
     std::vector<SleepState> sleep_;
     /**
      * Bitsets over unit ids (util/bitutil.hh). awake_: the units the
-     * cycle loop ticks, commits and puts to sleep, walked in id order.
+     * cycle loop ticks and puts to sleep, walked in id order.
      * gated_: the sleepers with a gate, checked every cycle — an SM whose
      * LD/ST head is frozen on FailIcnt (Interconnect::canInject, before
      * the SM pass) and a partition with room for an arrival

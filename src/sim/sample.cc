@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "guard/sim_error.hh"
+#include "util/count.hh"
 
 namespace gcl::sim
 {
@@ -24,13 +25,10 @@ parseField(const std::string &spec, const std::string &item)
 {
     if (item.empty())
         badSpec(spec, "a spec with non-empty numeric fields");
-    uint64_t out = 0;
-    for (char c : item) {
-        if (c < '0' || c > '9')
-            badSpec(spec, "a spec with numeric fields");
-        out = out * 10 + static_cast<uint64_t>(c - '0');
-    }
-    return out;
+    const std::optional<uint64_t> out = tryParseCount(item);
+    if (!out)
+        badSpec(spec, "a spec with numeric fields");
+    return *out;
 }
 
 } // namespace

@@ -142,16 +142,6 @@ class Sm
     /** Pop and process every response deliverable to this SM this cycle. */
     void drainResponses(Cycle now, Interconnect &icnt);
 
-    /**
-     * Defer this SM's global stores/atomics to commitStagedWrites() (the
-     * end-of-cycle write rule; see functional.hh). The Gpu enables this on
-     * every SM it owns.
-     */
-    void enableWriteStaging() { executor_.setStaging(&stagedWrites_); }
-
-    /** Apply this cycle's staged writes; called by the Gpu in SM-id order. */
-    void commitStagedWrites() { executor_.commitStaged(stagedWrites_); }
-
     unsigned numResidentCtas() const { return residentCtas_; }
 
     const Cache &l1() const { return l1_; }
@@ -249,9 +239,6 @@ class Sm
     /** issueWarp's step result, reused so a step never allocates. */
     StepInfo stepInfo_;
     Cache l1_;
-
-    /** This cycle's deferred global stores/atomics (enableWriteStaging). */
-    std::vector<PendingAccess> stagedWrites_;
 
     const LaunchContext *launch_ = nullptr;
     uint32_t kernelId_ = 0;   //!< interned kernel name for stat attribution

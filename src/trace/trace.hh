@@ -11,8 +11,7 @@
  *  - TraceEvent is a 32-byte POD; a TraceSink is a preallocated ring of
  *    them. Emitting is a bounds check and a struct store.
  *  - Components hold a `TraceSink *` that is null by default; the
- *    GCL_TRACE macro costs one null/enable branch on the hot path and
- *    compiles out entirely under -DGCL_TRACE_DISABLED.
+ *    GCL_TRACE macro costs one null/enable branch on the hot path.
  *  - When the ring fills, an attached drain callback (the streaming
  *    Chrome-JSON writer, typically) receives the buffered events and the
  *    ring resets; without a drain the ring wraps, overwriting the oldest
@@ -196,12 +195,10 @@ class TraceSink
 } // namespace gcl::trace
 
 /**
- * Hot-path emission macro: one null + one enable branch when tracing is
- * compiled in; nothing at all under -DGCL_TRACE_DISABLED.
+ * Hot-path emission macro: one null + one enable branch.
  *
  * Usage: GCL_TRACE(sink_ptr, EventKind::ReqInject, now, req->id, ...);
  */
-#ifndef GCL_TRACE_DISABLED
 #define GCL_TRACE(sink, ...) \
     do { \
         auto *gcl_trace_sink_ = (sink); \
@@ -210,9 +207,5 @@ class TraceSink
     } while (0)
 /** True when the sink would record events (guards id assignment etc.). */
 #define GCL_TRACE_ACTIVE(sink) ((sink) != nullptr && (sink)->enabled())
-#else
-#define GCL_TRACE(sink, ...) ((void)0)
-#define GCL_TRACE_ACTIVE(sink) false
-#endif
 
 #endif // GCL_TRACE_TRACE_HH

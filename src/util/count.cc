@@ -5,20 +5,29 @@
 namespace gcl
 {
 
+std::optional<uint64_t>
+tryParseCount(std::string_view text, uint64_t max)
+{
+    if (text.empty())
+        return std::nullopt;
+    uint64_t n = 0;
+    for (const char c : text) {
+        const auto digit = static_cast<uint64_t>(c - '0');
+        if (digit > 9 || n > max / 10 || digit > max - n * 10)
+            return std::nullopt;
+        n = n * 10 + digit;
+    }
+    return n;
+}
+
 uint64_t
 parseCount(const char *name, const char *text, const char *what,
            bool zero_ok, uint64_t max)
 {
-    uint64_t n = 0;
-    bool ok = *text != '\0';
-    for (const char *c = text; ok && *c != '\0'; ++c) {
-        const auto digit = static_cast<uint64_t>(*c - '0');
-        ok = digit <= 9 && n <= (max - digit) / 10;
-        n = n * 10 + digit;
-    }
-    if (!ok || (n == 0 && !zero_ok))
+    const std::optional<uint64_t> n = tryParseCount(text, max);
+    if (!n || (*n == 0 && !zero_ok))
         gcl_fatal(name, "=", text, " is not a ", what);
-    return n;
+    return *n;
 }
 
 } // namespace gcl

@@ -3,9 +3,9 @@
  * Functional-executor tests via micro-kernels: ALU semantics per type,
  * conversions, comparisons, predication, special registers, atomics.
  * Each kernel stores its results to global memory; the test reads them
- * back — exercising the full issue/execute/writeback path. The last two
- * tests drive a WarpExecutor directly to pin the end-of-cycle global
- * write rule (staged stores and atomics, committed in SM order).
+ * back — exercising the full issue/execute/writeback path. The last test
+ * drives two WarpExecutors directly to pin the at-issue global write rule
+ * for atomics.
  */
 
 #include <gtest/gtest.h>
@@ -318,8 +318,7 @@ TEST(Functional, PartialLastWarpMasksLanes)
 
 /**
  * One thread of a straight-line kernel driven straight through a
- * WarpExecutor, outside any Gpu: the executor an SM owns, with global
- * writes staged the way the Gpu runs every SM.
+ * WarpExecutor, outside any Gpu: the executor an SM owns.
  */
 struct DirectWarp
 {
@@ -348,34 +347,12 @@ struct DirectWarp
     }
 };
 
-TEST(Functional, StagedGlobalStoreLandsAtCommit)
+TEST(Functional, AtomicsFromTwoSmsApplyAtIssue)
 {
-    // The end-of-cycle write rule: a staged st.global leaves memory
-    // untouched until the Gpu commits the SM's staged writes.
-    KernelBuilder b("staged_store", 1);
-    b.st(MemSpace::Global, DT::U32, b.ldParam(0), 42);
-    const Kernel k = b.build();
-
-    sim::GlobalMemory gmem;
-    const uint64_t addr = gmem.allocate(4);
-    sim::WarpExecutor exec(gmem, 32);
-    std::vector<sim::PendingAccess> staged;
-    exec.setStaging(&staged);
-    DirectWarp thread(k, {addr});
-    thread.issueAll(exec);
-    EXPECT_EQ(gmem.read(addr, 4), 0u) << "store applied at issue";
-
-    exec.commitStaged(staged);
-    EXPECT_EQ(gmem.read(addr, 4), 42u) << "store lost at commit";
-    EXPECT_TRUE(staged.empty());
-}
-
-TEST(Functional, StagedAtomicsFromTwoSmsCommitInOrder)
-{
-    // Two SMs stage atom.add on one word in the same cycle. Committed in
-    // SM order, both updates land, and each destination register gets
-    // the value committed before it.
-    KernelBuilder b("staged_atom", 2);
+    // Two SMs issue atom.add on one word in the same cycle, SM 0 first
+    // (the order the Gpu ticks them). Each update lands at issue, and
+    // each destination register gets the value before its own update.
+    KernelBuilder b("issue_atom", 2);
     const Reg addr_reg = b.ldParam(0);
     const Reg add_reg = b.ldParam(1);
     const Reg old_v = b.atom(AtomOp::Add, DT::U32, addr_reg, add_reg);
@@ -385,16 +362,10 @@ TEST(Functional, StagedAtomicsFromTwoSmsCommitInOrder)
     const uint64_t addr = gmem.allocate(4);
     gmem.write(addr, 100, 4);
     sim::WarpExecutor sm0(gmem, 32), sm1(gmem, 32);
-    std::vector<sim::PendingAccess> staged0, staged1;
-    sm0.setStaging(&staged0);
-    sm1.setStaging(&staged1);
     DirectWarp thread0(k, {addr, 5}), thread1(k, {addr, 7});
     thread0.issueAll(sm0);
+    EXPECT_EQ(gmem.read(addr, 4), 105u) << "SM 0's atomic not applied";
     thread1.issueAll(sm1);
-    EXPECT_EQ(gmem.read(addr, 4), 100u) << "atomic applied at issue";
-
-    sm0.commitStaged(staged0);
-    sm1.commitStaged(staged1);
     EXPECT_EQ(gmem.read(addr, 4), 112u) << "an update was lost";
     EXPECT_EQ(thread0.warp.reg(old_v.id, 0, 32), 100u);
     EXPECT_EQ(thread1.warp.reg(old_v.id, 0, 32), 105u);

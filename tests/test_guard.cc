@@ -85,7 +85,8 @@ TEST(FaultPlan, RejectsBadSpecs)
 {
     for (const char *bad :
          {"nosuchkind@5", "mshr", "mshr@", "mshr@x", "mshr@5+x",
-          "seed=notanumber", "=5", "@5"}) {
+          "seed=notanumber", "=5", "@5",
+          "stop@18446744073709553616"}) { // past 2^64
         try {
             FaultPlan::parse(bad);
             FAIL() << "accepted bad spec: " << bad;
@@ -141,6 +142,8 @@ TEST(ConfigOverride, BadValueIsFatal)
 {
     GpuConfig config{};
     EXPECT_THROW(config.applyOverride("num_sms", "many"), SimError);
+    // 2^32 + 1 does not fit num_sms's unsigned.
+    EXPECT_THROW(config.applyOverride("num_sms", "4294967297"), SimError);
     EXPECT_THROW(config.applyOverride("warp_sched", "fifo"), SimError);
     EXPECT_THROW(config.applyOverride("fault_plan", "bogus@@"), SimError);
 }

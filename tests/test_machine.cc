@@ -108,6 +108,12 @@ TEST(Machine, MalformedLinesAreFatal)
                  SimError);
     EXPECT_THROW(parseMachineText("-op_sfu 16\n", "<t>", "t"), SimError);
     EXPECT_THROW(parseMachineText("-op_sfu 0:1\n", "<t>", "t"), SimError);
+    // Past 65535, the range of the per-PC timing tables.
+    EXPECT_THROW(parseMachineText("-op_int_alu 65537:1\n", "<t>", "t"),
+                 SimError);
+    // 65536 sets of 65536 bytes: 4 GB, past the 32-bit cache size.
+    EXPECT_THROW(parseMachineText("-l1_cache 65536:65536:1\n", "<t>", "t"),
+                 SimError);
 }
 
 TEST(Machine, SerializeRoundTrips)

@@ -115,7 +115,8 @@ TEST(SamplePlan, ParsesEveryMode)
 TEST(SamplePlan, RejectsMalformedSpecs)
 {
     for (const char *bad : {"bogus:1", "kernels", "kernels:x", "ctas:5",
-                            "ctas:16:8", "ctas:5:0", "every:0", "every:two"})
+                            "ctas:16:8", "ctas:5:0", "every:0", "every:two",
+                            "every:18446744073709551617"}) // past 2^64
         EXPECT_THROW((void)SamplePlan::parse(bad), SimError) << bad;
 }
 

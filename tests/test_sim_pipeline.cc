@@ -184,6 +184,41 @@ TEST(SimPipeline, AtomicContentionAcrossCtas)
     EXPECT_EQ(r, 32u * 64u);
 }
 
+TEST(SimPipeline, LoadSeesStoresIssuedEarlierInItsCycle)
+{
+    // Two one-warp CTAs run the same instruction count on either side of
+    // a branch on %ctaid.x, so the writer's st.global and the reader's
+    // ld.global issue in the same cycle, CTA 0 on SM 0 and CTA 1 on
+    // SM 1. Stores land at issue and SMs tick in id order: the reader
+    // sees the store only when the writer's SM ticks first.
+    KernelBuilder b("same_cycle", 3);
+    const Reg word = b.ldParam(0);
+    const Reg out = b.ldParam(1);
+    const Reg writer = b.ldParam(2);
+    const Reg is_writer =
+        b.setp(CmpOp::Eq, DT::U32, Src(SpecialReg::CtaIdX), writer);
+    const Label store = b.newLabel();
+    b.braIf(is_writer, store);
+    const Reg got = b.ld(MemSpace::Global, DT::U32, word);
+    b.st(MemSpace::Global, DT::U32, out, got);
+    b.exit();
+    b.place(store);
+    b.st(MemSpace::Global, DT::U32, word, 1);
+    const Kernel k = b.build();
+
+    for (const uint32_t writer_cta : {0u, 1u}) {
+        sim::Gpu gpu;
+        const uint64_t d_word = gpu.deviceMalloc(4);
+        const uint64_t d_out = gpu.deviceMalloc(4);
+        gpu.launch(k, sim::Dim3{2, 1, 1}, sim::Dim3{32, 1, 1},
+                   {d_word, d_out, writer_cta});
+        uint32_t seen = 0;
+        gpu.memcpyToHost(&seen, d_out, 4);
+        EXPECT_EQ(seen, writer_cta == 0 ? 1u : 0u)
+            << "writer CTA " << writer_cta;
+    }
+}
+
 TEST(SimPipeline, BackToBackLaunchesObserveEachOther)
 {
     // Launch 1 doubles, launch 2 adds 5: tests full drain between

@@ -219,9 +219,7 @@ TEST(Skip, MaxCyclesDeadlineTripsAtTheSameCycle)
         EXPECT_EQ(skip_hang.failureDetail, eager_hang.failureDetail)
             << app << ": skipping changed the HangReport";
         // A hung run exports no stats; its trace up to the hang must match.
-#ifndef GCL_TRACE_DISABLED
         ASSERT_FALSE(skip_hang.trace.empty()) << app;
-#endif
 
         ASSERT_EQ(skip_hang.trace.size(), eager_hang.trace.size()) << app;
         EXPECT_EQ(std::memcmp(skip_hang.trace.data(), eager_hang.trace.data(),

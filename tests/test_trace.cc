@@ -133,10 +133,6 @@ TEST(TraceSim, DisabledSinkEmitsNothing)
     EXPECT_EQ(sink.emitted(), 0u);
 }
 
-// The remaining end-to-end tests observe real emissions, which a
-// -DGCL_TRACE_DISABLED build compiles out by design.
-#ifndef GCL_TRACE_DISABLED
-
 TEST(TraceSim, EnabledSinkRecordsFullLifecycles)
 {
     std::vector<trace::TraceEvent> events;
@@ -241,8 +237,6 @@ TEST(TraceSim, ChromeJsonIsWellFormedAndBalanced)
     ASSERT_TRUE(trace::parseJson(json.str(), root, &error)) << error;
     ASSERT_TRUE(root.isArray());
 }
-
-#endif // GCL_TRACE_DISABLED
 
 TEST(TraceValidate, RejectsMalformedAndUnbalancedTraces)
 {

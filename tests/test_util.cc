@@ -107,7 +107,8 @@ TEST(CountDeathTest, ParseCountTakesDecimalDigitsOnly)
                               UINT32_MAX),
               UINT32_MAX);
     // A sign, trailing or leading text, the empty value, overflow of the
-    // type and of a caller's bound, and 0 where it is not allowed.
+    // type and of a caller's bound (one below a single digit too), and 0
+    // where it is not allowed.
     const std::pair<const char *, uint64_t> bad[] = {
         {"-2", UINT64_MAX},
         {"2x", UINT64_MAX},
@@ -115,6 +116,7 @@ TEST(CountDeathTest, ParseCountTakesDecimalDigitsOnly)
         {"", UINT64_MAX},
         {"18446744073709551616", UINT64_MAX},
         {"4294967296", UINT32_MAX},
+        {"7", 5},
     };
     for (const auto &[text, max] : bad)
         EXPECT_EXIT(gcl::parseCount("--n", text, "count", true, max),
