@@ -124,8 +124,8 @@ perApp(const char *name, const char *title, AppTable table,
 
 // ---------------------------------------------------------------------------
 // Table II: the simulated device configuration (GPGPU-Sim v3.2.2, Tesla
-// C2050-class defaults). Renders whatever machine description --machine /
-// GCL_MACHINE resolved — the compiled-in C2050 when unset — so it doubles
+// C2050-class defaults). Renders whatever machine description --machine
+// resolved — the compiled-in C2050 when unset — so it doubles
 // as a quick "what am I simulating" check for the configs/ zoo.
 
 void

@@ -15,7 +15,6 @@
 #include <set>
 #include <sstream>
 
-#include "crit/report.hh"
 #include "exec/scheduler.hh"
 #include "guard/cancel.hh"
 #include "guard/fault.hh"
@@ -89,18 +88,23 @@ struct Options
     std::string simConfig;         //!< key=value config overrides
     std::string faultPlan;         //!< guard::FaultPlan spec
     bool crit = false;             //!< enable the criticality profiler
-    unsigned critTopN = 10;        //!< critical-load table depth
-    std::string critOut;           //!< crit report path (implies crit)
     std::string sample;            //!< sampled-simulation spec (empty = off)
 };
 
 Options g_options;
 
-/** Parsed --fault-plan / GCL_FAULT_PLAN (validated in initBench). */
+/** Parsed --fault-plan (validated in initBench). */
 guard::FaultPlan g_faultPlan;
 
 /** The machine resolved by initBench (compiled defaults when unset). */
 sim::GpuConfig g_machineConfig;
+
+/**
+ * The functional prefixes of this process's sampled runs: the first run
+ * of an (app, functional fingerprint) key captures it, every later run of
+ * the key, under any config of the batch, starts warm from it.
+ */
+workloads::PrefixStore g_prefixes;
 
 /** Failed runs seen by this process, for finishBench()'s summary. */
 std::vector<std::pair<std::string, SimFailure>> g_failures;
@@ -181,28 +185,6 @@ writeStatsCsv(const std::string &path)
     publishArtifact("stats CSV", path, out.str());
 }
 
-/**
- * Write the per-app crit reports to --crit-out, plus collapsed-stack lines
- * (one weighted stall path per line, flamegraph.pl compatible) to
- * "<crit-out>.collapsed". Apps whose runs carried no crit section (e.g. a
- * failed run) are skipped silently — the stats JSON still records them.
- */
-void
-writeCritReport(const std::string &path)
-{
-    std::ostringstream out;
-    std::ostringstream collapsed;
-    for (const auto &rec : g_export->records) {
-        if (!rec.stats.has("crit.issue_width"))
-            continue;
-        crit::renderText(out, rec.name, rec.stats, g_options.critTopN);
-        crit::appendCollapsed(collapsed, rec.name, rec.stats);
-    }
-    publishArtifact("crit report", path, out.str());
-    publishArtifact("collapsed stacks", path + ".collapsed",
-                    collapsed.str());
-}
-
 /** atexit hook: close the trace array, write the stats artifacts. */
 void
 finishExports()
@@ -230,17 +212,12 @@ finishExports()
         writeStatsJson(g_options.statsJson);
     if (!g_options.statsCsv.empty())
         writeStatsCsv(g_options.statsCsv);
-    if (!g_options.critOut.empty())
-        writeCritReport(g_options.critOut);
 }
 
 bool
 cacheDisabled()
 {
-    if (g_options.fresh)
-        return true;
-    const char *env = std::getenv("GCL_BENCH_FRESH");
-    return env && env[0] == '1';
+    return g_options.fresh;
 }
 
 /** A run's cache entry name: one per (app, dataset, config fingerprint). */
@@ -252,48 +229,6 @@ cacheKey(const std::string &name, const sim::GpuConfig &config)
                   kDatasetVersion,
                   static_cast<unsigned long long>(config.fingerprint()));
     return buf;
-}
-
-/**
- * Shared functional fast-forward prefix for sampled runs, keyed by the
- * machine-independent functional fingerprint: every machine of a sweep
- * maps to the same file, which is the whole point of the warm start. The
- * dataset version rides in the name, as in cachePath, so a prefix of a
- * stale dataset is simply never found. Atomic snapshot writes make
- * concurrent sweep jobs racing on the key publish complete identical
- * files — last writer wins.
- */
-std::filesystem::path
-ffPrefixPath(const std::string &name, const sim::GpuConfig &config)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s.v%u.ff.%016llx.snap", name.c_str(),
-                  kDatasetVersion,
-                  static_cast<unsigned long long>(
-                      config.functionalFingerprint()));
-    return cacheDir() / "snap" / buf;
-}
-
-/**
- * Point a sampled run at its shared functional prefix (a no-op for an
- * unsampled run): the first run of a sweep captures it, every later run
- * (any machine) warm-starts from it. Serial and parallel sweeps both call
- * this, so they write and read the same files.
- */
-void
-usePrefix(workloads::SimContext &ctx, const sim::GpuConfig &config)
-{
-    if (config.sample.empty())
-        return;
-    const std::filesystem::path path =
-        ffPrefixPath(ctx.workload().name, config);
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-    workloads::SnapOptions snap;
-    snap.ffPrefixPath = path.string();
-    snap.meta.emplace_back("dataset_version",
-                           std::to_string(kDatasetVersion));
-    ctx.setSnapOptions(std::move(snap));
 }
 
 /**
@@ -360,8 +295,7 @@ void
 recordResult(const AppResult &result)
 {
     if (!g_export ||
-        (g_options.statsJson.empty() && g_options.statsCsv.empty() &&
-         g_options.critOut.empty()))
+        (g_options.statsJson.empty() && g_options.statsCsv.empty()))
         return;
     g_export->records.push_back({result.name, result.category,
                                  result.config.machineName, result.verified,
@@ -545,13 +479,6 @@ initBench(int argc, char **argv, const std::string &usage)
             g_options.faultPlan = v;
         } else if (std::strcmp(arg, "--crit") == 0) {
             g_options.crit = true;
-        } else if (const char *v = value(arg, "--crit-top-n")) {
-            g_options.critTopN = static_cast<unsigned>(
-                parseCount("--crit-top-n", v, "row count", false,
-                           std::numeric_limits<unsigned>::max()));
-        } else if (const char *v = value(arg, "--crit-out")) {
-            g_options.critOut = v;
-            g_options.crit = true;
         } else if (const char *v = value(arg, "--sample")) {
             g_options.sample = v;
         } else if (std::strcmp(arg, "--fresh") == 0) {
@@ -579,37 +506,29 @@ initBench(int argc, char **argv, const std::string &usage)
                 "configs/ zoo name\n"
                 "                           (e.g. c2050, hbm-sectored) or "
                 "a .config file\n"
-                "                           path (= GCL_MACHINE; default: "
-                "compiled-in\n"
-                "                           C2050)\n"
+                "                           path (default: compiled-in "
+                "C2050)\n"
                 "  --max-cycles=N           per-run cycle budget; an "
                 "exceeding run is\n"
                 "                           reported as a 'timeout' "
                 "failure record\n"
-                "                           (= GCL_MAX_CYCLES)\n"
                 "  --sim-config=K=V,...     override simulator config "
                 "fields by name\n"
-                "                           (= GCL_SIM_CONFIG)\n"
                 "  --fault-plan=SPEC        deterministic fault injection, "
                 "e.g.\n"
-                "                           'app=bpr;stop@20000' "
-                "(= GCL_FAULT_PLAN;\n"
-                "                           grammar in src/guard/fault.hh)"
-                "\n"
+                "                           'app=bpr;stop@20000' (grammar "
+                "in\n"
+                "                           src/guard/fault.hh)\n"
                 "  --crit                   criticality profiler: per-PC "
                 "stall\n"
                 "                           attribution + latency breakdown "
                 "in the stats\n"
-                "  --crit-top-n=N           critical-load table rows "
-                "(default 10)\n"
-                "  --crit-out=FILE          per-app crit report (implies "
-                "--crit);\n"
-                "                           FILE.collapsed gets "
-                "flamegraph stacks\n"
-                "  --sample=SPEC            sampled simulation "
-                "(= GCL_SAMPLE): fast-forward\n"
-                "                           outside the detailed windows "
-                "and extrapolate\n"
+                "                           (tools/crit_report prints it "
+                "from --stats-json)\n"
+                "  --sample=SPEC            sampled simulation: "
+                "fast-forward outside the\n"
+                "                           detailed windows and "
+                "extrapolate\n"
                 "                           (kernels:K1:K2 | ctas:0:0 | "
                 "every:N; grammar\n"
                 "                           in src/sim/sample.hh)\n");
@@ -620,24 +539,6 @@ initBench(int argc, char **argv, const std::string &usage)
             gcl_fatal("unknown argument '", arg, "' (try --help)");
         }
     }
-
-    // Environment fallbacks (flags win).
-    if (g_options.maxCycles == 0)
-        if (const char *env = std::getenv("GCL_MAX_CYCLES"))
-            g_options.maxCycles =
-                parseCount("GCL_MAX_CYCLES", env, "cycle count", false);
-    if (g_options.machine.empty())
-        if (const char *env = std::getenv("GCL_MACHINE"))
-            g_options.machine = env;
-    if (g_options.simConfig.empty())
-        if (const char *env = std::getenv("GCL_SIM_CONFIG"))
-            g_options.simConfig = env;
-    if (g_options.faultPlan.empty())
-        if (const char *env = std::getenv("GCL_FAULT_PLAN"))
-            g_options.faultPlan = env;
-    if (g_options.sample.empty())
-        if (const char *env = std::getenv("GCL_SAMPLE"))
-            g_options.sample = env;
 
     // Resolve the machine description once, eagerly: a typo'd name or
     // unparseable file is a usage error at startup. The source *path*
@@ -692,7 +593,7 @@ initBench(int argc, char **argv, const std::string &usage)
     sigaction(SIGTERM, &sa, nullptr);
 
     if (g_options.traceOut.empty() && g_options.statsJson.empty() &&
-        g_options.statsCsv.empty() && g_options.critOut.empty())
+        g_options.statsCsv.empty())
         return positional;
 
     static ExportState state;
@@ -837,7 +738,7 @@ runApps(const std::vector<Run> &runs)
         if (slot.fragment)
             ctx.enableTrace(g_options.timelineInterval,
                             slot.fragment->drain(), traceIdBase(slot.pid));
-        usePrefix(ctx, slot.config);
+        ctx.setPrefixStore(g_prefixes);
         results[misses[j]] = simulate(ctx);
     });
 

@@ -10,42 +10,42 @@
  * and publishes cache entries, export records and trace fragments in
  * declaration order. Finished runs are memoized on disk keyed by
  * (application, dataset version, config fingerprint), so a second
- * gcl_paper replays them. Set GCL_BENCH_FRESH=1 to ignore the cache,
- * GCL_BENCH_CACHE to move it (default: ./bench_results).
+ * gcl_paper replays them. Set GCL_BENCH_CACHE to move the cache
+ * (default: ./bench_results).
  *
  * Flags, parsed by initBench():
  *   --machine=NAME|PATH       load the machine description (configs/ zoo
- *                             name or a .config file path; default
- *                             GCL_MACHINE, else the compiled-in C2050)
+ *                             name or a .config file path; default: the
+ *                             compiled-in C2050)
  *   --trace-out=FILE          stream a Chrome trace-event JSON (Perfetto)
  *   --timeline-interval=N     sample occupancy counters every N cycles
  *   --stats-json=FILE         dump every app's finalized stats as JSON
  *   --stats-csv=FILE          same, as a flat CSV table
  *   --apps=a,b,c              restrict the suite runs to these
  *                             applications (fixed app lists stay whole)
- *   --fresh                   ignore the on-disk run cache (= GCL_BENCH_FRESH)
+ *   --fresh                   ignore the on-disk run cache
  *   --jobs=N                  simulate up to N runs concurrently
  *                             (0 = one per hardware thread; default
  *                             GCL_BENCH_JOBS, else 1)
- *   --max-cycles=N            per-run cycle budget (= GCL_MAX_CYCLES)
- *   --sim-config=K=V,...      config overrides (= GCL_SIM_CONFIG)
- *   --fault-plan=SPEC         fault injection (= GCL_FAULT_PLAN)
+ *   --max-cycles=N            per-run cycle budget
+ *   --sim-config=K=V,...      config overrides
+ *   --fault-plan=SPEC         fault injection
  *   --crit                    enable the gcl::crit criticality profiler
  *                             (per-PC stall attribution + latency
- *                             decomposition folded into the stats)
- *   --crit-top-n=N            rows in the critical-load table (default 10)
- *   --crit-out=FILE           write the per-app crit report (implies
- *                             --crit); FILE.collapsed additionally gets
- *                             collapsed-stack lines for flamegraph tools
- *   --sample=SPEC             sampled simulation (= GCL_SAMPLE): fast-
- *                             forward outside the spec's detailed windows
- *                             (warming the caches before each) and
- *                             extrapolate whole-run stats (grammar in
+ *                             decomposition folded into the stats;
+ *                             tools/crit_report renders it from
+ *                             --stats-json)
+ *   --sample=SPEC             sampled simulation: fast-forward outside
+ *                             the spec's detailed windows (warming the
+ *                             caches before each) and extrapolate
+ *                             whole-run stats (grammar in
  *                             src/sim/sample.hh). Sampled runs get their
- *                             own cache entries, and share one functional
- *                             fast-forward prefix snapshot (in
- *                             <cache>/snap) across a --machine sweep
- *                             (warm-start), serial or --jobs alike
+ *                             own cache entries. Within one process, the
+ *                             runs of an app that share a functional
+ *                             fingerprint share one fast-forward prefix
+ *                             (workloads::PrefixStore): the first captures
+ *                             it, the rest start warm, serial or --jobs
+ *                             alike
  * Tracing always simulates fresh: a cached stats file has no events. Each
  * traced run streams its events into its own spill file beside the
  * staging trace; publication splices the spill files in declaration order.
@@ -146,8 +146,7 @@ Results runApps(const std::vector<Run> &runs);
 
 /**
  * The base configuration every bench starts from: the machine resolved by
- * --machine / GCL_MACHINE, or the compiled-in C2050 defaults when neither
- * is set. --sim-config overrides layer on top per run (appConfig).
+ * --machine, or the compiled-in C2050 defaults when it is not set. --sim-config overrides layer on top per run (appConfig).
  */
 sim::GpuConfig defaultConfig();
 

@@ -23,12 +23,12 @@
  * simulates different work would be comparing apples to oranges.
  *
  * --sample=SPEC times a *sampled* run (src/sim/sample.hh grammar):
- * functional fast-forward outside the spec's detailed windows. With
- * --ff-prefix-dir=DIR the repetitions share the functional prefix
- * snapshot exactly like a --machine sweep does — the first rep captures
- * it, later reps warm-start from it, so the median measures the steady
- * sweep-member cost rather than the one-off prefix build. check.sh uses
- * this pair to hold sampled mode to its >=10x speedup contract.
+ * functional fast-forward outside the spec's detailed windows. The
+ * repetitions share one workloads::PrefixStore, as the runs of one
+ * gcl_paper batch do: rep 0 captures the functional prefix and starts
+ * cold, later reps start warm from it, so the median of three measures
+ * the warm sweep-member cost. --repeat=1 reads a cold run. check.sh uses
+ * this to hold sampled mode to its speedup contracts.
  */
 
 #include <sys/resource.h>
@@ -39,7 +39,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -161,7 +160,6 @@ main(int argc, char **argv)
     bool crit = false;     // time with the criticality profiler enabled
     std::string sim_config; // K=V,... config overrides (A/B timing runs)
     std::string sample;     // sampled-simulation spec (empty = off)
-    std::string ff_prefix_dir; // shared functional-prefix snapshot dir
 
     auto value = [](const char *arg, const char *flag) -> const char * {
         const size_t n = std::strlen(flag);
@@ -191,8 +189,6 @@ main(int argc, char **argv)
             sim_config = v;
         } else if (const char *v = value(arg, "--sample")) {
             sample = v;
-        } else if (const char *v = value(arg, "--ff-prefix-dir")) {
-            ff_prefix_dir = v;
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
             std::printf("usage: %s [--apps=a,b,c] [--repeat=N] "
@@ -208,10 +204,9 @@ main(int argc, char **argv)
                         "cycle_skipping=0) so a\nsingle flag A/B-times a "
                         "host-side optimization.\n"
                         "--sample=SPEC times a sampled run "
-                        "(src/sim/sample.hh grammar);\n--ff-prefix-dir=DIR "
-                        "shares the functional fast-forward prefix\n"
-                        "snapshot across repetitions, like a --machine "
-                        "sweep would.\n",
+                        "(src/sim/sample.hh grammar); the\nrepetitions "
+                        "share its functional prefix, so all but the "
+                        "first start warm.\n",
                         argv[0]);
             return 0;
         } else {
@@ -242,15 +237,6 @@ main(int argc, char **argv)
         }
         config.sample = sample;
     }
-    if (!ff_prefix_dir.empty()) {
-        if (sample.empty())
-            gcl_fatal("--ff-prefix-dir requires --sample");
-        std::error_code ec;
-        std::filesystem::create_directories(ff_prefix_dir, ec);
-        if (ec)
-            gcl_fatal("--ff-prefix-dir: cannot create '", ff_prefix_dir,
-                      "': ", ec.message());
-    }
     std::vector<AppPerf> results;
     results.reserve(apps.size());
 
@@ -258,33 +244,19 @@ main(int argc, char **argv)
     if (crit)
         std::printf("crit profiler: enabled (overhead measurement)\n");
     if (!sample.empty())
-        std::printf("sampled: %s%s\n", sample.c_str(),
-                    ff_prefix_dir.empty() ? ""
-                                          : " (shared functional prefix)");
+        std::printf("sampled: %s\n", sample.c_str());
     std::printf("%-8s %12s %12s %12s %10s %14s\n", "app",
                 "sim_cycles", "warp_insts", "dormant",
                 "median_sec", "cycles/sec");
 
+    gcl::workloads::PrefixStore prefixes;
     for (const auto &name : apps) {
         AppPerf perf;
         perf.name = name;
         const auto &workload = gcl::workloads::byName(name);
         for (unsigned rep = 0; rep < repeat; ++rep) {
             gcl::workloads::SimContext ctx(workload, config);
-            if (!ff_prefix_dir.empty()) {
-                // Same key as the bench runner: one prefix file per
-                // functional fingerprint, so rep 0 captures it and every
-                // later rep warm-starts — the sweep-member steady state.
-                char key[64];
-                std::snprintf(key, sizeof(key), "%s.ff.%016llx.snap",
-                              name.c_str(),
-                              static_cast<unsigned long long>(
-                                  config.functionalFingerprint()));
-                gcl::workloads::SnapOptions snap;
-                snap.ffPrefixPath =
-                    (std::filesystem::path(ff_prefix_dir) / key).string();
-                ctx.setSnapOptions(std::move(snap));
-            }
+            ctx.setPrefixStore(prefixes);
             const double t0 = now_seconds();
             ctx.run();
             const double seconds = now_seconds() - t0;

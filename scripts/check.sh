@@ -143,8 +143,7 @@ rm -f "$tmp/trace-j1.json" "$tmp/trace-j3.json"
 # simulator.
 GCL_BENCH_CACHE="$tmp/cache-crit1" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --crit \
-    --stats-json="$tmp/stats-crit.json" \
-    --crit-out="$tmp/crit-report.txt" > /dev/null 2> /dev/null
+    --stats-json="$tmp/stats-crit.json" > /dev/null 2> /dev/null
 "$BUILD_DIR/tools/trace_check" --stats="$tmp/stats-crit.json"
 "$BUILD_DIR/tools/crit_report" --stats="$tmp/stats-crit.json" --top-n=3 \
     > "$tmp/crit-top3.txt" 2> /dev/null
@@ -332,19 +331,32 @@ GCL_BENCH_CACHE="$tmp/cache-hang" "$PAPER" fig1_load_classes \
 grep -q '"hang"' "$tmp/stats-hang.json" \
     || { echo "check: livelock not reported as a hang" >&2; exit 1; }
 
-# Sampled sweeps share one functional fast-forward prefix per app
-# (<cache>/snap/<app>.v<N>.ff.<key>.snap), in parallel as in serial: a
-# cold --sample=every:4 sweep at --jobs=3 must leave the same cache
-# entries and the same prefix files as one at --jobs=1, and a second,
-# warm --jobs=3 sweep into the same directory, whose runs start from
-# those files, must leave every byte as it was.
-for leg in j1 j3 j3; do
+# Sampled sweeps: a --sample=every:4 sweep at --jobs=3 must leave the
+# same cache entries as one at --jobs=1. Each app runs once there, so
+# every run starts cold.
+for leg in j1 j3; do
     GCL_BENCH_CACHE="$tmp/cache-ff-$leg" "$PAPER" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --jobs="${leg#j}" --sample=every:4 \
         > /dev/null 2> /dev/null
 done
 diff -r "$tmp/cache-ff-j1" "$tmp/cache-ff-j3" \
     || { echo "check: sampled parallel sweep diverged from serial" >&2
+         exit 1; }
+# Warm starts within one process (workloads::PrefixStore):
+# ablation_cta_sched runs each app round-robin and clustered, two configs
+# of one functional fingerprint, so each clustered run starts warm from
+# the prefix its round-robin run captured. Its six cache entries must
+# equal cold runs of the same configs, one config per process.
+GCL_BENCH_CACHE="$tmp/cache-ff-warm" "$PAPER" ablation_cta_sched \
+    --apps=$SMALL_APPS --fresh --jobs=1 --sample=every:4 \
+    > /dev/null 2> /dev/null
+for sched in "" "--sim-config=cta_sched=clustered"; do
+    GCL_BENCH_CACHE="$tmp/cache-ff-cold" "$PAPER" fig1_load_classes \
+        --apps=$SMALL_APPS --fresh --jobs=1 --sample=every:4 $sched \
+        > /dev/null 2> /dev/null
+done
+diff -r "$tmp/cache-ff-cold" "$tmp/cache-ff-warm" \
+    || { echo "check: a warm-started sampled run diverged from cold" >&2
          exit 1; }
 
 # Sampled simulation (--sample, src/sim/sample.hh): functional
@@ -391,9 +403,11 @@ GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
 # (b) Speedup: on the anchor app, whole-run fast-forward (ctas:0:0,
 #     functional fidelity only) must be >= 10x the full run, and the
 #     accuracy-bearing window above (kernels:9, the run that passed the
-#     5% gate) must be >= 5x with its prefix warm-started — both
-#     in-process medians, back-to-back on this host. EXPERIMENTS.md
-#     ("Sampled simulation") tabulates the full speedup-vs-error curve.
+#     5% gate) must be >= 5x — both in-process medians of three,
+#     back-to-back on this host. perf_sweep's repetitions share one
+#     prefix store, so the kernels:9 median is of warm starts.
+#     EXPERIMENTS.md ("Sampled simulation") tabulates the full
+#     speedup-vs-error curve.
 "$BUILD_DIR/bench/perf_sweep" --apps=sssp --repeat=3 \
     --sim-config=dram_latency=800 \
     --out="$tmp/perf-sample-full.json" --label=check-sample-full > /dev/null
@@ -402,7 +416,6 @@ GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
     --out="$tmp/perf-sample-ff.json" --label=check-sample-ff > /dev/null
 "$BUILD_DIR/bench/perf_sweep" --apps=sssp --repeat=3 \
     --sim-config=dram_latency=800 --sample=kernels:9 \
-    --ff-prefix-dir="$tmp/ffprefix" \
     --out="$tmp/perf-sample-k9.json" --label=check-sample-k9 > /dev/null
 "$BUILD_DIR/tools/stats_diff" --min-speedup=10 \
     "$tmp/perf-sample-full.json" "$tmp/perf-sample-ff.json" \
@@ -446,10 +459,10 @@ if [ "$TSAN" = 1 ]; then
         "$TSAN_DIR/bench/gcl_paper" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --jobs=3 \
         --trace-out="$tmp/trace-tsan.json" > /dev/null
-    # The sampled path in a parallel sweep: functional fast-forward and
-    # warm replay, one run per thread.
+    # The sampled path in a parallel sweep: functional fast-forward, warm
+    # replay, and the prefix store that worker threads read and write.
     GCL_BENCH_CACHE="$tmp/cache-tsan-sample" \
-        "$TSAN_DIR/bench/gcl_paper" fig1_load_classes \
+        "$TSAN_DIR/bench/gcl_paper" ablation_cta_sched \
         --apps=$SMALL_APPS --fresh --jobs=3 --sample=every:4 > /dev/null
 fi
 
@@ -460,10 +473,8 @@ if [ "$ASAN" = 1 ]; then
     # The guard tests unwind SimErrors out of half-advanced device models;
     # ASan verifies nothing in flight leaks across the recovery. Pool*
     # includes the GCL_POOL_CHECKED death tests (stale-handle panics are
-    # compiled in under ASan). Snap* covers the snapshot container (wire
-    # primitives, CRC, truncation); SampleWarmStart* runs the raw-byte
-    # reading that is left: the functional prefix's page restore and
-    # host-log replay, and the malformed-prefix rejections. Skip*
+    # compiled in under ASan). SampleWarmStart* runs the functional
+    # prefix's capture, page copy and host-log replay. Skip*
     # re-proves cycle-skip bit-identity against the eager reference
     # (including the fault-plan, zero-latency, 68-unit, starved-L1 and
     # hang legs) with pool checking live; there every retry of a frozen
@@ -479,7 +490,7 @@ if [ "$ASAN" = 1 ]; then
     # crossbar against its reference model. SimStats* runs the stats
     # sink's accumulation and block-table growth.
     "$ASAN_DIR/tests/gcl_tests" \
-        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:Snap*:SampleWarmStart*:Skip*:SimPipeline*:Crit*:Icnt*:SimStats*'
+        --gtest_filter='FaultPlan*:ConfigOverride*:WatchdogUnit*:Guard*:Pool*:SampleWarmStart*:Skip*:SimPipeline*:Crit*:Icnt*:SimStats*'
 fi
 
 echo "check: all green"

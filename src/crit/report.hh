@@ -4,8 +4,8 @@
  * per-class CPI stack, the ranked top-N critical-load table, and a
  * collapsed-stack file consumable by standard flamegraph tools. Everything
  * here reads only a finalized StatsSet, so the same code serves
- * tools/crit_report (offline, from a stats JSON), gcl_paper figX_cpi_stack
- * (live, across the suite) and the bench runner's --crit-out flag.
+ * tools/crit_report (offline, from a stats JSON) and gcl_paper
+ * figX_cpi_stack (live, across the suite).
  *
  * All output is deterministic: inputs are deterministic merged stats and
  * every sort has a total order, so reports are byte-identical across

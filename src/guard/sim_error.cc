@@ -45,7 +45,6 @@ toString(SimError::Kind kind)
       case SimError::Kind::Hang: return "hang";
       case SimError::Kind::Timeout: return "timeout";
       case SimError::Kind::FaultInjected: return "fault_injected";
-      case SimError::Kind::Snapshot: return "snapshot";
       case SimError::Kind::Canceled: return "canceled";
     }
     return "unknown";

@@ -51,8 +51,6 @@ class SimError : public std::runtime_error
         Hang,          //!< the forward-progress watchdog fired
         Timeout,       //!< the run exceeded its max_cycles budget
         FaultInjected, //!< a configured guard::FaultPlan fault fired
-        Snapshot,      //!< unusable snapshot (corrupt, undecodable, replay
-                       //!< diverged)
         Canceled,      //!< the run was cancelled (signal or test stop)
     };
 

@@ -239,30 +239,7 @@ buildOverrideKeys()
              else
                  badValue("warp_sched", v, "one of lrr, gto");
          }},
-        // Latencies. sp_latency / sfu_latency / sfu_initiation_interval
-        // are group aliases over the opcode-class table, kept so existing
-        // overrides (and terse machine files) keep working: sp_latency
-        // writes every non-SFU class, the sfu_* pair writes the SFU row.
-        {"sp_latency",
-         [](GpuConfig &config, const std::string &v) {
-             const auto lat = static_cast<unsigned>(
-                 parseUnsigned("sp_latency", v, kMaxOpCycles));
-             for (unsigned c = 0; c < kNumOpClasses; ++c)
-                 if (static_cast<OpClass>(c) != OpClass::Sfu)
-                     config.opTiming[c].latency = lat;
-         }},
-        {"sfu_latency",
-         [](GpuConfig &config, const std::string &v) {
-             config.opTiming[static_cast<size_t>(OpClass::Sfu)].latency =
-                 static_cast<unsigned>(
-                     parseUnsigned("sfu_latency", v, kMaxOpCycles));
-         }},
-        {"sfu_initiation_interval",
-         [](GpuConfig &config, const std::string &v) {
-             config.opTiming[static_cast<size_t>(OpClass::Sfu)].initiation =
-                 static_cast<unsigned>(parseUnsigned(
-                     "sfu_initiation_interval", v, kMaxOpCycles));
-         }},
+        // Latencies (the opcode-class table has its op_* keys)
         numericKey("shared_mem_latency", &GpuConfig::sharedMemLatency),
         numericKey("l1_hit_latency", &GpuConfig::l1HitLatency),
         numericKey("ldst_queue_depth", &GpuConfig::ldstQueueDepth),
@@ -534,17 +511,11 @@ uint64_t
 GpuConfig::functionalFingerprint() const
 {
     // FNV-1a over the functional identity only — see the header comment.
-    // The schema tag versions the fast-forward semantics themselves: bump
-    // it whenever the functional executor or the prefix-snapshot layout
-    // changes meaning, so stale warm-start prefixes are orphaned rather
-    // than misread.
-    constexpr uint64_t kFfSchema = 1;
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {
         h ^= v;
         h *= 0x100000001b3ull;
     };
-    mix(kFfSchema);
     mix(warpSize);
     // The spec decides which CTAs the fast-forward executes (and in what
     // interleaving with detailed windows), so two specs never share a

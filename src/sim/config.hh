@@ -4,7 +4,7 @@
  * v3.2.2, NVIDIA Tesla C2050-class device). The defaults are one point in
  * the machine zoo: any field here can instead come from a
  * gpgpusim.config-style machine file resolved by sim::MachineRegistry
- * (--machine / GCL_MACHINE; see machine.hh), with --sim-config overrides
+ * (--machine; see machine.hh), with --sim-config overrides
  * layered on top.
  *
  * The config also carries the knobs for the Section X ablations: CTA
@@ -229,7 +229,7 @@ struct GpuConfig
      * accumulated across launches). Exceeding it raises
      * SimError{Kind::Timeout}, which the harness reports as a structured
      * per-run `timeout` failure record. Overridable per run with
-     * --max-cycles / GCL_MAX_CYCLES.
+     * --max-cycles.
      */
     Cycle maxCycles = 200'000'000;
     /**
@@ -294,9 +294,10 @@ struct GpuConfig
      * architectural state (registers, memory, SIMT stacks) independent of
      * any timing model — warp width plus the sampling spec (which decides
      * what the fast-forward executes). Machine timing keys are excluded
-     * on purpose: a fast-forwarded prefix snapshot keyed by this hash is
-     * valid for every machine in the zoo, which is what lets a --machine
-     * sweep share one prefix (see DESIGN.md, "Sampled simulation").
+     * on purpose: a fast-forwarded functional prefix keyed by this hash
+     * is shared by every machine in the zoo, which is what lets the runs
+     * of one process share one prefix (workloads::PrefixStore; DESIGN.md,
+     * "Sampled simulation").
      */
     uint64_t functionalFingerprint() const;
 

@@ -8,8 +8,6 @@
 #include "core/classifier.hh"
 #include "guard/cancel.hh"
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
-#include "snap/snapshot.hh"
 #include "util/bitutil.hh"
 #include "util/logging.hh"
 
@@ -101,31 +99,31 @@ Gpu::sampleTimeline(Cycle now) const
     counter(CounterId::DramQueued, dram);
 }
 
+const FunctionalPrefix::HostCall &
+Gpu::replayHostCall(uint8_t op, uint64_t addr, uint64_t size)
+{
+    // The host program is deterministic, so a replay that makes another
+    // call than the one recorded means the prefix belongs to a different
+    // program or dataset: the store's key failed to tell them apart.
+    const std::vector<HostCall> &log = resumePrefix_->hostLog;
+    if (hostLogCursor_ >= log.size() || log[hostLogCursor_].op != op ||
+        log[hostLogCursor_].addr != addr || log[hostLogCursor_].size != size)
+        gcl_sim_error(SimError::Kind::Invariant, "gpu", clock_,
+                      "host replay diverged at call #", hostLogCursor_, " (",
+                      op == 0 ? "deviceMalloc of " : "memcpyToHost of ",
+                      size, " bytes at address ", addr,
+                      ") from the functional prefix's host log");
+    return log[hostLogCursor_++];
+}
+
 uint64_t
 Gpu::deviceMalloc(size_t bytes)
 {
     const uint64_t addr = gmem_.allocate(bytes);
-    if (hostLogEnabled_) {
-        if (resume_) {
-            // Replaying the host program: the allocation sequence is a
-            // deterministic function of the host code, so the addresses
-            // must come out exactly as recorded — anything else means the
-            // snapshot belongs to a different program or dataset.
-            if (hostLogCursor_ >= hostLog_.size() ||
-                hostLog_[hostLogCursor_].op != 0 ||
-                hostLog_[hostLogCursor_].addr != addr ||
-                hostLog_[hostLogCursor_].size != bytes)
-                gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
-                              "host replay diverged at deviceMalloc #",
-                              hostLogCursor_, " (", bytes, " bytes at address ",
-                              addr,
-                              "): the snapshot was taken from a different "
-                              "host program or dataset");
-            ++hostLogCursor_;
-        } else {
-            hostLog_.push_back({0, addr, bytes, {}});
-        }
-    }
+    if (resumePrefix_)
+        replayHostCall(0, addr, bytes);
+    else if (ffPrefixHook_)
+        hostLog_.push_back({0, addr, bytes, {}});
     return addr;
 }
 
@@ -141,29 +139,18 @@ Gpu::memcpyToDevice(uint64_t dst, const void *src, size_t bytes)
 void
 Gpu::memcpyToHost(void *dst, uint64_t src, size_t bytes)
 {
-    if (hostLogEnabled_ && resume_) {
+    if (resumePrefix_) {
         // Serve the readback from the recorded log: mid-replay device
         // memory does not hold the values the original run produced.
-        if (hostLogCursor_ >= hostLog_.size() ||
-            hostLog_[hostLogCursor_].op != 1 ||
-            hostLog_[hostLogCursor_].addr != src ||
-            hostLog_[hostLogCursor_].size != bytes)
-            gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
-                          "host replay diverged at memcpyToHost #",
-                          hostLogCursor_, " (", bytes, " bytes from address ",
-                          src,
-                          "): the snapshot was taken from a different "
-                          "host program or dataset");
-        std::memcpy(dst, hostLog_[hostLogCursor_].data.data(), bytes);
-        ++hostLogCursor_;
+        std::memcpy(dst, replayHostCall(1, src, bytes).data.data(), bytes);
         return;
     }
     gmem_.readBlock(src, dst, bytes);
-    if (hostLogEnabled_) {
-        HostLogEntry entry{1, src, bytes, {}};
-        entry.data.resize(bytes);
-        std::memcpy(entry.data.data(), dst, bytes);
-        hostLog_.push_back(std::move(entry));
+    if (ffPrefixHook_) {
+        HostCall call{1, src, bytes, {}};
+        call.data.resize(bytes);
+        std::memcpy(call.data.data(), dst, bytes);
+        hostLog_.push_back(std::move(call));
     }
 }
 
@@ -352,15 +339,14 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
                       params.size(), " params; kernel declares ",
                       kernel.numParams());
 
-    if (resume_) {
-        // The functional prefix was captured at the ENTRY of launch
-        // resumeTarget_, after its fast-forward prefix but before any
-        // timed work. Launches before the target were fully
-        // fast-forwarded; skip them outright (global memory is restored
-        // wholesale). At the target, restore and fall through to
-        // simulate — applyRestore leaves ffSkipCtas_ for this launch's
-        // fast-forward loop to consume.
-        if (kernelsDone_ < resumeTarget_) {
+    if (resumePrefix_) {
+        // The functional prefix was captured in launch kernelIndex, after
+        // its fast-forwarded CTAs but before any timed work. Launches
+        // before it were fully fast-forwarded; skip them outright (global
+        // memory is restored wholesale). At the target, restore and fall
+        // through to simulate — applyRestore leaves ffSkipCtas_ for this
+        // launch's fast-forward loop to consume.
+        if (kernelsDone_ < resumePrefix_->kernelIndex) {
             ++kernelsDone_;
             GCL_DEBUG("gpu", "ff-resume: skipping fast-forwarded launch ",
                       kernelsDone_, " ('", kernel.name(), "')");
@@ -934,15 +920,27 @@ Gpu::warmCaches()
 void
 Gpu::beginDetailedWork(uint64_t ff_in_launch)
 {
-    if (timedWorkDone_)
-        return;
-    timedWorkDone_ = true;
     if (!ffPrefixHook_)
         return;
+    // From here on the device holds timing state: the hook and the host
+    // log are spent, whether or not there is a prefix to hand over.
+    const auto hook = std::exchange(ffPrefixHook_, nullptr);
+    std::vector<HostCall> host_log = std::exchange(hostLog_, {});
     if (kernelsDone_ == 0 && ff_in_launch == 0)
         return;    // no functional prefix to share
-    ffCaptureCtaIndex_ = ff_in_launch;
-    ffPrefixHook_();
+    FunctionalPrefix prefix;
+    prefix.kernelIndex = kernelsDone_;
+    prefix.ffCtas = ff_in_launch;
+    prefix.ffWork = ffLaunchWork_;
+    prefix.memory = gmem_;
+    prefix.hostLog = std::move(host_log);
+    prefix.book = sampleBook_;
+    // Oldest first, so a restored run replays (and keeps recording) the
+    // same chronological stream as the cold one.
+    prefix.warmRing.assign(warmRing_.begin() + warmHead_, warmRing_.end());
+    prefix.warmRing.insert(prefix.warmRing.end(), warmRing_.begin(),
+                           warmRing_.begin() + warmHead_);
+    hook(std::move(prefix));
 }
 
 guard::HangReport
@@ -968,189 +966,35 @@ Gpu::buildHangReport(const std::string &kernel, Cycle now) const
 }
 
 void
-Gpu::saveHostLog(snap::SnapWriter &out) const
+Gpu::beginResume(std::shared_ptr<const FunctionalPrefix> prefix)
 {
-    out.u64(hostLog_.size());
-    for (const HostLogEntry &entry : hostLog_) {
-        out.u8(entry.op);
-        out.u64(entry.addr);
-        out.u64(entry.size);
-        if (entry.op == 1)
-            out.raw(entry.data.data(), entry.data.size());
-    }
-}
-
-void
-Gpu::loadHostLog(snap::SnapReader &in)
-{
-    hostLog_.clear();
-    hostLogCursor_ = 0;
-    const uint64_t count = in.count(1 + 2 * sizeof(uint64_t));
-    hostLog_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-        HostLogEntry entry;
-        entry.op = in.u8();
-        entry.addr = in.u64();
-        entry.size = in.u64();
-        if (entry.op == 1) {
-            const uint8_t *payload = in.rawRead(entry.size);
-            entry.data.assign(payload, payload + entry.size);
-        }
-        hostLog_.push_back(std::move(entry));
-    }
-}
-
-void
-Gpu::saveSampleState(snap::SnapWriter &out) const
-{
-    out.u8(timedWorkDone_ ? 1 : 0);
-    out.u64(sampleBook_.size());
-    for (const SampleLaunch &entry : sampleBook_) {
-        out.u64(entry.kernel);
-        out.u64(entry.totalCtas);
-        out.u64(entry.detailedCtas);
-        out.u64(entry.detailedCycles);
-        out.u64(entry.totalWaves);
-        out.u64(entry.detailedWaves);
-        out.u64(entry.detailedWork);
-        out.u64(entry.ffWork);
-    }
-    // Warm ring oldest-first, so a restored run replays (and keeps
-    // recording) the same chronological stream as the uninterrupted one.
-    out.u64(warmRing_.size());
-    auto write = [&](const WarmEntry &entry) {
-        out.u64(entry.chunk);
-        out.u32(entry.cta);
-        out.u8(entry.isStore);
-    };
-    if (warmRing_.size() < kWarmRingCapacity) {
-        for (const WarmEntry &entry : warmRing_)
-            write(entry);
-    } else {
-        for (size_t i = warmHead_; i < warmRing_.size(); ++i)
-            write(warmRing_[i]);
-        for (size_t i = 0; i < warmHead_; ++i)
-            write(warmRing_[i]);
-    }
-}
-
-void
-Gpu::loadSampleState(snap::SnapReader &in)
-{
-    timedWorkDone_ = in.u8() != 0;
-    sampleBook_.clear();
-    const uint64_t launches = in.count(8 * sizeof(uint64_t));
-    sampleBook_.reserve(launches);
-    for (uint64_t i = 0; i < launches; ++i) {
-        SampleLaunch entry;
-        entry.kernel = in.u64();
-        entry.totalCtas = in.u64();
-        entry.detailedCtas = in.u64();
-        entry.detailedCycles = in.u64();
-        entry.totalWaves = in.u64();
-        entry.detailedWaves = in.u64();
-        entry.detailedWork = in.u64();
-        entry.ffWork = in.u64();
-        sampleBook_.push_back(entry);
-    }
-    warmRing_.clear();
-    warmHead_ = 0;
-    const uint64_t entries =
-        in.count(sizeof(uint64_t) + sizeof(uint32_t) + 1);
-    warmRing_.reserve(entries);
-    for (uint64_t i = 0; i < entries; ++i) {
-        WarmEntry entry;
-        entry.chunk = in.u64();
-        entry.cta = in.u32();
-        entry.isStore = in.u8();
-        warmRing_.push_back(entry);
-    }
-}
-
-void
-Gpu::saveFunctional(snap::Snapshot &snapshot) const
-{
-    {
-        snap::SnapWriter &out = snapshot.section("ffstate");
-        out.u64(kernelsDone_);
-        out.u64(ffCaptureCtaIndex_);
-        out.u64(ffLaunchWork_);
-    }
-    gmem_.save(snapshot.section("gmem"));
-    saveHostLog(snapshot.section("hostlog"));
-    saveSampleState(snapshot.section("sample"));
-}
-
-void
-Gpu::beginResume(std::shared_ptr<const snap::Snapshot> snapshot)
-{
-    gcl_assert(clock_ == 0 && kernelsDone_ == 0,
+    gcl_assert(clock_ == 0 && kernelsDone_ == 0 && hostLog_.empty(),
                "beginResume on a device that already ran");
-    // The prefix holds no timing state, so it is keyed by the
-    // machine-independent functional fingerprint — cross-machine reuse
-    // across a --machine sweep is the point. No machine-name check for the
-    // same reason.
-    if (snapshot->configFingerprint != config_.functionalFingerprint())
-        gcl_sim_error(SimError::Kind::Snapshot, "gpu", 0,
-                      "functional-prefix fingerprint mismatch: snapshot has ",
-                      snap::hexFingerprint(snapshot->configFingerprint),
-                      ", this run's functional config is ",
-                      snap::hexFingerprint(config_.functionalFingerprint()));
-    try {
-        snap::SnapReader in = snapshot->reader("hostlog");
-        loadHostLog(in);
-    } catch (const snap::SnapIoError &error) {
-        gcl_sim_error(SimError::Kind::Snapshot, "gpu", 0,
-                      "malformed snapshot host log: ", error.what());
-    }
-    resumeSnap_ = std::move(snapshot);
-    resumeTarget_ = resumeSnap_->kernelIndex;
-    resume_ = true;
-    hostLogEnabled_ = true;
+    resumePrefix_ = std::move(prefix);
+    hostLogCursor_ = 0;
 }
 
 void
 Gpu::applyRestore()
 {
-    const snap::Snapshot &snapshot = *resumeSnap_;
-    if (hostLogCursor_ != hostLog_.size())
-        gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
+    const FunctionalPrefix &prefix = *resumePrefix_;
+    if (hostLogCursor_ != prefix.hostLog.size())
+        gcl_sim_error(SimError::Kind::Invariant, "gpu", clock_,
                       "host replay diverged: ", hostLogCursor_, " of ",
-                      hostLog_.size(),
-                      " recorded host calls replayed at the restore "
-                      "point — the snapshot was taken from a different "
-                      "host program or dataset");
+                      prefix.hostLog.size(),
+                      " recorded host calls replayed at the restore point");
     // Restore global memory and the sampling bookkeeping; every timing
     // structure is still pristine (clock 0, empty caches) because the
-    // prefix never ticked — that is what makes the snapshot shareable
-    // across machines.
-    try {
-        {
-            snap::SnapReader in = snapshot.reader("ffstate");
-            kernelsDone_ = in.u64();
-            ffSkipCtas_ = in.u64();
-            ffLaunchWork_ = in.u64();
-        }
-        {
-            snap::SnapReader in = snapshot.reader("gmem");
-            gmem_.load(in);
-        }
-        {
-            snap::SnapReader in = snapshot.reader("sample");
-            loadSampleState(in);
-        }
-    } catch (const snap::SnapIoError &error) {
-        gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
-                      "malformed functional snapshot section: ",
-                      error.what());
-    }
-    if (kernelsDone_ != resumeTarget_)
-        gcl_sim_error(SimError::Kind::Snapshot, "gpu", clock_,
-                      "functional snapshot kernel index ", resumeTarget_,
-                      " does not match its own state ", kernelsDone_);
-    resume_ = false;
+    // prefix never ticked — that is what makes it shareable across
+    // machines.
+    gmem_ = prefix.memory;
+    sampleBook_ = prefix.book;
+    warmRing_ = prefix.warmRing;
+    warmHead_ = 0;
+    ffSkipCtas_ = prefix.ffCtas;
+    ffLaunchWork_ = prefix.ffWork;
     firstBoundaryFired_ = true;
-    resumeSnap_.reset();
+    resumePrefix_.reset();
     GCL_DEBUG("gpu", "restored functional prefix at launch ", kernelsDone_,
               " + ", ffSkipCtas_, " CTAs");
 }

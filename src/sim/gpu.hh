@@ -26,15 +26,68 @@
 #include "trace/trace.hh"
 #include "warp.hh"
 
-namespace gcl::snap
-{
-class Snapshot;
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
+
+/**
+ * The functional prefix of a sampled run: everything a run's state holds
+ * at its first timed work when all that came before was fast-forwarded
+ * (Gpu::setFfPrefixHook). No timing structure has ticked by then, so the
+ * value depends only on the app and GpuConfig::functionalFingerprint(),
+ * and one capture warm-starts every config of that key (Gpu::beginResume).
+ */
+struct FunctionalPrefix
+{
+    /** One recorded host API call. */
+    struct HostCall
+    {
+        uint8_t op;                  //!< 0 = deviceMalloc, 1 = memcpyToHost
+        uint64_t addr;
+        uint64_t size;
+        std::vector<uint8_t> data;   //!< memcpyToHost payload
+    };
+
+    /**
+     * One global-space access of a fast-forwarded instruction, recorded
+     * at a fixed machine-independent 128-byte granularity (converted to
+     * the machine's own line sizes at replay) so the warm ring is shared
+     * across a --machine sweep.
+     */
+    struct WarmEntry
+    {
+        uint64_t chunk;    //!< 128B-aligned byte address
+        uint32_t cta;      //!< linear CTA id (picks the home SM's L1)
+        uint8_t isStore;   //!< store or atomic: skips the L1 at replay
+    };
+
+    /**
+     * Per-launch extrapolation record (Gpu::finalizeStats). Extrapolation
+     * is wave-based, not CTA-based: the machine retires CTAs in waves of
+     * (numSms x per-SM residency), so a window's cycles scale by the
+     * wave-count ratio. A CTA ratio would overestimate small launches
+     * badly — a 2-of-5-CTA window is latency-bound just like the full
+     * 5-CTA launch (both are a single wave), not 2.5x faster.
+     */
+    struct SampleLaunch
+    {
+        uint64_t kernel = 0;          //!< launch index
+        uint64_t totalCtas = 0;
+        uint64_t detailedCtas = 0;    //!< 0 = fully fast-forwarded
+        uint64_t detailedCycles = 0;  //!< cycles of the detailed window
+        uint64_t totalWaves = 0;      //!< occupancy waves of the full grid
+        uint64_t detailedWaves = 0;   //!< waves of the detailed window
+        uint64_t detailedWork = 0;    //!< thread-insts timed in the window
+        uint64_t ffWork = 0;          //!< thread-insts fast-forwarded
+    };
+
+    uint64_t kernelIndex = 0;   //!< the launch the prefix ends in
+    uint64_t ffCtas = 0;        //!< CTAs of it fast-forwarded before
+    uint64_t ffWork = 0;        //!< their thread-instructions
+    GlobalMemory memory;
+    std::vector<HostCall> hostLog;
+    std::vector<SampleLaunch> book;
+    std::vector<WarmEntry> warmRing;   //!< oldest first
+};
 
 /** A simulated GPU device. */
 class Gpu
@@ -143,66 +196,48 @@ class Gpu
     // ---- Sampled simulation (config.sample; src/sim/sample.hh) ----
 
     /**
-     * Record every deviceMalloc and memcpyToHost from now on, so a
-     * functional prefix snapshot (saveFunctional) can replay the host
-     * program's device-visible inputs deterministically. Must be enabled
-     * before the first host API call of the run.
+     * Install the warm-start capture hook; call before the first host API
+     * call of the run. From then on the device records every deviceMalloc
+     * and memcpyToHost, so a warm start can replay the host program's
+     * device-visible inputs. The hook fires at most once per run: at the
+     * first moment detailed timing work is about to start, and only when
+     * the run up to that point was purely functional (fast-forward only,
+     * no timed cycles) and non-empty. It receives the FunctionalPrefix of
+     * that moment. Recording stops there, whether or not the hook fired.
      */
-    void enableHostLog() { hostLogEnabled_ = true; }
-
-    /**
-     * Install the warm-start capture hook. It fires at most once per run:
-     * at the first moment detailed timing work is about to start, and
-     * only when the run's prefix up to that point was purely functional
-     * (fast-forward only, no timed cycles) and non-empty. At that moment
-     * the device's only meaningful state is functional — global memory,
-     * the host log, the warm ring, the extrapolation book — which is
-     * machine-timing-independent, so the caller can saveFunctional() it
-     * into a prefix snapshot keyed by functionalFingerprint() and share
-     * it across a --machine sweep.
-     */
-    void setFfPrefixHook(std::function<void()> hook)
+    void setFfPrefixHook(std::function<void(FunctionalPrefix)> hook)
     {
         ffPrefixHook_ = std::move(hook);
     }
 
     /**
-     * Serialize the functional-only prefix state (see setFfPrefixHook):
-     * global memory, the host log, and the sampling bookkeeping.
-     */
-    void saveFunctional(snap::Snapshot &snapshot) const;
-
-    /**
-     * Arm a warm start from the functional prefix @p snapshot. The caller
-     * then re-runs the host program from the start: launches the prefix
-     * fully fast-forwarded are skipped, memcpyToHost is served from the
-     * recorded host log, and deviceMalloc is replayed with address
-     * verification. At the captured launch, global memory and the
-     * sampling state are restored and the launch's remaining CTAs run
-     * normally, so every output is byte-identical to a cold run.
+     * Arm a warm start from @p prefix, captured under this run's app and
+     * functional fingerprint. The caller then re-runs the host program
+     * from the start: launches the prefix fully fast-forwarded are
+     * skipped, memcpyToHost is served from the recorded host log, and
+     * deviceMalloc is replayed with address verification. At the captured
+     * launch, global memory and the sampling state are restored and the
+     * launch's remaining CTAs run normally, so every output is
+     * byte-identical to a cold run.
      *
-     * @throws SimError{Kind::Snapshot} on a functional-fingerprint
-     *         mismatch or a host log that does not decode. The host API
-     *         calls raise the same kind when the host program diverges
-     *         from the log, and the captured launch when a section does
-     *         not decode.
+     * The host API calls raise SimError{Kind::Invariant} when the host
+     * program diverges from the log.
      */
-    void beginResume(std::shared_ptr<const snap::Snapshot> snapshot);
+    void beginResume(std::shared_ptr<const FunctionalPrefix> prefix);
 
   private:
-    /** One recorded host API call (enableHostLog). */
-    struct HostLogEntry
-    {
-        uint8_t op;                  //!< 0 = deviceMalloc, 1 = memcpyToHost
-        uint64_t addr;
-        uint64_t size;
-        std::vector<uint8_t> data;   //!< memcpyToHost payload
-    };
+    using HostCall = FunctionalPrefix::HostCall;
+    using WarmEntry = FunctionalPrefix::WarmEntry;
+    using SampleLaunch = FunctionalPrefix::SampleLaunch;
+
+    /**
+     * Check the next host call of a warm start against the log: fatal
+     * (Invariant) unless it is op @p op on @p addr and @p size.
+     */
+    const HostCall &replayHostCall(uint8_t op, uint64_t addr, uint64_t size);
 
     /** Restore the armed prefix at its capture point. */
     void applyRestore();
-    void saveHostLog(snap::SnapWriter &out) const;
-    void loadHostLog(snap::SnapReader &in);
     struct DispatchState
     {
         uint64_t next = 0;     //!< next dispatch position to place
@@ -268,10 +303,6 @@ class Gpu
      * whole run so far was purely functional and the prefix is non-empty.
      */
     void beginDetailedWork(uint64_t ff_in_launch);
-
-    /** Serialize / restore the sampling bookkeeping (book + warm ring). */
-    void saveSampleState(snap::SnapWriter &out) const;
-    void loadSampleState(snap::SnapReader &in);
 
     // ---- Per-unit sleep (config.cycleSkipping) ----
     //
@@ -398,16 +429,15 @@ class Gpu
     Cycle alarm_ = kNever;
     uint64_t dormantCycles_ = 0;
 
-    // ---- Kernel boundaries and the functional prefix (gcl::snap) ----
+    // ---- Kernel boundaries and the functional prefix ----
     uint64_t kernelsDone_ = 0;
     std::function<void(uint64_t)> boundaryHook_;
     bool firstBoundaryFired_ = false;
-    bool hostLogEnabled_ = false;
-    std::vector<HostLogEntry> hostLog_;
-    size_t hostLogCursor_ = 0;       //!< replay position while resuming
-    bool resume_ = false;            //!< skipping fast-forwarded launches
-    uint64_t resumeTarget_ = 0;      //!< launch the prefix was captured in
-    std::shared_ptr<const snap::Snapshot> resumeSnap_;
+    /** Host calls so far, while the capture hook is armed. */
+    std::vector<HostCall> hostLog_;
+    /** The prefix a warm start replays up to its capture launch. */
+    std::shared_ptr<const FunctionalPrefix> resumePrefix_;
+    size_t hostLogCursor_ = 0;       //!< replay position in its host log
 
     // ---- Sampled simulation state (config.sample) ----
 
@@ -416,20 +446,6 @@ class Gpu
 
     /** Lazily created serial executor for fast-forwarded CTAs. */
     std::unique_ptr<WarpExecutor> ffExec_;
-
-    /**
-     * One global-space access of a fast-forwarded instruction, recorded
-     * at a fixed machine-independent 128-byte granularity (converted to
-     * the machine's own line sizes at replay) so the ring's bytes — and
-     * the functional prefix snapshot holding them — are shared across a
-     * --machine sweep.
-     */
-    struct WarmEntry
-    {
-        uint64_t chunk;    //!< 128B-aligned byte address
-        uint32_t cta;      //!< linear CTA id (picks the home SM's L1)
-        uint8_t isStore;   //!< store or atomic: skips the L1 at replay
-    };
 
     /**
      * Bounded ring of the newest fast-forwarded accesses since the last
@@ -441,39 +457,19 @@ class Gpu
     std::vector<WarmEntry> warmRing_;
     size_t warmHead_ = 0;    //!< oldest entry once the ring wrapped
 
-    /**
-     * Per-launch extrapolation record (finalizeStats). Extrapolation is
-     * wave-based, not CTA-based: the machine retires CTAs in waves of
-     * (numSms x per-SM residency), so a window's cycles scale by the
-     * wave-count ratio. A CTA ratio would overestimate small launches
-     * badly — a 2-of-5-CTA window is latency-bound just like the full
-     * 5-CTA launch (both are a single wave), not 2.5x faster.
-     */
-    struct SampleLaunch
-    {
-        uint64_t kernel = 0;          //!< launch index
-        uint64_t totalCtas = 0;
-        uint64_t detailedCtas = 0;    //!< 0 = fully fast-forwarded
-        uint64_t detailedCycles = 0;  //!< cycles of the detailed window
-        uint64_t totalWaves = 0;      //!< occupancy waves of the full grid
-        uint64_t detailedWaves = 0;   //!< waves of the detailed window
-        uint64_t detailedWork = 0;    //!< thread-insts timed in the window
-        uint64_t ffWork = 0;          //!< thread-insts fast-forwarded
-    };
+    /** Per-launch extrapolation records, in launch order. */
     std::vector<SampleLaunch> sampleBook_;
 
     /**
      * Thread-instructions fast-forwarded in the launch currently being
      * split (the work the extrapolation charges to skipped launches).
-     * Restored from the prefix snapshot on a warm start so the resumed
-     * run's book matches the fresh run's byte for byte.
+     * Restored from the prefix on a warm start so the resumed run's book
+     * matches the fresh run's byte for byte.
      */
     uint64_t ffLaunchWork_ = 0;
 
-    bool timedWorkDone_ = false;     //!< a detailed session has started
-    std::function<void()> ffPrefixHook_;
-    /** Prefix CTAs fast-forwarded in the captured launch (snapshot field). */
-    uint64_t ffCaptureCtaIndex_ = 0;
+    /** Armed until the first timed work (setFfPrefixHook). */
+    std::function<void(FunctionalPrefix)> ffPrefixHook_;
     /** Prefix CTAs to skip in the restore-target launch (consumed once). */
     uint64_t ffSkipCtas_ = 0;
 };

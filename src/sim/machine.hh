@@ -2,7 +2,7 @@
  * @file
  * The machine description frontend: gpgpusim.config-style text files that
  * fully populate a GpuConfig, and the registry that resolves `--machine`
- * (or GCL_MACHINE) specs to them.
+ * specs to them.
  *
  * Grammar (SNIPPETS.md Snippet 2 is the exemplar):
  *   - one option per line: `-key value`

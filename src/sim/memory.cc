@@ -3,12 +3,32 @@
 #include <algorithm>
 
 #include "guard/sim_error.hh"
-#include "snap/io.hh"
 #include "util/bitutil.hh"
 #include "util/logging.hh"
 
 namespace gcl::sim
 {
+
+GlobalMemory::GlobalMemory(const GlobalMemory &other)
+{
+    *this = other;
+}
+
+GlobalMemory &
+GlobalMemory::operator=(const GlobalMemory &other)
+{
+    if (this == &other)
+        return *this;
+    pages_.clear();
+    pages_.reserve(other.pages_.size());
+    for (const auto &[number, page] : other.pages_) {
+        auto copy = std::make_unique<uint8_t[]>(kPageSize);
+        std::memcpy(copy.get(), page.get(), kPageSize);
+        pages_.emplace(number, std::move(copy));
+    }
+    allocTop_ = other.allocTop_;
+    return *this;
+}
 
 uint8_t *
 GlobalMemory::pageFor(uint64_t addr)
@@ -100,37 +120,6 @@ GlobalMemory::allocate(size_t size)
     const uint64_t addr = allocTop_;
     allocTop_ = roundUp(allocTop_ + size, 256);
     return addr;
-}
-
-void
-GlobalMemory::save(snap::SnapWriter &out) const
-{
-    out.u64(allocTop_);
-    std::vector<uint64_t> numbers;
-    numbers.reserve(pages_.size());
-    for (const auto &[number, page] : pages_)
-        numbers.push_back(number);
-    // Sorted so the snapshot bytes are independent of hash iteration order.
-    std::sort(numbers.begin(), numbers.end());
-    out.u64(numbers.size());
-    for (uint64_t number : numbers) {
-        out.u64(number);
-        out.raw(pages_.at(number).get(), kPageSize);
-    }
-}
-
-void
-GlobalMemory::load(snap::SnapReader &in)
-{
-    pages_.clear();
-    allocTop_ = in.u64();
-    const uint64_t count = in.count(sizeof(uint64_t) + kPageSize);
-    for (uint64_t i = 0; i < count; ++i) {
-        const uint64_t number = in.u64();
-        auto page = std::make_unique<uint8_t[]>(kPageSize);
-        std::memcpy(page.get(), in.rawRead(kPageSize), kPageSize);
-        pages_[number] = std::move(page);
-    }
 }
 
 uint64_t

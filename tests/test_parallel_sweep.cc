@@ -27,6 +27,7 @@ namespace
 
 using gcl::exec::parallelFor;
 using gcl::sim::GpuConfig;
+using gcl::workloads::PrefixStore;
 using gcl::workloads::SimContext;
 using gcl::workloads::byName;
 
@@ -99,6 +100,51 @@ TEST(ParallelSweep, SameAppConcurrentlyIsIsolated)
     });
     for (size_t i = 1; i < stats.size(); ++i)
         EXPECT_EQ(stats[i], stats[0]) << "copy " << i;
+}
+
+TEST(ParallelSweep, SampledRunsShareOnePrefixStore)
+{
+    // The prefix store is the one object concurrent runs share: two
+    // configs of one functional fingerprint, two copies each, in flight
+    // at once. Whichever run captures first, every result must equal its
+    // config's cold, store-less run.
+    GpuConfig base{};
+    base.sample = "every:4";
+    GpuConfig other{};
+    other.applyOverrides("num_sms=4,dram_latency=400");
+    other.sample = "every:4";
+    ASSERT_EQ(base.functionalFingerprint(), other.functionalFingerprint());
+    const std::vector<GpuConfig> configs = {base, other, base, other};
+
+    std::vector<std::string> cold(2);
+    for (size_t i = 0; i < cold.size(); ++i) {
+        SimContext ctx(byName("gaus"), configs[i]);
+        ctx.run();
+        ASSERT_TRUE(ctx.verified());
+        cold[i] = ctx.stats().serialize();
+    }
+
+    PrefixStore prefixes;
+    std::vector<std::string> shared(configs.size());
+    std::vector<char> resumed(configs.size());
+    parallelFor(4, configs.size(), [&](size_t i) {
+        SimContext ctx(byName("gaus"), configs[i]);
+        ctx.setPrefixStore(prefixes);
+        ctx.run();
+        shared[i] = ctx.stats().serialize();
+        resumed[i] = ctx.ffResumed() ? 1 : 0;
+    });
+    EXPECT_EQ(prefixes.size(), 1u);
+    for (size_t i = 0; i < configs.size(); ++i)
+        EXPECT_EQ(shared[i], cold[i % 2])
+            << "run " << i << (resumed[i] ? " (warm)" : " (cold)");
+
+    // Every run after the capture starts warm.
+    SimContext late(byName("gaus"), other);
+    late.setPrefixStore(prefixes);
+    late.run();
+    EXPECT_TRUE(late.ffResumed());
+    EXPECT_EQ(late.stats().serialize(), cold[1]);
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * fidelity, extrapolation accuracy, and warm-start prefix sharing.
  *
  * Everything here is deterministic: a warm-started run must be
- * byte-identical to the fresh run that wrote the prefix. The accuracy assertions use loose
+ * byte-identical to the cold run that captured the prefix. The accuracy
+ * assertions use loose
  * bounds (the tight 5% gates live in scripts/check.sh where full-length
  * anchors run); what they pin down is that extrapolation is wired to the
  * right counters, not a particular error decimal.
@@ -12,15 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "guard/sim_error.hh"
 #include "sim/config.hh"
 #include "sim/sample.hh"
-#include "snap/snapshot.hh"
 #include "util/stats.hh"
 #include "workloads/sim_context.hh"
 #include "workloads/workload.hh"
@@ -32,12 +29,9 @@ using gcl::SimError;
 using gcl::StatsSet;
 using gcl::sim::GpuConfig;
 using gcl::sim::SamplePlan;
-using gcl::snap::SnapReader;
-using gcl::snap::Snapshot;
-using gcl::snap::SnapWriter;
 using gcl::workloads::byName;
+using gcl::workloads::PrefixStore;
 using gcl::workloads::SimContext;
-using gcl::workloads::SnapOptions;
 
 GpuConfig
 configWith(const std::string &overrides)
@@ -50,23 +44,20 @@ configWith(const std::string &overrides)
 
 StatsSet
 runApp(const std::string &app, const GpuConfig &config,
-       const std::string &ff_prefix = "", bool *ff_resumed = nullptr,
-       bool *ff_written = nullptr)
+       PrefixStore *prefixes = nullptr, bool *ff_resumed = nullptr,
+       bool *ff_captured = nullptr)
 {
     SimContext ctx(byName(app), config);
-    if (!ff_prefix.empty()) {
-        SnapOptions snap;
-        snap.ffPrefixPath = ff_prefix;
-        ctx.setSnapOptions(snap);
-    }
+    if (prefixes)
+        ctx.setPrefixStore(*prefixes);
     ctx.run();
     EXPECT_FALSE(ctx.failed())
         << ctx.failure().kind << ": " << ctx.failure().message;
     EXPECT_TRUE(ctx.verified()) << app << " failed its reference check";
     if (ff_resumed)
         *ff_resumed = ctx.ffResumed();
-    if (ff_written)
-        *ff_written = ctx.ffPrefixWritten();
+    if (ff_captured)
+        *ff_captured = ctx.ffPrefixCaptured();
     return ctx.stats();
 }
 
@@ -80,12 +71,6 @@ missRate(const StatsSet &stats, const std::string &level)
     const double access = get("access.det") + get("access.nondet");
     const double miss = get("miss.det") + get("miss.nondet");
     return access > 0 ? miss / access : 0.0;
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
 }
 
 // ---------------------------------------------------------------------
@@ -192,30 +177,31 @@ TEST(SampleEstimate, KernelWindowExtrapolationTracksFullRun)
 
 TEST(SampleWarmStart, PrefixRoundTripIsByteIdentical)
 {
-    const std::string path = tempPath("ff_roundtrip.snap");
-    std::remove(path.c_str());
     GpuConfig config = configWith("");
     config.sample = "every:4";
+    PrefixStore prefixes;
 
-    bool resumed = false, written = false;
-    const StatsSet fresh = runApp("gaus", config, path, &resumed, &written);
+    bool resumed = false, captured = false;
+    const StatsSet cold =
+        runApp("gaus", config, &prefixes, &resumed, &captured);
     EXPECT_FALSE(resumed);
-    EXPECT_TRUE(written);
+    EXPECT_TRUE(captured);
+    EXPECT_EQ(prefixes.size(), 1u);
 
-    const StatsSet warm = runApp("gaus", config, path, &resumed, &written);
+    const StatsSet warm =
+        runApp("gaus", config, &prefixes, &resumed, &captured);
     EXPECT_TRUE(resumed);
-    EXPECT_EQ(warm.serialize(), fresh.serialize());
-    std::remove(path.c_str());
+    EXPECT_FALSE(captured);
+    EXPECT_EQ(warm.serialize(), cold.serialize());
+    EXPECT_EQ(warm.serialize(), runApp("gaus", config).serialize());
 }
 
 TEST(SampleWarmStart, PrefixSharedAcrossMachines)
 {
-    // The prefix is keyed by the machine-independent functional
+    // The store is keyed by the machine-independent functional
     // fingerprint: a prefix captured under the default machine must
     // warm-start a different timing configuration and leave that
-    // machine's results byte-identical to its own fresh run.
-    const std::string path = tempPath("ff_cross_machine.snap");
-    std::remove(path.c_str());
+    // machine's results byte-identical to its own cold run.
     GpuConfig base = configWith("");
     base.sample = "every:4";
     GpuConfig other = configWith("num_sms=4,dram_latency=400");
@@ -223,16 +209,16 @@ TEST(SampleWarmStart, PrefixSharedAcrossMachines)
     ASSERT_EQ(base.functionalFingerprint(), other.functionalFingerprint());
     ASSERT_NE(base.fingerprint(), other.fingerprint());
 
-    const StatsSet other_fresh = runApp("gaus", other);
+    const StatsSet other_cold = runApp("gaus", other);
 
-    bool resumed = false, written = false;
-    runApp("gaus", base, path, &resumed, &written);
-    EXPECT_TRUE(written);
+    PrefixStore prefixes;
+    bool resumed = false, captured = false;
+    runApp("gaus", base, &prefixes, &resumed, &captured);
+    EXPECT_TRUE(captured);
     const StatsSet other_warm =
-        runApp("gaus", other, path, &resumed, &written);
+        runApp("gaus", other, &prefixes, &resumed, &captured);
     EXPECT_TRUE(resumed);
-    EXPECT_EQ(other_warm.serialize(), other_fresh.serialize());
-    std::remove(path.c_str());
+    EXPECT_EQ(other_warm.serialize(), other_cold.serialize());
 }
 
 TEST(SampleWarmStart, FingerprintSeparatesSpecsNotMachines)
@@ -246,131 +232,6 @@ TEST(SampleWarmStart, FingerprintSeparatesSpecsNotMachines)
     GpuConfig c = configWith("");
     c.sample = "kernels:1";
     EXPECT_NE(a.functionalFingerprint(), c.functionalFingerprint());
-}
-
-TEST(SampleWarmStart, MetaMismatchFallsBackToFreshRun)
-{
-    // The prefix is best-effort: a file recorded against another dataset
-    // version (the <app>.v<N>.ff.<fingerprint>.snap keying the bench
-    // runner uses) must not poison the run — it is ignored, the run
-    // executes fresh and re-captures, and the stats are unaffected.
-    const std::string path = tempPath("ff_meta.snap");
-    std::remove(path.c_str());
-    GpuConfig config = configWith("");
-    config.sample = "every:4";
-
-    SnapOptions stale;
-    stale.ffPrefixPath = path;
-    stale.meta.emplace_back("dataset_version", "5");
-    {
-        SimContext ctx(byName("gaus"), config);
-        ctx.setSnapOptions(stale);
-        ctx.run();
-        ASSERT_TRUE(ctx.ffPrefixWritten());
-    }
-    const StatsSet ref = runApp("gaus", config);
-
-    SnapOptions bumped;
-    bumped.ffPrefixPath = path;
-    bumped.meta.emplace_back("dataset_version", "6");
-    SimContext ctx(byName("gaus"), config);
-    ctx.setSnapOptions(bumped);
-    ctx.run();
-    EXPECT_FALSE(ctx.failed());
-    EXPECT_FALSE(ctx.ffResumed());
-    EXPECT_TRUE(ctx.ffPrefixWritten());  // stale file re-captured
-    EXPECT_EQ(ctx.stats().serialize(), ref.serialize());
-    std::remove(path.c_str());
-}
-
-TEST(SampleWarmStart, MalformedPrefixEndsInSnapshotError)
-{
-    // A CRC-valid prefix that matches the run but whose sections do not
-    // decode must end the run with a structured "snapshot" record, never
-    // a process abort from an allocation sized by a corrupt count. The
-    // failed run removes the prefix, so the next run of the same key runs
-    // cold, recaptures it, and matches the first cold run.
-    const std::string path = tempPath("ff_malformed.snap");
-    std::remove(path.c_str());
-    GpuConfig config = configWith("");
-    config.sample = "every:4";
-    bool resumed = false, written = false;
-    const StatsSet cold = runApp("gaus", config, path, &resumed, &written);
-    ASSERT_TRUE(written);
-    const Snapshot good = Snapshot::readFile(path);
-
-    constexpr uint64_t kHuge = uint64_t{1} << 61;
-    struct Case
-    {
-        const char *what;
-        const char *section;
-        std::function<void(SnapWriter &)> write;
-    };
-    const std::vector<Case> cases = {
-        {"host-log entry count", "hostlog",
-         [](SnapWriter &out) { out.u64(kHuge); }},
-        {"host-log payload size", "hostlog",
-         [](SnapWriter &out) {
-             out.u64(1);
-             out.u8(1);       // memcpyToHost
-             out.u64(0);
-             out.u64(kHuge);
-         }},
-        {"sample-book count", "sample",
-         [](SnapWriter &out) {
-             out.u8(0);
-             out.u64(kHuge);
-         }},
-        {"warm-ring count", "sample",
-         [](SnapWriter &out) {
-             out.u8(0);
-             out.u64(0);      // empty book
-             out.u64(kHuge);
-         }},
-        {"gmem page count", "gmem",
-         [](SnapWriter &out) {
-             out.u64(0);      // heap top
-             out.u64(kHuge);
-         }},
-    };
-    for (const Case &c : cases) {
-        // Rewrite one section; copy the others and the header as they are.
-        Snapshot bad;
-        bad.configFingerprint = good.configFingerprint;
-        bad.machineName = good.machineName;
-        bad.app = good.app;
-        bad.kernelIndex = good.kernelIndex;
-        bad.cycle = good.cycle;
-        bad.meta = good.meta;
-        for (const std::string name : {"ffstate", "gmem", "hostlog",
-                                       "sample"}) {
-            SnapWriter &out = bad.section(name);
-            if (name == c.section) {
-                c.write(out);
-                continue;
-            }
-            SnapReader in = good.reader(name);
-            const size_t size = in.remaining();
-            out.raw(in.rawRead(size), size);
-        }
-        bad.writeFile(path);
-
-        SimContext ctx(byName("gaus"), config);
-        SnapOptions snap;
-        snap.ffPrefixPath = path;
-        ctx.setSnapOptions(snap);
-        ctx.run();
-        ASSERT_TRUE(ctx.failed()) << c.what;
-        EXPECT_EQ(ctx.failure().kind, "snapshot")
-            << c.what << ": " << ctx.failure().message;
-
-        const StatsSet again =
-            runApp("gaus", config, path, &resumed, &written);
-        EXPECT_FALSE(resumed) << c.what << ": the bad prefix was kept";
-        EXPECT_TRUE(written) << c.what;
-        EXPECT_EQ(again.serialize(), cold.serialize()) << c.what;
-    }
-    std::remove(path.c_str());
 }
 
 } // namespace
