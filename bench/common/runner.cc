@@ -62,8 +62,12 @@ constexpr unsigned kDatasetVersion = 5;
  *       its cycle (SMs tick in id order), as the fast-forward always
  *       did. This moves sssp at the default config, and sssp and mis on
  *       modern-core and at dram_latency=800.
+ *   v8: a global load that finishes sooner than its level's analytic
+ *       unloaded latency (an L1-MSHR merge) is charged only the rest of
+ *       its turnaround as turn.unloaded, so Fig 5's parts add up to its
+ *       total. Only turn.unloaded.* moves.
  */
-constexpr unsigned kCacheSchemaVersion = 7;
+constexpr unsigned kCacheSchemaVersion = 8;
 
 std::filesystem::path
 cacheDir()

@@ -141,20 +141,24 @@ SimStats::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
         static_cast<double>(op.tFirstAccept - op.tIssue);
     const double rsrv_cur =
         static_cast<double>(op.tLastAccept - op.tFirstAccept);
-    double unloaded = 0.0;
+    double analytic = 0.0;
     switch (op.deepest) {
       case ServiceLevel::L1:
-        unloaded = config_.l1HitLatency;
+        analytic = config_.l1HitLatency;
         break;
       case ServiceLevel::L2:
-        unloaded = config_.unloadedL2Latency();
+        analytic = config_.unloadedL2Latency();
         break;
       case ServiceLevel::Dram:
-        unloaded = config_.unloadedDramLatency();
+        analytic = config_.unloadedDramLatency();
         break;
     }
-    const double wasted_mem =
-        std::max(0.0, turnaround - unloaded - rsrv_prev - rsrv_cur);
+    // An op that merged into an in-flight MSHR entry can finish sooner
+    // than its level's analytic latency: it is charged no more than what
+    // is left of its turnaround, so the four parts add up to the total.
+    const double unloaded =
+        std::min(analytic, turnaround - rsrv_prev - rsrv_cur);
+    const double wasted_mem = turnaround - unloaded - rsrv_prev - rsrv_cur;
 
     agg.turnSum += turnaround;
     agg.unloaded += unloaded;

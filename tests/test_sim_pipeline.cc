@@ -574,9 +574,9 @@ TEST(SimPipeline, GtoStatsPinnedOnModernCore)
         const char *app;
         const char *digest;
     } pins[] = {
-        {"bpr", "8fb0db36e377fd97"},
-        {"gaus", "66fa3b1c24d0d104"},
-        {"srad", "2ff493c004dcab76"},
+        {"bpr", "b3c6d654ac7b941b"},
+        {"gaus", "7234c64fc8fb21d9"},
+        {"srad", "673dd5abf1641761"},
     };
     const sim::GpuConfig config = sim::loadMachineFile(
         std::string(GCL_REPO_CONFIGS_DIR) + "/modern-core.config");

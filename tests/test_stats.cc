@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/stats.hh"
+#include "workloads/sim_context.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -88,6 +91,50 @@ TEST(SimStatsTest, L1HitUsesHitLatencyAsUnloaded)
     stats.finalize();
     EXPECT_EQ(stats.set().get("turn.unloaded.det"), config.l1HitLatency);
     EXPECT_EQ(stats.set().get("turn.mem.det"), 0.0);
+}
+
+TEST(SimStatsTest, MergedOpChargesAtMostItsTurnaroundAsUnloaded)
+{
+    // An op whose line was already in flight (an L1-MSHR merge) finishes
+    // sooner than its level's analytic unloaded latency: it is charged its
+    // whole turnaround after the reservation stalls, and nothing is
+    // wasted in memory.
+    GpuConfig config;
+    SimStats stats(config);
+    const uint32_t kid = stats.kernelId("k");
+    stats.gloadDone(makeOp(false, 2, 10, 14, 16, 46, ServiceLevel::Dram),
+                    kid);
+    stats.finalize();
+    const auto &s = stats.set();
+    ASSERT_LT(30.0, config.unloadedDramLatency());
+    EXPECT_EQ(s.get("turn.unloaded.det"), 30.0);
+    EXPECT_EQ(s.get("turn.mem.det"), 0.0);
+    EXPECT_EQ(s.get("turn.unloaded.det") + s.get("turn.rsrv_prev.det") +
+                  s.get("turn.rsrv_cur.det") + s.get("turn.mem.det"),
+              s.get("turn.sum.det"));
+}
+
+TEST(SimStatsTest, TurnaroundComponentsAddUpOnWholeRuns)
+{
+    // Fig 5's columns are sums of integer cycle counts, so for every load
+    // class they must add up to the total turnaround exactly.
+    for (const char *app : {"gaus", "bpr"}) {
+        gcl::workloads::SimContext ctx(gcl::workloads::byName(app),
+                                       GpuConfig{});
+        ctx.run();
+        ASSERT_TRUE(ctx.verified()) << app;
+        const gcl::StatsSet &s = ctx.stats();
+        for (const std::string cls : {".det", ".nondet"}) {
+            if (s.get("turn.cnt" + cls) == 0)
+                continue;
+            EXPECT_EQ(s.get("turn.unloaded" + cls) +
+                          s.get("turn.rsrv_prev" + cls) +
+                          s.get("turn.rsrv_cur" + cls) +
+                          s.get("turn.mem" + cls),
+                      s.get("turn.sum" + cls))
+                << app << cls;
+        }
+    }
 }
 
 TEST(SimStatsTest, PerPcHistogramsKeyedByRequestCount)
