@@ -218,12 +218,6 @@ finishExports()
         writeStatsCsv(g_options.statsCsv);
 }
 
-bool
-cacheDisabled()
-{
-    return g_options.fresh;
-}
-
 /** A run's cache entry name: one per (app, dataset, config fingerprint). */
 std::string
 cacheKey(const std::string &name, const sim::GpuConfig &config)
@@ -705,7 +699,7 @@ runApps(const std::vector<Run> &runs)
         AppResult &result = results[i];
         result.name = slot.workload->name;
         result.category = workloads::toString(slot.workload->category);
-        if (!tracing() && !cacheDisabled() &&
+        if (!tracing() && !g_options.fresh &&
             loadCached(cacheDir() / slot.key, result)) {
             std::fprintf(stderr, "[bench] %s ...\n", result.name.c_str());
             continue;
@@ -787,7 +781,8 @@ printHeader(const std::string &title, const sim::GpuConfig &config,
         out << "fault plan: " << g_options.faultPlan << '\n';
     out << '\n';
     std::fprintf(stderr, "[bench] cache %s\n",
-                 cacheDisabled() ? "disabled" : cacheDir().string().c_str());
+                 g_options.fresh ? "disabled"
+                                 : cacheDir().string().c_str());
 }
 
 int

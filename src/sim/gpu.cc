@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "core/classifier.hh"
 #include "guard/cancel.hh"

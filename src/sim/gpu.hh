@@ -33,8 +33,10 @@ namespace gcl::sim
  * The functional prefix of a sampled run: everything a run's state holds
  * at its first timed work when all that came before was fast-forwarded
  * (Gpu::setFfPrefixHook). No timing structure has ticked by then, so the
- * value depends only on the app and GpuConfig::functionalFingerprint(),
- * and one capture warm-starts every config of that key (Gpu::beginResume).
+ * value does not depend on machine timing: one capture warm-starts every
+ * config of the app with the same GpuConfig::functionalFingerprint() and
+ * the same fast-forward wave size (ctasPerWave), byte-identically to a
+ * cold run (Gpu::beginResume).
  */
 struct FunctionalPrefix
 {
@@ -49,9 +51,8 @@ struct FunctionalPrefix
 
     /**
      * One global-space access of a fast-forwarded instruction, recorded
-     * at a fixed machine-independent 128-byte granularity (converted to
-     * the machine's own line sizes at replay) so the warm ring is shared
-     * across a --machine sweep.
+     * at a fixed 128-byte granularity and converted to the machine's own
+     * line sizes at replay, so the ring does not depend on them.
      */
     struct WarmEntry
     {
@@ -173,12 +174,6 @@ class Gpu
     uint64_t dormantCycles() const { return dormantCycles_; }
 
     // ---- Kernel boundaries ----
-
-    /** Global monotonic cycle count across launches. */
-    Cycle clock() const { return clock_; }
-
-    /** Kernel launches completed so far (the boundary index). */
-    uint64_t kernelsDone() const { return kernelsDone_; }
 
     /**
      * Install a kernel-boundary callback. It fires with k = 0 at the

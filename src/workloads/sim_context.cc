@@ -1,6 +1,7 @@
 #include "sim_context.hh"
 
 #include "guard/fault.hh"
+#include "sim/gpu.hh"
 #include "util/logging.hh"
 
 namespace gcl::workloads

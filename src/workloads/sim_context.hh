@@ -33,10 +33,14 @@
 
 #include "guard/sim_error.hh"
 #include "sim/config.hh"
-#include "sim/gpu.hh"
 #include "trace/trace.hh"
 #include "util/stats.hh"
 #include "workload.hh"
+
+namespace gcl::sim
+{
+struct FunctionalPrefix;
+} // namespace gcl::sim
 
 namespace gcl::workloads
 {
@@ -45,11 +49,12 @@ namespace gcl::workloads
  * The functional prefixes of sampled runs (sim::FunctionalPrefix), keyed
  * by (app, GpuConfig::functionalFingerprint()): the first run of a key
  * captures its prefix, every later one starts warm from it, whatever its
- * machine. The caller owns the store (one per process or test) and hands
- * it to each SimContext; runs on different threads share it through its
- * mutex. Two runs of one key may both start cold and both capture; the
- * store keeps the first copy, and the second equals it, since a warm
- * start equals a cold run. A prefix lives as long as its store.
+ * machine timing. The caller owns the store (one per process or test)
+ * and hands it to each SimContext; runs on different threads share it
+ * through its mutex. Two runs of one key may both start cold and both
+ * capture; the store keeps the first copy, and the second equals it,
+ * since a warm start equals a cold run. A prefix lives as long as its
+ * store.
  */
 class PrefixStore
 {
