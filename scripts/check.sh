@@ -318,18 +318,28 @@ cmp "$tmp/stats-auto1.json" "$tmp/stats-auto2.json" \
     || { echo "check: seeded fault plan is not deterministic" >&2; exit 1; }
 
 # Watchdog: an injected livelock (every fill dropped) must be caught as a
-# structured hang report instead of burning the 200M-cycle budget.
-status=0
-GCL_BENCH_CACHE="$tmp/cache-hang" "$PAPER" fig1_load_classes \
-    --apps=gaus --fresh \
-    --fault-plan='dropfill@0+1000000000' \
-    --sim-config=watchdog_interval=1024,watchdog_budget=100000 \
-    --stats-json="$tmp/stats-hang.json" > /dev/null 2> /dev/null \
-    || status=$?
-[ "$status" = 3 ] \
-    || { echo "check: hung sweep exited $status, want 3" >&2; exit 1; }
-grep -q '"hang"' "$tmp/stats-hang.json" \
-    || { echo "check: livelock not reported as a hang" >&2; exit 1; }
+# structured hang report instead of burning the 200M-cycle budget. The
+# --crit leg's report also gives each stuck SM's stall reasons and, once,
+# the run's blocking PCs.
+for leg in plain crit; do
+    status=0
+    GCL_BENCH_CACHE="$tmp/cache-hang-$leg" "$PAPER" fig1_load_classes \
+        --apps=gaus --fresh $([ "$leg" = crit ] && echo --crit) \
+        --fault-plan='dropfill@0+1000000000' \
+        --sim-config=watchdog_interval=1024,watchdog_budget=100000 \
+        --stats-json="$tmp/stats-hang-$leg.json" > /dev/null 2> /dev/null \
+        || status=$?
+    [ "$status" = 3 ] \
+        || { echo "check: hung $leg sweep exited $status, want 3" >&2
+             exit 1; }
+    grep -q '"hang"' "$tmp/stats-hang-$leg.json" \
+        || { echo "check: $leg livelock not reported as a hang" >&2
+             exit 1; }
+done
+grep -Eq '"detail": "[^"]*; stalls: [^"]*\\n  blocking: k[0-9]+#' \
+    "$tmp/stats-hang-crit.json" \
+    || { echo "check: crit hang report lacks stalls: and blocking:" >&2
+         exit 1; }
 
 # Sampled sweeps: a --sample=every:4 sweep at --jobs=3 must leave the
 # same cache entries as one at --jobs=1. Each app runs once there, so

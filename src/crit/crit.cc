@@ -1,7 +1,6 @@
 #include "crit.hh"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 namespace gcl::crit
@@ -65,28 +64,6 @@ stageName(Stage stage)
 }
 
 void
-PcCrit::merge(const PcCrit &other)
-{
-    // Classes come from the same deterministic per-launch tables on every
-    // shard, so "last writer wins" cannot disagree across shards.
-    if (other.loadClass)
-        loadClass = other.loadClass;
-    stallSlots += other.stallSlots;
-    for (unsigned r = 0; r < kNumReasons; ++r)
-        stallByReason[r] += other.stallByReason[r];
-    turnCnt += other.turnCnt;
-    turnSum += other.turnSum;
-    for (unsigned b = 0; b < kLog2Buckets; ++b)
-        turnLog2[b] += other.turnLog2[b];
-    for (unsigned s = 0; s < kNumStages; ++s) {
-        stageCnt[s] += other.stageCnt[s];
-        stageSum[s] += other.stageSum[s];
-        for (unsigned b = 0; b < kLog2Buckets; ++b)
-            stageLog2[s][b] += other.stageLog2[s][b];
-    }
-}
-
-void
 SmCrit::chargePc(StallReason reason, uint64_t pc_key, uint8_t load_class,
                  uint64_t count)
 {
@@ -147,13 +124,20 @@ SmCrit::hangSummary() const
     for (unsigned r : reasons)
         oss << ' ' << reasonName(static_cast<StallReason>(r)) << ' '
             << (100 * stall[r] + total / 2) / total << '%';
+    return oss.str();
+}
 
+std::string
+CritStats::hangBlocking() const
+{
     // Top-3 blocking PCs: slots desc, key asc. Guard must not depend on
     // kernel-name tables, so render as k<kernel>#<pc>.
     std::vector<std::pair<uint64_t, uint64_t>> pcs; // (key, slots)
     for (const auto &[key, pc] : pcs_)
         if (pc.stallSlots)
             pcs.emplace_back(key, pc.stallSlots);
+    if (pcs.empty())
+        return {};
     std::sort(pcs.begin(), pcs.end(), [](const auto &a, const auto &b) {
         if (a.second != b.second)
             return a.second > b.second;
@@ -161,32 +145,12 @@ SmCrit::hangSummary() const
     });
     if (pcs.size() > 3)
         pcs.resize(3);
-    if (!pcs.empty()) {
-        oss << "; blocking:";
-        for (const auto &[key, slots] : pcs)
-            oss << " k" << (key >> 32) << '#' << (key & 0xffffffffu) << '('
-                << slots << ')';
-    }
+    std::ostringstream oss;
+    oss << "blocking:";
+    for (const auto &[key, slots] : pcs)
+        oss << " k" << (key >> 32) << '#' << (key & 0xffffffffu) << '('
+            << slots << ')';
     return oss.str();
-}
-
-void
-SmCrit::merge(const SmCrit &other)
-{
-    cycles += other.cycles;
-    issued += other.issued;
-    for (unsigned r = 0; r < kNumReasons; ++r)
-        stall[r] += other.stall[r];
-    for (unsigned c = 0; c < kNumClasses; ++c)
-        dhzByClass[c] += other.dhzByClass[c];
-    for (const auto &[key, pc] : other.pcs_)
-        pcs_[key].merge(pc);
-}
-
-SmCrit &
-CritStats::newShard()
-{
-    return shards_.emplace_back();
 }
 
 void
@@ -198,39 +162,44 @@ CritStats::finalize(const std::vector<std::string> &kernel_names,
     finalized_ = true;
 
     set.set("crit.issue_width", static_cast<double>(issueWidth_));
-    set.set("crit.sms", static_cast<double>(shards_.size()));
+    set.set("crit.sms", static_cast<double>(sms_.size()));
 
-    // Per-SM accounting plus the device-wide merge. Every stall reason is
+    // Per-SM accounting plus the device-wide sums. Every stall reason is
     // emitted even when zero so the schema (and the accounting identity
     // trace_check recomputes) is closed over a fixed key set.
-    SmCrit total;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-        const SmCrit &sm = shards_[i];
+    uint64_t cycles = 0, issued = 0;
+    uint64_t stall[kNumReasons] = {};
+    uint64_t dhz_by_class[kNumClasses] = {};
+    for (size_t i = 0; i < sms_.size(); ++i) {
+        const SmCrit &sm = sms_[i];
         const std::string prefix = "crit.sm" + std::to_string(i) + '.';
         set.set(prefix + "cycles", static_cast<double>(sm.cycles));
         set.set(prefix + "issued", static_cast<double>(sm.issued));
-        for (unsigned r = 0; r < kNumReasons; ++r)
+        for (unsigned r = 0; r < kNumReasons; ++r) {
             set.set(prefix + "stall." +
                         reasonName(static_cast<StallReason>(r)),
                     static_cast<double>(sm.stall[r]));
-        total.merge(sm);
+            stall[r] += sm.stall[r];
+        }
+        cycles += sm.cycles;
+        issued += sm.issued;
+        for (unsigned c = 0; c < kNumClasses; ++c)
+            dhz_by_class[c] += sm.dhzByClass[c];
     }
 
-    set.set("crit.cycles", static_cast<double>(total.cycles));
-    set.set("crit.issued", static_cast<double>(total.issued));
+    set.set("crit.cycles", static_cast<double>(cycles));
+    set.set("crit.issued", static_cast<double>(issued));
     for (unsigned r = 0; r < kNumReasons; ++r)
         set.set(std::string("crit.stall.") +
                     reasonName(static_cast<StallReason>(r)),
-                static_cast<double>(total.stall[r]));
+                static_cast<double>(stall[r]));
     for (unsigned c = 0; c < kNumClasses; ++c)
         set.set(std::string("crit.stall.data_hazard.") + className(c),
-                static_cast<double>(total.dhzByClass[c]));
+                static_cast<double>(dhz_by_class[c]));
 
-    // Per-PC attribution. An ordered map gives deterministic iteration;
-    // the emission itself is keyed, so order only matters for debugging.
-    std::map<uint64_t, PcCrit> merged(total.pcs().begin(),
-                                      total.pcs().end());
-    for (const auto &[key, pc] : merged) {
+    // Per-PC attribution. Every key a PC emits is its own, so the table's
+    // iteration order does not reach the output.
+    for (const auto &[key, pc] : pcs_) {
         const unsigned kernel = static_cast<unsigned>(key >> 32);
         const uint64_t addr = key & 0xffffffffu;
         std::string name = kernel < kernel_names.size()

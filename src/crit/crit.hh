@@ -25,9 +25,13 @@
  *    went.
  *
  * Contracts:
- *  - One SmCrit shard per SM, written only by that SM's tick;
- *    CritStats::finalize merges shards in creation (SM-id) order into
- *    keyed, commutative StatsSet entries.
+ *  - One per-PC table per run, owned by CritStats: every SM's hooks add
+ *    into it, in the order the serial tick runs them. That order cannot
+ *    reach the output: every PcCrit count and sum adds integer cycle
+ *    counts, and a PC's loadClass comes from its launch's one class
+ *    table. Each SM keeps only its scalar counters (SmCrit), written
+ *    only by that SM's tick; its cycles, issued and stall[] are the
+ *    crit.sm<i>.* keys.
  *  - Near-zero cost when disabled: every hook sits behind a null-pointer
  *    check on Sm::crit (the tracing idiom).
  */
@@ -124,17 +128,21 @@ struct PcCrit {
     uint64_t stageCnt[kNumStages] = {};
     double stageSum[kNumStages] = {};
     uint64_t stageLog2[kNumStages][kLog2Buckets] = {};
-
-    void merge(const PcCrit &other);
 };
 
+/** The run's per-PC records, keyed by pcKey. */
+using PcTable = std::unordered_map<uint64_t, PcCrit>;
+
 /**
- * One SM's accounting shard. The owning Sm is the only writer (during the
+ * One SM's issue-slot counters. Its per-PC charges go to the run-wide
+ * table it was handed. The owning Sm is the only writer (during the
  * tick); the watchdog reads it only after ticking has stopped.
  */
 class SmCrit
 {
   public:
+    explicit SmCrit(PcTable &pcs) : pcs_(pcs) {}
+
     uint64_t cycles = 0; ///< SM cycles observed (busy + idle)
     uint64_t issued = 0; ///< slots that issued an instruction
     uint64_t stall[kNumReasons] = {};
@@ -182,19 +190,13 @@ class SmCrit
     void opDone(uint64_t pc_key, Cycle turnaround, uint8_t load_class);
 
     /**
-     * One-line triage summary for HangReports: top-3 stall reasons (as %
-     * of charged slots) and top-3 blocking PCs. Empty when nothing was
-     * charged yet.
+     * This SM's line of a HangReport: its top-3 stall reasons, as % of
+     * its charged slots. Empty when nothing was charged yet.
      */
     std::string hangSummary() const;
 
-    const std::unordered_map<uint64_t, PcCrit> &pcs() const { return pcs_; }
-
-    /** Additive merge of @p other into this shard (finalize only). */
-    void merge(const SmCrit &other);
-
   private:
-    std::unordered_map<uint64_t, PcCrit> pcs_;
+    PcTable &pcs_;
 };
 
 /** Key for per-PC maps: kernel id in the high word, PC in the low. */
@@ -205,9 +207,9 @@ pcKey(unsigned kernel_id, uint64_t pc)
 }
 
 /**
- * Whole-device profiler state: owns one SmCrit shard per SM (created in
- * SM-id order by the Gpu constructor) and folds them into the run's
- * StatsSet at finalize. See crit.cc for the exported key schema.
+ * Whole-device profiler state: the run's per-PC table and one SmCrit per
+ * SM (created in SM-id order by the Gpu constructor), folded into the
+ * run's StatsSet at finalize. See crit.cc for the exported key schema.
  */
 class CritStats
 {
@@ -218,22 +220,29 @@ class CritStats
     CritStats(const CritStats &) = delete;
     CritStats &operator=(const CritStats &) = delete;
 
-    /** Stable storage: shards must not move once handed out. */
-    SmCrit &newShard();
+    /** The next SM's counters; stable storage, never moved. */
+    SmCrit &newSm() { return sms_.emplace_back(pcs_); }
 
     unsigned issueWidth() const { return issueWidth_; }
 
     /**
-     * Merge all shards (in creation order; every fold is a commutative
-     * keyed add) and emit the crit.* key schema into @p set. Idempotent. @p kernel_names indexes
-     * kernel ids into human-readable names (SimStats::kernelNames()).
+     * The run's line of a HangReport: its top-3 blocking PCs by stall
+     * slots. Empty when no slot was charged to a PC yet.
+     */
+    std::string hangBlocking() const;
+
+    /**
+     * Emit the crit.* key schema into @p set. Idempotent. @p kernel_names
+     * indexes kernel ids into human-readable names
+     * (SimStats::kernelNames()).
      */
     void finalize(const std::vector<std::string> &kernel_names,
                   StatsSet &set);
 
   private:
     unsigned issueWidth_;
-    std::deque<SmCrit> shards_;
+    PcTable pcs_;
+    std::deque<SmCrit> sms_;
     bool finalized_ = false;
 };
 

@@ -64,6 +64,8 @@ HangReport::render() const
             oss << "; " << sm.critSummary;
         oss << "\n";
     }
+    if (!critBlocking.empty())
+        oss << "  " << critBlocking << "\n";
     for (const auto &part : partitions) {
         if (part.ropQueued == 0 && part.dramQueued == 0 &&
             part.respQueued == 0 && part.mshrOccupancy == 0)

@@ -51,10 +51,10 @@ struct SmHangInfo
     size_t reservedLines = 0;     //!< L1 lines reserved for in-flight fills
     std::string stuckWarps;       //!< "w3@pc12 w7@pc12 ..." (first few)
     /**
-     * Stall attribution from the crit profiler when it is enabled (top-3
-     * stall reasons and top-3 blocking PCs, pre-rendered by
-     * crit::SmCrit::hangSummary); empty otherwise. Kept as a plain string
-     * so guard does not depend on gcl::crit.
+     * This SM's top-3 stall reasons from the crit profiler when it is
+     * enabled (pre-rendered by crit::SmCrit::hangSummary); empty
+     * otherwise. Kept as a plain string so guard does not depend on
+     * gcl::crit.
      */
     std::string critSummary;
 };
@@ -93,6 +93,13 @@ struct HangReport
 
     std::vector<SmHangInfo> sms;
     std::vector<PartitionHangInfo> partitions;
+
+    /**
+     * The run's top-3 blocking PCs from the crit profiler when it is
+     * enabled (pre-rendered by crit::CritStats::hangBlocking); empty
+     * otherwise.
+     */
+    std::string critBlocking;
 
     /**
      * Set when assembling the per-unit detail itself failed (a nested

@@ -517,6 +517,11 @@ GpuConfig::functionalFingerprint() const
         h *= 0x100000001b3ull;
     };
     mix(warpSize);
+    // The fast-forward's wave size (Gpu::ctasPerWave) decides which CTAs
+    // it interleaves and the book's wave counts, so its inputs separate
+    // prefixes too.
+    mix(numSms); mix(maxThreadsPerSm); mix(maxCtasPerSm);
+    mix(sharedMemPerSm);
     // The spec decides which CTAs the fast-forward executes (and in what
     // interleaving with detailed windows), so two specs never share a
     // prefix.

@@ -292,12 +292,14 @@ struct GpuConfig
     /**
      * Hash over the *functional* identity only: the fields that determine
      * architectural state (registers, memory, SIMT stacks) independent of
-     * any timing model — warp width plus the sampling spec (which decides
-     * what the fast-forward executes). Machine timing keys are excluded
-     * on purpose: a fast-forwarded functional prefix keyed by this hash
-     * is shared by every machine in the zoo, which is what lets the runs
-     * of one process share one prefix (workloads::PrefixStore; DESIGN.md,
-     * "Sampled simulation").
+     * any timing model — warp width, the fast-forward's wave size inputs
+     * (num_sms and the per-SM thread, CTA and shared-memory limits, which
+     * decide which CTAs it interleaves) and the sampling spec (which
+     * decides what it executes). Machine timing keys are excluded on
+     * purpose: a fast-forwarded functional prefix keyed by this hash is
+     * shared by every machine of one SM count and residency, which is
+     * what lets the runs of one process share one prefix
+     * (workloads::PrefixStore; DESIGN.md, "Functional prefix").
      */
     uint64_t functionalFingerprint() const;
 

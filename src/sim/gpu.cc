@@ -31,10 +31,10 @@ Gpu::Gpu(GpuConfig config)
                                             gmem_, stats_, pools_));
         sms_.back()->partitionMap = &Gpu::mapPartition;
         sms_.back()->fault = fault_.get();
-        // One crit shard per SM, created in SM-id order, the order
-        // finalize reads them in.
+        // Each SM's crit counters, created in SM-id order, the order of
+        // the crit.sm<i>.* keys.
         if (crit_)
-            sms_.back()->crit = &crit_->newShard();
+            sms_.back()->crit = &crit_->newSm();
     }
     partitions_.reserve(config_.numPartitions);
     for (unsigned p = 0; p < config_.numPartitions; ++p) {
@@ -369,17 +369,12 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
     launch.cta = cta;
     launch.params = std::move(params);
 
-    // Section V: classify every global load once, statically. The dense
-    // class table joins the verdicts into crit's stall attribution (and is
-    // cheap enough to build even when the profiler is off).
+    // Section V: classify every global load once, statically.
     core::LoadClassifier classifier(kernel);
-    launch.nonDetPc.assign(kernel.size(), false);
     launch.pcLoadClass.assign(kernel.size(), 0);
-    for (const auto &info : classifier.globalLoads()) {
-        const bool non_det = info.cls == core::LoadClass::NonDeterministic;
-        launch.nonDetPc[info.pc] = non_det;
-        launch.pcLoadClass[info.pc] = non_det ? 2 : 1;
-    }
+    for (const auto &info : classifier.globalLoads())
+        launch.pcLoadClass[info.pc] =
+            info.cls == core::LoadClass::NonDeterministic ? 2 : 1;
 
     // Precompute each pc's scoreboard dependence mask (sources, guard
     // predicate, destination) so the per-cycle issue check is a word-wise
@@ -960,6 +955,8 @@ Gpu::buildHangReport(const std::string &kernel, Cycle now) const
     report.sms.reserve(sms_.size());
     for (const auto &sm : sms_)
         report.sms.push_back(sm->hangInfo());
+    if (crit_)
+        report.critBlocking = crit_->hangBlocking();
     report.partitions.reserve(partitions_.size());
     for (const auto &part : partitions_)
         report.partitions.push_back(part->hangInfo());
@@ -1014,15 +1011,10 @@ Gpu::finalizeStats()
                 static_cast<double>(fault_->injected(kind)));
         }
     }
-    // Sampled simulation: extrapolate whole-run cycles from the detailed
-    // windows. A launch with a window scales its own cycles-per-CTA to
-    // its grid; a fully fast-forwarded launch borrows the pooled
-    // cycles-per-CTA of every detailed window. The relative standard
-    // error of the per-launch cycles-per-CTA annotates the confidence
-    // (only meaningful with >= 2 detailed launches). sample.* keys exist
-    // only when sampling is on, keeping sampling-off stats byte-identical.
     if (samplePlan_.active() && !sampleBook_.empty()) {
-        // Whole-run cycle estimate from the book of per-launch windows.
+        // Sampled simulation: the whole-run cycle estimate from the book
+        // of per-launch windows. sample.* keys exist only when sampling
+        // is on, keeping sampling-off stats byte-identical.
         //   - A launch with a timed window extrapolates by OCCUPANCY WAVES
         //     (detailedCycles x totalWaves/detailedWaves): a sub-wave
         //     window of a latency-bound launch already costs one full
@@ -1090,8 +1082,6 @@ Gpu::finalizeStats()
                         100.0 * stderr_cpi / mean);
         }
     }
-    // Fold the crit shards first: per-SM shards merge in creation order
-    // into keyed adds.
     if (crit_)
         crit_->finalize(stats_.kernelNames(), stats_.set());
     stats_.finalize();

@@ -394,8 +394,9 @@ class Gpu
 
     /**
      * Criticality profiler (gcl::crit); null unless config_.crit. Owns
-     * one shard per SM, installed on Sm::crit at construction and folded
-     * into the stats set by finalizeStats().
+     * the run's per-PC table and each SM's counters, installed on
+     * Sm::crit at construction and folded into the stats set by
+     * finalizeStats().
      */
     std::unique_ptr<crit::CritStats> crit_;
 

@@ -701,7 +701,7 @@ Sm::startMemOp(int slot, size_t pc, const Instruction &inst,
     } else {
         // Global-like spaces flow through coalescer + L1 + interconnect.
         op.isGlobalLoad = info.isLoad && info.space == MemSpace::Global;
-        op.nonDet = op.isGlobalLoad && launch_->nonDetPc[pc];
+        op.nonDet = op.isGlobalLoad && launch_->pcLoadClass[pc] == 2;
         op.dst = writes_reg ? inst.dst : ptx::kNoReg;
 
         const auto lines =

@@ -361,7 +361,7 @@ class Sm
     guard::FaultInjector *fault = nullptr;
 
     /**
-     * This SM's crit shard (gcl::crit), installed by the Gpu; null when
+     * This SM's crit counters (gcl::crit), installed by the Gpu; null when
      * the profiler is off — every hook hides behind this check, the same
      * near-zero-disabled-cost idiom as traceSink.
      */

@@ -166,30 +166,21 @@ SimStats::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
     agg.rsrvCur += rsrv_cur;
     agg.mem += wasted_mem;
 
-    // Figs 6 and 7: per-pc breakdown keyed by the request count. The fast
-    // path indexes a dense per-kernel array; pcs past the dense limit
-    // spill into the map.
-    PcBucket *bucket;
+    // Figs 6 and 7: per-pc breakdown keyed by the request count, in a
+    // dense per-kernel array indexed by pc.
     const auto pc_idx = static_cast<uint32_t>(op.pc);
-    if (pc_idx < kDensePcLimit) {
-        if (kernel_id >= pcDense_.size())
-            pcDense_.resize(kernel_id + 1);
-        auto &slots = pcDense_[kernel_id];
-        if (pc_idx >= slots.size())
-            slots.resize(pc_idx + 1);
-        PcSlot &slot = slots[pc_idx];
-        slot.used = true;
-        slot.nonDet = nd;
-        bucket = &slot.byReqs[nreq];
-    } else {
-        const uint64_t key = (uint64_t{kernel_id} << 32) | pc_idx;
-        PcAgg &pc = pcAggs_[key];
-        pc.nonDet = nd;
-        bucket = &pc.byReqs[nreq];
-    }
-    ++bucket->cnt;
-    bucket->turn += turnaround;
-    bucket->gapL1d += rsrv_cur;
+    if (kernel_id >= pcDense_.size())
+        pcDense_.resize(kernel_id + 1);
+    auto &slots = pcDense_[kernel_id];
+    if (pc_idx >= slots.size())
+        slots.resize(pc_idx + 1);
+    PcSlot &slot = slots[pc_idx];
+    slot.used = true;
+    slot.nonDet = nd;
+    PcBucket &bucket = slot.byReqs[nreq];
+    ++bucket.cnt;
+    bucket.turn += turnaround;
+    bucket.gapL1d += rsrv_cur;
 
     // Gap at icnt-L2: extra queueing between L1 acceptance and the start of
     // L2 service, accumulated per request as each completed (see
@@ -199,10 +190,10 @@ SimStats::gloadDone(const WarpMemOp &op, uint32_t kernel_id)
     double gap_icnt_l2 = op.gapIcntL2Sum;
     if (op.missedReqs)
         gap_icnt_l2 /= op.missedReqs;
-    bucket->gapIcntL2 += gap_icnt_l2;
+    bucket.gapIcntL2 += gap_icnt_l2;
 
     // Gap at L2-icnt: spread between the first and the last returned data.
-    bucket->gapL2Icnt +=
+    bucket.gapL2Icnt +=
         op.tFirstData ? static_cast<double>(op.tDone - op.tFirstData) : 0.0;
 }
 
@@ -229,29 +220,6 @@ SimStats::distanceHistogram(const std::vector<uint32_t> &ctas,
         if (counts[d] != 0)
             hist.add(static_cast<int64_t>(d),
                      static_cast<double>(counts[d]));
-}
-
-SimStats::PcHists
-SimStats::pcHists(uint32_t kernel, uint32_t pc_idx, bool non_det)
-{
-    const std::string prefix = "pc." + kernelNames_[kernel] + "#" +
-                               std::to_string(pc_idx) + ".";
-    set_.set(prefix + "nondet", non_det ? 1.0 : 0.0);
-    return {&set_.hist(prefix + "turn_cnt"), &set_.hist(prefix + "turn_sum"),
-            &set_.hist(prefix + "gap_l1d"),
-            &set_.hist(prefix + "gap_icnt_l2"),
-            &set_.hist(prefix + "gap_l2icnt")};
-}
-
-void
-SimStats::addPcBucket(const PcHists &hists, uint32_t nreq,
-                      const PcBucket &bucket)
-{
-    hists.cnt->add(nreq, static_cast<double>(bucket.cnt));
-    hists.turn->add(nreq, bucket.turn);
-    hists.gapL1d->add(nreq, bucket.gapL1d);
-    hists.gapIcntL2->add(nreq, bucket.gapIcntL2);
-    hists.gapL2Icnt->add(nreq, bucket.gapL2Icnt);
 }
 
 void
@@ -329,21 +297,28 @@ SimStats::finalize()
             const PcSlot &slot = slots[pc_idx];
             if (!slot.used)
                 continue;
-            const PcHists hists = pcHists(kernel, pc_idx, slot.nonDet);
-            for (uint32_t nreq = 0; nreq <= WarpMemOp::kMaxRequests; ++nreq)
-                if (slot.byReqs[nreq].cnt != 0)
-                    addPcBucket(hists, nreq, slot.byReqs[nreq]);
+            const std::string prefix = "pc." + kernelNames_[kernel] + "#" +
+                                       std::to_string(pc_idx) + ".";
+            set_.set(prefix + "nondet", slot.nonDet ? 1.0 : 0.0);
+            Histogram &cnt = set_.hist(prefix + "turn_cnt");
+            Histogram &turn = set_.hist(prefix + "turn_sum");
+            Histogram &gap_l1d = set_.hist(prefix + "gap_l1d");
+            Histogram &gap_icnt_l2 = set_.hist(prefix + "gap_icnt_l2");
+            Histogram &gap_l2icnt = set_.hist(prefix + "gap_l2icnt");
+            for (uint32_t nreq = 0; nreq <= WarpMemOp::kMaxRequests;
+                 ++nreq) {
+                const PcBucket &bucket = slot.byReqs[nreq];
+                if (bucket.cnt == 0)
+                    continue;
+                cnt.add(nreq, static_cast<double>(bucket.cnt));
+                turn.add(nreq, bucket.turn);
+                gap_l1d.add(nreq, bucket.gapL1d);
+                gap_icnt_l2.add(nreq, bucket.gapIcntL2);
+                gap_l2icnt.add(nreq, bucket.gapL2Icnt);
+            }
         }
     }
     pcDense_.clear();
-    for (const auto &[key, pc] : pcAggs_) {
-        const auto kernel = static_cast<uint32_t>(key >> 32);
-        const auto pc_idx = static_cast<uint32_t>(key);
-        const PcHists hists = pcHists(kernel, pc_idx, pc.nonDet);
-        for (const auto &[nreq, bucket] : pc.byReqs)
-            addPcBucket(hists, nreq, bucket);
-    }
-    pcAggs_.clear();
 
     // --- Inter-CTA locality (Figs 10, 11, 12) ---
     Histogram &dist = set_.hist("cta_distance");

@@ -8,7 +8,7 @@
  *
  * The per-request structures are laid out for the hot path:
  *  - per-pc turnaround aggregates live in dense per-kernel arrays indexed
- *    by pc (a hash map only catches pathological pcs past the dense limit);
+ *    by pc, grown to the largest pc seen;
  *  - per-line block info lives in an open-addressed table keyed by line
  *    address (insert/find only — it is swept once at finalize);
  *  - the per-block CTA lists stay unsorted during the run and are sorted
@@ -168,15 +168,6 @@ class SimStats
         PcBucket byReqs[WarpMemOp::kMaxRequests + 1];
     };
 
-    /** pcs below this index use the dense per-kernel arrays. */
-    static constexpr uint32_t kDensePcLimit = 4096;
-
-    struct PcAgg
-    {
-        bool nonDet = false;
-        std::unordered_map<uint32_t, PcBucket> byReqs;
-    };
-
     struct BlockInfo
     {
         uint64_t accesses = 0;
@@ -223,15 +214,6 @@ class SimStats
                                   Histogram &hist,
                                   std::vector<uint64_t> &counts);
 
-    /** The five output histograms of one pc (finalize helper). */
-    struct PcHists
-    {
-        Histogram *cnt, *turn, *gapL1d, *gapIcntL2, *gapL2Icnt;
-    };
-    PcHists pcHists(uint32_t kernel, uint32_t pc_idx, bool non_det);
-    static void addPcBucket(const PcHists &hists, uint32_t nreq,
-                            const PcBucket &bucket);
-
     const GpuConfig &config_;
     StatsSet set_;
 
@@ -242,8 +224,6 @@ class SimStats
     ClassAgg cls_[2];
     /** Dense per-kernel, per-pc aggregates (grown on demand). */
     std::vector<std::vector<PcSlot>> pcDense_;
-    /** Spill for pcs past kDensePcLimit; keyed (kernel<<32) | pc. */
-    std::unordered_map<uint64_t, PcAgg> pcAggs_;
     /** Open-addressed power-of-two table of per-line block info. */
     std::vector<BlockSlot> blockTable_;
     size_t blockCount_ = 0;

@@ -42,14 +42,11 @@ struct LaunchContext
     Dim3 grid;
     Dim3 cta;
     std::vector<uint64_t> params;
-    /** Per-pc flag: is the global load at this pc non-deterministic? */
-    std::vector<bool> nonDetPc;
 
     /**
-     * Per-pc load class for crit attribution joins: 0 = not a global
-     * load, 1 = deterministic, 2 = non-deterministic (the classifier
-     * verdict behind nonDetPc, kept as a dense byte array so the stall
-     * charge path reads one byte).
+     * Per-pc load class, the classifier's verdict: 0 = not a global
+     * load, 1 = deterministic, 2 = non-deterministic. Tags each global
+     * load op and joins crit's stall attribution.
      */
     std::vector<uint8_t> pcLoadClass;
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -257,6 +258,34 @@ TEST(GuardRun, DropFillLivelockIsCaughtWithHangReport)
     EXPECT_NE(ctx.failure().detail.find("HangReport"), std::string::npos);
     EXPECT_NE(ctx.failure().detail.find("in flight"), std::string::npos);
     EXPECT_NE(ctx.failure().detail.find("sm0"), std::string::npos);
+}
+
+TEST(GuardRun, CritHangReportNamesBlockingPcsOnce)
+{
+    // With the crit profiler on, each stuck SM's line carries its own
+    // stall reasons, and the run's top blocking PCs print once.
+    SimContext ctx(byName("gaus"),
+                   configWith("watchdog_interval=1024,watchdog_budget=50000,"
+                              "fault_plan=dropfill@0+1000000000,crit=1"));
+    ctx.run();
+    ASSERT_TRUE(ctx.failed());
+    ASSERT_EQ(ctx.failure().kind, "hang");
+    const std::string &detail = ctx.failure().detail;
+    size_t sm_lines = 0, blocking_lines = 0;
+    std::istringstream lines(detail);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("  sm", 0) == 0) {
+            ++sm_lines;
+            EXPECT_NE(line.find("; stalls: "), std::string::npos) << line;
+            EXPECT_EQ(line.find("blocking:"), std::string::npos) << line;
+        }
+        if (line.find("blocking:") != std::string::npos) {
+            ++blocking_lines;
+            EXPECT_EQ(line.rfind("  blocking: k", 0), 0u) << line;
+        }
+    }
+    EXPECT_GT(sm_lines, 0u) << detail;
+    EXPECT_EQ(blocking_lines, 1u) << detail;
 }
 
 TEST(GuardRun, CycleBudgetProducesTimeoutRecord)

@@ -111,9 +111,10 @@ TEST(ParallelSweep, SampledRunsShareOnePrefixStore)
     GpuConfig base{};
     base.sample = "every:4";
     GpuConfig other{};
-    other.applyOverrides("num_sms=4,dram_latency=400");
+    other.applyOverrides("dram_latency=400,l2_size=65536,cta_sched=clustered");
     other.sample = "every:4";
     ASSERT_EQ(base.functionalFingerprint(), other.functionalFingerprint());
+    ASSERT_NE(base.fingerprint(), other.fingerprint());
     const std::vector<GpuConfig> configs = {base, other, base, other};
 
     std::vector<std::string> cold(2);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "guard/sim_error.hh"
 #include "sim/config.hh"
@@ -198,13 +199,14 @@ TEST(SampleWarmStart, PrefixRoundTripIsByteIdentical)
 
 TEST(SampleWarmStart, PrefixSharedAcrossMachines)
 {
-    // The store is keyed by the machine-independent functional
+    // The store is keyed by the timing-independent functional
     // fingerprint: a prefix captured under the default machine must
     // warm-start a different timing configuration and leave that
     // machine's results byte-identical to its own cold run.
     GpuConfig base = configWith("");
     base.sample = "every:4";
-    GpuConfig other = configWith("num_sms=4,dram_latency=400");
+    GpuConfig other =
+        configWith("dram_latency=400,l2_size=65536,cta_sched=clustered");
     other.sample = "every:4";
     ASSERT_EQ(base.functionalFingerprint(), other.functionalFingerprint());
     ASSERT_NE(base.fingerprint(), other.fingerprint());
@@ -225,13 +227,46 @@ TEST(SampleWarmStart, FingerprintSeparatesSpecsNotMachines)
 {
     GpuConfig a = configWith("");
     a.sample = "every:4";
-    GpuConfig b = configWith("dram_latency=2000,num_sms=30,l2_size=1572864");
+    GpuConfig b = configWith("dram_latency=2000,l2_size=1572864");
     b.sample = "every:4";
     EXPECT_EQ(a.functionalFingerprint(), b.functionalFingerprint());
 
     GpuConfig c = configWith("");
     c.sample = "kernels:1";
     EXPECT_NE(a.functionalFingerprint(), c.functionalFingerprint());
+
+    // Each input of the fast-forward's wave size separates keys.
+    for (const char *wave : {"num_sms=30", "max_threads_per_sm=512",
+                             "max_ctas_per_sm=2", "shared_mem_per_sm=16384"}) {
+        GpuConfig d = configWith(wave);
+        d.sample = "every:4";
+        EXPECT_NE(a.functionalFingerprint(), d.functionalFingerprint())
+            << wave;
+    }
+}
+
+TEST(SampleWarmStart, WaveSizeSeparatesPrefixes)
+{
+    // A prefix depends on the fast-forward's wave size: one captured at
+    // the default machine must not warm-start a 4-SM run, which must
+    // equal its own store-less run.
+    for (const auto &[app, spec] :
+         {std::pair<const char *, const char *>{"spmv", "every:4"},
+          {"lu", "kernels:9"}}) {
+        GpuConfig base = configWith("");
+        base.sample = spec;
+        GpuConfig small = configWith("num_sms=4");
+        small.sample = spec;
+
+        PrefixStore prefixes;
+        bool resumed = false, captured = false;
+        runApp(app, base, &prefixes, &resumed, &captured);
+        EXPECT_TRUE(captured) << app;
+        const StatsSet warm =
+            runApp(app, small, &prefixes, &resumed, &captured);
+        EXPECT_FALSE(resumed) << app;
+        EXPECT_EQ(warm.serialize(), runApp(app, small).serialize()) << app;
+    }
 }
 
 } // namespace

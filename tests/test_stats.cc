@@ -160,6 +160,31 @@ TEST(SimStatsTest, PerPcHistogramsKeyedByRequestCount)
     EXPECT_EQ(sum.weightAt(8), 900.0);
 }
 
+TEST(SimStatsTest, HighPcExportsTheSameKeysAsALowPc)
+{
+    // The dense per-pc arrays take every pc: ops at pc 5000 must export
+    // the pc.<kernel>#5000.* keys that the same ops export at pc 7.
+    auto run = [](uint64_t pc) {
+        GpuConfig config;
+        SimStats stats(config);
+        const uint32_t kid = stats.kernelId("k");
+        for (unsigned nreq : {1u, 3u, 3u}) {
+            WarpMemOp op =
+                makeOp(true, nreq, 0, 5, 9, 300 + nreq, ServiceLevel::Dram);
+            op.pc = pc;
+            stats.gloadDone(op, kid);
+        }
+        stats.finalize();
+        return stats.set().serialize();
+    };
+    const std::string low = run(7);
+    std::string high = run(5000);
+    ASSERT_NE(high.find("pc.k#5000.turn_cnt"), std::string::npos);
+    for (size_t at; (at = high.find("#5000.")) != std::string::npos;)
+        high.replace(at, 6, "#7.");
+    EXPECT_EQ(high, low);
+}
+
 TEST(SimStatsTest, GapIcntL2AddsEachOpsMeanGap)
 {
     // Fig 7's gap at icnt-L2 is a mean of per-op means: each op adds its
