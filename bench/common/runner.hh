@@ -6,7 +6,7 @@
  * some under several configs. runApps() takes the runs of every artifact
  * asked for as one batch of (application, config) pairs: it drops the
  * pairs that share a cache key, loads the cache hits, simulates the misses
- * on a gcl::exec pool of --jobs workers (inline and in order at one job)
+ * on --jobs threads of exec::parallelFor (inline and in order at one job)
  * and publishes cache entries, export records and trace fragments in
  * declaration order. Finished runs are memoized on disk keyed by
  * (application, dataset version, config fingerprint), so a second
@@ -57,7 +57,7 @@
  * immediately.
  *
  * --jobs spreads a batch *across* runs: each run is a thread-confined
- * workloads::SimContext scheduled on a gcl::exec pool, and everything a
+ * workloads::SimContext run by exec::parallelFor, and everything a
  * run leaves behind is published in declaration order — so every artifact
  * is bit-identical to a --jobs=1 batch. Each simulation's cycle loop runs
  * on the one thread that owns its SimContext.

@@ -147,13 +147,11 @@ BENCHMARK(BM_RngNext);
 
 // ---- gcl::trace overhead (EXPERIMENTS.md "Tracing overhead") ----
 
-/** Full emission cost: ring store, with a drain swallowing overflows. */
+/** Full emission cost: buffer store, with a drain swallowing full buffers. */
 void
 BM_TraceEmitEnabled(benchmark::State &state)
 {
-    trace::TraceSink sink(1 << 16);
-    sink.setEnabled(true);
-    sink.setDrain([](const trace::TraceEvent *, size_t) {});
+    trace::TraceSink sink([](const trace::TraceEvent *, size_t) {}, 1 << 16);
     uint64_t cycle = 0;
     for (auto _ : state) {
         ++cycle;
@@ -163,21 +161,6 @@ BM_TraceEmitEnabled(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TraceEmitEnabled);
-
-/** The untraced hot path: a sink exists but is switched off. */
-void
-BM_TraceEmitDisabledSink(benchmark::State &state)
-{
-    trace::TraceSink sink(1 << 10);
-    uint64_t cycle = 0;
-    for (auto _ : state) {
-        ++cycle;
-        GCL_TRACE(&sink, trace::EventKind::ReqInject, cycle, cycle,
-                  cycle * 128, 7, 3, trace::kFlagNonDet);
-        benchmark::DoNotOptimize(sink.size());
-    }
-}
-BENCHMARK(BM_TraceEmitDisabledSink);
 
 /** The default production path: no sink attached at all. */
 void

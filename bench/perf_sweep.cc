@@ -1,21 +1,15 @@
 /**
  * @file
- * Simulator-throughput microbench: how fast does the simulator itself run?
+ * Simulator-throughput timer behind scripts/check.sh's speed gates.
  *
- * Every figure in the paper is produced by replaying the full memory
- * system cycle by cycle, so host-side throughput (simulated cycles per
- * wall-clock second) is the single lever on how many configs a sweep can
- * cover. This bench pins a fixed subset of the Table I suite, simulates
- * each app fresh (never the run cache — we are timing the simulator, not
- * the disk), and emits a BENCH_perf.json snapshot:
+ * Simulates each --apps app fresh (never the run cache — we are timing
+ * the simulator, not the disk) and writes a JSON snapshot of what
+ * `tools/stats_diff` compares:
  *
- *   cycles_per_sec   simulated cycles / host seconds (higher is better)
- *   ns_per_cycle     host nanoseconds per simulated cycle (lower is better)
- *   peak_rss_kb      peak resident set of the whole process
- *
- * `tools/stats_diff old.json new.json` compares two snapshots and fails on
- * a regression; `scripts/bench_perf.sh` wires both against the committed
- * baseline in bench/baselines/ so every perf PR leaves a trajectory.
+ *   per_app   name, median_seconds, cycles_per_sec (simulated cycles /
+ *             host seconds)
+ *   total     cycles_per_sec, ns_per_cycle and peak_rss_kb of the whole
+ *             process
  *
  * Runs are timed median-of-N (--repeat) to shave scheduler noise without
  * the optimism of best-of-N; the simulated cycle count of every run is
@@ -27,8 +21,7 @@
  * repetitions share one workloads::PrefixStore, as the runs of one
  * gcl_paper batch do: rep 0 captures the functional prefix and starts
  * cold, later reps start warm from it, so the median of three measures
- * the warm sweep-member cost. --repeat=1 reads a cold run. check.sh uses
- * this to hold sampled mode to its speedup contracts.
+ * the warm sweep-member cost. --repeat=1 reads a cold run.
  */
 
 #include <sys/resource.h>
@@ -58,20 +51,10 @@ namespace
 
 using gcl::sim::GpuConfig;
 
-/**
- * Pinned subset: one cheap and one expensive app per Table I category so
- * the number tracks coalescer/L1 pressure (linear), high turnaround
- * volume (image) and non-deterministic request storms (graph) at once.
- * Keep this list stable — changing it invalidates every baseline.
- */
-const char *kPinnedApps[] = {"gaus", "2mm", "bpr", "srad", "bfs", "spmv"};
-
 struct AppPerf
 {
     std::string name;
     uint64_t simCycles = 0;
-    uint64_t warpInsts = 0;
-    uint64_t dormantCycles = 0;   //!< unit-cycles asleep
     double medianSeconds = 0.0;
     std::vector<double> repSeconds; //!< one entry per --repeat run
 };
@@ -102,8 +85,7 @@ peakRssKb()
 }
 
 void
-writeJson(const std::string &path, const std::string &label,
-          const std::vector<AppPerf> &apps, unsigned repeat)
+writeJson(const std::string &path, const std::vector<AppPerf> &apps)
 {
     using gcl::trace::jsonNumber;
     using gcl::trace::jsonQuote;
@@ -122,9 +104,6 @@ writeJson(const std::string &path, const std::string &label,
     if (!out)
         gcl_fatal("cannot write '", path, "'");
     out << "{\n";
-    out << "  \"bench\": \"perf_sweep\",\n";
-    out << "  \"label\": " << jsonQuote(label) << ",\n";
-    out << "  \"repeat\": " << repeat << ",\n";
     out << "  \"per_app\": [\n";
     for (size_t i = 0; i < apps.size(); ++i) {
         const AppPerf &app = apps[i];
@@ -132,17 +111,12 @@ writeJson(const std::string &path, const std::string &label,
             ? static_cast<double>(app.simCycles) / app.medianSeconds
             : 0.0;
         out << "    {\"name\": " << jsonQuote(app.name)
-            << ", \"sim_cycles\": " << app.simCycles
-            << ", \"warp_insts\": " << app.warpInsts
-            << ", \"dormant_cycles\": " << app.dormantCycles
             << ", \"median_seconds\": " << jsonNumber(app.medianSeconds)
             << ", \"cycles_per_sec\": " << jsonNumber(app_cps) << "}"
             << (i + 1 < apps.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
-    out << "  \"total\": {\"sim_cycles\": " << total_cycles
-        << ", \"seconds\": " << jsonNumber(total_seconds)
-        << ", \"cycles_per_sec\": " << jsonNumber(cps)
+    out << "  \"total\": {\"cycles_per_sec\": " << jsonNumber(cps)
         << ", \"ns_per_cycle\": " << jsonNumber(ns_per_cycle)
         << ", \"peak_rss_kb\": " << peakRssKb() << "}\n";
     out << "}\n";
@@ -156,7 +130,6 @@ main(int argc, char **argv)
     std::vector<std::string> apps;
     unsigned repeat = 3;
     std::string out_path = "BENCH_perf.json";
-    std::string label = "perf_sweep";
     bool crit = false;     // time with the criticality profiler enabled
     std::string sim_config; // K=V,... config overrides (A/B timing runs)
     std::string sample;     // sampled-simulation spec (empty = off)
@@ -181,8 +154,6 @@ main(int argc, char **argv)
                                 std::numeric_limits<unsigned>::max()));
         } else if (const char *v = value(arg, "--out")) {
             out_path = v;
-        } else if (const char *v = value(arg, "--label")) {
-            label = v;
         } else if (std::strcmp(arg, "--crit") == 0) {
             crit = true;
         } else if (const char *v = value(arg, "--sim-config")) {
@@ -191,15 +162,14 @@ main(int argc, char **argv)
             sample = v;
         } else if (std::strcmp(arg, "--help") == 0 ||
                    std::strcmp(arg, "-h") == 0) {
-            std::printf("usage: %s [--apps=a,b,c] [--repeat=N] "
-                        "[--out=FILE] [--label=STR]\n"
-                        "          [--sim-config=K=V,...] [--crit]\n"
-                        "Times fresh simulations of the pinned app subset "
-                        "and writes a\nBENCH_perf.json throughput snapshot "
-                        "(compare with tools/stats_diff).\n"
+            std::printf("usage: %s --apps=a,b,c [--repeat=N] [--out=FILE]\n"
+                        "          [--sim-config=K=V,...] [--crit] "
+                        "[--sample=SPEC]\n"
+                        "Times fresh simulations of the listed apps and "
+                        "writes a throughput\nsnapshot (compare two with "
+                        "tools/stats_diff).\n"
                         "--crit times the run with the criticality "
-                        "profiler enabled,\nto measure its overhead "
-                        "against a plain snapshot.\n"
+                        "profiler enabled.\n"
                         "--sim-config applies config overrides (e.g. "
                         "cycle_skipping=0) so a\nsingle flag A/B-times a "
                         "host-side optimization.\n"
@@ -214,7 +184,7 @@ main(int argc, char **argv)
         }
     }
     if (apps.empty())
-        apps.assign(std::begin(kPinnedApps), std::end(kPinnedApps));
+        gcl_fatal("--apps is required (try --help)");
     for (const auto &name : apps)
         if (gcl::workloads::findByName(name) == nullptr)
             gcl_fatal("--apps: unknown application '", name,
@@ -242,12 +212,11 @@ main(int argc, char **argv)
 
     std::printf("== perf_sweep: simulator throughput ==\n");
     if (crit)
-        std::printf("crit profiler: enabled (overhead measurement)\n");
+        std::printf("crit profiler: enabled\n");
     if (!sample.empty())
         std::printf("sampled: %s\n", sample.c_str());
-    std::printf("%-8s %12s %12s %12s %10s %14s\n", "app",
-                "sim_cycles", "warp_insts", "dormant",
-                "median_sec", "cycles/sec");
+    std::printf("%-8s %12s %10s %14s\n", "app", "sim_cycles", "median_sec",
+                "cycles/sec");
 
     gcl::workloads::PrefixStore prefixes;
     for (const auto &name : apps) {
@@ -268,12 +237,8 @@ main(int argc, char **argv)
                           "' failed its reference check");
             const auto cycles =
                 static_cast<uint64_t>(ctx.stats().get("cycles"));
-            const auto insts =
-                static_cast<uint64_t>(ctx.stats().get("warp_insts"));
             if (rep == 0) {
                 perf.simCycles = cycles;
-                perf.warpInsts = insts;
-                perf.dormantCycles = ctx.dormantCycles();
             } else {
                 // The simulator is deterministic; a repeat that simulates
                 // different work means the bench itself is broken.
@@ -283,32 +248,26 @@ main(int argc, char **argv)
             perf.repSeconds.push_back(seconds);
         }
         perf.medianSeconds = medianOf(perf.repSeconds);
-        std::printf("%-8s %12llu %12llu %12llu %10.3f %14.0f\n",
-                    perf.name.c_str(),
+        std::printf("%-8s %12llu %10.3f %14.0f\n", perf.name.c_str(),
                     static_cast<unsigned long long>(perf.simCycles),
-                    static_cast<unsigned long long>(perf.warpInsts),
-                    static_cast<unsigned long long>(perf.dormantCycles),
                     perf.medianSeconds,
                     static_cast<double>(perf.simCycles) /
                         perf.medianSeconds);
         results.push_back(perf);
     }
 
-    uint64_t total_cycles = 0, total_dormant = 0;
+    uint64_t total_cycles = 0;
     double total_seconds = 0.0;
     for (const auto &app : results) {
         total_cycles += app.simCycles;
-        total_dormant += app.dormantCycles;
         total_seconds += app.medianSeconds;
     }
-    std::printf("%-8s %12llu %12s %12llu %10.3f %14.0f\n", "TOTAL",
-                static_cast<unsigned long long>(total_cycles), "",
-                static_cast<unsigned long long>(total_dormant),
-                total_seconds,
+    std::printf("%-8s %12llu %10.3f %14.0f\n", "TOTAL",
+                static_cast<unsigned long long>(total_cycles), total_seconds,
                 static_cast<double>(total_cycles) / total_seconds);
     std::printf("peak RSS: %ld KB\n", peakRssKb());
 
-    writeJson(out_path, label, results, repeat);
+    writeJson(out_path, results);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

@@ -15,10 +15,6 @@
 #                                    AddressSanitizer (into ./build-asan)
 #                                    and run the guard / error-unwind
 #                                    tests under it
-#        scripts/check.sh --perf     make the perf-delta stage fatal: exit
-#                                    nonzero on a >10% throughput
-#                                    regression vs the committed baseline
-#                                    (by default the delta is only printed)
 #        BUILD_DIR=out scripts/check.sh
 # Also available as the CMake target `check`.
 set -euo pipefail
@@ -26,13 +22,11 @@ cd "$(dirname "$0")/.."
 
 TSAN=0
 ASAN=0
-PERF=0
 for arg in "$@"; do
     case "$arg" in
       --tsan) TSAN=1 ;;
       --asan) ASAN=1 ;;
-      --perf) PERF=1 ;;
-      *) echo "check.sh: unknown argument '$arg' (--tsan, --asan, --perf)" >&2
+      *) echo "check.sh: unknown argument '$arg' (--tsan, --asan)" >&2
          exit 2 ;;
     esac
 done
@@ -138,9 +132,8 @@ rm -f "$tmp/trace-j1.json" "$tmp/trace-j3.json"
 # re-verifies issued + stalls == cycles * issue_width from the JSON), and
 # crit_report over the three small apps must match the committed golden.
 # The profiler-off path needs no stage of its own:
-# crit defaults to off, so every other stage in this script (including
-# the perf-delta gate below) already runs and measures the disabled
-# simulator.
+# crit defaults to off, so every other stage in this script already runs
+# the disabled simulator, and perfbench's crit-off suite workloads time it.
 GCL_BENCH_CACHE="$tmp/cache-crit1" "$PAPER" fig1_load_classes \
     --apps=$SMALL_APPS --fresh --crit \
     --stats-json="$tmp/stats-crit.json" > /dev/null 2> /dev/null
@@ -237,10 +230,10 @@ diff -r "$tmp/cache-wide-skip" "$tmp/cache-wide-noskip" \
 # this host, so the ratio is insensitive to machine speed.
 "$BUILD_DIR/bench/perf_sweep" --apps=spmv --repeat=1 --crit \
     --sim-config=dram_latency=800,cycle_skipping=0 \
-    --out="$tmp/perf-noskip.json" --label=check-noskip > /dev/null
+    --out="$tmp/perf-noskip.json" > /dev/null
 "$BUILD_DIR/bench/perf_sweep" --apps=spmv --repeat=1 --crit \
     --sim-config=dram_latency=800 \
-    --out="$tmp/perf-skip.json" --label=check-skip > /dev/null
+    --out="$tmp/perf-skip.json" > /dev/null
 # stats_diff also holds the pair to its throughput and RSS bounds.
 "$BUILD_DIR/tools/stats_diff" "$tmp/perf-noskip.json" "$tmp/perf-skip.json" \
     --expect-speedup=spmv:2.0 \
@@ -420,13 +413,13 @@ GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
 #     speedup-vs-error curve.
 "$BUILD_DIR/bench/perf_sweep" --apps=sssp --repeat=3 \
     --sim-config=dram_latency=800 \
-    --out="$tmp/perf-sample-full.json" --label=check-sample-full > /dev/null
+    --out="$tmp/perf-sample-full.json" > /dev/null
 "$BUILD_DIR/bench/perf_sweep" --apps=sssp --repeat=3 \
     --sim-config=dram_latency=800 --sample=ctas:0:0 \
-    --out="$tmp/perf-sample-ff.json" --label=check-sample-ff > /dev/null
+    --out="$tmp/perf-sample-ff.json" > /dev/null
 "$BUILD_DIR/bench/perf_sweep" --apps=sssp --repeat=3 \
     --sim-config=dram_latency=800 --sample=kernels:9 \
-    --out="$tmp/perf-sample-k9.json" --label=check-sample-k9 > /dev/null
+    --out="$tmp/perf-sample-k9.json" > /dev/null
 "$BUILD_DIR/tools/stats_diff" --min-speedup=10 \
     "$tmp/perf-sample-full.json" "$tmp/perf-sample-ff.json" \
     || { echo "check: fast-forward missed its 10x contract" >&2; exit 1; }
@@ -434,22 +427,6 @@ GCL_BENCH_CACHE="$tmp/cache-sample" "$PAPER" fig1_load_classes \
     "$tmp/perf-sample-full.json" "$tmp/perf-sample-k9.json" \
     || { echo "check: windowed sampling missed its 5x contract" >&2
          exit 1; }
-
-# Perf trajectory: run the pinned-subset throughput sweep and print its
-# per-app and total delta against the committed baseline (perf_sweep
-# times median-of-3 repetitions).
-# Informational by default (hosts differ; so does their load); --perf
-# makes a >10% regression fatal so a perf-focused PR can gate on it.
-"$BUILD_DIR/bench/perf_sweep" --repeat=3 --out="$tmp/perf.json" \
-    --label=check > /dev/null
-if [ "$PERF" = 1 ]; then
-    "$BUILD_DIR/tools/stats_diff" \
-        bench/baselines/BENCH_perf_baseline.json "$tmp/perf.json"
-else
-    "$BUILD_DIR/tools/stats_diff" \
-        bench/baselines/BENCH_perf_baseline.json "$tmp/perf.json" \
-        || echo "check: perf delta exceeds threshold (non-fatal; --perf to gate)"
-fi
 
 if [ "$TSAN" = 1 ]; then
     TSAN_DIR=${TSAN_BUILD_DIR:-build-tsan}
@@ -460,11 +437,11 @@ if [ "$TSAN" = 1 ]; then
     # unmissable even through pipelines that would swallow TSan's own
     # exit code 66.
     export TSAN_OPTIONS="halt_on_error=1:abort_on_error=1"
-    # The only threads are the sweep's: the exec pool and the runs it
-    # schedules side by side.
+    # The only threads are the sweep's: exec::parallelFor's, each running
+    # its share of the runs side by side.
     "$TSAN_DIR/tests/gcl_tests" --gtest_filter='Exec*:ParallelSweep*'
     # A parallel bench sweep end to end under TSan, traced: per-run trace
-    # sinks filled on the pool's threads and merged on the main one.
+    # sinks filled on parallelFor's threads and merged on the main one.
     GCL_BENCH_CACHE="$tmp/cache-tsan" \
         "$TSAN_DIR/bench/gcl_paper" fig1_load_classes \
         --apps=$SMALL_APPS --fresh --jobs=3 \

@@ -1,10 +1,14 @@
 #include "scheduler.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "util/count.hh"
-#include "util/logging.hh"
 
 namespace gcl::exec
 {
@@ -34,71 +38,6 @@ resolveJobs(unsigned requested, const char *envvar, unsigned fallback)
     return jobs == 0 ? hardwareThreads() : jobs;
 }
 
-ThreadPool::ThreadPool(unsigned num_threads)
-{
-    if (num_threads == 0)
-        num_threads = 1;
-    workers_.reserve(num_threads);
-    for (unsigned i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    workReady_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    gcl_assert(job != nullptr, "ThreadPool::submit of an empty job");
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        gcl_assert(!shutdown_, "ThreadPool::submit after shutdown");
-        queue_.push_back(std::move(job));
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allIdle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                return shutdown_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // shutdown with a drained queue
-            job = std::move(queue_.front());
-            queue_.pop_front();
-            ++running_;
-        }
-        job();
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            --running_;
-            if (queue_.empty() && running_ == 0)
-                allIdle_.notify_all();
-        }
-    }
-}
-
 void
 parallelFor(unsigned jobs, size_t count,
             const std::function<void(size_t)> &fn)
@@ -113,21 +52,25 @@ parallelFor(unsigned jobs, size_t count,
         return;
     }
 
-    const auto threads =
-        static_cast<unsigned>(std::min<size_t>(jobs, count));
+    std::atomic<size_t> next{0};
     std::vector<std::exception_ptr> errors(count);
-    {
-        ThreadPool pool(threads);
-        for (size_t i = 0; i < count; ++i) {
-            pool.submit([&fn, &errors, i] {
-                try {
-                    fn(i);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-            });
+    auto work = [&] {
+        for (size_t i = next++; i < count; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
         }
-        pool.wait();
+    };
+    {
+        // jthread joins on destruction, also when starting a later
+        // thread throws; the threads already started finish every index.
+        const size_t n = std::min<size_t>(jobs, count);
+        std::vector<std::jthread> threads;
+        threads.reserve(n);
+        for (size_t t = 0; t < n; ++t)
+            threads.emplace_back(work);
     }
     for (auto &e : errors)
         if (e)

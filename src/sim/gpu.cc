@@ -435,10 +435,7 @@ Gpu::launch(const ptx::Kernel &kernel, Dim3 grid, Dim3 cta,
         ffSkipCtas_ = 0;                        // launch only
         if (ff_skip == 0)
             ffLaunchWork_ = 0; // else: restored prefix work, keep it
-        std::vector<uint64_t> detailed =
-            samplePlan_.kernelDetailed(launchIndex)
-                ? std::vector<uint64_t>{}
-                : samplePlan_.detailedCtas(launchIndex, total);
+        std::vector<uint64_t> detailed = samplePlan_.detailedCtas(total);
         const bool fully_detailed = samplePlan_.kernelDetailed(launchIndex)
             || detailed.size() == total;
         if (fully_detailed) {
@@ -852,6 +849,11 @@ Gpu::fastForwardCtas(const LaunchContext &launch,
 void
 Gpu::recordWarm(const StepInfo &info, uint64_t cta_linear)
 {
+    // Only every:N windows replay the ring (warmCaches). A kernels:K
+    // window starts from what the previous timed launch left, and
+    // ctas:0:0 has no window.
+    if (samplePlan_.mode != SamplePlan::Mode::EveryNth)
+        return;
     if (info.space != ptx::MemSpace::Global)
         return;
     if (!info.isLoad && !info.isStore && !info.isAtomic)

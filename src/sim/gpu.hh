@@ -267,8 +267,8 @@ class Gpu
      * order, one instruction per live warp per round-robin sweep across
      * the wave, (cta, warp) index order) with immediate memory
      * application. No unit ticks, no stats, no trace events — the clock
-     * does not move. Global-space accesses are recorded into the warm
-     * ring for the next detailed window's cache warm-up.
+     * does not move. Under every:N, global-space accesses are recorded
+     * into the warm ring for the next detailed window's cache warm-up.
      */
     void fastForwardCtas(const LaunchContext &launch,
                          const std::vector<uint64_t> &ids, uint64_t skip);
@@ -280,7 +280,10 @@ class Gpu
      */
     uint64_t ctasPerWave(const LaunchContext &launch) const;
 
-    /** Record one fast-forwarded memory instruction into the warm ring. */
+    /**
+     * Record one fast-forwarded memory instruction into the warm ring;
+     * a no-op unless the plan is every:N, the one mode that replays it.
+     */
     void recordWarm(const StepInfo &info, uint64_t cta_linear);
 
     /**

@@ -84,25 +84,12 @@ SamplePlan::kernelDetailed(uint64_t launch_index) const
 }
 
 std::vector<uint64_t>
-SamplePlan::detailedCtas(uint64_t launch_index, uint64_t total) const
+SamplePlan::detailedCtas(uint64_t total) const
 {
     std::vector<uint64_t> out;
-    switch (mode) {
-      case Mode::Off:
-      case Mode::FastForward:
-        break;
-      case Mode::Kernels:
-        // Whole-launch granularity: detailed launches take the plain
-        // (listless) dispatch path, others fast-forward everything.
-        if (kernelDetailed(launch_index))
-            for (uint64_t i = 0; i < total; ++i)
-                out.push_back(i);
-        break;
-      case Mode::EveryNth:
+    if (mode == Mode::EveryNth)
         for (uint64_t i = 0; i < total; i += everyN)
             out.push_back(i);
-        break;
-    }
     return out;
 }
 

@@ -57,12 +57,11 @@ struct SamplePlan
     bool kernelDetailed(uint64_t launch_index) const;
 
     /**
-     * The detailed CTA linear ids for launch @p launch_index out of
-     * @p total CTAs, ascending. Empty when the whole launch is
-     * fast-forwarded; all @p total ids for a plain detailed launch.
+     * The per-CTA window of a launch of @p total CTAs: every N-th linear
+     * id, ascending, under every:N; none in the other modes, whose
+     * launches run whole (kernelDetailed) or fast-forward whole.
      */
-    std::vector<uint64_t> detailedCtas(uint64_t launch_index,
-                                       uint64_t total) const;
+    std::vector<uint64_t> detailedCtas(uint64_t total) const;
 
     /** Human-readable summary for config describe() output. */
     std::string describe() const;

@@ -42,47 +42,18 @@ toString(CounterId id)
     return "unknown";
 }
 
-TraceSink::TraceSink(size_t capacity)
-    : buf_(capacity == 0 ? 1 : capacity)
+TraceSink::TraceSink(DrainFn drain, size_t capacity)
+    : buf_(capacity == 0 ? 1 : capacity), drain_(std::move(drain))
 {
-}
-
-void
-TraceSink::overflow()
-{
-    if (drain_) {
-        flush();
-        return;
-    }
-    // No drain attached: wrap, overwriting the oldest event.
-    head_ = (head_ + 1) % buf_.size();
-    --count_;
-    ++dropped_;
+    gcl_assert(drain_ != nullptr, "TraceSink without a drain");
 }
 
 void
 TraceSink::flush()
 {
-    if (drain_ && count_ > 0) {
-        // The ring is contiguous except when it wraps; hand out both runs
-        // in age order.
-        const size_t first = std::min(count_, buf_.size() - head_);
-        drain_(buf_.data() + head_, first);
-        if (first < count_)
-            drain_(buf_.data(), count_ - first);
-    }
-    head_ = 0;
+    if (count_ > 0)
+        drain_(buf_.data(), count_);
     count_ = 0;
-}
-
-std::vector<TraceEvent>
-TraceSink::snapshot() const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(count_);
-    for (size_t i = 0; i < count_; ++i)
-        out.push_back(buf_[(head_ + i) % buf_.size()]);
-    return out;
 }
 
 } // namespace gcl::trace

@@ -8,14 +8,14 @@
  * can be inspected, re-sliced offline, or loaded into Perfetto.
  *
  * Design:
- *  - TraceEvent is a 32-byte POD; a TraceSink is a preallocated ring of
- *    them. Emitting is a bounds check and a struct store.
+ *  - TraceEvent is a 32-byte POD; a TraceSink is a preallocated buffer
+ *    of them. Emitting is a bounds check and a struct store.
  *  - Components hold a `TraceSink *` that is null by default; the
- *    GCL_TRACE macro costs one null/enable branch on the hot path.
- *  - When the ring fills, an attached drain callback (the streaming
- *    Chrome-JSON writer, typically) receives the buffered events and the
- *    ring resets; without a drain the ring wraps, overwriting the oldest
- *    events and counting them as dropped.
+ *    GCL_TRACE macro costs one null branch on the hot path. A null
+ *    pointer is the only off switch.
+ *  - When the buffer fills, the sink's drain (the streaming Chrome-JSON
+ *    writer, typically) receives the buffered events and the buffer
+ *    resets, so no event is ever dropped.
  *
  * Event identity: every traced WarpMemOp and MemRequest gets a monotonic
  * id from the sink, so lifecycles are keyed by (warp, pc, request id) and
@@ -109,15 +109,15 @@ struct TraceEvent
     uint8_t flags = 0;
 };
 
-static_assert(sizeof(TraceEvent) == 32, "TraceEvent is sized for the ring");
+static_assert(sizeof(TraceEvent) == 32, "TraceEvent is sized for the buffer");
 
 /**
- * Preallocated ring buffer of trace events.
+ * Preallocated buffer of trace events that hands them to a drain.
  *
  * Not thread-safe by design: one simulation is single-threaded, and under
  * the parallel sweep every run owns a *private* sink (see
  * workloads::SimContext), so a sink is only ever touched by the thread
- * confining its run. Use setNextId() to give concurrent runs disjoint id
+ * confining its run. Use setIdBase() to give concurrent runs disjoint id
  * ranges so their events stay distinguishable after merging.
  */
 class TraceSink
@@ -125,26 +125,20 @@ class TraceSink
   public:
     using DrainFn = std::function<void(const TraceEvent *events, size_t n)>;
 
-    explicit TraceSink(size_t capacity = kDefaultCapacity);
-
-    /** Runtime master switch; GCL_TRACE checks it before emitting. */
-    void setEnabled(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
-
     /**
-     * Register @p drain to receive the ring's contents whenever it fills
-     * (and on flush()). With a drain attached no event is ever dropped.
+     * @p drain receives the buffered events, oldest first, whenever the
+     * buffer fills and on flush().
      */
-    void setDrain(DrainFn drain) { drain_ = std::move(drain); }
+    explicit TraceSink(DrainFn drain, size_t capacity = kDefaultCapacity);
 
-    /** Append one event; wraps or drains when the ring is full. */
+    /** Append one event; drains the buffer first when it is full. */
     void
     emit(EventKind kind, uint64_t cycle, uint64_t id, uint64_t addr,
          uint32_t pc = 0, int16_t unit = -1, uint8_t flags = 0)
     {
         if (count_ == buf_.size())
-            overflow();
-        TraceEvent &ev = buf_[(head_ + count_) % buf_.size()];
+            flush();
+        TraceEvent &ev = buf_[count_];
         ev.cycle = cycle;
         ev.id = id;
         ev.addr = addr;
@@ -156,7 +150,7 @@ class TraceSink
         ++emitted_;
     }
 
-    /** Hand buffered events to the drain (if any) and reset the ring. */
+    /** Hand the buffered events to the drain and empty the buffer. */
     void flush();
 
     /** Monotonic ids for traced ops and requests (0 is "untraced"). */
@@ -169,43 +163,32 @@ class TraceSink
      */
     void setIdBase(uint64_t base) { lastId_ = base; }
 
-    size_t capacity() const { return buf_.size(); }
     size_t size() const { return count_; }
     uint64_t emitted() const { return emitted_; }
-    uint64_t dropped() const { return dropped_; }
-
-    /** Buffered events, oldest first (test/offline introspection). */
-    std::vector<TraceEvent> snapshot() const;
 
     static constexpr size_t kDefaultCapacity = size_t{1} << 20;
 
   private:
-    void overflow();
-
     std::vector<TraceEvent> buf_;
-    size_t head_ = 0;       //!< index of the oldest buffered event
     size_t count_ = 0;      //!< buffered events
     uint64_t emitted_ = 0;
-    uint64_t dropped_ = 0;
     uint64_t lastId_ = 0;
-    bool enabled_ = false;
     DrainFn drain_;
 };
 
 } // namespace gcl::trace
 
 /**
- * Hot-path emission macro: one null + one enable branch.
+ * Hot-path emission macro: one null branch.
  *
  * Usage: GCL_TRACE(sink_ptr, EventKind::ReqInject, now, req->id, ...);
  */
 #define GCL_TRACE(sink, ...) \
     do { \
-        auto *gcl_trace_sink_ = (sink); \
-        if (gcl_trace_sink_ && gcl_trace_sink_->enabled()) \
+        if (auto *gcl_trace_sink_ = (sink)) \
             gcl_trace_sink_->emit(__VA_ARGS__); \
     } while (0)
 /** True when the sink would record events (guards id assignment etc.). */
-#define GCL_TRACE_ACTIVE(sink) ((sink) != nullptr && (sink)->enabled())
+#define GCL_TRACE_ACTIVE(sink) ((sink) != nullptr)
 
 #endif // GCL_TRACE_TRACE_HH

@@ -60,10 +60,8 @@ SimContext::enableTrace(sim::Cycle timeline_interval,
                         size_t capacity)
 {
     gcl_assert(!ran_, "enableTrace after run");
-    sink_ = std::make_unique<trace::TraceSink>(capacity);
+    sink_ = std::make_unique<trace::TraceSink>(std::move(drain), capacity);
     sink_->setIdBase(id_base);
-    sink_->setDrain(std::move(drain));
-    sink_->setEnabled(true);
     timelineInterval_ = timeline_interval;
 }
 

@@ -89,7 +89,7 @@ class SimContext
 
     /**
      * Create this run's private TraceSink before run(). Events drain to
-     * @p drain whenever the ring fills and on completion; @p id_base
+     * @p drain whenever its buffer fills and on completion; @p id_base
      * carves out this run's id range so merged traces stay well-formed
      * (TraceSink::setIdBase). @p timeline_interval as in Gpu::attachTrace.
      */

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the gcl::exec job scheduler: slot ordering, the N=1 inline
- * guarantee, exception capture/propagation, pool reuse, and the job-count
- * policy. These are also the tests scripts/check.sh runs under
- * ThreadSanitizer (`--tsan`).
+ * guarantee, exception capture/propagation, and the job-count policy.
+ * These are also the tests scripts/check.sh runs under ThreadSanitizer
+ * (`--tsan`).
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +20,8 @@
 namespace
 {
 
-using gcl::exec::ThreadPool;
 using gcl::exec::hardwareThreads;
 using gcl::exec::parallelFor;
-using gcl::exec::parallelMap;
 using gcl::exec::resolveJobs;
 
 TEST(Exec, HardwareThreadsIsPositive)
@@ -92,8 +90,8 @@ TEST(Exec, InlineExceptionStopsLaterIndices)
 TEST(Exec, ParallelFillsEverySlot)
 {
     constexpr size_t kCount = 100;
-    const auto squares = parallelMap<size_t>(
-        4, kCount, [](size_t i) { return i * i; });
+    std::vector<size_t> squares(kCount);
+    parallelFor(4, kCount, [&](size_t i) { squares[i] = i * i; });
     ASSERT_EQ(squares.size(), kCount);
     for (size_t i = 0; i < kCount; ++i)
         EXPECT_EQ(squares[i], i * i) << "slot " << i;
@@ -101,13 +99,16 @@ TEST(Exec, ParallelFillsEverySlot)
 
 TEST(Exec, ParallelResultsIndependentOfJobCount)
 {
-    const auto serial = parallelMap<int>(
-        1, 31, [](size_t i) { return static_cast<int>(3 * i + 1); });
-    for (unsigned jobs : {2u, 3u, 8u, 64u}) {
-        const auto parallel = parallelMap<int>(
-            jobs, 31, [](size_t i) { return static_cast<int>(3 * i + 1); });
-        EXPECT_EQ(parallel, serial) << "jobs=" << jobs;
-    }
+    auto fill = [](unsigned jobs) {
+        std::vector<int> out(31);
+        parallelFor(jobs, out.size(), [&](size_t i) {
+            out[i] = static_cast<int>(3 * i + 1);
+        });
+        return out;
+    };
+    const auto serial = fill(1);
+    for (unsigned jobs : {2u, 3u, 8u, 64u})
+        EXPECT_EQ(fill(jobs), serial) << "jobs=" << jobs;
 }
 
 TEST(Exec, LowestIndexExceptionWins)
@@ -155,54 +156,20 @@ TEST(Exec, ZeroCountIsANoop)
     parallelFor(4, 0, [](size_t) { FAIL() << "must not run"; });
 }
 
-TEST(Exec, PoolDrainsQueueAndIsReusable)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.numThreads(), 3u);
-
-    std::atomic<int> count{0};
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(count.load(), (round + 1) * 50);
-    }
-}
-
-TEST(Exec, WaitOnIdlePoolReturnsImmediately)
-{
-    ThreadPool pool(2);
-    pool.wait();
-    pool.wait();
-}
-
-TEST(Exec, DestructorDrainsPendingJobs)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-        // No wait(): the destructor must finish the queue before joining.
-    }
-    EXPECT_EQ(count.load(), 100);
-}
-
 TEST(Exec, ResultSlotsSeeNoTornWrites)
 {
-    // Each job writes a multi-word value into its own slot; after wait()
-    // the main thread must observe every write fully (the scheduler's
-    // happens-before contract).
+    // Each job writes a multi-word value into its own slot; once
+    // parallelFor returns the main thread must observe every write fully
+    // (the scheduler's happens-before contract).
     struct Wide
     {
         uint64_t a = 0, b = 0, c = 0;
     };
-    const auto out = parallelMap<Wide>(8, 200, [](size_t i) {
-        Wide w;
-        w.a = i;
-        w.b = i * 2;
-        w.c = i * 3;
-        return w;
+    std::vector<Wide> out(200);
+    parallelFor(8, out.size(), [&](size_t i) {
+        out[i].a = i;
+        out[i].b = i * 2;
+        out[i].c = i * 3;
     });
     for (size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i].a, i);

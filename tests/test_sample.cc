@@ -91,11 +91,11 @@ TEST(SamplePlan, ParsesEveryMode)
     const SamplePlan functional = SamplePlan::parse("ctas:0:0");
     EXPECT_EQ(functional.mode, SamplePlan::Mode::FastForward);
     EXPECT_FALSE(functional.kernelDetailed(0));
-    EXPECT_TRUE(functional.detailedCtas(0, 32).empty());
+    EXPECT_TRUE(functional.detailedCtas(32).empty());
 
     const SamplePlan nth = SamplePlan::parse("every:4");
     EXPECT_EQ(nth.mode, SamplePlan::Mode::EveryNth);
-    EXPECT_EQ(nth.detailedCtas(0, 10), (std::vector<uint64_t>{0, 4, 8}));
+    EXPECT_EQ(nth.detailedCtas(10), (std::vector<uint64_t>{0, 4, 8}));
 }
 
 TEST(SamplePlan, RejectsMalformedSpecs)

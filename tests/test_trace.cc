@@ -1,6 +1,6 @@
 /**
  * @file
- * gcl::trace tests: ring-buffer semantics, zero-emission when disabled,
+ * gcl::trace tests: sink drain semantics, stats unchanged by tracing,
  * Chrome-JSON well-formedness, agreement between trace-derived op
  * durations and the simulator's own turnaround stats, stats JSON/CSV
  * export round-trips, and the GCL_DEBUG component filter.
@@ -28,41 +28,23 @@ using namespace gcl::ptx;
 using DT = DataType;
 
 // ---------------------------------------------------------------------
-// TraceSink ring semantics
+// TraceSink drain semantics
 // ---------------------------------------------------------------------
-
-TEST(TraceSink, RingWrapsAndCountsDropsWithoutDrain)
-{
-    trace::TraceSink sink(8);
-    sink.setEnabled(true);
-    for (uint64_t c = 0; c < 20; ++c)
-        sink.emit(trace::EventKind::ReqInject, c, c + 1, c * 128);
-
-    EXPECT_EQ(sink.size(), 8u);
-    EXPECT_EQ(sink.emitted(), 20u);
-    EXPECT_EQ(sink.dropped(), 12u);
-
-    // The survivors are the 8 newest events, oldest first.
-    const auto events = sink.snapshot();
-    ASSERT_EQ(events.size(), 8u);
-    for (size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].cycle, 12 + i);
-}
 
 TEST(TraceSink, DrainPreservesEveryEventInOrder)
 {
     std::vector<trace::TraceEvent> collected;
-    trace::TraceSink sink(4);
-    sink.setEnabled(true);
-    sink.setDrain([&](const trace::TraceEvent *events, size_t n) {
-        collected.insert(collected.end(), events, events + n);
-    });
+    trace::TraceSink sink(
+        [&](const trace::TraceEvent *events, size_t n) {
+            collected.insert(collected.end(), events, events + n);
+        },
+        4);
 
     for (uint64_t c = 0; c < 10; ++c)
         sink.emit(trace::EventKind::ReqInject, c, c + 1, c * 128);
     sink.flush();
 
-    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_EQ(sink.emitted(), 10u);
     ASSERT_EQ(collected.size(), 10u);
     for (size_t i = 0; i < collected.size(); ++i)
         EXPECT_EQ(collected[i].cycle, i);
@@ -70,10 +52,6 @@ TEST(TraceSink, DrainPreservesEveryEventInOrder)
 
 TEST(TraceSink, MacroSkipsDisabledAndNullSinks)
 {
-    trace::TraceSink sink(8);
-    GCL_TRACE(&sink, trace::EventKind::ReqInject, 1, 1, 128);
-    EXPECT_EQ(sink.emitted(), 0u);  // present but not enabled
-
     trace::TraceSink *null_sink = nullptr;
     GCL_TRACE(null_sink, trace::EventKind::ReqInject, 1, 1, 128);
     EXPECT_FALSE(GCL_TRACE_ACTIVE(null_sink));
@@ -124,23 +102,37 @@ runGather(sim::Gpu &gpu)
         ASSERT_EQ(out[i], data[idx[i]]) << i;
 }
 
-TEST(TraceSim, DisabledSinkEmitsNothing)
+TEST(TraceSim, TracedRunExportsTheUntracedStats)
 {
-    trace::TraceSink sink;
-    sim::Gpu gpu;
-    gpu.attachTrace(&sink, 100);  // attached but never enabled
-    runGather(gpu);
-    EXPECT_EQ(sink.emitted(), 0u);
+    // Tracing observes a run; it must not change what the run exports.
+    sim::Gpu untraced;
+    runGather(untraced);
+    untraced.finalizeStats();
+
+    uint64_t events = 0;
+    trace::TraceSink sink(
+        [&](const trace::TraceEvent *, size_t n) { events += n; });
+    sim::Gpu traced;
+    traced.attachTrace(&sink, 100);
+    runGather(traced);
+    sink.flush();
+    traced.finalizeStats();
+
+    EXPECT_GT(events, 0u);
+    std::ostringstream untraced_json, traced_json;
+    trace::exportStatsJson(untraced.stats().set(), untraced_json);
+    trace::exportStatsJson(traced.stats().set(), traced_json);
+    EXPECT_EQ(traced_json.str(), untraced_json.str());
 }
 
 TEST(TraceSim, EnabledSinkRecordsFullLifecycles)
 {
     std::vector<trace::TraceEvent> events;
-    trace::TraceSink sink(1 << 12);
-    sink.setEnabled(true);
-    sink.setDrain([&](const trace::TraceEvent *e, size_t n) {
-        events.insert(events.end(), e, e + n);
-    });
+    trace::TraceSink sink(
+        [&](const trace::TraceEvent *e, size_t n) {
+            events.insert(events.end(), e, e + n);
+        },
+        1 << 12);
     sim::Gpu gpu;
     gpu.attachTrace(&sink, 100);
     runGather(gpu);
@@ -162,17 +154,16 @@ TEST(TraceSim, EnabledSinkRecordsFullLifecycles)
     EXPECT_GT(l1, 0u);
     EXPECT_GT(completes, 0u);
     EXPECT_GT(counters, 0u);   // timeline sampling ran
-    EXPECT_EQ(sink.dropped(), 0u);
+    EXPECT_EQ(events.size(), sink.emitted());
 }
 
 TEST(TraceSim, OpDurationsMatchTurnaroundStats)
 {
     std::vector<trace::TraceEvent> events;
-    trace::TraceSink sink;
-    sink.setEnabled(true);
-    sink.setDrain([&](const trace::TraceEvent *e, size_t n) {
-        events.insert(events.end(), e, e + n);
-    });
+    trace::TraceSink sink(
+        [&](const trace::TraceEvent *e, size_t n) {
+            events.insert(events.end(), e, e + n);
+        });
     sim::Gpu gpu;
     gpu.attachTrace(&sink, 0);
     runGather(gpu);
@@ -214,9 +205,7 @@ TEST(TraceSim, ChromeJsonIsWellFormedAndBalanced)
     trace::ChromeTraceWriter writer(json);
     writer.beginProcess(1, "gather");
 
-    trace::TraceSink sink(1 << 12);
-    sink.setEnabled(true);
-    sink.setDrain(writer.drain());
+    trace::TraceSink sink(writer.drain(), 1 << 12);
     sim::Gpu gpu;
     gpu.attachTrace(&sink, 50);
     runGather(gpu);
